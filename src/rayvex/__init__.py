@@ -47,7 +47,7 @@ from .geometry import (
     validate,
     vertices,
 )
-from .simplex import LPResult
+from .simplex import LPResult, solve_lp
 from .verify import (
     CertificationReport,
     CheckResult,
@@ -59,7 +59,6 @@ from .verify import (
     check_ray_concavity,
     oracle_build,
     oracle_eval,
-    solve_lp,
 )
 
 __version__ = "0.1.0"

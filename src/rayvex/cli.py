@@ -231,8 +231,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _lattice(model, resolution: int) -> list[np.ndarray]:
-    bounds = model.validation.coordinate_bounds + model.anchor[:, None]
+def _lattice(bounds: np.ndarray, resolution: int) -> list[np.ndarray]:
+    """``resolution`` points per axis over the (dim, 2) box ``bounds``."""
     axes = [np.linspace(bounds[i, 0], bounds[i, 1], resolution) for i in range(len(bounds))]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(bounds))
     return list(mesh)  # C-order: lexicographic by lattice index
@@ -242,7 +242,8 @@ def cmd_grid(args) -> int:
     if args.resolution < 2:
         raise UsageError("grid needs --resolution >= 2")
     model, entry = _model_from_args(args)
-    rows, omitted = _point_rows(model, _lattice(model, args.resolution))
+    bounds = model.validation.coordinate_bounds + model.anchor[:, None]
+    rows, omitted = _point_rows(model, _lattice(bounds, args.resolution))
     _emit_rows(
         {"command": "grid", "function": entry.name, "resolution": args.resolution},
         rows,
@@ -289,19 +290,16 @@ def cmd_compare(args) -> int:
     if not model.certified:
         _info(f"warning: {entry.name} is uncertified; comparing against the secant interpolant")
 
-    oracle = oracle_build(model.field, model.polytope, grid_density=args.density, seed=args.seed)
+    oracle = oracle_build(model.field, model.polytope, grid_density=args.density)
     if oracle.skipped:
         _info(f"oracle skipped {oracle.skipped} non-finite closure points")
-
-    bounds = model.validation.coordinate_bounds
-    axes = [np.linspace(bounds[i, 0], bounds[i, 1], args.resolution) for i in range(model.polytope.dim)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.polytope.dim)
 
     gaps = []
     f_gaps = []
     infeasible = 0
     outside = 0
-    for v in mesh:
+    # working coordinates: the oracle and the secant see the anchored field
+    for v in _lattice(model.validation.coordinate_bounds, args.resolution):
         if not model.polytope.contains(v):
             outside += 1
             continue

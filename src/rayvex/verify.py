@@ -24,7 +24,7 @@ from .geometry import (
     sample_interior,
     vertices,
 )
-from .simplex import solve_lp  # noqa: F401  (re-exported: the LP solver is part of this module's API)
+from .simplex import solve_lp
 
 DEFAULT_TOL = 1e-7
 DEFAULT_BUDGET = 10_000
@@ -345,16 +345,14 @@ def certify(model, budget: int = DEFAULT_BUDGET, seed: int = 0, tol: float = DEF
     )
 
 
-def oracle_build(field: ScalarField, polytope: Polytope, grid_density: int = 10, seed: int = 0) -> SampledOracle:
+def oracle_build(field: ScalarField, polytope: Polytope, grid_density: int = 10) -> SampledOracle:
     """Sample the field graph at all vertices plus a nested bounding-box lattice.
 
     ``grid_density`` counts lattice intervals per axis, so doubling the
     density refines the sample set (the monotonicity guarantee relies on
     this).  Density 0 keeps vertices only.  Points where the field is
-    non-finite on the closure are skipped and counted.  ``seed`` is accepted
-    for interface stability; the lattice itself is deterministic.
+    non-finite on the closure are skipped and counted.
     """
-    del seed
     verts = vertices(polytope)
     pts = [verts]
     if grid_density >= 1:

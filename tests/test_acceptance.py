@@ -265,7 +265,7 @@ def test_criterion_08_oracle_sandwich(catalog_models):
     # (a) sandwich for every certified model at density 10
     worst_sandwich = -np.inf
     for name, (entry, model) in catalog_models.items():
-        oracle = rx.oracle_build(model.field, model.polytope, grid_density=10, seed=0)
+        oracle = rx.oracle_build(model.field, model.polytope, grid_density=10)
         usable = 0
         for q in rx.sample_interior(model.polytope, 4, 150):
             try:
@@ -290,7 +290,7 @@ def test_criterion_08_oracle_sandwich(catalog_models):
     for name in ("reliability", "cubic"):
         entry, model = catalog_models[name]
         queries = []
-        probe = rx.oracle_build(model.field, model.polytope, grid_density=10, seed=0)
+        probe = rx.oracle_build(model.field, model.polytope, grid_density=10)
         for q in rx.sample_interior(model.polytope, 5, 120):
             try:
                 rx.oracle_eval(probe, q)
@@ -299,7 +299,7 @@ def test_criterion_08_oracle_sandwich(catalog_models):
                 continue
         previous = None
         for density in (10, 20, 40):
-            oracle = rx.oracle_build(model.field, model.polytope, grid_density=density, seed=0)
+            oracle = rx.oracle_build(model.field, model.polytope, grid_density=density)
             gap = max(rx.oracle_eval(oracle, q) - env.secant_raw(model, q) for q in queries)
             if previous is not None and gap > previous + 1e-9:
                 monotone_ok = False

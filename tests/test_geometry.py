@@ -64,6 +64,43 @@ class TestValidate:
         assert report.origin_on_facet_interior
 
 
+def _assert_interior_point_clears_margin(polytope):
+    # The Chebyshev centre is not unique, so only its contract is checked:
+    # every row keeps slack of at least margin * |a_i|.
+    report = rx.validate(polytope)
+    a, b = polytope.matrix, polytope.offsets
+    slack = b - a @ report.interior_point
+    assert report.interior_margin > 0.0
+    assert np.all(slack >= report.interior_margin * np.linalg.norm(a, axis=1) - 1e-9)
+
+
+@pytest.mark.parametrize("entry", rx.catalog(), ids=lambda entry: entry.name)
+def test_interior_point_contract_on_catalog(entry):
+    _assert_interior_point_clears_margin(entry.default_polytope)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lower=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+    widths=st.tuples(st.floats(0.1, 4), st.floats(0.1, 4)),
+    angle=st.floats(0, 2 * np.pi),
+    depth=st.floats(0.05, 1.0),
+    scales=st.lists(st.floats(0.25, 4), min_size=5, max_size=5),
+)
+def test_interior_point_contract_on_cut_boxes(lower, widths, angle, depth, scales):
+    # A box cut by one halfspace that keeps the box centre inside, rows rescaled.
+    lower = np.array(lower)
+    upper = lower + np.array(widths)
+    box = rx.Polytope.box(lower, upper)
+    normal = np.array([np.cos(angle), np.sin(angle)])
+    centre = 0.5 * (lower + upper)
+    offset = normal @ centre + depth * 0.5 * min(widths)
+    a = np.vstack([box.matrix, normal])
+    b = np.append(box.offsets, offset)
+    s = np.array(scales)
+    _assert_interior_point_clears_margin(rx.Polytope.from_inequalities(a * s[:, None], b * s))
+
+
 class TestRayIntersect:
     def test_unit_box_interior_point(self):
         trace = rx.ray_intersect(UNIT_BOX, [0.5, 0.25])
