@@ -36,12 +36,14 @@ from .geometry import (
     NormalizedFacet,
     Polytope,
     RayTrace,
+    RayTraceBatch,
     RegionId,
     ValidationReport,
     enumerate_regions_2d,
     normalize_facet,
     polygon_area,
     ray_intersect,
+    ray_intersect_batch,
     region_of,
     sample_interior,
     validate,
@@ -75,6 +77,7 @@ __all__ = [
     "NormalizedFacet",
     "Polytope",
     "RayTrace",
+    "RayTraceBatch",
     "RegionId",
     "SampledOracle",
     "ScalarField",
@@ -103,6 +106,7 @@ __all__ = [
     "oracle_eval",
     "polygon_area",
     "ray_intersect",
+    "ray_intersect_batch",
     "region_of",
     "reliability",
     "sample_interior",

@@ -161,7 +161,7 @@ def secant_raw(model: EnvelopeModel, v) -> float:
     checks probe; g(0) is the working field value at the origin.
     """
     v = np.asarray(v, dtype=float).reshape(-1)
-    if not np.any(v != 0.0):
+    if not any(v.tolist()):  # np.any(v != 0.0), but cheaper for a few coordinates
         return float(model.field.eval(np.zeros(model.polytope.dim)))
     trace = ray_intersect(model.polytope, v)
     return _secant_from_trace(model.field, trace)
@@ -181,7 +181,7 @@ def eval(model: EnvelopeModel, x) -> EnvelopeValue:  # noqa: A001 - deliberate b
     v = x - model.anchor
 
     sign = model.sign
-    if not np.any(v != 0.0):
+    if not any(v.tolist()):
         if not model.origin_in_P:
             raise PointOutsideDomain(f"{x.tolist()} is outside the model domain")
         value = sign * float(model.field.eval(v)) + model.offset
@@ -245,7 +245,7 @@ def gradient(model: EnvelopeModel, x) -> np.ndarray:
         raise NotCertifiedHomogeneous(f"model status: {model.status}")
     x = np.asarray(x, dtype=float).reshape(-1)
     v = x - model.anchor
-    if not np.any(v != 0.0):
+    if not any(v.tolist()):
         raise GradientUnavailable("gradient is not defined at the anchor")
     if not model.polytope.contains(v):
         raise PointOutsideDomain(f"{x.tolist()} is outside the model domain")

@@ -83,6 +83,18 @@ class Polytope:
     def offsets(self) -> np.ndarray:
         return np.array([h.b for h in self.halfspaces], dtype=float)
 
+    @cached_property
+    def _rows(self) -> list[list[float]]:
+        return self.matrix.tolist()
+
+    @cached_property
+    def _offset_list(self) -> list[float]:
+        return self.offsets.tolist()
+
+    @cached_property
+    def _validation(self) -> "ValidationReport":
+        return _validate(self)  # a raise caches nothing: only valid polytopes keep a report
+
     @property
     def n_facets(self) -> int:
         return len(self.halfspaces)
@@ -233,8 +245,14 @@ def validate(polytope: Polytope) -> ValidationReport:
     Raises UnboundedPolytope / EmptyInterior; on success reports coordinate
     bounds, a (Chebyshev-center) interior point and where the origin sits.
     The unusual configuration "origin in the relative interior of a single
-    facet" is flagged rather than rejected.
+    facet" is flagged rather than rejected.  The report of a successful
+    validation is kept on the (immutable) polytope, so later calls solve no
+    LPs; its arrays are read-only because every caller shares them.
     """
+    return polytope._validation
+
+
+def _validate(polytope: Polytope) -> ValidationReport:
     a = polytope.matrix
     b = polytope.offsets
     n = polytope.dim
@@ -265,7 +283,9 @@ def validate(polytope: Polytope) -> ValidationReport:
     margin = -cheb.objective
     if margin <= GEOM_TOL:
         raise EmptyInterior(f"no interior point (best margin {margin:.3e})")
-    center = cheb.x[:n]
+    center = cheb.x[:n].copy()
+    bounds.setflags(write=False)
+    center.setflags(write=False)
 
     if np.any(b < -GEOM_TOL):
         origin = "outside"
@@ -275,6 +295,48 @@ def validate(polytope: Polytope) -> ValidationReport:
         origin = "interior" if active == 0 else "boundary"
         on_facet_interior = active == 1
     return ValidationReport(bounds, center, float(margin), origin, on_facet_interior)
+
+
+def _facet_products(rows: list[list[float]], coords: list[float]) -> list[float]:
+    """a_i . v for every facet row, summed left to right in plain floats.
+
+    ``ray_intersect_batch`` forms the same products and sums in the same
+    order, so the two kernels see bit-identical a_i . v.
+    """
+    if len(coords) == 2:
+        x, y = coords
+        return [a * x + b * y for a, b in rows]
+    if len(coords) == 3:
+        x, y, z = coords
+        return [a * x + b * y + c * z for a, b, c in rows]
+    products = []
+    for row in rows:
+        acc = row[0] * coords[0]
+        for a, x in zip(row[1:], coords[1:]):
+            acc += a * x
+        products.append(acc)
+    return products
+
+
+def _interval_rules(alpha_lo, alpha_hi):
+    """(empty, degenerate) for trace intervals [alpha_lo, alpha_hi].
+
+    Shared by both ray kernels; works on floats and elementwise on arrays.
+    Both tests are relative to alpha_hi, so the verdict on v and on any
+    positive multiple of v is the same.
+    """
+    gap = alpha_hi - alpha_lo
+    slack = ALGEBRA_TOL * alpha_hi
+    return (alpha_hi < 0.0) | (gap < -slack), gap <= slack
+
+
+def _meets(t, alpha, b, tol):
+    """Whether the ray meets facet hyperplane a.x = b at scaling alpha (t = a.v).
+
+    The endpoint tie-break of both ray kernels: among the facets this holds
+    for, the smallest index names the endpoint.
+    """
+    return abs(t * alpha - b) <= tol
 
 
 def ray_intersect(polytope: Polytope, v, tol: float = GEOM_TOL) -> RayTrace:
@@ -288,12 +350,13 @@ def ray_intersect(polytope: Polytope, v, tol: float = GEOM_TOL) -> RayTrace:
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.size != polytope.dim:
         raise ValueError(f"direction dimension {v.size} != {polytope.dim}")
-    if not np.any(v != 0.0):
+    coords = v.tolist()
+    if not any(coords):
         raise ZeroDirection("ray direction must be nonzero")
 
     # plain python over the handful of facets: faster than masked numpy here
-    t = (polytope.matrix @ v).tolist()
-    b = polytope.offsets.tolist()
+    t = _facet_products(polytope._rows, coords)
+    b = polytope._offset_list
 
     alpha_hi = math.inf
     alpha_lo = 0.0
@@ -314,10 +377,9 @@ def ray_intersect(polytope: Polytope, v, tol: float = GEOM_TOL) -> RayTrace:
             raise RayMissesPolytope("ray is parallel to a violated facet")
     if hi_arg < 0:
         raise RayMissesPolytope("ray never exits (polytope unbounded along it?)")
-    if alpha_hi < alpha_lo - ALGEBRA_TOL or alpha_hi < 0.0:
+    empty, degenerate = _interval_rules(alpha_lo, alpha_hi)
+    if empty:
         raise RayMissesPolytope("empty intersection interval")
-
-    degenerate = alpha_hi - alpha_lo <= ALGEBRA_TOL
     if degenerate:
         alpha_lo = alpha_hi
 
@@ -327,9 +389,9 @@ def ray_intersect(polytope: Polytope, v, tol: float = GEOM_TOL) -> RayTrace:
     for i, (ti, bi) in enumerate(zip(t, b)):
         if i >= out_facet and (in_facet is None or i >= in_facet):
             break
-        if i < out_facet and ti > 0.0 and abs(ti * alpha_hi - bi) <= tol:
+        if i < out_facet and ti > 0.0 and _meets(ti, alpha_hi, bi, tol):
             out_facet = i
-        if in_facet is not None and i < in_facet and ti < 0.0 and abs(ti * alpha_lo - bi) <= tol:
+        if in_facet is not None and i < in_facet and ti < 0.0 and _meets(ti, alpha_lo, bi, tol):
             in_facet = i
 
     if degenerate:
@@ -339,6 +401,100 @@ def ray_intersect(polytope: Polytope, v, tol: float = GEOM_TOL) -> RayTrace:
         alpha_v = min(1.0, max(0.0, alpha_v))
 
     return RayTrace(v, alpha_lo, alpha_hi, alpha_lo * v, alpha_hi * v, in_facet, out_facet, alpha_v, degenerate)
+
+
+@dataclass(frozen=True, eq=False)
+class RayTraceBatch:
+    """``ray_intersect`` of every row of a (k, n) direction array, as arrays.
+
+    Row r holds the fields of ``ray_intersect(polytope, v[r])`` bit for bit,
+    with in_facet -1 where the scalar trace has None.  The endpoints are
+    formed on demand, so a batch holds no endpoint arrays.
+    """
+
+    v: np.ndarray  # (k, n)
+    alpha_minus: np.ndarray  # (k,)
+    alpha_plus: np.ndarray  # (k,)
+    in_facet: np.ndarray  # (k,) int, -1 for None
+    out_facet: np.ndarray  # (k,) int
+    alpha_v: np.ndarray  # (k,)
+    degenerate: np.ndarray  # (k,) bool
+
+    @property
+    def v_minus(self) -> np.ndarray:
+        return self.alpha_minus[:, None] * self.v
+
+    @property
+    def v_plus(self) -> np.ndarray:
+        return self.alpha_plus[:, None] * self.v
+
+
+def ray_intersect_batch(polytope: Polytope, v, tol: float = GEOM_TOL) -> RayTraceBatch:
+    """``ray_intersect`` for every row of the (k, n) array ``v`` at once.
+
+    Same tolerances, rules and smallest-index tie-break as the scalar
+    kernel, with the same a_i . v; a row the scalar kernel rejects makes
+    the whole batch raise the scalar kernel's error for the first such row.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[1] != polytope.dim:
+        raise ValueError(f"directions must be a (k, {polytope.dim}) array, got shape {v.shape}")
+    a = polytope.matrix
+    b = polytope.offsets
+    rows = np.arange(len(v))
+
+    t = np.multiply.outer(v[:, 0], a[:, 0])  # (k, m), summed as _facet_products sums
+    for j in range(1, polytope.dim):
+        t += np.multiply.outer(v[:, j], a[:, j])
+    outward = t > 0.0
+    inward = t < 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = b / t
+    exit_ratio = np.where(outward, ratio, math.inf)
+    hi_arg = np.argmin(exit_ratio, axis=1)  # first occurrence, as the scalar strict <
+    alpha_hi = exit_ratio[rows, hi_arg]
+    del exit_ratio  # (k, m) temporaries go as soon as they are used
+    entry_ratio = ratio
+    entry_ratio[~inward] = -math.inf
+    lo_arg = np.argmax(entry_ratio, axis=1)
+    best_entry = entry_ratio[rows, lo_arg]
+    del ratio, entry_ratio
+    entered = best_entry > 0.0  # the scalar loop only moves alpha_lo above 0
+    alpha_lo = np.where(entered, best_entry, 0.0)
+
+    with np.errstate(invalid="ignore"):
+        empty, degenerate = _interval_rules(alpha_lo, alpha_hi)
+    zero = ~np.any(v != 0.0, axis=1)
+    parallel = np.any(~outward & ~inward & (b < -tol), axis=1)
+    no_exit = ~(alpha_hi < math.inf)
+    failed = zero | parallel | no_exit | empty
+    if np.any(failed):
+        first = int(np.argmax(failed))
+        # the scalar kernel's error for that row, in the order it checks them
+        for bad, error, message in (
+            (zero, ZeroDirection, "ray direction must be nonzero"),
+            (parallel, RayMissesPolytope, "ray is parallel to a violated facet"),
+            (no_exit, RayMissesPolytope, "ray never exits (polytope unbounded along it?)"),
+            (empty, RayMissesPolytope, "empty intersection interval"),
+        ):
+            if bad[first]:
+                raise error(f"{message} (row {first})")
+    alpha_lo = np.where(degenerate, alpha_hi, alpha_lo)
+
+    at_exit = outward & _meets(t, alpha_hi[:, None], b, tol)
+    at_exit[rows, hi_arg] = True
+    out_facet = np.argmax(at_exit, axis=1)
+    entering = (alpha_lo > 0.0) & entered  # otherwise the scalar in_facet is None
+    at_entry = inward & _meets(t, alpha_lo[:, None], b, tol)
+    at_entry[rows[entering], lo_arg[entering]] = True
+    in_facet = np.where(entering, np.argmax(at_entry, axis=1), -1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha_v = (alpha_hi - 1.0) / (alpha_hi - alpha_lo)
+    alpha_v = np.where(alpha_v > 0.0, alpha_v, 0.0)  # max(0.0, x), then min(1.0, .)
+    alpha_v = np.where(alpha_v < 1.0, alpha_v, 1.0)
+    alpha_v = np.where(degenerate, 1.0, alpha_v)
+    return RayTraceBatch(v, alpha_lo, alpha_hi, in_facet, out_facet, alpha_v, degenerate)
 
 
 def normalize_facet(polytope: Polytope, facet_index: int) -> NormalizedFacet:
@@ -399,21 +555,23 @@ def sample_interior(polytope: Polytope, seed: int, count: int) -> np.ndarray:
     hi = report.coordinate_bounds[:, 1]
     rng = np.random.default_rng(seed)
 
-    accepted: list[np.ndarray] = []
+    accepted: list[np.ndarray] = [np.zeros((0, polytope.dim))]
+    n_accepted = 0
     budget = 1000 * count
     tried = 0
-    while len(accepted) < count:
+    while n_accepted < count:
         if tried >= budget:
             raise SamplingBudgetExceeded(
-                f"accepted {len(accepted)}/{count} after {tried} draws"
+                f"accepted {n_accepted}/{count} after {tried} draws"
             )
         chunk = min(max(count, 512), budget - tried)
         pts = rng.uniform(lo, hi, size=(chunk, polytope.dim))
         tried += chunk
         slack = polytope.offsets - pts @ polytope.matrix.T
         good = pts[np.min(slack, axis=1) >= INTERIOR_MARGIN]
-        accepted.extend(good)
-    return np.array(accepted[:count])
+        accepted.append(good)
+        n_accepted += len(good)
+    return np.concatenate(accepted)[:count]
 
 
 # -- 2-D region enumeration ---------------------------------------------------

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleLP, NonFiniteEvaluation
+from .errors import InfeasibleLP
 from .functions import ScalarField, negate_field
 from .geometry import (
     GEOM_TOL,
     Polytope,
     normalize_facet,
     ray_intersect,
+    ray_intersect_batch,
     sample_interior,
     vertices,
 )
@@ -103,11 +104,40 @@ class SampledOracle:
     skipped: int = 0  # closure points where the field was non-finite
 
 
-def _checked_eval(field: ScalarField, point: np.ndarray) -> float:
-    val = float(field.eval(point))
-    if not math.isfinite(val):
-        raise NonFiniteEvaluation(f"{field.name} is non-finite at {point.tolist()}")
-    return val
+def _sample_values(fn, points: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """fn at every point of a (samples, per_sample, n) array, one call per point in order.
+
+    Returns the values of the samples before the first one with a
+    non-finite value, as a (done, per_sample) array, and the (sample, slot)
+    of that value, or None when all are finite.  A non-finite value fails
+    the check that asked for it, with that point as the witness.
+    """
+    per_sample = points.shape[1]
+    values = np.fromiter((float(fn(p)) for p in points.reshape(-1, points.shape[2])), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        sample, slot = divmod(int(bad[0]), per_sample)
+        return values[: sample * per_sample].reshape(sample, per_sample), (sample, slot)
+    return values.reshape(-1, per_sample), None
+
+
+def _worst(viol: np.ndarray) -> tuple[float, int | None]:
+    """Largest positive violation and the first index holding it, or (0.0, None).
+
+    The result of ``if viol > worst`` over the samples in order from
+    worst = 0.0, the aggregation every check uses (NaN never counts).
+    """
+    positive = np.where(viol > 0.0, viol, 0.0)
+    if positive.size:
+        i = int(np.argmax(positive))
+        if positive[i] > 0.0:
+            return float(positive[i]), i
+    return 0.0, None
+
+
+def _non_finite(name: str, tol: float, worst: float, tested: int, where: dict, point: np.ndarray) -> CheckResult:
+    """A failed check whose witness names the point where the field was not finite."""
+    return CheckResult(name, "fail", worst, tol, tested, {**where, "non_finite_point": point.tolist()})
 
 
 def check_ray_concavity(
@@ -125,27 +155,29 @@ def check_ray_concavity(
     f(mid) >= (f(p) + f(q)) / 2 - tol fails the check.
     """
     points = sample_interior(polytope, seed, n_rays)
-    rng = np.random.default_rng(seed + 1)
-    worst = 0.0
-    witness = None
-    tested = 0
-    for v in points:
-        trace = ray_intersect(polytope, v)
-        if trace.degenerate:
-            continue
-        chord = trace.v_plus - trace.v_minus
-        params = np.sort(rng.uniform(0.0, 1.0, size=(n_per_ray, 2)), axis=1)
-        for s, u in params:
-            p = trace.v_minus + s * chord
-            q = trace.v_minus + u * chord
-            mid = trace.v_minus + 0.5 * (s + u) * chord
-            viol = 0.5 * (_checked_eval(field, p) + _checked_eval(field, q)) - _checked_eval(field, mid)
-            tested += 1
-            if viol > worst:
-                worst = viol
-                witness = {"ray_point": v.tolist(), "p": p.tolist(), "q": q.tolist(), "midpoint": mid.tolist()}
+    traces = ray_intersect_batch(polytope, points)
+    keep = ~traces.degenerate
+    rays = points[keep]
+    v_minus = traces.v_minus[keep][:, None, :]
+    chord = traces.v_plus[keep][:, None, :] - v_minus
+    # one draw for all rays reads the generator exactly as one draw per ray did
+    params = np.sort(np.random.default_rng(seed + 1).uniform(0.0, 1.0, size=(len(rays), n_per_ray, 2)), axis=2)
+    s, u = params[..., :1], params[..., 1:]
+    triples = np.stack([v_minus + s * chord, v_minus + u * chord, v_minus + 0.5 * (s + u) * chord], axis=2)
+    triples = triples.reshape(-1, 3, polytope.dim)  # per sample: p, q, midpoint
+
+    f, bad = _sample_values(field.eval, triples)
+    tested = len(f)
+    worst, i = _worst(0.5 * (f[:, 0] + f[:, 1]) - f[:, 2])
+    if bad is not None:
+        where = {"ray_point": rays[bad[0] // n_per_ray].tolist()}
+        return _non_finite("ray_concave", tol, worst, tested, where, triples[bad])
     status = "pass" if worst <= tol else "fail"
-    return CheckResult("ray_concave", status, worst, tol, tested, witness if status == "fail" else None)
+    witness = None
+    if status == "fail":
+        p, q, mid = triples[i]
+        witness = {"ray_point": rays[i // n_per_ray].tolist(), "p": p.tolist(), "q": q.tolist(), "midpoint": mid.tolist()}
+    return CheckResult("ray_concave", status, worst, tol, tested, witness)
 
 
 def check_facet_convexity(
@@ -164,35 +196,36 @@ def check_facet_convexity(
     """
     n_collect = max(200, min(2000, 4 * n_pairs_per_facet))
     points = sample_interior(polytope, seed, n_collect)
-    buckets: dict[int, list[np.ndarray]] = {}
-    for v in points:
-        trace = ray_intersect(polytope, v)
-        buckets.setdefault(trace.out_facet, []).append(trace.v_plus)
-        if trace.in_facet is not None:
-            buckets.setdefault(trace.in_facet, []).append(trace.v_minus)
+    traces = ray_intersect_batch(polytope, points)
+    v_minus, v_plus = traces.v_minus, traces.v_plus
+    buckets = []  # per facet, its boundary points in sample order
+    for facet in range(polytope.n_facets):
+        exits = traces.out_facet == facet
+        hits = exits | (traces.in_facet == facet)
+        buckets.append(np.where(exits[hits, None], v_plus[hits], v_minus[hits]))
+    unsampled = [facet for facet, arr in enumerate(buckets) if len(arr) < 2]
+    details = {"unsampled_facets": unsampled} if unsampled else None
 
     rng = np.random.default_rng(seed + 1)
     worst = 0.0
     witness = None
     tested = 0
-    unsampled = []
-    for facet in range(polytope.n_facets):
-        collected = buckets.get(facet, [])
-        if len(collected) < 2:
-            unsampled.append(facet)
+    for facet, arr in enumerate(buckets):
+        if len(arr) < 2:
             continue
-        arr = np.array(collected)
         pair_idx = rng.integers(0, len(arr), size=(n_pairs_per_facet, 2))
-        for i, j in pair_idx:
-            p, q = arr[i], arr[j]
-            mid = 0.5 * (p + q)
-            viol = _checked_eval(field, mid) - 0.5 * (_checked_eval(field, p) + _checked_eval(field, q))
-            tested += 1
-            if viol > worst:
-                worst = viol
-                witness = {"facet": int(facet), "p": p.tolist(), "q": q.tolist(), "midpoint": mid.tolist()}
+        p, q = arr[pair_idx[:, 0]], arr[pair_idx[:, 1]]
+        triples = np.stack([0.5 * (p + q), p, q], axis=1)
+        f, bad = _sample_values(field.eval, triples)
+        tested += len(f)
+        facet_worst, i = _worst(f[:, 0] - 0.5 * (f[:, 1] + f[:, 2]))
+        if facet_worst > worst:
+            worst = facet_worst
+            mid, p_i, q_i = triples[i]
+            witness = {"facet": facet, "p": p_i.tolist(), "q": q_i.tolist(), "midpoint": mid.tolist()}
+        if bad is not None:
+            return _non_finite("facet_convex", tol, worst, tested, {"facet": facet}, triples[bad])
     status = "pass" if worst <= tol else "fail"
-    details = {"unsampled_facets": unsampled} if unsampled else None
     return CheckResult("facet_convex", status, worst, tol, tested, witness if status == "fail" else None, details)
 
 
@@ -210,43 +243,65 @@ def check_positive_homogeneity(
     """
     from .envelope import secant_raw  # local: envelope builds call into here
 
+    name = "positively_homogeneous"
     polytope = model.polytope
     field = model.field
+    n = polytope.dim
     points = sample_interior(polytope, seed, n_samples)
     worst = 0.0
     witness = None
-    tested = 0
 
     if model.origin_in_P:
-        at_zero = abs(_checked_eval(field, np.zeros(polytope.dim)))
-        tested += 1
+        zero = np.zeros((1, 1, n))
+        at_zero, bad = _sample_values(field.eval, zero)
+        if bad is not None:
+            return _non_finite(name, tol, worst, 0, {"v": [0.0] * n}, zero[bad])
+        at_zero = abs(float(at_zero[0, 0]))
         if at_zero > worst:
             worst = at_zero
-            witness = {"v": [0.0] * polytope.dim, "field_at_zero": at_zero}
-        for v in points:
-            g_v = secant_raw(model, v)
-            for lam in _SCALING_FACTORS:
-                viol = abs(secant_raw(model, lam * v) - lam * g_v) / (1.0 + abs(g_v))
-                tested += 1
-                if viol > worst:
-                    worst = viol
-                    witness = {"v": v.tolist(), "lambda": lam}
+            witness = {"v": [0.0] * n, "field_at_zero": at_zero}
+        # per sample: g(v), then g(lambda v) for each scaling; one secant_raw call each
+        lams = np.array(_SCALING_FACTORS)
+        probes = np.concatenate([points[:, None, :], lams[:, None] * points[:, None, :]], axis=1)
+        g, bad = _sample_values(lambda w: secant_raw(model, w), probes)
+        sample_worst, i = _worst((np.abs(g[:, 1:] - lams * g[:, :1]) / (1.0 + np.abs(g[:, :1]))).ravel())
+        if sample_worst > worst:
+            worst = sample_worst
+            witness = {"v": points[i // len(lams)].tolist(), "lambda": _SCALING_FACTORS[i % len(lams)]}
+        tested = 1 + len(lams) * len(g)
+        if bad is not None:
+            sample, slot = bad
+            where = {"v": points[sample].tolist(), "lambda": None if slot == 0 else _SCALING_FACTORS[slot - 1]}
+            return _non_finite(name, tol, worst, tested, where, _secant_non_finite_point(model, probes[bad]))
     else:
-        for v in points:
-            trace = ray_intersect(polytope, v)
-            if trace.degenerate or trace.in_facet is None:
-                continue
-            a_in = normalize_facet(polytope, trace.in_facet).a
-            a_out = normalize_facet(polytope, trace.out_facet).a
-            lhs = float(a_in @ v) * _checked_eval(field, trace.v_minus)
-            rhs = float(a_out @ v) * _checked_eval(field, trace.v_plus)
-            viol = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
-            tested += 1
-            if viol > worst:
-                worst = viol
-                witness = {"v": v.tolist(), "in_product": lhs, "out_product": rhs}
+        traces = ray_intersect_batch(polytope, points)
+        keep = ~traces.degenerate & (traces.in_facet >= 0)
+        rays = points[keep]
+        in_facet, out_facet = traces.in_facet[keep], traces.out_facet[keep]
+        normals = np.zeros((polytope.n_facets, n))  # looked up once per facet, not per sample
+        for facet in np.unique(np.concatenate([in_facet, out_facet])).tolist():
+            normals[facet] = normalize_facet(polytope, facet).a
+        pairs = np.stack([traces.v_minus[keep], traces.v_plus[keep]], axis=1)
+        f, bad = _sample_values(field.eval, pairs)
+        tested = len(f)
+        lhs = np.sum(normals[in_facet[:tested]] * rays[:tested], axis=1) * f[:, 0]
+        rhs = np.sum(normals[out_facet[:tested]] * rays[:tested], axis=1) * f[:, 1]
+        worst, i = _worst(np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs))))
+        if i is not None:
+            witness = {"v": rays[i].tolist(), "in_product": float(lhs[i]), "out_product": float(rhs[i])}
+        if bad is not None:
+            return _non_finite(name, tol, worst, tested, {"v": rays[bad[0]].tolist()}, pairs[bad])
     status = "pass" if worst <= tol else "fail"
-    return CheckResult("positively_homogeneous", status, worst, tol, tested, witness if status == "fail" else None)
+    return CheckResult(name, status, worst, tol, tested, witness if status == "fail" else None)
+
+
+def _secant_non_finite_point(model, w: np.ndarray) -> np.ndarray:
+    """The field point behind a non-finite secant at w != 0 (w itself if none is found)."""
+    trace = ray_intersect(model.polytope, w)
+    for point in (trace.v,) if trace.degenerate else (trace.v_minus, trace.v_plus):
+        if not math.isfinite(float(model.field.eval(point))):
+            return point
+    return w
 
 
 def check_corollary_convexity(
@@ -262,15 +317,18 @@ def check_corollary_convexity(
     Verifies f(lambda v) = lambda f(v) directly, then facet convexity
     (concavity for sense="concave"), then global midpoint convexity
     (concavity) of f.  A homogeneity failure makes the check inapplicable
-    rather than failed.
+    rather than failed; a non-finite f at a sampled point fails it.
     """
+    name = "corollary_convexity"
     flip = -1.0 if sense == "concave" else 1.0
     n_hom = min(n_samples, 2000)
     points = sample_interior(polytope, seed, n_hom)
+    f_points, bad = _sample_values(field.eval, points[:, None, :])
+    if bad is not None:
+        return _non_finite(name, tol, 0.0, 0, {}, points[bad[0]])
     hom_worst = 0.0
     hom_witness = None
-    for v in points:
-        f_v = _checked_eval(field, v)
+    for v, f_v in zip(points, f_points[:, 0].tolist()):
         for lam in _SCALING_FACTORS:
             f_scaled = float(field.eval(lam * v))
             if not math.isfinite(f_scaled):
@@ -287,15 +345,18 @@ def check_corollary_convexity(
     )
 
     rng_points = sample_interior(polytope, seed + 2, 2 * n_samples)
-    global_worst = 0.0
+    p, q = rng_points[0::2], rng_points[1::2]
+    triples = np.stack([0.5 * (p + q), p, q], axis=1)
+    f, bad = _sample_values(field.eval, triples)
+    global_worst, i = _worst(flip * (f[:, 0] - 0.5 * (f[:, 1] + f[:, 2])))
+    if bad is not None:
+        samples = n_hom * len(_SCALING_FACTORS) + facet.samples + len(f)
+        worst = max(hom_worst, facet.worst_violation, global_worst)
+        return _non_finite(name, tol, worst, samples, {}, triples[bad])
     global_witness = None
-    for k in range(n_samples):
-        p, q = rng_points[2 * k], rng_points[2 * k + 1]
-        mid = 0.5 * (p + q)
-        viol = flip * (_checked_eval(field, mid) - 0.5 * (_checked_eval(field, p) + _checked_eval(field, q)))
-        if viol > global_worst:
-            global_worst = viol
-            global_witness = {"p": p.tolist(), "q": q.tolist(), "midpoint": mid.tolist()}
+    if i is not None:
+        mid, p_i, q_i = triples[i]
+        global_witness = {"p": p_i.tolist(), "q": q_i.tolist(), "midpoint": mid.tolist()}
 
     details = {
         "sense": sense,
@@ -304,7 +365,10 @@ def check_corollary_convexity(
         "global_violation": global_worst,
         "unsampled_facets": (facet.details or {}).get("unsampled_facets", []),
     }
-    if hom_worst > tol:
+    if facet.witness is not None and "non_finite_point" in facet.witness:
+        status = "fail"
+        witness = facet.witness
+    elif hom_worst > tol:
         status = "inapplicable"
         witness = hom_witness
     elif not facet.passed or global_worst > tol:
@@ -315,7 +379,7 @@ def check_corollary_convexity(
         witness = None
     worst = max(hom_worst, facet.worst_violation, global_worst)
     samples = n_hom * len(_SCALING_FACTORS) + facet.samples + n_samples
-    return CheckResult("corollary_convexity", status, worst, tol, samples, witness, details)
+    return CheckResult(name, status, worst, tol, samples, witness, details)
 
 
 def certify(model, budget: int = DEFAULT_BUDGET, seed: int = 0, tol: float = DEFAULT_TOL) -> CertificationReport:

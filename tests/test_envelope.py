@@ -64,6 +64,16 @@ class TestBuild:
         # the secant interpolant still evaluates
         assert env.value(model, [0.5, 0.5]) == pytest.approx(1.0)  # midpoint of 0 and f(1,1)=2
 
+    def test_translated_anchor_validates_each_polytope_once(self, monkeypatch):
+        lps = []
+        solve = rx.geometry.solve_inequality_lp
+        monkeypatch.setattr(rx.geometry, "solve_inequality_lp", lambda *a: lps.append(1) or solve(*a))
+        entry = rx.bilinear_neg(0.5, -0.25, 2.0, 1.0)
+        model = env.build(entry.field, entry.default_polytope, anchor=entry.default_anchor, budget=500)
+        assert model.polytope is not entry.default_polytope
+        # the given and the working polytope: 2 x (4 bound LPs + the Chebyshev centre)
+        assert len(lps) <= 2 * 5
+
     def test_dimension_mismatch(self):
         field = rx.ScalarField(3, lambda p: p[0])
         with pytest.raises(DimensionMismatch):

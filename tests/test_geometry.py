@@ -63,6 +63,29 @@ class TestValidate:
         assert report.origin_location == "boundary"
         assert report.origin_on_facet_interior
 
+    def test_report_is_kept_on_the_polytope(self, monkeypatch):
+        lps = []
+        solve = rx.geometry.solve_inequality_lp
+        monkeypatch.setattr(rx.geometry, "solve_inequality_lp", lambda *a: lps.append(1) or solve(*a))
+        box = rx.Polytope.box([0.0, 0.0], [2.0, 1.0])
+        report = rx.validate(box)
+        assert len(lps) == 5  # two bounds per coordinate and the Chebyshev centre
+        assert rx.validate(box) is report
+        rx.sample_interior(box, 0, 10)
+        assert len(lps) == 5
+        with pytest.raises(ValueError):  # shared by every caller, so read-only
+            report.coordinate_bounds[0, 0] = -1.0
+
+    def test_failed_validation_is_not_kept(self, monkeypatch):
+        lps = []
+        solve = rx.geometry.solve_inequality_lp
+        monkeypatch.setattr(rx.geometry, "solve_inequality_lp", lambda *a: lps.append(1) or solve(*a))
+        quadrant = rx.Polytope.from_inequalities([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
+        for attempt in (1, 2):
+            with pytest.raises(UnboundedPolytope):
+                rx.validate(quadrant)
+            assert len(lps) == 2 * attempt  # solved again: only a success is kept
+
 
 def _assert_interior_point_clears_margin(polytope):
     # The Chebyshev centre is not unique, so only its contract is checked:
@@ -337,3 +360,127 @@ def test_polytope_labels_survive_round_trip(tmp_path):
     loaded = rx.Polytope.load(path)
     assert loaded.facet_labels == UNIT_BOX.facet_labels
     assert loaded.label(0) == "x1<=1"
+
+
+# -- the batched ray kernel ------------------------------------------------------
+
+
+def _cut_box(rng, dim):
+    """A box with two random cuts, every row rescaled: rows with inexact a.v sums."""
+    a = np.vstack([np.eye(dim), -np.eye(dim), rng.normal(size=(2, dim))])
+    b = np.concatenate([rng.uniform(0.5, 2.0, size=2 * dim), rng.uniform(0.3, 1.0, size=2)])
+    b[2 * dim :] += a[2 * dim :] @ rng.uniform(-0.2, 0.2, size=dim)  # keep the cuts off the origin
+    scale = 10.0 ** rng.uniform(-3, 3, size=len(b))
+    return rx.Polytope.from_inequalities(a * scale[:, None], b * scale)
+
+
+KERNEL_POLYTOPES = [entry.default_polytope for entry in rx.catalog()] + [
+    UNIT_BOX,
+    SLAB,
+    TRIANGLE,
+    rx.Polytope.box([1.0, 1.0], [2.0, 2.0]),
+    rx.catalog()[1].default_polytope.translate([1.0, 0.0]),  # fractional, working coordinates: b = 0 facets
+    rx.Polytope.box([1.0, 1.0], [1.0 + 1e-8, 2.0]),  # thin: traces span 1e-8 of alpha at unit scale
+]
+
+
+def _ray_candidates(poly, rng):
+    """Interior points, vertices (ties), facet points, near-vertex and random directions."""
+    verts = rx.vertices(poly)
+    near = np.repeat(verts, 3, axis=0)
+    near = near * (1.0 + rng.choice([-1.0, 1.0], size=near.shape) * 10.0 ** rng.uniform(-16, -8, size=near.shape))
+    edges = [
+        w1 + rng.uniform() * (w2 - w1)
+        for w1, w2 in zip(verts, np.roll(verts, 1, axis=0))
+    ]
+    return np.vstack(
+        [
+            rx.sample_interior(poly, int(rng.integers(1000)), 20),
+            verts,
+            np.array(edges),
+            near,
+            rng.dirichlet(np.ones(len(verts)), size=10) @ verts,
+            rng.normal(size=(20, poly.dim)) * 3.0,
+        ]
+    )
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _assert_rows_match(poly, rows):
+    batch = rx.ray_intersect_batch(poly, rows)
+    v_minus, v_plus = batch.v_minus, batch.v_plus
+    for r, v in enumerate(rows):
+        trace = rx.ray_intersect(poly, v)
+        assert _bits(batch.alpha_minus[r]) == _bits(trace.alpha_minus)
+        assert _bits(batch.alpha_plus[r]) == _bits(trace.alpha_plus)
+        assert _bits(batch.alpha_v[r]) == _bits(trace.alpha_v)
+        assert batch.in_facet[r] == (-1 if trace.in_facet is None else trace.in_facet)
+        assert batch.out_facet[r] == trace.out_facet
+        assert batch.degenerate[r] == trace.degenerate
+        assert _bits(v_minus[r]) == _bits(trace.v_minus)
+        assert _bits(v_plus[r]) == _bits(trace.v_plus)
+
+
+def _scalar_outcome(poly, v):
+    try:
+        rx.ray_intersect(poly, v)
+    except rx.errors.RayvexError as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(KERNEL_POLYTOPES) + 2), st.integers(0, 2**32 - 1))
+def test_batch_kernel_matches_scalar_bit_for_bit(which, seed):
+    rng = np.random.default_rng(seed)
+    if which < len(KERNEL_POLYTOPES):
+        poly = KERNEL_POLYTOPES[which]
+    else:
+        poly = _cut_box(rng, 2 + which - len(KERNEL_POLYTOPES))  # 2-, 3- and 4-D
+    rows = _ray_candidates(poly, rng)
+    outcomes = [_scalar_outcome(poly, v) for v in rows]
+    _assert_rows_match(poly, rows[[o is None for o in outcomes]])
+    for v, outcome in zip(rows, outcomes):
+        if outcome is not None:  # a rejected row makes the batch raise the scalar error
+            with pytest.raises(outcome):
+                rx.ray_intersect_batch(poly, np.vstack([rows[0] if outcomes[0] is None else v, v]))
+
+
+def test_batch_kernel_reports_first_failing_row():
+    rows = np.array([[0.5, 0.5], [0.0, 0.0], [1.0, -1.0]])
+    far = rx.Polytope.box([2.0, 2.0], [3.0, 3.0])
+    with pytest.raises(ZeroDirection, match="row 1"):
+        rx.ray_intersect_batch(UNIT_BOX, rows)
+    with pytest.raises(RayMissesPolytope, match="row 2"):
+        rx.ray_intersect_batch(far, rows[[0, 0, 2]] + [[2.0, 2.0], [2.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        rx.ray_intersect_batch(UNIT_BOX, np.ones((3, 3)))
+    assert rx.ray_intersect_batch(UNIT_BOX, np.zeros((0, 2))).out_facet.shape == (0,)
+
+
+def test_far_ray_is_not_degenerate():
+    # an absolute degeneracy test called this trace a single point
+    poly = rx.Polytope.box([1.0, 1.0], [2.0, 2.0])
+    v = np.array([1.5, 1.2]) * 1e12
+    trace = rx.ray_intersect(poly, v)
+    assert not trace.degenerate
+    assert np.allclose(trace.v_minus, [1.25, 1.0], rtol=1e-12, atol=0)
+    assert np.allclose(trace.v_plus, [2.0, 1.6], rtol=1e-12, atol=0)
+    assert not rx.ray_intersect_batch(poly, v[None]).degenerate[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 999), st.floats(-6.0, 6.0))
+def test_trace_endpoints_invariant_under_scaling(seed, exponent):
+    lam = 10.0**exponent
+    for poly in KERNEL_POLYTOPES:
+        for v in rx.sample_interior(poly, seed, 4):
+            base = rx.ray_intersect(poly, v)
+            scaled = rx.ray_intersect(poly, lam * v)
+            assert scaled.degenerate == base.degenerate
+            assert (scaled.in_facet, scaled.out_facet) == (base.in_facet, base.out_facet)
+            for got, want in ((scaled.v_minus, base.v_minus), (scaled.v_plus, base.v_plus)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
