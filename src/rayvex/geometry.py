@@ -300,21 +300,14 @@ def _validate(polytope: Polytope) -> ValidationReport:
 def _facet_products(rows: list[list[float]], coords: list[float]) -> list[float]:
     """a_i . v for every facet row, summed left to right in plain floats.
 
-    ``ray_intersect_batch`` forms the same products and sums in the same
-    order, so the two kernels see bit-identical a_i . v.
+    Column by column, as ``ray_intersect_batch`` sums, so the two kernels
+    see bit-identical a_i . v.
     """
-    if len(coords) == 2:
-        x, y = coords
-        return [a * x + b * y for a, b in rows]
-    if len(coords) == 3:
-        x, y, z = coords
-        return [a * x + b * y + c * z for a, b, c in rows]
-    products = []
-    for row in rows:
-        acc = row[0] * coords[0]
-        for a, x in zip(row[1:], coords[1:]):
-            acc += a * x
-        products.append(acc)
+    x = coords[0]
+    products = [row[0] * x for row in rows]
+    for j in range(1, len(coords)):
+        x = coords[j]
+        products = [acc + row[j] * x for acc, row in zip(products, rows)]
     return products
 
 
@@ -429,12 +422,13 @@ class RayTraceBatch:
         return self.alpha_plus[:, None] * self.v
 
 
-def ray_intersect_batch(polytope: Polytope, v, tol: float = GEOM_TOL) -> RayTraceBatch:
+def ray_intersect_batch(polytope: Polytope, v) -> RayTraceBatch:
     """``ray_intersect`` for every row of the (k, n) array ``v`` at once.
 
-    Same tolerances, rules and smallest-index tie-break as the scalar
-    kernel, with the same a_i . v; a row the scalar kernel rejects makes
-    the whole batch raise the scalar kernel's error for the first such row.
+    Same rules and smallest-index tie-break as the scalar kernel at its
+    default tolerance GEOM_TOL, with the same a_i . v; a row the scalar
+    kernel rejects makes the whole batch raise the scalar kernel's error
+    for the first such row.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != polytope.dim:
@@ -465,7 +459,7 @@ def ray_intersect_batch(polytope: Polytope, v, tol: float = GEOM_TOL) -> RayTrac
     with np.errstate(invalid="ignore"):
         empty, degenerate = _interval_rules(alpha_lo, alpha_hi)
     zero = ~np.any(v != 0.0, axis=1)
-    parallel = np.any(~outward & ~inward & (b < -tol), axis=1)
+    parallel = np.any(~outward & ~inward & (b < -GEOM_TOL), axis=1)
     no_exit = ~(alpha_hi < math.inf)
     failed = zero | parallel | no_exit | empty
     if np.any(failed):
@@ -481,11 +475,11 @@ def ray_intersect_batch(polytope: Polytope, v, tol: float = GEOM_TOL) -> RayTrac
                 raise error(f"{message} (row {first})")
     alpha_lo = np.where(degenerate, alpha_hi, alpha_lo)
 
-    at_exit = outward & _meets(t, alpha_hi[:, None], b, tol)
+    at_exit = outward & _meets(t, alpha_hi[:, None], b, GEOM_TOL)
     at_exit[rows, hi_arg] = True
     out_facet = np.argmax(at_exit, axis=1)
     entering = (alpha_lo > 0.0) & entered  # otherwise the scalar in_facet is None
-    at_entry = inward & _meets(t, alpha_lo[:, None], b, tol)
+    at_entry = inward & _meets(t, alpha_lo[:, None], b, GEOM_TOL)
     at_entry[rows[entering], lo_arg[entering]] = True
     in_facet = np.where(entering, np.argmax(at_entry, axis=1), -1)
 

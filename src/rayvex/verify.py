@@ -135,6 +135,11 @@ def _worst(viol: np.ndarray) -> tuple[float, int | None]:
     return 0.0, None
 
 
+def _row_dots(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a[r] @ v[r] for every row, bit for bit: the stacked matmul takes numpy's 1-D dot per row."""
+    return (a[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 def _non_finite(name: str, tol: float, worst: float, tested: int, where: dict, point: np.ndarray) -> CheckResult:
     """A failed check whose witness names the point where the field was not finite."""
     return CheckResult(name, "fail", worst, tol, tested, {**where, "non_finite_point": point.tolist()})
@@ -284,8 +289,8 @@ def check_positive_homogeneity(
         pairs = np.stack([traces.v_minus[keep], traces.v_plus[keep]], axis=1)
         f, bad = _sample_values(field.eval, pairs)
         tested = len(f)
-        lhs = np.sum(normals[in_facet[:tested]] * rays[:tested], axis=1) * f[:, 0]
-        rhs = np.sum(normals[out_facet[:tested]] * rays[:tested], axis=1) * f[:, 1]
+        lhs = _row_dots(normals[in_facet[:tested]], rays[:tested]) * f[:, 0]
+        rhs = _row_dots(normals[out_facet[:tested]], rays[:tested]) * f[:, 1]
         worst, i = _worst(np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs))))
         if i is not None:
             witness = {"v": rays[i].tolist(), "in_product": float(lhs[i]), "out_product": float(rhs[i])}
@@ -324,8 +329,6 @@ def check_corollary_convexity(
     n_hom = min(n_samples, 2000)
     points = sample_interior(polytope, seed, n_hom)
     f_points, bad = _sample_values(field.eval, points[:, None, :])
-    if bad is not None:
-        return _non_finite(name, tol, 0.0, 0, {}, points[bad[0]])
     hom_worst = 0.0
     hom_witness = None
     for v, f_v in zip(points, f_points[:, 0].tolist()):
@@ -337,6 +340,8 @@ def check_corollary_convexity(
             if viol > hom_worst:
                 hom_worst = viol
                 hom_witness = {"v": v.tolist(), "lambda": lam}
+    if bad is not None:
+        return _non_finite(name, tol, hom_worst, len(f_points) * len(_SCALING_FACTORS), {}, points[bad[0]])
 
     working = negate_field(field) if sense == "concave" else field
     facet = check_facet_convexity(

@@ -22,6 +22,14 @@ SLAB = rx.Polytope.from_inequalities(  # {(x, y) >= 0 : 1 <= x + y <= 2}, origin
     [0.0, 0.0, -1.0, 2.0],
 )
 
+# a box cut by one halfspace, rows rescaled, moved away from the origin:
+# its normalised facet rows give inexact a . v products
+_SCALES = np.array([3.0, 0.7, 11.0, 0.13, 9.0])
+CUT_FAR = rx.Polytope.from_inequalities(
+    np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.6, -1.3]]) * _SCALES[:, None],
+    np.array([1.3, 0.9, 0.7, 1.1, 0.8]) * _SCALES,
+).translate([3.0, 3.0])
+
 
 def _catalog_model(name):
     entry = next(e for e in rx.catalog() if e.name == name)
@@ -64,6 +72,7 @@ def test_checks_match_per_sample_loops_on_catalog(name, seed):
         (lambda p: -(p[0] ** 2) - p[1] ** 3, rx.Polytope.box([0.0, 0.0], [1.0, 1.0])),  # facet-concave
         (lambda p: math.exp(p[0]) - 1.0 + p[1], rx.Polytope.box([-1.0, -0.5], [1.0, 2.0])),  # origin interior
         (lambda p: p[0] ** 2 + p[1], SLAB),  # origin outside, not homogeneous
+        (lambda p: p[0] ** 2 + p[1], CUT_FAR),  # origin outside, inexact a . v
         (lambda p: -(p[0] ** 2) + p[1] * p[2], rx.Polytope.box([1.0, 1.0, 1.0], [2.0, 3.0, 2.0])),
     ],
 )
@@ -204,6 +213,25 @@ def test_non_finite_secant_in_homogeneity_fails():
     assert result.status == "fail"
     assert result.witness["non_finite_point"][0] == 1.0
     assert result.samples < 1 + 3 * 500
+
+
+def test_non_finite_corollary_homogeneity_counts_the_samples_before_it():
+    # NaN for x > 0.99: sample 89 meets it in the homogeneity phase, no lam * v does
+    def fn(p):
+        return math.nan if p[0] > 0.99 else p[0] ** 2 + p[1]
+
+    poly = rx.Polytope.box([0.1, 0.1], [1.0, 1.0])
+    result = verify.check_corollary_convexity(rx.ScalarField(2, fn, name="nan-strip"), poly, n_samples=300, seed=4)
+    points = rx.sample_interior(poly, 4, 300)
+    k = int(np.argmax(points[:, 0] > 0.99))
+    assert k == 89
+    worst = max(
+        abs(fn(lam * v) - lam * fn(v)) / (1.0 + abs(fn(v))) for v in points[:k] for lam in (0.25, 0.5, 0.75)
+    )
+    assert result.status == "fail"
+    assert result.witness["non_finite_point"] == points[k].tolist()
+    assert result.samples == 3 * k
+    assert result.worst_violation == worst
 
 
 def test_cli_certify_with_infinite_region_fails_cleanly(tmp_path, capsys):
