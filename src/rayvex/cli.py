@@ -185,7 +185,7 @@ def _point_rows(model, points) -> tuple[list[dict], int]:
         rows.append(
             {
                 **{f"x{i + 1}": float(x[i]) for i in range(len(x))},
-                "f": env.original_value(model, x),
+                "f": result.f,
                 "g": result.value,
                 "tight": result.tight,
                 "region_in": None if region is None else region.in_facet,

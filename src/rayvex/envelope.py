@@ -23,15 +23,16 @@ from .errors import (
     NonFiniteEvaluation,
     NotCertifiedHomogeneous,
     PointOutsideDomain,
-    RayMissesPolytope,
+    PointOutsidePolytope,
+    ZeroDirection,
 )
 from .functions import ScalarField, negate_field, shift_field
 from .geometry import (
-    GEOM_TOL,
     Polytope,
     RayTrace,
     RegionId,
     ValidationReport,
+    locate,
     normalize_facet,
     ray_intersect,
     validate,
@@ -48,6 +49,7 @@ class EnvelopeValue:
     trace: RayTrace | None
     region: RegionId | None
     tight: bool
+    f: float  # the original function at x, which ``tight`` compares with
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,31 +177,29 @@ def _secant_from_trace(field: ScalarField, trace: RayTrace) -> float:
     return trace.alpha_v * lo + (1.0 - trace.alpha_v) * hi
 
 
-def eval(model: EnvelopeModel, x) -> EnvelopeValue:  # noqa: A001 - deliberate builtin shadow
-    """Envelope value at x, with the trace, region and tightness flag."""
+def _locate(model: EnvelopeModel, x) -> tuple[np.ndarray, RayTrace | None]:
+    """v = x - anchor and its ``geometry.locate`` trace (None at the anchor), or PointOutsideDomain."""
     x = np.asarray(x, dtype=float).reshape(-1)
     v = x - model.anchor
-
-    sign = model.sign
-    if not any(v.tolist()):
-        if not model.origin_in_P:
-            raise PointOutsideDomain(f"{x.tolist()} is outside the model domain")
-        value = sign * float(model.field.eval(v)) + model.offset
-        return EnvelopeValue(value, None, None, True)
-
     try:
-        trace = ray_intersect(model.polytope, v)
-    except RayMissesPolytope as exc:
+        if any(v.tolist()):  # np.any(v != 0.0), but cheaper for a few coordinates
+            return v, locate(model.polytope, v)
+        if model.origin_in_P:
+            return v, None
+    except PointOutsidePolytope as exc:
         raise PointOutsideDomain(f"{x.tolist()} is outside the model domain") from exc
-    # v sits at scaling 1 on its ray: containment means alpha_minus <= 1 <= alpha_plus
-    if trace.alpha_minus > 1.0 + GEOM_TOL or trace.alpha_plus < 1.0 - GEOM_TOL:
-        raise PointOutsideDomain(f"{x.tolist()} is outside the model domain")
+    raise PointOutsideDomain(f"{x.tolist()} is outside the model domain")
 
-    raw = _secant_from_trace(model.field, trace)
-    value = sign * raw + model.offset
-    f_at_x = sign * float(model.field.eval(v)) + model.offset
+
+def eval(model: EnvelopeModel, x) -> EnvelopeValue:  # noqa: A001 - deliberate builtin shadow
+    """Envelope value at x, with the trace, region, tightness flag and f(x)."""
+    v, trace = _locate(model, x)
+    f_at_x = model.sign * float(model.field.eval(v)) + model.offset
+    if trace is None:
+        return EnvelopeValue(f_at_x, None, None, True, f_at_x)
+    value = model.sign * _secant_from_trace(model.field, trace) + model.offset
     tight = abs(value - f_at_x) <= TIGHT_TOL * max(1.0, abs(f_at_x))
-    return EnvelopeValue(value, trace, RegionId(trace.in_facet, trace.out_facet), tight)
+    return EnvelopeValue(value, trace, RegionId(trace.in_facet, trace.out_facet), tight, f_at_x)
 
 
 def value(model: EnvelopeModel, x) -> float:
@@ -215,17 +215,14 @@ def original_value(model: EnvelopeModel, x) -> float:
 def eval_homogeneous(model: EnvelopeModel, x) -> float:
     """Envelope via the product form (a_out . v) * f(v_plus).
 
-    Requires the homogeneity check to have passed; agrees with ``eval``
-    within 1e-10 wherever both are defined.
+    Requires the homogeneity check to have passed.  Defined where ``eval``
+    is, the anchor aside (ZeroDirection), and agrees with it within 1e-10.
     """
     if not model.homogeneity_certified:
         raise NotCertifiedHomogeneous(f"model status: {model.status}")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    v = x - model.anchor
-    if not model.polytope.contains(v):
-        raise PointOutsideDomain(f"{x.tolist()} is outside the model domain")
-
-    trace = ray_intersect(model.polytope, v)  # raises ZeroDirection at the anchor
+    v, trace = _locate(model, x)
+    if trace is None:
+        raise ZeroDirection("the homogeneous form has no ray at the anchor")
     if trace.degenerate:
         return model.sign * float(model.field.eval(v)) + model.offset
     a_out = normalize_facet(model.polytope, trace.out_facet).a
@@ -243,22 +240,17 @@ def gradient(model: EnvelopeModel, x) -> np.ndarray:
     """
     if not model.homogeneity_certified:
         raise NotCertifiedHomogeneous(f"model status: {model.status}")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    v = x - model.anchor
-    if not any(v.tolist()):
+    _, trace = _locate(model, x)
+    if trace is None:
         raise GradientUnavailable("gradient is not defined at the anchor")
-    if not model.polytope.contains(v):
-        raise PointOutsideDomain(f"{x.tolist()} is outside the model domain")
-
-    trace = ray_intersect(model.polytope, v)
     a_out = normalize_facet(model.polytope, trace.out_facet).a
     v_plus = trace.v_plus
     try:
         f_plus = float(model.field.eval(v_plus))
-        grad_plus = model.field.gradient(v_plus)
+        grad_plus = model.field.gradient(v_plus) if np.isfinite(f_plus) else None
     except NonFiniteEvaluation as exc:
         raise GradientUnavailable(str(exc)) from exc
-    if not np.all(np.isfinite(grad_plus)) or not np.isfinite(f_plus):
+    if grad_plus is None or not np.all(np.isfinite(grad_plus)):
         raise GradientUnavailable(f"non-finite boundary data at {v_plus.tolist()}")
 
     raw = f_plus * a_out + grad_plus - float(grad_plus @ v_plus) * a_out

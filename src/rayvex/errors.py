@@ -29,7 +29,7 @@ class HyperplaneThroughOrigin(RayvexError):
 
 
 class PointOutsidePolytope(RayvexError):
-    """Query point violates a halfspace beyond tolerance."""
+    """Query point lies outside the polytope by ``geometry.locate``'s ray-trace rule."""
 
 
 class DimensionNotSupported(RayvexError):

@@ -44,12 +44,12 @@ class ScalarField:
         return fd_gradient(self, x)
 
 
-def fd_gradient(field: ScalarField, x, h: float | None = None) -> np.ndarray:
-    """Central-difference gradient; default step cbrt(eps) * max(1, |x_i|)."""
+def fd_gradient(field: ScalarField, x) -> np.ndarray:
+    """Central-difference gradient with step cbrt(eps) * max(1, |x_i|)."""
     x = np.asarray(x, dtype=float)
     out = np.empty(x.size)
     for i in range(x.size):
-        step = h if h is not None else _FD_STEP * max(1.0, abs(x[i]))
+        step = _FD_STEP * max(1.0, abs(x[i]))
         probe = np.zeros(x.size)
         probe[i] = step
         hi = field.eval(x + probe)

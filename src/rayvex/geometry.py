@@ -106,9 +106,6 @@ class Polytope:
     def contains(self, x, tol: float = GEOM_TOL) -> bool:
         return bool(self.margins(x).min() >= -tol)
 
-    def active_facets(self, x, tol: float = GEOM_TOL) -> list[int]:
-        return [int(i) for i in np.nonzero(np.abs(self.margins(x)) <= tol)[0]]
-
     def translate(self, t) -> "Polytope":
         """The shifted polytope P - t (so x in result iff x + t in self)."""
         t = np.asarray(t, dtype=float)
@@ -323,16 +320,16 @@ def _interval_rules(alpha_lo, alpha_hi):
     return (alpha_hi < 0.0) | (gap < -slack), gap <= slack
 
 
-def _meets(t, alpha, b, tol):
+def _meets(t, alpha, b):
     """Whether the ray meets facet hyperplane a.x = b at scaling alpha (t = a.v).
 
     The endpoint tie-break of both ray kernels: among the facets this holds
     for, the smallest index names the endpoint.
     """
-    return abs(t * alpha - b) <= tol
+    return abs(t * alpha - b) <= GEOM_TOL
 
 
-def ray_intersect(polytope: Polytope, v, tol: float = GEOM_TOL) -> RayTrace:
+def ray_intersect(polytope: Polytope, v) -> RayTrace:
     """Closed-form intersection of the ray through v with the polytope boundary.
 
     alpha_plus is the smallest exit ratio b_i / (a_i.v) over facets the ray
@@ -366,7 +363,7 @@ def ray_intersect(polytope: Polytope, v, tol: float = GEOM_TOL) -> RayTrace:
             if ratio > alpha_lo:
                 alpha_lo = ratio
                 lo_arg = i
-        elif bi < -tol:
+        elif bi < -GEOM_TOL:
             raise RayMissesPolytope("ray is parallel to a violated facet")
     if hi_arg < 0:
         raise RayMissesPolytope("ray never exits (polytope unbounded along it?)")
@@ -382,9 +379,9 @@ def ray_intersect(polytope: Polytope, v, tol: float = GEOM_TOL) -> RayTrace:
     for i, (ti, bi) in enumerate(zip(t, b)):
         if i >= out_facet and (in_facet is None or i >= in_facet):
             break
-        if i < out_facet and ti > 0.0 and _meets(ti, alpha_hi, bi, tol):
+        if i < out_facet and ti > 0.0 and _meets(ti, alpha_hi, bi):
             out_facet = i
-        if in_facet is not None and i < in_facet and ti < 0.0 and _meets(ti, alpha_lo, bi, tol):
+        if in_facet is not None and i < in_facet and ti < 0.0 and _meets(ti, alpha_lo, bi):
             in_facet = i
 
     if degenerate:
@@ -425,10 +422,9 @@ class RayTraceBatch:
 def ray_intersect_batch(polytope: Polytope, v) -> RayTraceBatch:
     """``ray_intersect`` for every row of the (k, n) array ``v`` at once.
 
-    Same rules and smallest-index tie-break as the scalar kernel at its
-    default tolerance GEOM_TOL, with the same a_i . v; a row the scalar
-    kernel rejects makes the whole batch raise the scalar kernel's error
-    for the first such row.
+    Same rules, a_i . v and smallest-index tie-break as the scalar kernel;
+    a row the scalar kernel rejects makes the whole batch raise the scalar
+    kernel's error for the first such row.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != polytope.dim:
@@ -475,11 +471,11 @@ def ray_intersect_batch(polytope: Polytope, v) -> RayTraceBatch:
                 raise error(f"{message} (row {first})")
     alpha_lo = np.where(degenerate, alpha_hi, alpha_lo)
 
-    at_exit = outward & _meets(t, alpha_hi[:, None], b, GEOM_TOL)
+    at_exit = outward & _meets(t, alpha_hi[:, None], b)
     at_exit[rows, hi_arg] = True
     out_facet = np.argmax(at_exit, axis=1)
     entering = (alpha_lo > 0.0) & entered  # otherwise the scalar in_facet is None
-    at_entry = inward & _meets(t, alpha_lo[:, None], b, GEOM_TOL)
+    at_entry = inward & _meets(t, alpha_lo[:, None], b)
     at_entry[rows[entering], lo_arg[entering]] = True
     in_facet = np.where(entering, np.argmax(at_entry, axis=1), -1)
 
@@ -499,12 +495,24 @@ def normalize_facet(polytope: Polytope, facet_index: int) -> NormalizedFacet:
     return NormalizedFacet(facet_index, h.a / h.b)
 
 
-def region_of(polytope: Polytope, v, tol: float = GEOM_TOL) -> RegionId:
+def locate(polytope: Polytope, v) -> RayTrace:
+    """The trace of v if v lies in P by the one point-location rule, alpha_minus <= 1 <= alpha_plus.
+
+    Tested within GEOM_TOL on the ratios b / (a.v), which ignore row scaling; raises
+    PointOutsidePolytope otherwise (also when the ray misses P) and ZeroDirection at v = 0.
+    """
+    try:
+        trace = ray_intersect(polytope, v)
+    except RayMissesPolytope as exc:
+        raise PointOutsidePolytope(f"the ray through {np.ravel(v).tolist()} misses the polytope") from exc
+    if trace.alpha_minus > 1.0 + GEOM_TOL or trace.alpha_plus < 1.0 - GEOM_TOL:
+        raise PointOutsidePolytope(f"point {trace.v.tolist()} lies outside the polytope")
+    return trace
+
+
+def region_of(polytope: Polytope, v) -> RegionId:
     """Identify the subdivision cell containing v by its (entry, exit) facets."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if not polytope.contains(v, tol):
-        raise PointOutsidePolytope(f"point {v.tolist()} violates a halfspace")
-    trace = ray_intersect(polytope, v, tol)
+    trace = locate(polytope, v)
     return RegionId(trace.in_facet, trace.out_facet)
 
 

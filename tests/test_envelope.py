@@ -1,5 +1,7 @@
 """Envelope models: secant evaluation, homogeneous forms, gradients, properties."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,14 @@ class TestGradient:
         _, model = mccormick
         with pytest.raises(GradientUnavailable):
             env.gradient(model, [0.0, 0.0])
+
+    def test_no_derivative_where_the_boundary_value_is_infinite(self, cubic):
+        _, model = cubic
+        probed = []
+        field = replace(model.field, grad=lambda p: probed.append(p) or model.field.grad(p))
+        with pytest.raises(GradientUnavailable, match="non-finite boundary data"):
+            env.gradient(replace(model, field=field), [0.0, 1.5])  # v_plus on x = 0, where f = inf
+        assert probed == []
 
     @pytest.mark.parametrize("fixture", ["mccormick", "cubic", "reliability_cave"])
     def test_matches_finite_differences(self, fixture, request):
