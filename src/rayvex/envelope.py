@@ -26,7 +26,7 @@ from .errors import (
     PointOutsidePolytope,
     ZeroDirection,
 )
-from .functions import ScalarField, negate_field, shift_field
+from .functions import ScalarField, _compose_field
 from .geometry import (
     Polytope,
     RayTrace,
@@ -57,9 +57,11 @@ class EnvelopeModel:
     """Secant-envelope model over a working (possibly translated) polytope.
 
     ``field`` is the working function: the original shifted by ``anchor``,
-    minus its anchor value, and negated for concave sense.  Evaluation maps
-    x to working coordinates v = x - anchor, applies the secant formula and
-    undoes sign and offset.
+    minus its anchor value, and negated for concave sense.  It is one field
+    that calls the original once per evaluation, looking up the original's
+    ``eval``/``grad`` at each call (the original itself when there is
+    nothing to shift or negate).  Evaluation maps x to working coordinates
+    v = x - anchor, applies the secant formula and undoes sign and offset.
     """
 
     field: ScalarField
@@ -132,12 +134,12 @@ def build(
     working_poly = polytope.translate(t) if np.any(t != 0.0) else polytope
     working_validation = validate(working_poly)
 
-    offset = float(field.eval(t)) if subtract else 0.0
-    working = shift_field(field, t) if subtract else field
-    if sense == "concave":
-        working = negate_field(working)
-    elif sense != "convex":
+    if sense not in ("convex", "concave"):
         raise ValueError(f"sense must be 'convex' or 'concave', got {sense!r}")
+    offset = float(field.eval(t)) if subtract else 0.0
+    working = field
+    if subtract or sense == "concave":
+        working = _compose_field(field, t if subtract else None, negate=sense == "concave")
 
     model = EnvelopeModel(
         field=working,
@@ -162,7 +164,9 @@ def secant_raw(model: EnvelopeModel, v) -> float:
     This is the positively homogeneous representation the certification
     checks probe; g(0) is the working field value at the origin.
     """
-    v = np.asarray(v, dtype=float).reshape(-1)
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        v = v.reshape(-1)  # converted once: ray_intersect's own conversion is then a no-op
     if not any(v.tolist()):  # np.any(v != 0.0), but cheaper for a few coordinates
         return float(model.field.eval(np.zeros(model.polytope.dim)))
     trace = ray_intersect(model.polytope, v)

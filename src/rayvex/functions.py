@@ -24,8 +24,13 @@ _FD_STEP = float(np.cbrt(np.finfo(float).eps))  # ~6.1e-6
 class ScalarField:
     """An evaluatable function with an optional analytic gradient.
 
-    ``eval`` must be finite at every strictly interior point of the
-    intended domain and pure/re-entrant.
+    ``eval`` receives one point: the library always passes a 1-D float64
+    array, and the catalog fields also accept lists and tuples.  It must be
+    finite at every strictly interior point of the intended domain and
+    pure/re-entrant.  The planar catalog fields compute on plain Python
+    floats; where float arithmetic would raise (``ZeroDivisionError``,
+    ``OverflowError``) they return numpy's inf or nan for that point
+    instead, without a warning.
     """
 
     dim: int
@@ -64,31 +69,72 @@ def fd_gradient(field: ScalarField, x) -> np.ndarray:
 
 def shift_field(field: ScalarField, anchor) -> ScalarField:
     """The recentred field f(x + anchor) - f(anchor), which vanishes at 0."""
-    anchor = np.asarray(anchor, dtype=float)
-    base = float(field.eval(anchor))
-    grad = None
-    if field.grad is not None:
-        grad = lambda p: field.grad(p + anchor)  # noqa: E731
-    return ScalarField(
-        dim=field.dim,
-        eval=lambda p: field.eval(p + anchor) - base,
-        grad=grad,
-        name=f"{field.name}[shifted]",
-        domain_note=field.domain_note,
-    )
+    return _compose_field(field, anchor)
 
 
 def negate_field(field: ScalarField) -> ScalarField:
-    grad = None
-    if field.grad is not None:
-        grad = lambda p: -field.grad(p)  # noqa: E731
+    """The field -f."""
+    return _compose_field(field, negate=True)
+
+
+def _compose_field(field: ScalarField, anchor=None, negate: bool = False) -> ScalarField:
+    """±(f(p + anchor) - f(anchor)) as one field that calls f once per evaluation.
+
+    Without an anchor the shift is left out.  The values are those of
+    ``shift_field`` followed by ``negate_field`` applied one at a time, bit
+    for bit, except that a zero anchor skips the no-op ``p + anchor``, so a
+    -0.0 coordinate reaches f as -0.0.  ``field.eval`` and ``field.grad``
+    are looked up at every call, so replacing them on ``field`` later
+    changes what this field calls.
+    """
+    name = field.name
+    if anchor is None:
+        base = 0.0  # f - 0.0 is f bit for bit, -0.0 included
+        at = None
+    else:
+        anchor = np.asarray(anchor, dtype=float)
+        base = float(field.eval(anchor))
+        at = anchor if anchor.any() else None
+        name = f"{name}[shifted]"
+    if at is None:
+        if negate:
+            value = lambda p: -(field.eval(p) - base)  # noqa: E731
+            grad = lambda p: -field.grad(p)  # noqa: E731
+        else:
+            value = lambda p: field.eval(p) - base  # noqa: E731
+            grad = lambda p: field.grad(p)  # noqa: E731
+    elif negate:
+        value = lambda p: -(field.eval(p + at) - base)  # noqa: E731
+        grad = lambda p: -field.grad(p + at)  # noqa: E731
+    else:
+        value = lambda p: field.eval(p + at) - base  # noqa: E731
+        grad = lambda p: field.grad(p + at)  # noqa: E731
     return ScalarField(
         dim=field.dim,
-        eval=lambda p: -field.eval(p),
-        grad=grad,
-        name=f"-{field.name}",
+        eval=value,
+        grad=grad if field.grad is not None else None,
+        name=f"-{name}" if negate else name,
         domain_note=field.domain_note,
     )
+
+
+def _on_floats(formula: Callable[..., float]) -> Callable[[object], float]:
+    """A catalog field computing ``formula(*coordinates)`` on plain floats.
+
+    Float ``+ - * /`` and ``**`` give numpy float64's bits, but raise where
+    numpy returns inf or nan; there the formula runs again on numpy scalars,
+    with numpy's warnings silenced, and that value is returned.
+    """
+
+    def field(p) -> float:
+        coords = p.tolist() if isinstance(p, np.ndarray) else [float(c) for c in p]
+        try:
+            return formula(*coords)
+        except (ZeroDivisionError, OverflowError):
+            with np.errstate(all="ignore"):
+                return float(formula(*map(np.float64, coords)))
+
+    return field
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +161,7 @@ def bilinear_neg(lx: float = 0.0, ly: float = 0.0, ux: float = 1.0, uy: float = 
 
     field = ScalarField(
         2,
-        lambda p: -p[0] * p[1],
+        _on_floats(lambda x, y: -x * y),
         grad=lambda p: np.array([-p[1], -p[0]]),
         name="bilinear_neg",
         domain_note="all of R^2",
@@ -143,7 +189,7 @@ def fractional() -> CatalogEntry:
     """f(x, y) = y/x over a fixed trapezoid-like polytope with x >= 1."""
     field = ScalarField(
         2,
-        lambda p: p[1] / p[0],
+        _on_floats(lambda x, y: y / x),
         grad=lambda p: np.array([-p[1] / p[0] ** 2, 1.0 / p[0]]),
         name="fractional",
         domain_note="x > 0",
@@ -184,8 +230,7 @@ def reliability(ux: float = 1.0, uy: float = 1.0) -> CatalogEntry:
     if ux <= 0 or uy <= 0:
         raise ValueError("reliability box needs positive upper bounds")
 
-    def f(p):
-        x, y = p
+    def f(x, y):
         den = x + y - x * y
         if den <= 0.0:
             return 0.0 if (x == 0.0 and y == 0.0) else math.inf
@@ -196,7 +241,7 @@ def reliability(ux: float = 1.0, uy: float = 1.0) -> CatalogEntry:
         den = x + y - x * y
         return np.array([y * y / den**2, x * x / den**2])
 
-    field = ScalarField(2, f, grad=grad, name="reliability", domain_note="x + y - x*y > 0, plus the origin")
+    field = ScalarField(2, _on_floats(f), grad=grad, name="reliability", domain_note="x + y - x*y > 0, plus the origin")
 
     def env(p):
         x, y = p
@@ -226,8 +271,7 @@ def cubic_rational() -> CatalogEntry:
     x = 0, so evaluation there returns inf (the closure limit).
     """
 
-    def f(p):
-        x, y = p
+    def f(x, y):
         if x <= 0.0:
             return 0.0 if y == 0.0 else math.inf
         n = (
@@ -275,7 +319,7 @@ def cubic_rational() -> CatalogEntry:
         ) / (x * (x + y) ** 3)
         return np.array([gx, gy])
 
-    field = ScalarField(2, f, grad=grad, name="cubic_rational", domain_note="x > 0 (inf on the x = 0 facet)")
+    field = ScalarField(2, _on_floats(f), grad=grad, name="cubic_rational", domain_note="x > 0 (inf on the x = 0 facet)")
     poly = Polytope.from_inequalities(
         [[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [1.0, 1.0]],
         [0.0, 0.0, -1.0, 2.0],
@@ -320,7 +364,10 @@ def cobb_douglas(
     exps = np.array([a1, a2, a3])
 
     def f(p):
-        return scale * float(np.prod(np.asarray(p) ** exps))
+        # numpy's array power (its bits differ from libm's pow), then the product
+        # left to right as np.prod forms it
+        q0, q1, q2 = (np.asarray(p) ** exps).tolist()
+        return scale * (q0 * q1 * q2)
 
     def grad(p):
         p = np.asarray(p, dtype=float)

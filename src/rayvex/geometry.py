@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,6 +91,19 @@ class Polytope:
     @cached_property
     def _offset_list(self) -> list[float]:
         return self.offsets.tolist()
+
+    @cached_property
+    def _normalized(self) -> tuple["NormalizedFacet | None", ...]:
+        """Per facet its ``NormalizedFacet`` (read-only a), or None where b = 0."""
+        out = []
+        for i, h in enumerate(self.halfspaces):
+            if abs(h.b) <= GEOM_TOL:
+                out.append(None)
+                continue
+            a = h.a / h.b
+            a.setflags(write=False)
+            out.append(NormalizedFacet(i, a))
+        return tuple(out)
 
     @cached_property
     def _validation(self) -> "ValidationReport":
@@ -181,13 +195,18 @@ class NormalizedFacet:
     a: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class RayTrace:
+class RayTrace(NamedTuple):
     """Intersection data of the ray {alpha * v : alpha >= 0} with a polytope.
 
     Scalings are relative to v itself, i.e. v_minus = alpha_minus * v and
     v_plus = alpha_plus * v; when v lies in the polytope, alpha_minus <= 1
     <= alpha_plus and v = alpha_v * v_minus + (1 - alpha_v) * v_plus.
+    in_facet is None when the ray starts inside (alpha_minus = 0), and a
+    degenerate trace meets the polytope in one point (alpha_v = 1).
+
+    An immutable named tuple, because ``ray_intersect`` builds one per call
+    on the certification checks' hot path.  Its arrays make ``==`` and
+    ``hash`` unusable, so compare traces field by field.
     """
 
     v: np.ndarray
@@ -337,10 +356,12 @@ def ray_intersect(polytope: Polytope, v) -> RayTrace:
     several facets are active at an endpoint the smallest facet index wins.
     A single-point intersection yields a degenerate trace with alpha_v = 1.
     """
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.size != polytope.dim:
-        raise ValueError(f"direction dimension {v.size} != {polytope.dim}")
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        v = v.reshape(-1)
     coords = v.tolist()
+    if len(coords) != polytope.dim:
+        raise ValueError(f"direction dimension {v.size} != {polytope.dim}")
     if not any(coords):
         raise ZeroDirection("ray direction must be nonzero")
 
@@ -488,11 +509,15 @@ def ray_intersect_batch(polytope: Polytope, v) -> RayTraceBatch:
 
 
 def normalize_facet(polytope: Polytope, facet_index: int) -> NormalizedFacet:
-    """Rescale halfspace ``facet_index`` so its hyperplane reads a.x = 1."""
-    h = polytope.halfspaces[facet_index]
-    if abs(h.b) <= GEOM_TOL:
+    """Rescale halfspace ``facet_index`` so its hyperplane reads a.x = 1.
+
+    The facets are computed once per (immutable) polytope and shared by
+    every caller, so their arrays are read-only.
+    """
+    facet = polytope._normalized[facet_index]
+    if facet is None:
         raise HyperplaneThroughOrigin(f"{polytope.label(facet_index)} has b = 0")
-    return NormalizedFacet(facet_index, h.a / h.b)
+    return facet
 
 
 def locate(polytope: Polytope, v) -> RayTrace:

@@ -1,0 +1,69 @@
+"""The numpy-scalar forms of the catalog fields and of the working-field chain.
+
+The catalog fields in ``rayvex.functions`` compute on plain Python floats,
+and ``envelope.build`` composes anchor shift, offset and sign into one
+field.  These are the forms they replaced: each field unpacks its point
+into numpy float64 scalars, and the working field is ``shift_field``
+followed by ``negate_field``, one lambda layer each.  Tests require the
+same bits from both.  Numpy warns where these return inf or nan; call them
+under ``np.errstate(all="ignore")``.
+"""
+
+import math
+
+import numpy as np
+
+from rayvex.functions import ScalarField
+
+
+def bilinear(p):
+    return -p[0] * p[1]
+
+
+def fractional(p):
+    return p[1] / p[0]
+
+
+def reliability(p):
+    x, y = p
+    den = x + y - x * y
+    if den <= 0.0:
+        return 0.0 if (x == 0.0 and y == 0.0) else math.inf
+    return x * y / den
+
+
+def cubic(p):
+    x, y = p
+    if x <= 0.0:
+        return 0.0 if y == 0.0 else math.inf
+    n = (
+        y**3
+        + 2.0 * x * y**2
+        + x**2 * y
+        + x**3 * (3.0 * y - y**2 - 2.0)
+        - 2.0 * x**4 * y
+        + 3.0 * x**4
+        - x**5
+    )
+    return y * n / (x * (x + y) ** 2)
+
+
+def cobb_douglas(scale, a1, a2, a3):
+    exps = np.array([a1, a2, a3])
+    return lambda p: scale * float(np.prod(np.asarray(p) ** exps))
+
+
+def shift_field(field: ScalarField, anchor) -> ScalarField:
+    anchor = np.asarray(anchor, dtype=float)
+    base = float(field.eval(anchor))
+    grad = None
+    if field.grad is not None:
+        grad = lambda p: field.grad(p + anchor)  # noqa: E731
+    return ScalarField(field.dim, lambda p: field.eval(p + anchor) - base, grad, f"{field.name}[shifted]")
+
+
+def negate_field(field: ScalarField) -> ScalarField:
+    grad = None
+    if field.grad is not None:
+        grad = lambda p: -field.grad(p)  # noqa: E731
+    return ScalarField(field.dim, lambda p: -field.eval(p), grad, f"-{field.name}")

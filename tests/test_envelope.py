@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rayvex as rx
+import reference_fields as ref
 from rayvex import envelope as env
 from rayvex.errors import (
     DimensionMismatch,
@@ -346,3 +347,63 @@ def test_model_from_descriptor_round_trip(tmp_path):
         budget=500,
     )
     assert model.polytope.n_facets == 4
+
+
+# -- the working field: anchor shift, offset and sign composed once -----------
+
+WORKING_CASES = [  # (entry, anchor); each polytope contains the origin and the vector anchor
+    (rx.bilinear_neg(-1.0, -1.0, 2.0, 2.0), anchor) for anchor in ("none", "origin-shift", (0.3, 0.2))
+] + [(rx.reliability(), anchor) for anchor in ("none", "origin-shift", (0.3, 0.2))]
+
+
+def _bits(values) -> list:
+    """Values as comparable bit patterns: every NaN alike, the sign of zero kept."""
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    return [None if np.isnan(x) else (float(x), bool(np.signbit(x))) for x in arr]
+
+
+def _working_points(entry) -> np.ndarray:
+    box = rx.validate(entry.default_polytope).coordinate_bounds
+    pts = np.random.default_rng(3).uniform(box[:, 0] - 0.5, box[:, 1] + 0.5, size=(60, 2))
+    zeros = np.array([[0.0, 0.0], [-0.0, 0.5], [0.5, -0.0], [-0.0, -0.0], [-0.3, 0.7]])
+    return np.vstack([pts, zeros])
+
+
+@pytest.mark.parametrize("sense", ["convex", "concave"])
+@pytest.mark.parametrize("entry, anchor", WORKING_CASES)
+def test_working_field_matches_the_shift_then_negate_chain(entry, anchor, sense):
+    model = env.build(entry.field, entry.default_polytope, sense=sense, anchor=anchor, run_certification=False)
+    t = np.zeros(2) if isinstance(anchor, str) else np.asarray(anchor, dtype=float)
+    chain = entry.field if anchor == "none" else ref.shift_field(entry.field, t)
+    if sense == "concave":
+        chain = ref.negate_field(chain)
+    base = 0.0 if anchor == "none" else entry.field.eval(t)
+    for p in _working_points(entry):
+        with np.errstate(all="ignore"):  # the chain's numpy grad warns outside the domain
+            got = (model.field.eval(p), model.field.gradient(p))
+            # the definition: f is called once, at p + t (at p itself for a zero t)
+            own = entry.field.eval(p + t if t.any() else p) - base
+            own_grad = entry.field.grad(p + t if t.any() else p)
+            if sense == "concave":
+                own, own_grad = -own, -own_grad
+            want = (chain.eval(p), chain.gradient(p))
+        assert _bits(got[0]) == _bits(own) and _bits(got[1]) == _bits(own_grad)
+        if t.any() or not np.any(np.signbit(p) & (p == 0.0)):
+            # the chain added a zero t, which turns -0.0 into +0.0; elsewhere the bits agree
+            assert _bits(got[0]) == _bits(want[0]), p
+            assert _bits(got[1]) == _bits(want[1]), p
+
+
+@pytest.mark.parametrize("sense", ["convex", "concave"])
+@pytest.mark.parametrize("anchor", ["none", "origin-shift", (0.3, 0.2)])
+def test_working_field_calls_the_field_callables_of_the_moment(anchor, sense):
+    # a tracer wraps a user's field in place after the model is built
+    entry = rx.reliability()
+    field = replace(entry.field)
+    model = env.build(field, entry.default_polytope, sense=sense, anchor=anchor, run_certification=False)
+    seen = []
+    object.__setattr__(field, "eval", lambda p: seen.append("eval") or entry.field.eval(p))
+    object.__setattr__(field, "grad", lambda p: seen.append("grad") or entry.field.grad(p))
+    model.field.eval(np.array([0.2, 0.4]))
+    model.field.gradient(np.array([0.2, 0.4]))
+    assert seen == ["eval", "grad"]

@@ -1,0 +1,88 @@
+"""The catalog fields on plain floats give the bits of their numpy-scalar forms.
+
+``tests/reference_fields.py`` keeps the forms that unpacked each point into
+numpy float64 scalars.  Every catalog field must return the same value for
+every input, non-finite and out-of-domain ones included (same NaN-ness,
+same sign of zero and of inf), for arrays, lists and tuples alike, without
+raising and without a warning.
+"""
+
+import itertools
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rayvex as rx
+import reference_fields as ref
+
+SUBNORMAL = 2.2250738585072014e-308 / 2**20
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, SUBNORMAL, -SUBNORMAL, 1e-300, 1.0, -1.0, 2.0, 1e200, -1e200, math.inf, -math.inf, math.nan)
+
+PLANAR = {  # catalog field -> its numpy-scalar form
+    "bilinear": (rx.bilinear_neg().field, ref.bilinear),
+    "fractional": (rx.fractional().field, ref.fractional),
+    "reliability": (rx.reliability().field, ref.reliability),
+    "cubic": (rx.cubic_rational().field, ref.cubic),
+}
+COBB_DOUGLAS = (
+    (rx.cobb_douglas().field, ref.cobb_douglas(1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)),
+    (rx.cobb_douglas(2.5, 0.2, 0.5, 0.3).field, ref.cobb_douglas(2.5, 0.2, 0.5, 0.3)),
+)
+CONTAINERS = (np.array, list, tuple)
+
+
+def _same_bits(got, want) -> bool:
+    got, want = float(got), float(want)
+    if math.isnan(got) or math.isnan(want):
+        return math.isnan(got) and math.isnan(want)
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def _check(field, reference, coords, container) -> None:
+    with np.errstate(all="ignore"):
+        want = reference(np.array(coords, dtype=float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = field.eval(container(coords))
+    assert _same_bits(got, want), (coords, got, want)
+
+
+coordinate = st.one_of(st.sampled_from(SPECIAL), st.floats(-3.0, 3.0), st.floats())
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(sorted(PLANAR)), coordinate, coordinate, st.sampled_from(CONTAINERS))
+def test_planar_fields_match_their_numpy_scalar_forms(name, x, y, container):
+    field, reference = PLANAR[name]
+    _check(field, reference, [x, y], container)
+
+
+@pytest.mark.parametrize("name", sorted(PLANAR))
+def test_planar_fields_on_every_pair_of_special_values(name):
+    # zero, subnormal, huge and non-finite coordinates: fractional at x = 0,
+    # reliability with den <= 0 and cubic with x <= 0 among them
+    field, reference = PLANAR[name]
+    for coords, container in itertools.product(itertools.product(SPECIAL, repeat=2), CONTAINERS):
+        _check(field, reference, list(coords), container)
+
+
+nonnegative = st.one_of(st.sampled_from([c for c in SPECIAL if not c < 0.0 and not math.isnan(c)]), st.floats(0.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(COBB_DOUGLAS))), st.lists(nonnegative, min_size=3, max_size=3), st.sampled_from(CONTAINERS))
+def test_cobb_douglas_matches_its_numpy_product(which, coords, container):
+    # its domain is the closed positive orthant; numpy's array power itself
+    # warns on negative coordinates, in both forms
+    field, reference = COBB_DOUGLAS[which]
+    _check(field, reference, coords, container)
+
+
+def test_cubic_next_to_its_x0_facet_is_inf_without_a_warning():
+    # inside P, where the numpy-scalar form overflowed with a RuntimeWarning
+    # (an error under this suite's warning filters)
+    assert rx.cubic_rational().field.eval(np.array([5e-324, 1.5])) == math.inf

@@ -190,6 +190,19 @@ class TestNormalizeFacet:
         with pytest.raises(HyperplaneThroughOrigin):
             rx.normalize_facet(UNIT_BOX, 1)  # x >= 0
 
+    @pytest.mark.parametrize("polytope", [UNIT_BOX, SLAB] + [entry.default_polytope for entry in rx.catalog()])
+    def test_cached_read_only_and_exact(self, polytope):
+        for i, h in enumerate(polytope.halfspaces):
+            if h.b == 0.0:
+                with pytest.raises(HyperplaneThroughOrigin):
+                    rx.normalize_facet(polytope, i)
+                continue
+            facet = rx.normalize_facet(polytope, i)
+            assert facet is rx.normalize_facet(polytope, i)
+            assert facet.index == i and facet.a.tobytes() == (h.a / h.b).tobytes()
+            with pytest.raises(ValueError):
+                facet.a[0] = 1.0
+
 
 class TestRegionOf:
     def test_box_regions(self):
