@@ -139,7 +139,7 @@ def build(
     offset = float(field.eval(t)) if subtract else 0.0
     working = field
     if subtract or sense == "concave":
-        working = _compose_field(field, t if subtract else None, negate=sense == "concave")
+        working = _compose_field(field, t if subtract else None, negate=sense == "concave", base=offset)
 
     model = EnvelopeModel(
         field=working,
@@ -161,8 +161,8 @@ def build(
 def secant_raw(model: EnvelopeModel, v) -> float:
     """The working-coordinate secant g(v), without sign or offset.
 
-    This is the positively homogeneous representation the certification
-    checks probe; g(0) is the working field value at the origin.
+    This is the representation whose positive homogeneity certification
+    decides; g(0) is the working field value at the origin.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:

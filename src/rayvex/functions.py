@@ -69,7 +69,8 @@ def fd_gradient(field: ScalarField, x) -> np.ndarray:
 
 def shift_field(field: ScalarField, anchor) -> ScalarField:
     """The recentred field f(x + anchor) - f(anchor), which vanishes at 0."""
-    return _compose_field(field, anchor)
+    anchor = np.asarray(anchor, dtype=float)
+    return _compose_field(field, anchor, base=float(field.eval(anchor)))
 
 
 def negate_field(field: ScalarField) -> ScalarField:
@@ -77,23 +78,21 @@ def negate_field(field: ScalarField) -> ScalarField:
     return _compose_field(field, negate=True)
 
 
-def _compose_field(field: ScalarField, anchor=None, negate: bool = False) -> ScalarField:
-    """±(f(p + anchor) - f(anchor)) as one field that calls f once per evaluation.
+def _compose_field(field: ScalarField, anchor=None, negate: bool = False, base: float = 0.0) -> ScalarField:
+    """±(f(p + anchor) - base) as one field that calls f once per evaluation.
 
-    Without an anchor the shift is left out.  The values are those of
-    ``shift_field`` followed by ``negate_field`` applied one at a time, bit
-    for bit, except that a zero anchor skips the no-op ``p + anchor``, so a
-    -0.0 coordinate reaches f as -0.0.  ``field.eval`` and ``field.grad``
-    are looked up at every call, so replacing them on ``field`` later
-    changes what this field calls.
+    ``base`` is f(anchor), which the caller has evaluated; without an anchor
+    the shift is left out and ``base`` stays 0.0 (f - 0.0 is f bit for bit,
+    -0.0 included).  The values are those of ``shift_field`` followed by
+    ``negate_field`` applied one at a time, bit for bit, except that a zero
+    anchor skips the no-op ``p + anchor``, so a -0.0 coordinate reaches f as
+    -0.0.  ``field.eval`` and ``field.grad`` are looked up at every call, so
+    replacing them on ``field`` later changes what this field calls.
     """
     name = field.name
-    if anchor is None:
-        base = 0.0  # f - 0.0 is f bit for bit, -0.0 included
-        at = None
-    else:
+    at = None
+    if anchor is not None:
         anchor = np.asarray(anchor, dtype=float)
-        base = float(field.eval(anchor))
         at = anchor if anchor.any() else None
         name = f"{name}[shifted]"
     if at is None:
@@ -362,11 +361,21 @@ def cobb_douglas(
     if lower <= 0 or lower >= upper:
         raise ValueError("cobb-douglas box must be positive with lower < upper")
     exps = np.array([a1, a2, a3])
+    # per coordinate, the largest value whose power stays below 2**1000
+    top1, top2, top3 = (2.0 ** (1000.0 / a) if a > 1.0 else math.inf for a in (a1, a2, a3))
 
     def f(p):
         # numpy's array power (its bits differ from libm's pow), then the product
-        # left to right as np.prod forms it
-        q0, q1, q2 = (np.asarray(p) ** exps).tolist()
+        # left to right as np.prod forms it; where numpy could warn (a negative
+        # coordinate gives nan, a huge one may overflow) the power runs with its
+        # warnings silenced
+        p = np.asarray(p)
+        x1, x2, x3 = p.tolist()
+        if 0.0 <= x1 <= top1 and 0.0 <= x2 <= top2 and 0.0 <= x3 <= top3:
+            q0, q1, q2 = (p**exps).tolist()
+        else:
+            with np.errstate(all="ignore"):
+                q0, q1, q2 = (p**exps).tolist()
         return scale * (q0 * q1 * q2)
 
     def grad(p):

@@ -1,8 +1,9 @@
 """Numerical certification of the envelope hypotheses and a brute-force oracle.
 
-All checks are sampling-based midpoint (secant) tests with explicit
-tolerances and witnesses; they are deterministic given (inputs, seed) and
-aggregate violations by maximum with first-sample tie-breaking.  The oracle
+The checks are sampling-based tests with explicit tolerances and
+witnesses, except homogeneity with the origin in P, which one evaluation
+decides exactly; they are deterministic given (inputs, seed) and aggregate
+violations by maximum with first-sample tie-breaking.  The oracle
 realizes the envelope of a finite graph sample as a small dense LP (lower
 convex hull evaluation).
 """
@@ -20,7 +21,6 @@ from .geometry import (
     GEOM_TOL,
     Polytope,
     normalize_facet,
-    ray_intersect,
     ray_intersect_batch,
     sample_interior,
     vertices,
@@ -240,73 +240,62 @@ def check_positive_homogeneity(
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> CheckResult:
-    """Homogeneity of the secant construction in working coordinates.
+    """Positive homogeneity of the secant construction in working coordinates.
 
-    With the origin inside: requires the working field to vanish at 0 and
-    spot-checks g(lambda v) = lambda g(v).  Otherwise asserts the two-sided
-    product identity (a_in.v) f(v_minus) = (a_out.v) f(v_plus) on samples.
+    With the origin in P the check is exact: g is positively homogeneous
+    if and only if f(0) = 0, so it evaluates f once, at 0.  Every working
+    offset b_i is then >= 0, so every entry ratio b_i / (a_i.v) with
+    a_i.v < 0 is <= 0: alpha_minus = 0, v_minus = 0 and
+    1 - alpha_v = 1 / alpha_plus, which gives
+    g(v) = f(0) + (f(v_plus) - f(0)) / alpha_plus.  The ray through
+    lambda v (lambda > 0) has the same v_plus and the exit ratio
+    alpha_plus / lambda, hence g(lambda v) - lambda g(v) = (1 - lambda) f(0).
+    ``validate`` also puts the origin in P when an offset lies within
+    GEOM_TOL below 0, as a rounded anchor on a slanted facet leaves it;
+    v_minus is then where the ray meets that facet, |b_i| / |a_i.u| from 0
+    along the unit direction u: rounding-size unless the ray runs almost
+    along the facet.
+
+    Otherwise samples the two-sided product identity
+    (a_in.v) f(v_minus) = (a_out.v) f(v_plus), a real condition on f over
+    the facets.
     """
-    from .envelope import secant_raw  # local: envelope builds call into here
-
     name = "positively_homogeneous"
     polytope = model.polytope
     field = model.field
     n = polytope.dim
-    points = sample_interior(polytope, seed, n_samples)
-    worst = 0.0
-    witness = None
 
     if model.origin_in_P:
-        zero = np.zeros((1, 1, n))
-        at_zero, bad = _sample_values(field.eval, zero)
-        if bad is not None:
-            return _non_finite(name, tol, worst, 0, {"v": [0.0] * n}, zero[bad])
-        at_zero = abs(float(at_zero[0, 0]))
-        if at_zero > worst:
-            worst = at_zero
-            witness = {"v": [0.0] * n, "field_at_zero": at_zero}
-        # per sample: g(v), then g(lambda v) for each scaling; one secant_raw call each
-        lams = np.array(_SCALING_FACTORS)
-        probes = np.concatenate([points[:, None, :], lams[:, None] * points[:, None, :]], axis=1)
-        g, bad = _sample_values(lambda w: secant_raw(model, w), probes)
-        sample_worst, i = _worst((np.abs(g[:, 1:] - lams * g[:, :1]) / (1.0 + np.abs(g[:, :1]))).ravel())
-        if sample_worst > worst:
-            worst = sample_worst
-            witness = {"v": points[i // len(lams)].tolist(), "lambda": _SCALING_FACTORS[i % len(lams)]}
-        tested = 1 + len(lams) * len(g)
-        if bad is not None:
-            sample, slot = bad
-            where = {"v": points[sample].tolist(), "lambda": None if slot == 0 else _SCALING_FACTORS[slot - 1]}
-            return _non_finite(name, tol, worst, tested, where, _secant_non_finite_point(model, probes[bad]))
-    else:
-        traces = ray_intersect_batch(polytope, points)
-        keep = ~traces.degenerate & (traces.in_facet >= 0)
-        rays = points[keep]
-        in_facet, out_facet = traces.in_facet[keep], traces.out_facet[keep]
-        normals = np.zeros((polytope.n_facets, n))  # looked up once per facet, not per sample
-        for facet in np.unique(np.concatenate([in_facet, out_facet])).tolist():
-            normals[facet] = normalize_facet(polytope, facet).a
-        pairs = np.stack([traces.v_minus[keep], traces.v_plus[keep]], axis=1)
-        f, bad = _sample_values(field.eval, pairs)
-        tested = len(f)
-        lhs = _row_dots(normals[in_facet[:tested]], rays[:tested]) * f[:, 0]
-        rhs = _row_dots(normals[out_facet[:tested]], rays[:tested]) * f[:, 1]
-        worst, i = _worst(np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs))))
-        if i is not None:
-            witness = {"v": rays[i].tolist(), "in_product": float(lhs[i]), "out_product": float(rhs[i])}
-        if bad is not None:
-            return _non_finite(name, tol, worst, tested, {"v": rays[bad[0]].tolist()}, pairs[bad])
+        zero = np.zeros(n)
+        at_zero = float(field.eval(zero))
+        if not math.isfinite(at_zero):
+            return _non_finite(name, tol, 0.0, 0, {"v": [0.0] * n}, zero)
+        worst = abs(at_zero)
+        status = "pass" if worst <= tol else "fail"
+        witness = {"v": [0.0] * n, "field_at_zero": worst} if status == "fail" else None
+        return CheckResult(name, status, worst, tol, 1, witness)
+
+    points = sample_interior(polytope, seed, n_samples)
+    traces = ray_intersect_batch(polytope, points)
+    keep = ~traces.degenerate & (traces.in_facet >= 0)
+    rays = points[keep]
+    in_facet, out_facet = traces.in_facet[keep], traces.out_facet[keep]
+    normals = np.zeros((polytope.n_facets, n))  # looked up once per facet, not per sample
+    for facet in np.unique(np.concatenate([in_facet, out_facet])).tolist():
+        normals[facet] = normalize_facet(polytope, facet).a
+    pairs = np.stack([traces.v_minus[keep], traces.v_plus[keep]], axis=1)
+    f, bad = _sample_values(field.eval, pairs)
+    tested = len(f)
+    lhs = _row_dots(normals[in_facet[:tested]], rays[:tested]) * f[:, 0]
+    rhs = _row_dots(normals[out_facet[:tested]], rays[:tested]) * f[:, 1]
+    worst, i = _worst(np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs))))
+    witness = None
+    if i is not None:
+        witness = {"v": rays[i].tolist(), "in_product": float(lhs[i]), "out_product": float(rhs[i])}
+    if bad is not None:
+        return _non_finite(name, tol, worst, tested, {"v": rays[bad[0]].tolist()}, pairs[bad])
     status = "pass" if worst <= tol else "fail"
     return CheckResult(name, status, worst, tol, tested, witness if status == "fail" else None)
-
-
-def _secant_non_finite_point(model, w: np.ndarray) -> np.ndarray:
-    """The field point behind a non-finite secant at w != 0 (w itself if none is found)."""
-    trace = ray_intersect(model.polytope, w)
-    for point in (trace.v,) if trace.degenerate else (trace.v_minus, trace.v_plus):
-        if not math.isfinite(float(model.field.eval(point))):
-            return point
-    return w
 
 
 def check_corollary_convexity(

@@ -1,7 +1,8 @@
 """Per-sample reference loops for the three certification checks.
 
 These are the loop forms the batched checks in ``rayvex.verify`` replaced:
-one ray trace, one secant and one field evaluation at a time.  Tests run
+one ray trace, one secant and one field evaluation at a time, and the
+secant probes the origin-inside homogeneity check no longer makes.  Tests run
 both and require the same ``CheckResult.to_dict()``.  The loops raise on a
 non-finite field value, so they are only a reference for finite fields.
 """
@@ -83,6 +84,21 @@ def facet_convexity(field, polytope, n_pairs_per_facet, tol, seed):
 
 
 def positive_homogeneity(model, n_samples, tol, seed):
+    if model.origin_in_P:  # f(0) = 0 decides it exactly; one evaluation
+        at_zero = abs(_checked_eval(model.field, np.zeros(model.polytope.dim)))
+        status = "pass" if at_zero <= tol else "fail"
+        witness = {"v": [0.0] * model.polytope.dim, "field_at_zero": at_zero} if status == "fail" else None
+        return CheckResult("positively_homogeneous", status, at_zero, tol, 1, witness)
+    return positive_homogeneity_probes(model, n_samples, tol, seed)
+
+
+def positive_homogeneity_probes(model, n_samples, tol, seed):
+    """The sampled check the exact origin-inside criterion replaced.
+
+    With the origin inside: f(0), then g(lambda v) against lambda g(v) for
+    three scalings per sampled v, one ``secant_raw`` call each.  Its
+    verdict must match the one-evaluation check's.
+    """
     polytope = model.polytope
     field = model.field
     points = sample_interior(polytope, seed, n_samples)

@@ -57,6 +57,8 @@ def _assert_same_reports(model, budget, seed):
     for result, want in zip(got, expected):
         # json text tells 0.0 from -0.0 and prints every float exactly
         assert json.dumps(result.to_dict()) == json.dumps(want.to_dict()), result.name
+    # the 3 x budget secant probes that f(0) replaced for origin-inside models agree
+    assert report.positively_homogeneous.status == ref.positive_homogeneity_probes(model, budget, tol, seed + 2).status
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -71,6 +73,7 @@ def test_checks_match_per_sample_loops_on_catalog(name, seed):
         (lambda p: p[0] ** 2 + p[1] ** 2, rx.Polytope.box([0.0, 0.0], [1.0, 1.0])),  # ray-convex: witness
         (lambda p: -(p[0] ** 2) - p[1] ** 3, rx.Polytope.box([0.0, 0.0], [1.0, 1.0])),  # facet-concave
         (lambda p: math.exp(p[0]) - 1.0 + p[1], rx.Polytope.box([-1.0, -0.5], [1.0, 2.0])),  # origin interior
+        (lambda p: 1.0 - p[0] * p[1], rx.Polytope.box([-1.0, -1.0], [1.0, 1.0])),  # f(0) = 1
         (lambda p: p[0] ** 2 + p[1], SLAB),  # origin outside, not homogeneous
         (lambda p: p[0] ** 2 + p[1], CUT_FAR),  # origin outside, inexact a . v
         (lambda p: -(p[0] ** 2) + p[1] * p[2], rx.Polytope.box([1.0, 1.0, 1.0], [2.0, 3.0, 2.0])),
@@ -129,9 +132,8 @@ def test_checks_call_the_field_once_per_point(name, monkeypatch):
 
     calls.field = 0
     result = verify.check_positive_homogeneity(model, n_samples=60, seed=2)
-    if model.origin_in_P:  # g(0), then g(v) and g(lambda v) for three scalings per sample
-        assert (calls.field, calls.secants) == (1, 4 * (result.samples - 1) // 3)
-        assert result.samples == 1 + 3 * 60
+    if model.origin_in_P:  # f(0) alone decides it
+        assert (calls.field, calls.secants, result.samples) == (1, 0, 1)
     else:  # f(v_minus) and f(v_plus) per sample
         assert (calls.field, calls.secants) == (2 * result.samples, 0)
 
@@ -204,15 +206,18 @@ def test_non_finite_region_fails_the_checks(which, seed, on_boundary, radius, ba
     poisoned.assert_named(result)
 
 
-def test_non_finite_secant_in_homogeneity_fails():
-    # NaN on the x = 1 face: the secants of rays leaving there are NaN, and
-    # once compared as NaN > worst, which is False, they passed unseen
+def test_nan_face_fails_certify_with_the_origin_inside():
+    # NaN on the x = 1 face: the homogeneity check no longer probes secants
+    # of rays that leave there, but the facet check samples that face
     field = rx.ScalarField(2, lambda p: math.nan if p[0] >= 1.0 else -p[0] * p[1], name="nan-face")
     model = env.build(field, rx.Polytope.box([-1.0, -1.0], [1.0, 1.0]), anchor="none", run_certification=False)
-    result = verify.check_positive_homogeneity(model, n_samples=500)
-    assert result.status == "fail"
-    assert result.witness["non_finite_point"][0] == 1.0
-    assert result.samples < 1 + 3 * 500
+    assert model.origin_in_P
+    report = verify.certify(model, budget=500)
+    assert not report.all_passed
+    assert report.positively_homogeneous.passed  # f(0) = 0
+    witnesses = [check.witness or {} for check in (report.ray_concave, report.facet_convex)]
+    named = [w["non_finite_point"] for w in witnesses if "non_finite_point" in w]
+    assert named and all(point[0] >= 1.0 for point in named)
 
 
 def test_non_finite_corollary_homogeneity_counts_the_samples_before_it():

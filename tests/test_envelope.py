@@ -407,3 +407,16 @@ def test_working_field_calls_the_field_callables_of_the_moment(anchor, sense):
     model.field.eval(np.array([0.2, 0.4]))
     model.field.gradient(np.array([0.2, 0.4]))
     assert seen == ["eval", "grad"]
+
+
+@pytest.mark.parametrize("sense", ["convex", "concave"])
+@pytest.mark.parametrize("anchor, calls", [("none", 0), ("origin-shift", 1), ((0.3, 0.2), 1)])
+def test_build_evaluates_the_anchor_once(anchor, calls, sense):
+    # f(anchor) is both the model's offset and the working field's base
+    entry = rx.bilinear_neg(-1.0, -1.0, 2.0, 2.0)
+    seen = []
+    field = replace(entry.field, eval=lambda p: seen.append(p) or entry.field.eval(p))
+    model = env.build(field, entry.default_polytope, sense=sense, anchor=anchor, run_certification=False)
+    assert len(seen) == calls
+    assert model.offset == (entry.field.eval(model.anchor) if calls else 0.0)
+    assert model.field.eval(np.zeros(2)) == 0.0

@@ -31,6 +31,7 @@ PLANAR = {  # catalog field -> its numpy-scalar form
 COBB_DOUGLAS = (
     (rx.cobb_douglas().field, ref.cobb_douglas(1.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)),
     (rx.cobb_douglas(2.5, 0.2, 0.5, 0.3).field, ref.cobb_douglas(2.5, 0.2, 0.5, 0.3)),
+    (rx.cobb_douglas(1.0, 5.0, 0.5, 0.5).field, ref.cobb_douglas(1.0, 5.0, 0.5, 0.5)),  # overflows at 1e200
 )
 CONTAINERS = (np.array, list, tuple)
 
@@ -70,16 +71,21 @@ def test_planar_fields_on_every_pair_of_special_values(name):
         _check(field, reference, list(coords), container)
 
 
-nonnegative = st.one_of(st.sampled_from([c for c in SPECIAL if not c < 0.0 and not math.isnan(c)]), st.floats(0.0, 4.0))
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(range(len(COBB_DOUGLAS))), st.lists(nonnegative, min_size=3, max_size=3), st.sampled_from(CONTAINERS))
+@given(st.sampled_from(range(len(COBB_DOUGLAS))), st.lists(coordinate, min_size=3, max_size=3), st.sampled_from(CONTAINERS))
 def test_cobb_douglas_matches_its_numpy_product(which, coords, container):
-    # its domain is the closed positive orthant; numpy's array power itself
-    # warns on negative coordinates, in both forms
+    # negative, huge and non-finite coordinates included: there numpy's power
+    # gives nan or inf, which the field returns without a warning
     field, reference = COBB_DOUGLAS[which]
     _check(field, reference, coords, container)
+
+
+@pytest.mark.parametrize("which", range(len(COBB_DOUGLAS)))
+def test_cobb_douglas_on_every_triple_of_special_values(which):
+    # (-1, 1, 1) among them: nan, where numpy's power used to warn
+    field, reference = COBB_DOUGLAS[which]
+    for coords in itertools.product(SPECIAL, repeat=3):
+        _check(field, reference, list(coords), list)
 
 
 def test_cubic_next_to_its_x0_facet_is_inf_without_a_warning():

@@ -1,0 +1,102 @@
+"""Why f(0) = 0 decides homogeneity when the origin is in P.
+
+With every working offset b_i >= 0 the secant satisfies
+g(lambda v) = lambda g(v) + (1 - lambda) f(0) for any field, so
+``check_positive_homogeneity`` evaluates f at 0 and nothing else.  These
+tests hold the identity itself to a few ulps, and pin an anchor whose
+working offset rounds to just below 0.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rayvex as rx
+from rayvex import envelope as env
+from rayvex import verify
+
+ULPS = 32 * np.finfo(float).eps
+
+# fields bounded by about 10 on the boxes below, none of them ray-concave in
+# general; c holds six coefficients in [-2, 2]
+FIELDS = (
+    lambda c: lambda p: c[0] + c[1] * p[0] + c[2] * p[1] + c[3] * p[0] ** 2 + c[4] * p[0] * p[1] + c[5] * p[1] ** 3,
+    lambda c: lambda p: c[0] + c[1] * math.sin(3.0 * c[2] * p[0] + c[3]) * math.cos(3.0 * c[4] * p[1]),
+    lambda c: lambda p: c[0] * math.exp(0.5 * c[1] * p[0] + 0.5 * c[2] * p[1]) + c[3],
+    lambda c: lambda p: c[0] + abs(p[0]) ** 0.3 - c[1] * p[1] ** 3,
+)
+
+
+@st.composite
+def origin_in_polytopes(draw):
+    """A box around the origin, maybe cut, its rows rescaled and permuted; every b_i >= 0.
+
+    The origin is interior, on one facet or at a vertex.  A cut keeps the
+    box centre inside and may pass through the origin.
+    """
+    lo = np.array([-draw(st.floats(0.2, 2.0)), -draw(st.floats(0.2, 2.0))])
+    hi = np.array([draw(st.floats(0.2, 2.0)), draw(st.floats(0.2, 2.0))])
+    lo[: draw(st.integers(0, 2))] = 0.0  # on the x >= 0 facet, or at the vertex of both
+    rows = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    offsets = [hi[0], hi[1], -lo[0], -lo[1]]
+    if draw(st.booleans()):
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        c = np.array([math.cos(theta), math.sin(theta)])
+        at_center = float(c @ (0.5 * (lo + hi)))
+        top = max(float(c @ np.array([x, y])) for x in (lo[0], hi[0]) for y in (lo[1], hi[1]))
+        if at_center < -0.05 and draw(st.booleans()):
+            d = 0.0  # through the origin
+        else:
+            base = max(0.0, at_center)
+            d = base + draw(st.floats(0.05, 0.95)) * (top - base)
+        rows.append(c.tolist())
+        offsets.append(d)
+    # within 10^[-2, 2]: stronger row scaling trips validate's LPs (see CHANGES.md)
+    scales = np.array([10.0 ** draw(st.floats(-2.0, 2.0)) for _ in offsets])
+    order = draw(st.permutations(range(len(offsets))))
+    a = (np.array(rows) * scales[:, None])[order]
+    b = (np.array(offsets) * scales)[order]
+    return rx.Polytope.from_inequalities(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    origin_in_polytopes(),
+    st.sampled_from(range(len(FIELDS))),
+    st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.one_of(st.sampled_from([1.0, 0.5, 1e-3, 1e-250]), st.floats(1e-250, 1.0)), min_size=1, max_size=4),
+)
+def test_secant_scales_by_lambda_up_to_f0(polytope, which, coeffs, seed, lams):
+    field = rx.ScalarField(2, FIELDS[which](coeffs), name="any")
+    model = env.build(field, polytope, anchor="none", run_certification=False)
+    assert model.origin_in_P and np.all(polytope.offsets >= 0.0)
+    f0 = float(field.eval(np.zeros(2)))
+    for v in rx.sample_interior(polytope, seed, 4):
+        g = env.secant_raw(model, v)
+        for lam in lams:
+            want = lam * g + (1.0 - lam) * f0
+            assert abs(env.secant_raw(model, lam * v) - want) <= ULPS * (1.0 + abs(g)), (v, lam)
+
+
+# the unit box cut by 0.1x + 0.7y <= C; translating to its vertex on x = 1
+# leaves the cut's working offset at -1.1e-16, inside validate's tolerance
+C = 0.5545012
+BAND = rx.Polytope.from_inequalities(
+    [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.1, 0.7]], [1.0, 1.0, 0.0, 0.0, C]
+)
+
+
+@pytest.mark.parametrize("entry", [rx.bilinear_neg(), rx.fractional(), rx.reliability()], ids=lambda e: e.name)
+def test_anchor_in_the_tolerance_band_passes_on_one_evaluation(entry):
+    anchor = next(v for v in rx.vertices(BAND) if v[0] == 1.0 and v[1] > 0.5)
+    model = env.build(entry.field, BAND, anchor=anchor, run_certification=False)
+    assert model.validation.origin_location == "boundary"
+    assert -rx.geometry.GEOM_TOL <= model.polytope.offsets[4] < 0.0
+    result = verify.check_positive_homogeneity(model, n_samples=10_000, seed=2)
+    assert (result.status, result.samples, result.worst_violation) == ("pass", 1, 0.0)
+    report = verify.certify(model, budget=2000).to_dict()
+    assert report["sample_counts"]["positively_homogeneous"] == 1
