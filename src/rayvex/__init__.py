@@ -33,7 +33,6 @@ from .functions import (
 )
 from .geometry import (
     Halfspace,
-    NormalizedFacet,
     Polytope,
     RayTrace,
     RayTraceBatch,
@@ -74,7 +73,6 @@ __all__ = [
     "EnvelopeValue",
     "Halfspace",
     "LPResult",
-    "NormalizedFacet",
     "Polytope",
     "RayTrace",
     "RayTraceBatch",

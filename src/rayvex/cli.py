@@ -15,7 +15,7 @@ import numpy as np
 from . import envelope as env
 from .errors import DimensionNotSupported, RayvexError
 from .functions import CATALOG_BUILDERS, CatalogEntry, catalog
-from .geometry import Polytope, enumerate_regions_2d, normalize_facet
+from .geometry import Polytope, enumerate_regions_2d, lattice, normalize_facet
 from .verify import oracle_build, oracle_eval
 
 _PARAM_ALIASES = {"A": "scale", "l": "lower", "u": "upper"}
@@ -231,19 +231,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _lattice(bounds: np.ndarray, resolution: int) -> list[np.ndarray]:
-    """``resolution`` points per axis over the (dim, 2) box ``bounds``."""
-    axes = [np.linspace(bounds[i, 0], bounds[i, 1], resolution) for i in range(len(bounds))]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(bounds))
-    return list(mesh)  # C-order: lexicographic by lattice index
-
-
 def cmd_grid(args) -> int:
     if args.resolution < 2:
         raise UsageError("grid needs --resolution >= 2")
     model, entry = _model_from_args(args)
     bounds = model.validation.coordinate_bounds + model.anchor[:, None]
-    rows, omitted = _point_rows(model, _lattice(bounds, args.resolution))
+    rows, omitted = _point_rows(model, lattice(bounds, args.resolution))
     _emit_rows(
         {"command": "grid", "function": entry.name, "resolution": args.resolution},
         rows,
@@ -261,8 +254,8 @@ def cmd_regions(args) -> int:
     for region_id, polygon in enumerate_regions_2d(model.polytope):
         a_minus = None
         if region_id.in_facet is not None:
-            a_minus = normalize_facet(model.polytope, region_id.in_facet).a.tolist()
-        a_plus = normalize_facet(model.polytope, region_id.out_facet).a.tolist()
+            a_minus = normalize_facet(model.polytope, region_id.in_facet).tolist()
+        a_plus = normalize_facet(model.polytope, region_id.out_facet).tolist()
         regions.append(
             {
                 "in_facet": region_id.in_facet,
@@ -297,12 +290,10 @@ def cmd_compare(args) -> int:
     gaps = []
     f_gaps = []
     infeasible = 0
-    outside = 0
     # working coordinates: the oracle and the secant see the anchored field
-    for v in _lattice(model.validation.coordinate_bounds, args.resolution):
-        if not model.polytope.contains(v):
-            outside += 1
-            continue
+    queries = lattice(model.validation.coordinate_bounds, args.resolution)
+    inside = model.polytope.contains(queries)
+    for v in queries[inside]:
         g_raw = env.secant_raw(model, v)
         try:
             o_raw = oracle_eval(oracle, v)
@@ -324,7 +315,7 @@ def cmd_compare(args) -> int:
         "resolution": args.resolution,
         "oracle_points": len(oracle.values),
         "queries": len(gaps),
-        "skipped_outside": outside,
+        "skipped_outside": int(np.count_nonzero(~inside)),
         "skipped_infeasible": infeasible,
         "max_oracle_minus_g": float(gaps_arr.max()),
         "mean_oracle_minus_g": float(gaps_arr.mean()),

@@ -229,7 +229,7 @@ def eval_homogeneous(model: EnvelopeModel, x) -> float:
         raise ZeroDirection("the homogeneous form has no ray at the anchor")
     if trace.degenerate:
         return model.sign * float(model.field.eval(v)) + model.offset
-    a_out = normalize_facet(model.polytope, trace.out_facet).a
+    a_out = normalize_facet(model.polytope, trace.out_facet)
     raw = float(a_out @ v) * float(model.field.eval(trace.v_plus))
     return model.sign * raw + model.offset
 
@@ -247,7 +247,7 @@ def gradient(model: EnvelopeModel, x) -> np.ndarray:
     _, trace = _locate(model, x)
     if trace is None:
         raise GradientUnavailable("gradient is not defined at the anchor")
-    a_out = normalize_facet(model.polytope, trace.out_facet).a
+    a_out = normalize_facet(model.polytope, trace.out_facet)
     v_plus = trace.v_plus
     try:
         f_plus = float(model.field.eval(v_plus))

@@ -45,6 +45,8 @@ class Halfspace:
     def __post_init__(self):
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float).reshape(-1))
         object.__setattr__(self, "b", float(self.b))
+        if not (np.all(np.isfinite(self.a)) and math.isfinite(self.b)):
+            raise ValueError(f"halfspace entries must be finite, got a = {self.a.tolist()}, b = {self.b}")
         if not np.any(self.a != 0.0):
             raise ValueError("halfspace normal must be nonzero")
 
@@ -93,16 +95,16 @@ class Polytope:
         return self.offsets.tolist()
 
     @cached_property
-    def _normalized(self) -> tuple["NormalizedFacet | None", ...]:
-        """Per facet its ``NormalizedFacet`` (read-only a), or None where b = 0."""
+    def _normalized(self) -> tuple[np.ndarray | None, ...]:
+        """Per facet its read-only normal a / b, or None where b = 0."""
         out = []
-        for i, h in enumerate(self.halfspaces):
+        for h in self.halfspaces:
             if abs(h.b) <= GEOM_TOL:
                 out.append(None)
                 continue
             a = h.a / h.b
             a.setflags(write=False)
-            out.append(NormalizedFacet(i, a))
+            out.append(a)
         return tuple(out)
 
     @cached_property
@@ -114,11 +116,22 @@ class Polytope:
         return len(self.halfspaces)
 
     def margins(self, x) -> np.ndarray:
-        """Slack b - A x per halfspace (negative entries are violations)."""
-        return self.offsets - self.matrix @ np.asarray(x, dtype=float)
+        """Slack b - A x per halfspace, (m,) for a point (n,) and (k, m) for a (k, n) batch.
 
-    def contains(self, x, tol: float = GEOM_TOL) -> bool:
-        return bool(self.margins(x).min() >= -tol)
+        A x is summed as the ray kernels sum it, so a point's margins are the same alone and in a batch.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise ValueError(f"points must be ({self.dim},) or (k, {self.dim}), got shape {x.shape}")
+        return self.offsets - _facet_dots(self.matrix, x)
+
+    def contains(self, x, tol: float = GEOM_TOL):
+        """The set-membership rule, every margin >= -tol: a bool for a point (n,), a (k,) mask for a (k, n) batch.
+
+        A negative tol asks for points at least |tol| inside every halfspace.
+        """
+        inside = self.margins(x).min(axis=-1) >= -tol
+        return inside if inside.ndim else bool(inside)
 
     def translate(self, t) -> "Polytope":
         """The shifted polytope P - t (so x in result iff x + t in self)."""
@@ -185,14 +198,6 @@ class Polytope:
     @classmethod
     def load(cls, path) -> "Polytope":
         return cls.from_json_dict(json.loads(Path(path).read_text()))
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizedFacet:
-    """Facet hyperplane rescaled so it reads a.x = 1."""
-
-    index: int
-    a: np.ndarray
 
 
 class RayTrace(NamedTuple):
@@ -303,7 +308,7 @@ def _validate(polytope: Polytope) -> ValidationReport:
     bounds.setflags(write=False)
     center.setflags(write=False)
 
-    if np.any(b < -GEOM_TOL):
+    if not polytope.contains(np.zeros(n)):
         origin = "outside"
         on_facet_interior = False
     else:
@@ -316,8 +321,8 @@ def _validate(polytope: Polytope) -> ValidationReport:
 def _facet_products(rows: list[list[float]], coords: list[float]) -> list[float]:
     """a_i . v for every facet row, summed left to right in plain floats.
 
-    Column by column, as ``ray_intersect_batch`` sums, so the two kernels
-    see bit-identical a_i . v.
+    Column by column, as ``_facet_dots`` sums, so the scalar kernel sees
+    bit-identical a_i . v to the batch kernel and ``Polytope.margins``.
     """
     x = coords[0]
     products = [row[0] * x for row in rows]
@@ -325,6 +330,17 @@ def _facet_products(rows: list[list[float]], coords: list[float]) -> list[float]
         x = coords[j]
         products = [acc + row[j] * x for acc, row in zip(products, rows)]
     return products
+
+
+def _facet_dots(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a_i . x for every row of a: (m,) for a point x (n,), (k, m) for a (k, n) batch.
+
+    Summed column by column, as ``_facet_products`` sums; BLAS may sum in another order.
+    """
+    t = np.multiply.outer(x[..., 0], a[:, 0])
+    for j in range(1, a.shape[1]):
+        t += np.multiply.outer(x[..., j], a[:, j])
+    return t
 
 
 def _interval_rules(alpha_lo, alpha_hi):
@@ -450,13 +466,10 @@ def ray_intersect_batch(polytope: Polytope, v) -> RayTraceBatch:
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != polytope.dim:
         raise ValueError(f"directions must be a (k, {polytope.dim}) array, got shape {v.shape}")
-    a = polytope.matrix
     b = polytope.offsets
     rows = np.arange(len(v))
 
-    t = np.multiply.outer(v[:, 0], a[:, 0])  # (k, m), summed as _facet_products sums
-    for j in range(1, polytope.dim):
-        t += np.multiply.outer(v[:, j], a[:, j])
+    t = _facet_dots(polytope.matrix, v)  # (k, m)
     outward = t > 0.0
     inward = t < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -508,11 +521,11 @@ def ray_intersect_batch(polytope: Polytope, v) -> RayTraceBatch:
     return RayTraceBatch(v, alpha_lo, alpha_hi, in_facet, out_facet, alpha_v, degenerate)
 
 
-def normalize_facet(polytope: Polytope, facet_index: int) -> NormalizedFacet:
-    """Rescale halfspace ``facet_index`` so its hyperplane reads a.x = 1.
+def normalize_facet(polytope: Polytope, facet_index: int) -> np.ndarray:
+    """The normal a / b of halfspace ``facet_index``, whose hyperplane then reads a.x = 1.
 
-    The facets are computed once per (immutable) polytope and shared by
-    every caller, so their arrays are read-only.
+    The normals are computed once per (immutable) polytope and shared by
+    every caller, so they are read-only.
     """
     facet = polytope._normalized[facet_index]
     if facet is None:
@@ -558,9 +571,7 @@ def vertices(polytope: Polytope) -> np.ndarray:
             x = np.linalg.solve(sub, b[list(subset)])
         except np.linalg.LinAlgError:
             continue
-        if not np.all(np.isfinite(x)):
-            continue
-        if polytope.margins(x).min() < -GEOM_TOL:
+        if not (np.all(np.isfinite(x)) and polytope.contains(x)):
             continue
         if not any(np.max(np.abs(x - y)) <= DEDUP_TOL for y in found):
             found.append(x)
@@ -594,11 +605,16 @@ def sample_interior(polytope: Polytope, seed: int, count: int) -> np.ndarray:
         chunk = min(max(count, 512), budget - tried)
         pts = rng.uniform(lo, hi, size=(chunk, polytope.dim))
         tried += chunk
-        slack = polytope.offsets - pts @ polytope.matrix.T
-        good = pts[np.min(slack, axis=1) >= INTERIOR_MARGIN]
+        good = pts[polytope.contains(pts, tol=-INTERIOR_MARGIN)]
         accepted.append(good)
         n_accepted += len(good)
     return np.concatenate(accepted)[:count]
+
+
+def lattice(bounds, points_per_axis: int) -> np.ndarray:
+    """(points_per_axis**n, n) evenly spaced points over the (n, 2) box ``bounds``, lexicographic by index."""
+    axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in bounds]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 # -- 2-D region enumeration ---------------------------------------------------
@@ -684,7 +700,7 @@ def enumerate_regions_2d(polytope: Polytope) -> list[tuple[RegionId, np.ndarray]
     if len(verts) < 3:
         raise EmptyInterior("fewer than 3 vertices")
     edges = _facet_edges_2d(polytope, verts)
-    origin_inside = bool(polytope.offsets.min() >= -GEOM_TOL)
+    origin_inside = polytope.contains(np.zeros(2))
 
     cells: list[tuple[RegionId, np.ndarray]] = []
     if origin_inside:

@@ -29,7 +29,7 @@ class LPResult:
     pivots: int  # simplex pivots over both phases of the attempt that returned
 
 
-def solve_lp(objective, eq_matrix, eq_rhs, tol: float = FEAS_TOL) -> LPResult:
+def solve_lp(objective, eq_matrix, eq_rhs) -> LPResult:
     """Solve min c.x s.t. A x = b, x >= 0.
 
     Retries once with row rescaling if pivoting breaks down, then raises
@@ -41,14 +41,14 @@ def solve_lp(objective, eq_matrix, eq_rhs, tol: float = FEAS_TOL) -> LPResult:
     if a.shape != (b.size, c.size):
         raise ValueError(f"inconsistent LP shapes: A{a.shape}, b({b.size},), c({c.size},)")
     try:
-        return _two_phase(c, a, b, tol)
+        return _two_phase(c, a, b)
     except NumericalBreakdown:
         scale = np.maximum(np.abs(a).max(axis=1, initial=0.0), np.abs(b))
         scale[scale < 1e-300] = 1.0
-        return _two_phase(c, a / scale[:, None], b / scale, tol)
+        return _two_phase(c, a / scale[:, None], b / scale)
 
 
-def solve_inequality_lp(objective, ub_matrix, ub_rhs, tol: float = FEAS_TOL) -> LPResult:
+def solve_inequality_lp(objective, ub_matrix, ub_rhs) -> LPResult:
     """Solve min c.x s.t. A x <= b with x free, via the split x = p - q."""
     c = np.asarray(objective, dtype=float).reshape(-1)
     a = np.atleast_2d(np.asarray(ub_matrix, dtype=float))
@@ -56,14 +56,14 @@ def solve_inequality_lp(objective, ub_matrix, ub_rhs, tol: float = FEAS_TOL) -> 
     m, n = a.shape
     a_std = np.hstack([a, -a, np.eye(m)])
     c_std = np.concatenate([c, -c, np.zeros(m)])
-    res = solve_lp(c_std, a_std, b, tol)
+    res = solve_lp(c_std, a_std, b)
     if res.status != "optimal":
         return LPResult(res.status, None, None, res.pivots)
     x = res.x[:n] - res.x[n : 2 * n]
     return LPResult("optimal", x, float(c @ x), res.pivots)
 
 
-def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> LPResult:
+def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult:
     m, n = a.shape
     a = a.copy()
     b = b.copy()
@@ -83,7 +83,7 @@ def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> LPRes
     status, pivots = _iterate(tab, basis, n + m)
     if status == "unbounded":  # cannot happen: phase-1 objective bounded below by 0
         raise NumericalBreakdown("phase-1 reported unbounded")
-    if -tab[-1, -1] > tol:
+    if -tab[-1, -1] > FEAS_TOL:
         return LPResult("infeasible", None, None, pivots)
 
     tab, basis, drive_out = _drop_artificials(tab, basis, n)

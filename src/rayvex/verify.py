@@ -18,8 +18,8 @@ import numpy as np
 from .errors import InfeasibleLP
 from .functions import ScalarField, negate_field
 from .geometry import (
-    GEOM_TOL,
     Polytope,
+    lattice,
     normalize_facet,
     ray_intersect_batch,
     sample_interior,
@@ -282,7 +282,7 @@ def check_positive_homogeneity(
     in_facet, out_facet = traces.in_facet[keep], traces.out_facet[keep]
     normals = np.zeros((polytope.n_facets, n))  # looked up once per facet, not per sample
     for facet in np.unique(np.concatenate([in_facet, out_facet])).tolist():
-        normals[facet] = normalize_facet(polytope, facet).a
+        normals[facet] = normalize_facet(polytope, facet)
     pairs = np.stack([traces.v_minus[keep], traces.v_plus[keep]], axis=1)
     f, bad = _sample_values(field.eval, pairs)
     tested = len(f)
@@ -318,17 +318,14 @@ def check_corollary_convexity(
     n_hom = min(n_samples, 2000)
     points = sample_interior(polytope, seed, n_hom)
     f_points, bad = _sample_values(field.eval, points[:, None, :])
-    hom_worst = 0.0
-    hom_witness = None
-    for v, f_v in zip(points, f_points[:, 0].tolist()):
-        for lam in _SCALING_FACTORS:
-            f_scaled = float(field.eval(lam * v))
-            if not math.isfinite(f_scaled):
-                continue  # scaled point may leave the field's domain
-            viol = abs(f_scaled - lam * f_v) / (1.0 + abs(f_v))
-            if viol > hom_worst:
-                hom_worst = viol
-                hom_witness = {"v": v.tolist(), "lambda": lam}
+    lams = np.array(_SCALING_FACTORS)
+    scaled = lams[:, None] * points[: len(f_points), None, :]  # (k, 3, n): point-major, lambda-minor
+    f_scaled = np.fromiter((float(field.eval(p)) for p in scaled.reshape(-1, polytope.dim)), dtype=float)
+    f_scaled = f_scaled.reshape(len(f_points), len(lams))
+    viol = np.abs(f_scaled - lams * f_points) / (1.0 + np.abs(f_points))
+    # a scaled point may leave the field's domain: non-finite values there are left out
+    hom_worst, i = _worst(np.where(np.isfinite(f_scaled), viol, 0.0).ravel())
+    hom_witness = None if i is None else {"v": points[i // len(lams)].tolist(), "lambda": float(lams[i % len(lams)])}
     if bad is not None:
         return _non_finite(name, tol, hom_worst, len(f_points) * len(_SCALING_FACTORS), {}, points[bad[0]])
 
@@ -414,12 +411,8 @@ def oracle_build(field: ScalarField, polytope: Polytope, grid_density: int = 10)
     verts = vertices(polytope)
     pts = [verts]
     if grid_density >= 1:
-        lo = verts.min(axis=0)
-        hi = verts.max(axis=0)
-        axes = [np.linspace(lo[i], hi[i], grid_density + 1) for i in range(polytope.dim)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, polytope.dim)
-        inside = polytope.offsets - mesh @ polytope.matrix.T
-        pts.append(mesh[np.min(inside, axis=1) >= -GEOM_TOL])
+        mesh = lattice(np.stack([verts.min(axis=0), verts.max(axis=0)], axis=1), grid_density + 1)
+        pts.append(mesh[polytope.contains(mesh)])
     combined = np.unique(np.vstack(pts), axis=0)
 
     keep = []

@@ -1,10 +1,11 @@
 """Per-sample reference loops for the three certification checks.
 
 These are the loop forms the batched checks in ``rayvex.verify`` replaced:
-one ray trace, one secant and one field evaluation at a time, and the
-secant probes the origin-inside homogeneity check no longer makes.  Tests run
-both and require the same ``CheckResult.to_dict()``.  The loops raise on a
-non-finite field value, so they are only a reference for finite fields.
+one ray trace, one secant and one field evaluation at a time, the secant
+probes the origin-inside homogeneity check no longer makes, and the corollary
+check's per-point lambda loop.  Tests run both and require the same
+``CheckResult.to_dict()``.  The loops raise on a non-finite field value in P,
+so they are only a reference for fields finite there.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from rayvex import envelope as env
+from rayvex.functions import negate_field
 from rayvex.geometry import normalize_facet, ray_intersect, sample_interior
 from rayvex.verify import _SCALING_FACTORS, CheckResult
 
@@ -124,8 +126,8 @@ def positive_homogeneity_probes(model, n_samples, tol, seed):
             trace = ray_intersect(polytope, v)
             if trace.degenerate or trace.in_facet is None:
                 continue
-            a_in = normalize_facet(polytope, trace.in_facet).a
-            a_out = normalize_facet(polytope, trace.out_facet).a
+            a_in = normalize_facet(polytope, trace.in_facet)
+            a_out = normalize_facet(polytope, trace.out_facet)
             lhs = float(a_in @ v) * _checked_eval(field, trace.v_minus)
             rhs = float(a_out @ v) * _checked_eval(field, trace.v_plus)
             viol = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
@@ -135,3 +137,57 @@ def positive_homogeneity_probes(model, n_samples, tol, seed):
                 witness = {"v": v.tolist(), "in_product": lhs, "out_product": rhs}
     status = "pass" if worst <= tol else "fail"
     return CheckResult("positively_homogeneous", status, worst, tol, tested, witness if status == "fail" else None)
+
+
+def corollary_convexity(field, polytope, sense, tol, seed, n_samples):
+    """The corollary check with one lambda * v evaluation at a time.
+
+    Non-finite values at the scaled points are left out, since lambda * v
+    may leave the field's domain; facet and global convexity use the loops
+    above.
+    """
+    flip = -1.0 if sense == "concave" else 1.0
+    n_hom = min(n_samples, 2000)
+    hom_worst = 0.0
+    hom_witness = None
+    for v in sample_interior(polytope, seed, n_hom):
+        f_v = _checked_eval(field, v)
+        for lam in _SCALING_FACTORS:
+            f_scaled = float(field.eval(lam * v))
+            if not math.isfinite(f_scaled):
+                continue
+            viol = abs(f_scaled - lam * f_v) / (1.0 + abs(f_v))
+            if viol > hom_worst:
+                hom_worst = viol
+                hom_witness = {"v": v.tolist(), "lambda": lam}
+
+    working = negate_field(field) if sense == "concave" else field
+    n_pairs = max(10, n_samples // max(1, polytope.n_facets))
+    facet = facet_convexity(working, polytope, n_pairs, tol, seed + 1)
+
+    points = sample_interior(polytope, seed + 2, 2 * n_samples)
+    global_worst = 0.0
+    global_witness = None
+    for p, q in zip(points[0::2], points[1::2]):
+        mid = 0.5 * (p + q)
+        viol = flip * (_checked_eval(field, mid) - 0.5 * (_checked_eval(field, p) + _checked_eval(field, q)))
+        if viol > global_worst:
+            global_worst = viol
+            global_witness = {"p": p.tolist(), "q": q.tolist(), "midpoint": mid.tolist()}
+
+    details = {
+        "sense": sense,
+        "homogeneity_violation": hom_worst,
+        "facet_violation": facet.worst_violation,
+        "global_violation": global_worst,
+        "unsampled_facets": (facet.details or {}).get("unsampled_facets", []),
+    }
+    if hom_worst > tol:
+        status, witness = "inapplicable", hom_witness
+    elif not facet.passed or global_worst > tol:
+        status, witness = "fail", facet.witness if not facet.passed else global_witness
+    else:
+        status, witness = "pass", None
+    worst = max(hom_worst, facet.worst_violation, global_worst)
+    samples = n_hom * len(_SCALING_FACTORS) + facet.samples + n_samples
+    return CheckResult("corollary_convexity", status, worst, tol, samples, witness, details)

@@ -220,6 +220,34 @@ def test_nan_face_fails_certify_with_the_origin_inside():
     assert named and all(point[0] >= 1.0 for point in named)
 
 
+def _inf_left_of(fn, edge):
+    """fn, but +inf where x < edge: outside P here, reached only by the scaled points lambda * v."""
+    return lambda p: math.inf if p[0] < edge else fn(p)
+
+
+@pytest.mark.parametrize(
+    "field, polytope, sense, status",
+    [
+        (rx.cobb_douglas().field, rx.cobb_douglas().default_polytope, "concave", "pass"),
+        (rx.ScalarField(2, lambda p: p[0] ** 2 + p[1], name="bowl"), rx.Polytope.box([0.1, 0.1], [1.0, 1.0]),
+         "convex", "inapplicable"),
+        (rx.ScalarField(2, _inf_left_of(lambda p: p[0] ** 2 + p[1], 0.3), name="inf-strip"),
+         rx.Polytope.box([0.5, 0.1], [1.0, 1.0]), "convex", "inapplicable"),
+        (rx.ScalarField(2, _inf_left_of(lambda p: math.sqrt(p[0] * p[1]), 0.3), name="inf-geomean"),
+         rx.Polytope.box([0.5, 0.5], [1.0, 2.0]), "concave", "pass"),
+    ],
+    ids=["cobb-douglas", "non-homogeneous", "non-finite-scaled", "non-finite-scaled-homogeneous"],
+)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_corollary_check_matches_its_per_point_loop(field, polytope, sense, status, seed):
+    result = verify.check_corollary_convexity(field, polytope, sense=sense, seed=seed, n_samples=300)
+    want = ref.corollary_convexity(field, polytope, sense, verify.DEFAULT_TOL, seed, 300)
+    assert result.status == status
+    if status == "inapplicable":
+        assert set(result.witness) == {"v", "lambda"}
+    assert json.dumps(result.to_dict()) == json.dumps(want.to_dict())
+
+
 def test_non_finite_corollary_homogeneity_counts_the_samples_before_it():
     # NaN for x > 0.99: sample 89 meets it in the homogeneity phase, no lam * v does
     def fn(p):

@@ -105,8 +105,8 @@ class TestPositiveHomogeneity:
         # spot check both products equal y^2/x at the diagonal point
         v = np.array([0.75, 0.75])
         trace = rx.ray_intersect(model.polytope, v)
-        a_in = rx.normalize_facet(model.polytope, trace.in_facet).a
-        a_out = rx.normalize_facet(model.polytope, trace.out_facet).a
+        a_in = rx.normalize_facet(model.polytope, trace.in_facet)
+        a_out = rx.normalize_facet(model.polytope, trace.out_facet)
         lhs = (a_in @ v) * entry.field(trace.v_minus)
         rhs = (a_out @ v) * entry.field(trace.v_plus)
         assert lhs == pytest.approx(0.75, abs=1e-12)
