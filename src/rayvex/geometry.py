@@ -125,7 +125,7 @@ class Polytope:
             raise ValueError(f"points must be ({self.dim},) or (k, {self.dim}), got shape {x.shape}")
         return self.offsets - _facet_dots(self.matrix, x)
 
-    def contains(self, x, tol: float = GEOM_TOL):
+    def contains(self, x, tol: float = GEOM_TOL) -> bool | np.ndarray:
         """The set-membership rule, every margin >= -tol: a bool for a point (n,), a (k,) mask for a (k, n) batch.
 
         A negative tol asks for points at least |tol| inside every halfspace.
@@ -611,7 +611,7 @@ def sample_interior(polytope: Polytope, seed: int, count: int) -> np.ndarray:
     return np.concatenate(accepted)[:count]
 
 
-def lattice(bounds, points_per_axis: int) -> np.ndarray:
+def lattice(bounds: np.ndarray, points_per_axis: int) -> np.ndarray:
     """(points_per_axis**n, n) evenly spaced points over the (n, 2) box ``bounds``, lexicographic by index."""
     axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in bounds]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
