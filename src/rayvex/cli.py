@@ -15,7 +15,7 @@ import numpy as np
 from . import envelope as env
 from .errors import DimensionNotSupported, RayvexError
 from .functions import CATALOG_BUILDERS, CatalogEntry, catalog
-from .geometry import Polytope, enumerate_regions_2d, lattice, normalize_facet
+from .geometry import Polytope, enumerate_regions_2d, lattice
 from .verify import oracle_build, oracle_eval
 
 _PARAM_ALIASES = {"A": "scale", "l": "lower", "u": "upper"}
@@ -250,19 +250,17 @@ def cmd_regions(args) -> int:
     model, entry = _model_from_args(args)
     if model.polytope.dim != 2:
         raise DimensionNotSupported("regions export is 2-D only")
+    normals = model.polytope._normalized  # None for a facet through the anchor: its cells reach the anchor
     regions = []
     for region_id, polygon in enumerate_regions_2d(model.polytope):
-        a_minus = None
-        if region_id.in_facet is not None:
-            a_minus = normalize_facet(model.polytope, region_id.in_facet).tolist()
-        a_plus = normalize_facet(model.polytope, region_id.out_facet).tolist()
+        a_minus = None if region_id.in_facet is None else normals[region_id.in_facet]
         regions.append(
             {
                 "in_facet": region_id.in_facet,
                 "out_facet": region_id.out_facet,
                 "polygon": (polygon + model.anchor).tolist(),
-                "a_minus": a_minus,
-                "a_plus": a_plus,
+                "a_minus": None if a_minus is None else a_minus.tolist(),
+                "a_plus": normals[region_id.out_facet].tolist(),
             }
         )
     payload = {

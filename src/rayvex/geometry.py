@@ -2,7 +2,9 @@
 
 Everything here is desk scale: dense numpy throughout, brute-force vertex
 enumeration over active sets, and explicit region enumeration only in 2-D.
-Halfspaces are always oriented as a.x <= b.
+Halfspaces are always oriented as a.x <= b.  The 2-D cells come from the
+ray kernel itself: one ``ray_intersect`` per pair of adjacent vertex rays
+names a cell, and its corners lie on the named facets' lines a.x = 1.
 """
 
 from __future__ import annotations
@@ -629,104 +631,48 @@ def polygon_area(points) -> float:
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-def order_ccw(points) -> np.ndarray:
-    """Order 2-D points counterclockwise around their centroid."""
-    p = np.asarray(points, dtype=float)
-    c = p.mean(axis=0)
-    ang = np.arctan2(p[:, 1] - c[1], p[:, 0] - c[0])
-    return p[np.argsort(ang, kind="stable")]
-
-
-def _clip_halfplane(poly: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon against normal.x <= offset."""
-    if len(poly) == 0:
-        return poly
-    kept: list[np.ndarray] = []
-    vals = poly @ normal - offset
-    k = len(poly)
-    for i in range(k):
-        j = (i + 1) % k
-        inside_i = vals[i] <= ALGEBRA_TOL
-        inside_j = vals[j] <= ALGEBRA_TOL
-        if inside_i:
-            kept.append(poly[i])
-        if inside_i != inside_j:
-            denom = vals[i] - vals[j]
-            if abs(denom) > 1e-300:
-                s = vals[i] / denom
-                kept.append(poly[i] + s * (poly[j] - poly[i]))
-    return np.array(kept) if kept else np.zeros((0, 2))
-
-
-def _facet_edges_2d(polytope: Polytope, verts: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Endpoints of each facet that is a genuine edge of the 2-D polytope."""
-    edges = {}
-    for i, h in enumerate(polytope.halfspaces):
-        on = verts[np.abs(verts @ h.a - h.b) <= GEOM_TOL]
-        if len(on) < 2:
-            continue
-        tangent = np.array([-h.a[1], h.a[0]])
-        proj = on @ tangent
-        w1, w2 = on[np.argmin(proj)], on[np.argmax(proj)]
-        if np.max(np.abs(w1 - w2)) <= DEDUP_TOL:
-            continue
-        edges[i] = (w1, w2)
-    return edges
-
-
-def _sector_constraints(w1: np.ndarray, w2: np.ndarray):
-    """Halfplane pair cutting out cone{w1, w2}, or None when degenerate."""
-    cross = w1[0] * w2[1] - w1[1] * w2[0]
-    if abs(cross) <= ALGEBRA_TOL * max(1.0, float(np.abs(w1).max() * np.abs(w2).max())):
-        return None  # endpoints on one ray through the origin: flat cone
-    if cross < 0:
-        w1, w2 = w2, w1
-    return (
-        (np.array([w1[1], -w1[0]]), 0.0),  # cross(w1, x) >= 0
-        (np.array([-w2[1], w2[0]]), 0.0),  # cross(x, w2) >= 0
-    )
-
-
 def enumerate_regions_2d(polytope: Polytope) -> list[tuple[RegionId, np.ndarray]]:
-    """All full-dimensional cells of the ray subdivision of a 2-D polytope.
+    """All full-dimensional cells of the ray subdivision of a 2-D polytope, sorted by (in, out).
 
-    Cells are returned as counterclockwise polygons; rays through the
-    polytope vertices introduce the new cell boundaries.  Cells partition
-    the polytope up to measure zero.
+    The rays through the vertices of P cut it into cones.  Between two
+    angularly adjacent vertex rays w1, w2 every ray enters and leaves P
+    through the same facets, so one trace of the mid-ray (w1 + w2) / 2
+    names the cell.  With those facets scaled to read a.x = 1, the corners
+    are w / (a_plus.w) for w1 and w2, then w / (a_minus.w) for w2 and w1,
+    or the origin alone when the rays start inside P or enter through a
+    facet whose line passes through the origin.
+
+    Each cell is a counterclockwise polygon with distinct vertices
+    (consecutive corners within DEDUP_TOL are merged), every corner on the
+    a_plus or a_minus line or at the origin.  Cells of area at most 1e-10
+    are dropped, and the rest partition P up to measure zero.  Raises like
+    ``validate`` on an unbounded or empty polytope.
     """
     if polytope.dim != 2:
         raise DimensionNotSupported("region enumeration is 2-D only")
-    verts = vertices(polytope)
-    if len(verts) < 3:
-        raise EmptyInterior("fewer than 3 vertices")
-    edges = _facet_edges_2d(polytope, verts)
-    origin_inside = polytope.contains(np.zeros(2))
+    validate(polytope)
+    rays = [w for w in vertices(polytope) if np.max(np.abs(w)) > DEDUP_TOL]
+    rays.sort(key=lambda w: math.atan2(w[1], w[0]))
 
     cells: list[tuple[RegionId, np.ndarray]] = []
-    if origin_inside:
-        zero = np.zeros(2)
-        for i, (w1, w2) in edges.items():
-            tri = np.array([zero, w1, w2])
-            if polygon_area(tri) <= 1e-10:
-                continue
-            poly = order_ccw(tri)
-            cells.append((region_of(polytope, poly.mean(axis=0)), poly))
-    else:
-        base = order_ccw(verts)
-        for i, j in itertools.combinations(sorted(edges), 2):
-            poly = base
-            degenerate = False
-            for k in (i, j):
-                constraints = _sector_constraints(*edges[k])
-                if constraints is None:
-                    degenerate = True
-                    break
-                for normal, offset in constraints:
-                    poly = _clip_halfplane(poly, normal, offset)
-            if degenerate or polygon_area(poly) <= 1e-10:
-                continue
-            poly = order_ccw(poly)
-            cells.append((region_of(polytope, poly.mean(axis=0)), poly))
+    for w1, w2 in zip(rays, rays[1:] + rays[:1]):
+        cross = w1[0] * w2[1] - w1[1] * w2[0]
+        if cross <= ALGEBRA_TOL * max(1.0, float(np.abs(w1).max() * np.abs(w2).max())):
+            continue  # w1, w2 on one line through the origin, or the reflex gap of an outside origin
+        try:
+            trace = ray_intersect(polytope, 0.5 * (w1 + w2))
+        except RayMissesPolytope:
+            continue  # the rays between w1 and w2 meet P only within rounding: no cell
+        a_plus = polytope._normalized[trace.out_facet]
+        if a_plus is None:
+            continue  # the rays leave P on a line through the origin: a sliver of width GEOM_TOL / |a|
+        a_minus = None if trace.in_facet is None else polytope._normalized[trace.in_facet]
+        corners = [w1 / (a_plus @ w1), w2 / (a_plus @ w2)]
+        corners += [np.zeros(2)] if a_minus is None else [w2 / (a_minus @ w2), w1 / (a_minus @ w1)]
+        poly = np.array([c for c, prev in zip(corners, corners[-1:] + corners) if np.max(np.abs(c - prev)) > DEDUP_TOL])
+        if polygon_area(poly) <= 1e-10:
+            continue
+        cells.append((RegionId(trace.in_facet, trace.out_facet), poly))
 
     cells.sort(key=lambda item: (-1 if item[0].in_facet is None else item[0].in_facet, item[0].out_facet))
     return cells

@@ -1,0 +1,238 @@
+"""The 2-D ray subdivision: cells built from traced vertex rays.
+
+``enumerate_regions_2d`` traces the mid-ray between each pair of angularly
+adjacent vertex rays once and puts the cell's corners on the traced facets'
+lines a.x = 1.  These tests hold it to the polygon-clipping engine it
+replaced (``tests/reference_regions.py``) where that engine partitions P,
+and to the partition itself everywhere: areas summing to area(P), corners
+in P, counterclockwise cells with distinct vertices, and ``region_of``
+naming each cell by its id.
+
+The partition property draws polygons whose edges and turns are bounded
+below.  Hulls of arbitrary points can have vertices 1e-7 apart, where the
+absolute tolerances (GEOM_TOL in ``_meets``, DEDUP_TOL, the 1e-10 area
+filter) decide ids and cells; there only the shape guarantees are required.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
+from reference_regions import order_ccw, regions_by_clipping, without_repeats
+
+import rayvex as rx
+from rayvex.cli import main
+from rayvex.errors import RayvexError, UnboundedPolytope
+from rayvex.geometry import DEDUP_TOL
+
+PLANAR_CATALOG = [entry.default_polytope for entry in rx.catalog() if entry.default_polytope.dim == 2]
+PLACEMENTS = ("interior", "outside", "vertex", "facet", "facet line")
+
+
+def signed_area(poly):
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def assert_ccw_with_distinct_vertices(poly):
+    assert signed_area(poly) > 0.0
+    assert np.abs(poly - np.roll(poly, 1, axis=0)).max(axis=1).min() > DEDUP_TOL  # consecutive, cyclically
+
+
+def halfspaces_of(hull):
+    """(A, b) with one row a.x <= b per edge of a counterclockwise polygon."""
+    nxt = np.roll(hull, -1, axis=0)
+    a = np.column_stack([nxt[:, 1] - hull[:, 1], hull[:, 0] - nxt[:, 0]])
+    return a, np.einsum("ij,ij->i", a, hull)
+
+
+def convex_hull(points):
+    """Counterclockwise hull vertices of 2-D points (monotone chain), collinear points dropped."""
+    pts = sorted(set(points))
+
+    def chain(ps):
+        out = []
+        for p in ps:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1]) - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return np.array(chain(pts)[:-1] + chain(pts[::-1])[:-1])
+
+
+@st.composite
+def placed_polygons(draw, conditioned=True):
+    """(placement, polytope): a catalog polygon or a random convex one, its origin placed, rows scaled and permuted.
+
+    The origin goes to an interior point, a point outside, a vertex, a point
+    of a facet, or a point outside on a facet's line.  ``translate`` rounds,
+    so "on" means within rounding.  Unless ``conditioned``, the random
+    polygon is the hull of arbitrary points, so its edges and turns can be
+    as small as hypothesis likes.
+    """
+    if not conditioned:
+        coord = st.floats(-3.0, 3.0, allow_subnormal=False)
+        hull = convex_hull(draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=8)))
+        assume(len(hull) >= 3)
+    elif draw(st.booleans()):
+        hull = order_ccw(rx.vertices(draw(st.sampled_from(PLANAR_CATALOG))))
+    else:
+        # k points on an ellipse, arcs between neighbours at least 2 pi / (3k - 2): edges and turns stay far from zero
+        k = draw(st.integers(3, 8))
+        arcs = np.cumsum(draw(st.lists(st.floats(1.0, 3.0), min_size=k, max_size=k)))
+        theta = 2.0 * math.pi * arcs / arcs[-1] + draw(st.floats(0.0, 2.0 * math.pi))
+        turn = draw(st.floats(0.0, math.pi))
+        rot = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+        axes = np.array([draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))])
+        shift = np.array([draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))])
+        hull = np.column_stack([np.cos(theta), np.sin(theta)]) * axes @ rot.T + shift
+    a, b = halfspaces_of(hull)
+    j = draw(st.integers(0, len(hull) - 1))
+    edge = hull[(j + 1) % len(hull)] - hull[j]
+    center = hull.mean(axis=0)
+    placement = draw(st.sampled_from(PLACEMENTS))
+    if placement == "interior":
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(hull), max_size=len(hull))))
+        t = weights @ hull / weights.sum()
+    elif placement == "outside":
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        radius = np.abs(hull - center).max() * 2.0 * draw(st.floats(1.0, 4.0))
+        t = center + radius * np.array([math.cos(theta), math.sin(theta)])
+    elif placement == "vertex":
+        t = hull[j]
+    elif placement == "facet":
+        t = hull[j] + draw(st.floats(0.05, 0.95)) * edge
+    else:
+        t = hull[j] + draw(st.one_of(st.floats(-3.0, -0.2), st.floats(1.2, 4.0))) * edge
+    scales = 10.0 ** np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=len(b), max_size=len(b))))
+    order = np.array(draw(st.permutations(range(len(b)))))
+    polytope = rx.Polytope.from_inequalities((a * scales[:, None])[order], (b * scales)[order]).translate(t)
+    return placement, polytope
+
+
+def partitions(polytope, cells):
+    """Whether the cells' areas sum to area(P) within 1e-9 relative and every corner lies in P."""
+    area = rx.polygon_area(order_ccw(rx.vertices(polytope)))
+    total = sum(rx.polygon_area(poly) for _, poly in cells)
+    return abs(total - area) <= 1e-9 * area and all(polytope.contains(poly).all() for _, poly in cells)
+
+
+def same_cycle(p, q, tol):
+    """Whether polygons p and q list the same vertices within tol, up to the starting vertex."""
+    return len(p) == len(q) and any(np.abs(np.roll(p, s, axis=0) - q).max() <= tol for s in range(len(p)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(placed_polygons())
+def test_cells_partition_p_and_match_the_clipping_engine(case):
+    placement, polytope = case
+    event(f"origin: {placement}")
+    cells = rx.enumerate_regions_2d(polytope)
+    assert cells
+    assert partitions(polytope, cells)
+    for rid, poly in cells:
+        assert_ccw_with_distinct_vertices(poly)
+        center = poly.mean(axis=0)
+        for inner in [center] + [0.5 * (center + corner) for corner in poly]:
+            assert rx.region_of(polytope, inner) == rid
+
+    reference = regions_by_clipping(polytope)
+    assert [rid for rid, _ in cells] == [rid for rid, _ in reference]
+    event(f"clipping engine partitions P: {partitions(polytope, reference)}")
+    if partitions(polytope, reference):
+        tol = 1e-9 * max(1.0, float(np.abs(rx.vertices(polytope)).max()))
+        for (_, poly), (_, ref) in zip(cells, reference):
+            assert same_cycle(poly, without_repeats(ref), tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(placed_polygons(conditioned=False))
+def test_any_polygon_gets_ccw_cells_with_distinct_vertices_or_a_validate_error(case):
+    _, polytope = case
+    try:
+        rx.validate(polytope)
+    except RayvexError:
+        return
+    for _, poly in rx.enumerate_regions_2d(polytope):
+        assert_ccw_with_distinct_vertices(poly)
+
+
+@pytest.mark.parametrize("rows, offsets", [
+    # the mid-ray between two vertex rays 1e-7 apart misses P by rounding (the clipping engine raised here)
+    ([[-1e-07, -0.0078125], [0.0, -0.9921875], [1.0, -0.1875], [-0.9999999, 1.1875]],
+     [0.0, 9.921874999999999e-08, 1.00000001875, -1.665881667282102e-16]),
+    # a mid-ray leaves P through facet 0, whose line passes through the origin
+    ([[-1e-07, -0.0078125], [0.0, -0.9921875], [3.0, 1.0], [-2.9999999, 0.0]], [0.0, 9.921874999999999e-08, 2.9999999, 0.0]),
+])
+def test_vertices_within_1e_7_of_the_origin_still_partition_p(rows, offsets):
+    polytope = rx.Polytope.from_inequalities(rows, offsets)
+    cells = rx.enumerate_regions_2d(polytope)
+    assert partitions(polytope, cells)
+    for _, poly in cells:
+        assert_ccw_with_distinct_vertices(poly)
+
+
+@pytest.mark.parametrize("rows, offsets", [
+    ([[0, -1], [-1, 0], [-1, -1], [-1, 1]], [0, 0, -1, 5]),  # an unbounded strip in x
+    ([[0, -1], [-1, 0], [-1, -1]], [0, 0, -1]),  # the quadrant minus a corner: two vertices
+])
+def test_unbounded_polytope_raises_the_validate_error(rows, offsets):
+    with pytest.raises(UnboundedPolytope):
+        rx.enumerate_regions_2d(rx.Polytope.from_inequalities(rows, offsets))
+
+
+def test_origin_within_rounding_of_a_facet_line_keeps_cells_in_p():
+    # the origin lies 7.6e-13 off the line of the last facet, outside P; the
+    # clipping engine's cells summed to 128.586 and left P
+    a = [
+        [-85.10284152403085, 45.5362302241834],
+        [-30.612155861164247, 14.99666043911262],
+        [-19.218425548048064, 7.8553215897973985],
+        [-27.312818330195825, -10.009416404389002],
+        [28.584139300198753, -13.969498522851744],
+    ]
+    b = [-886.8156384869142, 77.34986697053492, 518.4388519450152, 7053.169479651414, -7.602807272633072e-13]
+    polytope = rx.Polytope.from_inequalities(a, b)
+    cells = rx.enumerate_regions_2d(polytope)
+    assert rx.polygon_area(order_ccw(rx.vertices(polytope))) == pytest.approx(127.868, abs=1e-3)
+    assert partitions(polytope, cells)
+    assert not partitions(polytope, regions_by_clipping(polytope))
+
+
+def check_regions_output(out):
+    """Each printed cell: ccw, distinct vertices, every corner less the anchor on a_minus or a_plus, or the anchor."""
+    payload = json.loads(out)
+    anchor = np.array(payload["anchor"])
+    for region in payload["regions"]:
+        poly = np.array(region["polygon"])
+        assert_ccw_with_distinct_vertices(poly)
+        for corner in poly - anchor:
+            lines = [a for a in (region["a_minus"], region["a_plus"]) if a is not None]
+            assert any(abs(np.dot(a, corner) - 1.0) <= 1e-12 for a in lines) or not corner.any()
+    return payload["regions"]
+
+
+def test_regions_output_has_distinct_vertices_on_its_facets(capsys):
+    # the clipping engine printed the quadrilateral with 6 points and each triangle with 4
+    code = main(["regions", "--function", "bilinear", "--lx", "1", "--ly", "1", "--ux", "2", "--uy", "3",
+                 "--anchor", "none", "--budget", "400"])
+    assert code == 0
+    regions = check_regions_output(capsys.readouterr().out)
+    assert sorted(len(r["polygon"]) for r in regions) == [3, 3, 4]
+
+
+def test_regions_output_when_the_anchor_is_within_rounding_outside_a_facet(tmp_path, capsys):
+    # the anchor is 1e-13 outside x >= 0, so every ray enters through that facet; printing its
+    # normal raised HyperplaneThroughOrigin ("facet[1] has b = 0") and exited 1
+    path = tmp_path / "box.json"
+    rx.Polytope.from_inequalities([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, -1e-13, 1, 0.5]).save(path)
+    code = main(["regions", "--function", "bilinear", "--polytope", str(path), "--anchor", "none", "--budget", "400"])
+    assert code == 0
+    regions = check_regions_output(capsys.readouterr().out)
+    assert [(r["in_facet"], r["a_minus"]) for r in regions] == [(1, None)] * 3
