@@ -32,7 +32,6 @@ from .functions import (
     shift_field,
 )
 from .geometry import (
-    Halfspace,
     Polytope,
     RayTrace,
     RayTraceBatch,
@@ -71,7 +70,6 @@ __all__ = [
     "CheckResult",
     "EnvelopeModel",
     "EnvelopeValue",
-    "Halfspace",
     "LPResult",
     "Polytope",
     "RayTrace",

@@ -34,9 +34,6 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (RayvexError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

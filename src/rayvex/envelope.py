@@ -68,10 +68,13 @@ class EnvelopeModel:
     polytope: Polytope
     anchor: np.ndarray
     offset: float
-    origin_in_P: bool
     sense: str  # "convex" | "concave"
     certification: object | None
     validation: ValidationReport
+
+    @property
+    def origin_in_P(self) -> bool:
+        return self.validation.origin_in_polytope
 
     @property
     def sign(self) -> float:
@@ -146,7 +149,6 @@ def build(
         polytope=working_poly,
         anchor=t,
         offset=offset,
-        origin_in_P=working_validation.origin_in_polytope,
         sense=sense,
         certification=None,
         validation=working_validation,

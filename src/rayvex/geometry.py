@@ -38,55 +38,61 @@ INTERIOR_MARGIN = 1e-10  # strict-containment margin for sampled points
 
 
 @dataclass(frozen=True, eq=False)
-class Halfspace:
-    """One inequality a.x <= b."""
-
-    a: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float).reshape(-1))
-        object.__setattr__(self, "b", float(self.b))
-        if not (np.all(np.isfinite(self.a)) and math.isfinite(self.b)):
-            raise ValueError(f"halfspace entries must be finite, got a = {self.a.tolist()}, b = {self.b}")
-        if not np.any(self.a != 0.0):
-            raise ValueError("halfspace normal must be nonzero")
-
-
-@dataclass(frozen=True, eq=False)
 class Polytope:
-    """Bounded intersection of halfspaces with nonempty interior.
+    """Bounded intersection of halfspaces a_i.x <= b_i with nonempty interior.
+
+    Each row (a_i, b_i) is stored once, times the power of two that puts
+    max_j |a_ij| in [1, 2): |a_i| is then in [1, 2 sqrt(n)) and a margin
+    b_i - a_i.x is the distance to the facet's hyperplane within that factor,
+    at any user scale.  The factor is exact short of leaving the normal
+    doubles, so ratios b_i / (a_i.v) and normals a_i / b_i keep their bits,
+    and a product a_ij v_j with |a_ij| >= 1 cannot underflow to 0.  Rows are
+    checked before scaling; ``matrix`` and ``offsets`` are read-only.
 
     Boundedness and the interior point are not checked at construction;
     ``validate`` does that (and model building always validates).
     """
 
-    halfspaces: tuple[Halfspace, ...]
-    dim: int
+    matrix: np.ndarray
+    offsets: np.ndarray
     facet_labels: tuple[str | None, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
-        if not self.halfspaces:
+        a = np.array(self.matrix, dtype=float)
+        b = np.array(self.offsets, dtype=float)
+        if a.ndim != 2 or len(a) == 0:
             raise ValueError("polytope needs at least one halfspace")
-        if self.dim < 1:
+        if a.shape[1] < 1:
             raise ValueError("dimension must be positive")
-        for h in self.halfspaces:
-            if h.a.size != self.dim:
-                raise ValueError(f"halfspace dimension {h.a.size} != {self.dim}")
+        if b.shape != (len(a),):
+            raise ValueError(f"{len(a)} halfspace rows need {len(a)} offsets, got shape {b.shape}")
+        finite = np.isfinite(a).all(axis=1) & np.isfinite(b)
+        nonzero = np.any(a != 0.0, axis=1)
+        if not np.all(finite & nonzero):
+            i = int(np.argmin(finite & nonzero))  # the first bad row, checked as it was built
+            if not finite[i]:
+                raise ValueError(f"halfspace entries must be finite, got a = {a[i].tolist()}, b = {b[i]}")
+            raise ValueError("halfspace normal must be nonzero")
+        _, exponent = np.frexp(np.abs(a).max(axis=1))  # max |a_ij| = m 2^e with m in [0.5, 1)
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(b, 1 - exponent)
+        if not np.all(np.isfinite(scaled)):
+            i = int(np.argmin(np.isfinite(scaled)))
+            raise ValueError(f"halfspace offset overflows at unit scale, got a = {a[i].tolist()}, b = {b[i]}")
+        a, b = np.ldexp(a, 1 - exponent[:, None]), scaled
+        a.setflags(write=False)
+        b.setflags(write=False)
+        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "offsets", b)
         if self.facet_labels is not None:
             labels = tuple(self.facet_labels)
-            if len(labels) != len(self.halfspaces):
+            if len(labels) != len(b):
                 raise ValueError("facet_labels length must match halfspace count")
             object.__setattr__(self, "facet_labels", labels)
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return np.array([h.a for h in self.halfspaces], dtype=float)
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        return np.array([h.b for h in self.halfspaces], dtype=float)
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     @cached_property
     def _rows(self) -> list[list[float]]:
@@ -98,13 +104,13 @@ class Polytope:
 
     @cached_property
     def _normalized(self) -> tuple[np.ndarray | None, ...]:
-        """Per facet its read-only normal a / b, or None where b = 0."""
+        """Per facet its read-only normal a / b, or None where the canonical |b| <= GEOM_TOL."""
         out = []
-        for h in self.halfspaces:
-            if abs(h.b) <= GEOM_TOL:
+        for a, b in zip(self.matrix, self.offsets):
+            if abs(b) <= GEOM_TOL:
                 out.append(None)
                 continue
-            a = h.a / h.b
+            a = a / b
             a.setflags(write=False)
             out.append(a)
         return tuple(out)
@@ -115,11 +121,12 @@ class Polytope:
 
     @property
     def n_facets(self) -> int:
-        return len(self.halfspaces)
+        return len(self.offsets)
 
     def margins(self, x) -> np.ndarray:
-        """Slack b - A x per halfspace, (m,) for a point (n,) and (k, m) for a (k, n) batch.
+        """Slack b - A x per canonical row, (m,) for a point (n,) and (k, m) for a (k, n) batch.
 
+        Each margin is the distance to the facet's hyperplane times |a_i| in [1, 2 sqrt(n)).
         A x is summed as the ray kernels sum it, so a point's margins are the same alone and in a batch.
         """
         x = np.asarray(x, dtype=float)
@@ -130,7 +137,8 @@ class Polytope:
     def contains(self, x, tol: float = GEOM_TOL) -> bool | np.ndarray:
         """The set-membership rule, every margin >= -tol: a bool for a point (n,), a (k,) mask for a (k, n) batch.
 
-        A negative tol asks for points at least |tol| inside every halfspace.
+        The margins are on canonical rows, so tol is a distance within a factor 2 sqrt(n), whatever
+        scale the rows were given at.  A negative tol asks for points at least that far inside every halfspace.
         """
         inside = self.margins(x).min(axis=-1) >= -tol
         return inside if inside.ndim else bool(inside)
@@ -138,8 +146,8 @@ class Polytope:
     def translate(self, t) -> "Polytope":
         """The shifted polytope P - t (so x in result iff x + t in self)."""
         t = np.asarray(t, dtype=float)
-        moved = tuple(Halfspace(h.a, h.b - float(h.a @ t)) for h in self.halfspaces)
-        return Polytope(moved, self.dim, self.facet_labels)
+        moved = [b - float(a @ t) for a, b in zip(self.matrix, self.offsets)]
+        return Polytope(self.matrix, moved, self.facet_labels)
 
     def label(self, index: int) -> str:
         if self.facet_labels is not None and self.facet_labels[index]:
@@ -153,46 +161,35 @@ class Polytope:
         if lower.size != upper.size or np.any(lower >= upper):
             raise ValueError("box needs lower < upper per coordinate")
         n = lower.size
-        halfspaces = []
-        labels = []
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            halfspaces.append(Halfspace(e, upper[i]))
-            labels.append(f"x{i + 1}<={upper[i]:g}")
-            halfspaces.append(Halfspace(-e, -lower[i]))
-            labels.append(f"x{i + 1}>={lower[i]:g}")
-        return cls(tuple(halfspaces), n, tuple(labels))
+        eye = np.eye(n)
+        matrix = np.stack([eye, -eye], axis=1).reshape(2 * n, n)  # rows e_1, -e_1, e_2, -e_2, ...
+        labels = [label for i in range(n) for label in (f"x{i + 1}<={upper[i]:g}", f"x{i + 1}>={lower[i]:g}")]
+        return cls(matrix, np.stack([upper, -lower], axis=1).ravel(), labels)
 
     @classmethod
     def from_inequalities(cls, a_matrix, b_vector, labels=None) -> "Polytope":
-        a_matrix = np.atleast_2d(np.asarray(a_matrix, dtype=float))
-        b_vector = np.asarray(b_vector, dtype=float).reshape(-1)
-        hs = tuple(Halfspace(a_matrix[i], b_vector[i]) for i in range(a_matrix.shape[0]))
-        return cls(hs, a_matrix.shape[1], tuple(labels) if labels else None)
+        return cls(np.atleast_2d(a_matrix), np.ravel(b_vector), labels or None)
 
     # -- JSON wire format: {"dim": n, "halfspaces": [{"a": [...], "b": ..., "label": ...}]}
 
     def to_json_dict(self) -> dict:
+        labels = self.facet_labels or (None,) * self.n_facets
         return {
             "dim": self.dim,
             "halfspaces": [
-                {
-                    "a": list(h.a),
-                    "b": h.b,
-                    **({"label": self.facet_labels[i]} if self.facet_labels and self.facet_labels[i] else {}),
-                }
-                for i, h in enumerate(self.halfspaces)
+                {"a": a, "b": b, **({"label": label} if label else {})}
+                for a, b, label in zip(self.matrix.tolist(), self.offsets.tolist(), labels)
             ],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Polytope":
-        hs = tuple(Halfspace(item["a"], item["b"]) for item in data["halfspaces"])
-        labels = tuple(item.get("label") for item in data["halfspaces"])
-        if not any(labels):
-            labels = None
-        return cls(hs, int(data["dim"]), labels)
+        items = data["halfspaces"]
+        labels = [item.get("label") for item in items]
+        polytope = cls([item["a"] for item in items], [item["b"] for item in items], labels if any(labels) else None)
+        if polytope.dim != int(data["dim"]):
+            raise ValueError(f"halfspace dimension {polytope.dim} != {data['dim']}")
+        return polytope
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
@@ -267,6 +264,9 @@ def validate(polytope: Polytope) -> ValidationReport:
 
     Raises UnboundedPolytope / EmptyInterior; on success reports coordinate
     bounds, a (Chebyshev-center) interior point and where the origin sits.
+    The LPs and every GEOM_TOL test read the canonical rows, so a row's user
+    scale moves no threshold by a factor 2 or more.  With several Chebyshev
+    optima the interior point is any one of them.
     The unusual configuration "origin in the relative interior of a single
     facet" is flagged rather than rejected.  The report of a successful
     validation is kept on the (immutable) polytope, so later calls solve no
@@ -358,7 +358,7 @@ def _interval_rules(alpha_lo, alpha_hi):
 
 
 def _meets(t, alpha, b):
-    """Whether the ray meets facet hyperplane a.x = b at scaling alpha (t = a.v).
+    """Whether the ray meets facet hyperplane a.x = b at scaling alpha (t = a.v), on canonical rows.
 
     The endpoint tie-break of both ray kernels: among the facets this holds
     for, the smallest index names the endpoint.
@@ -559,9 +559,9 @@ def region_of(polytope: Polytope, v) -> RegionId:
 def vertices(polytope: Polytope) -> np.ndarray:
     """All vertices by brute force over n-subsets of active halfspaces.
 
-    Singular subsets are skipped; solutions are kept when feasible within
-    GEOM_TOL and deduplicated within DEDUP_TOL.  Returns a lexicographically
-    sorted (k, n) array.
+    Singular subsets are skipped; solutions are kept when ``contains`` them
+    (so at most GEOM_TOL outside any facet's hyperplane) and deduplicated
+    within DEDUP_TOL.  Returns a lexicographically sorted (k, n) array.
     """
     a = polytope.matrix
     b = polytope.offsets
@@ -587,7 +587,8 @@ def sample_interior(polytope: Polytope, seed: int, count: int) -> np.ndarray:
     """Deterministic rejection sample of strictly interior points.
 
     Draws uniformly in the coordinate bounding box and keeps points whose
-    slack is at least INTERIOR_MARGIN on every halfspace.  Gives up once
+    canonical margin is at least INTERIOR_MARGIN on every halfspace, so at
+    least INTERIOR_MARGIN / (2 sqrt(n)) from its hyperplane.  Gives up once
     1000 * count candidates have been tried.
     """
     report = validate(polytope)

@@ -49,11 +49,11 @@ def _clip_halfplane(poly, normal, offset):
 def _facet_edges_2d(polytope, verts):
     """Endpoints of each facet that is a genuine edge of the 2-D polytope."""
     edges = {}
-    for i, h in enumerate(polytope.halfspaces):
-        on = verts[np.abs(verts @ h.a - h.b) <= GEOM_TOL]
+    for i, (a, b) in enumerate(zip(polytope.matrix, polytope.offsets)):
+        on = verts[np.abs(verts @ a - b) <= GEOM_TOL]
         if len(on) < 2:
             continue
-        tangent = np.array([-h.a[1], h.a[0]])
+        tangent = np.array([-a[1], a[0]])
         proj = on @ tangent
         w1, w2 = on[np.argmin(proj)], on[np.argmax(proj)]
         if np.max(np.abs(w1 - w2)) <= DEDUP_TOL:

@@ -220,9 +220,9 @@ def test_criterion_06_convexity_and_underestimation(catalog_models):
         boundary = []
         for v in rx.sample_interior(model.polytope, 7, 700):
             trace = rx.ray_intersect(model.polytope, v)
-            if abs(model.polytope.halfspaces[trace.out_facet].b) > 1e-9:
+            if abs(model.polytope.offsets[trace.out_facet]) > 1e-9:
                 boundary.append(trace.v_plus)
-            if trace.in_facet is not None and abs(model.polytope.halfspaces[trace.in_facet].b) > 1e-9:
+            if trace.in_facet is not None and abs(model.polytope.offsets[trace.in_facet]) > 1e-9:
                 boundary.append(trace.v_minus)
             if len(boundary) >= 1000:
                 break

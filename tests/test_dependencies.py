@@ -22,3 +22,13 @@ def test_importing_rayvex_loads_only_stdlib_numpy_and_rayvex():
     assert "rayvex.cli" in loaded
     allowed = set(sys.stdlib_module_names) | {"numpy", "rayvex"}
     assert [name for name in loaded if name.split(".")[0] not in allowed] == []
+
+
+def test_every_exported_name_resolves():
+    import rayvex
+
+    namespace = {}
+    exec("from rayvex import *", namespace)  # noqa: S102 - the star import is what is under test
+    assert [name for name in rayvex.__all__ if name not in namespace] == []
+    assert len(set(rayvex.__all__)) == len(rayvex.__all__)
+    assert "Halfspace" not in rayvex.__all__ and not hasattr(rayvex, "Halfspace")

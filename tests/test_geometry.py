@@ -167,7 +167,7 @@ class TestRayIntersect:
         trace = rx.ray_intersect(UNIT_BOX, [0.0, 0.4])
         assert trace.in_facet is None
         assert trace.alpha_plus == pytest.approx(2.5, abs=1e-12)
-        assert UNIT_BOX.halfspaces[trace.out_facet].b > 0
+        assert UNIT_BOX.offsets[trace.out_facet] > 0
 
     def test_smallest_index_wins_at_vertex(self):
         # the diagonal exits at (1, 1) where facets 0 (x<=1) and 2 (y<=1) tie
@@ -190,14 +190,14 @@ class TestNormalizeFacet:
 
     @pytest.mark.parametrize("polytope", [UNIT_BOX, SLAB] + [entry.default_polytope for entry in rx.catalog()])
     def test_cached_read_only_and_exact(self, polytope):
-        for i, h in enumerate(polytope.halfspaces):
-            if h.b == 0.0:
+        for i, (a, b) in enumerate(zip(polytope.matrix, polytope.offsets)):
+            if b == 0.0:
                 with pytest.raises(HyperplaneThroughOrigin):
                     rx.normalize_facet(polytope, i)
                 continue
             normal = rx.normalize_facet(polytope, i)
             assert normal is rx.normalize_facet(polytope, i)
-            assert normal.tobytes() == (h.a / h.b).tobytes()
+            assert normal.tobytes() == (a / b).tobytes()
             with pytest.raises(ValueError):
                 normal[0] = 1.0
 

@@ -54,8 +54,7 @@ def origin_in_polytopes(draw):
             d = base + draw(st.floats(0.05, 0.95)) * (top - base)
         rows.append(c.tolist())
         offsets.append(d)
-    # within 10^[-2, 2]: stronger row scaling trips validate's LPs (see CHANGES.md)
-    scales = np.array([10.0 ** draw(st.floats(-2.0, 2.0)) for _ in offsets])
+    scales = np.array([10.0 ** draw(st.floats(-6.0, 6.0)) for _ in offsets])
     order = draw(st.permutations(range(len(offsets))))
     a = (np.array(rows) * scales[:, None])[order]
     b = (np.array(offsets) * scales)[order]

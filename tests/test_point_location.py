@@ -9,7 +9,6 @@ rescaling or reordering halfspace rows changes no verdict.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,8 +28,8 @@ def _facets(polytope: rx.Polytope) -> list[tuple[int, np.ndarray]]:
     """(index, vertices on it) for every facet of a polytope."""
     verts = rx.vertices(polytope)
     out = []
-    for i, h in enumerate(polytope.halfspaces):
-        on = verts[np.abs(verts @ h.a - h.b) <= 1e-9]
+    for i, (a, b) in enumerate(zip(polytope.matrix, polytope.offsets)):
+        on = verts[np.abs(verts @ a - b) <= 1e-9]
         if len(on) >= polytope.dim:
             out.append((i, on))
     return out
@@ -69,7 +68,7 @@ def test_one_ulp_outside_each_facet_through_the_origin(catalog_models):
         entry, model = catalog_models[name]
         assert model.homogeneity_certified
         for i, face in _facets(model.polytope):
-            normal = model.polytope.halfspaces[i].a
+            normal = model.polytope.matrix[i]
             if model.polytope.offsets[i] != 0.0:
                 continue
             for weights in ([1.0, 1.0], [1.0, 3.0], [5.0, 1.0]):
@@ -108,7 +107,7 @@ def near_facet(draw):
     i, face = facets[draw(st.integers(0, len(facets) - 1))]
     weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(face), max_size=len(face)))
     x = _on_facet(face, weights)
-    normal = entry.default_polytope.halfspaces[i].a
+    normal = entry.default_polytope.matrix[i]
     move = draw(st.sampled_from(["ulps", "relative"]))
     if move == "ulps":
         x = _ulps(x, normal, draw(st.integers(-3, 3)))
@@ -165,15 +164,15 @@ def uncertified_models():
 def test_row_scaling_changes_no_verdict_or_value(uncertified_models, case, exponents):
     name, x = case
     model = uncertified_models[name]
-    # the point queries read only these rows; the scaled copy skips build's
-    # validation LPs, which are not what this property is about
+    entry = rx.CATALOG_BUILDERS[name]()
     scales = [10.0**e for e in exponents[: model.polytope.n_facets]]
-    models = [model, replace(model, polytope=_scaled(model.polytope, scales))]
+    scaled = env.build(
+        entry.field, _scaled(entry.default_polytope, scales), sense=entry.build_sense, anchor=entry.default_anchor,
+        run_certification=False,
+    )
+    models = [model, scaled]
     v = x - model.anchor
     assume(np.any(v != 0.0))
-    # a subnormal coordinate's product with a row scaled below 1 can underflow to 0,
-    # so a point 5e-324 outside a facet reads as on it: a limit of the floats, not of the rule
-    assume(not np.any((v != 0.0) & (np.abs(v) < np.finfo(float).tiny)))
     regions = [_region_or_none(m.polytope, v) for m in models]
     assert (regions[0] is None) == (regions[1] is None)
     values = [_value_or_none(m, x) for m in models]
@@ -194,6 +193,14 @@ def test_scaled_unit_box_pinned_point():
         env.build(entry.field, p, anchor=entry.default_anchor, run_certification=False) for p in (box, big)
     )
     assert env.value(big_model, x) == pytest.approx(env.value(small_model, x), rel=1e-12)
+
+
+def test_subnormal_point_keeps_its_verdict_under_row_scaling():
+    """(0.5, -5e-324) is outside y >= 0; with that row read x 0.1, a.v once rounded to 0 and v was inside."""
+    box = rx.Polytope.box([0.0, 0.0], [1.0, 1.0])
+    for p in (box, _scaled(box, [1.0, 1.0, 1.0, 0.1])):
+        with pytest.raises(PointOutsidePolytope):
+            locate(p, [0.5, -5e-324])
 
 
 def _off_ties(polytope: rx.Polytope, v: np.ndarray) -> bool:

@@ -128,6 +128,12 @@ def same_cycle(p, q, tol):
     return len(p) == len(q) and any(np.abs(np.roll(p, s, axis=0) - q).max() <= tol for s in range(len(p)))
 
 
+def same_cells(polytope, cells, reference):
+    """Whether each cell lists its reference cell's vertices within 1e-9 x the polytope's scale."""
+    tol = 1e-9 * max(1.0, float(np.abs(rx.vertices(polytope)).max()))
+    return all(same_cycle(poly, without_repeats(ref), tol) for (_, poly), (_, ref) in zip(cells, reference))
+
+
 @settings(max_examples=300, deadline=None)
 @given(placed_polygons())
 def test_cells_partition_p_and_match_the_clipping_engine(case):
@@ -146,9 +152,7 @@ def test_cells_partition_p_and_match_the_clipping_engine(case):
     assert [rid for rid, _ in cells] == [rid for rid, _ in reference]
     event(f"clipping engine partitions P: {partitions(polytope, reference)}")
     if partitions(polytope, reference):
-        tol = 1e-9 * max(1.0, float(np.abs(rx.vertices(polytope)).max()))
-        for (_, poly), (_, ref) in zip(cells, reference):
-            assert same_cycle(poly, without_repeats(ref), tol)
+        assert same_cells(polytope, cells, reference)
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,8 +192,8 @@ def test_unbounded_polytope_raises_the_validate_error(rows, offsets):
 
 
 def test_origin_within_rounding_of_a_facet_line_keeps_cells_in_p():
-    # the origin lies 7.6e-13 off the line of the last facet, outside P; the
-    # clipping engine's cells summed to 128.586 and left P
+    # the origin lies 7.6e-13 off the line of the last facet, outside P; on the
+    # user's rows the clipping engine's cells summed to 128.586 and left P
     a = [
         [-85.10284152403085, 45.5362302241834],
         [-30.612155861164247, 14.99666043911262],
@@ -202,7 +206,10 @@ def test_origin_within_rounding_of_a_facet_line_keeps_cells_in_p():
     cells = rx.enumerate_regions_2d(polytope)
     assert rx.polygon_area(order_ccw(rx.vertices(polytope))) == pytest.approx(127.868, abs=1e-3)
     assert partitions(polytope, cells)
-    assert not partitions(polytope, regions_by_clipping(polytope))
+    reference = regions_by_clipping(polytope)
+    assert partitions(polytope, reference)  # canonical rows put its GEOM_TOL tests on distances
+    assert [rid for rid, _ in cells] == [rid for rid, _ in reference]
+    assert same_cells(polytope, cells, reference)
 
 
 def check_regions_output(out):
