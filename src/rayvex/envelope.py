@@ -70,7 +70,10 @@ class EnvelopeModel:
     offset: float
     sense: str  # "convex" | "concave"
     certification: object | None
-    validation: ValidationReport
+
+    @property
+    def validation(self) -> ValidationReport:
+        return self.polytope._validation  # the working polytope's report, cached by build's validate
 
     @property
     def origin_in_P(self) -> bool:
@@ -105,16 +108,17 @@ def build(
     seed: int = 0,
     run_certification: bool = True,
 ) -> EnvelopeModel:
-    """Assemble a model: validate, apply the anchor policy, certify.
+    """Assemble a model: apply the anchor policy, validate, certify.
 
     Anchor policies: "none" keeps f and P as given; "origin-shift" subtracts
     f(0) (requires 0 in P); a vector t translates the domain to P - t and
-    recentres f at t.  Construction succeeds even when certification fails;
-    the model is then a plain secant interpolant.
+    recentres f at t.  Only the working domain P - t is validated: its
+    offsets are t's margins, so its origin is in it exactly when the anchor
+    passed ``contains``.  Construction succeeds even when certification
+    fails; the model is then a plain secant interpolant.
     """
     if field.dim != polytope.dim:
         raise DimensionMismatch(f"field is {field.dim}-D, polytope is {polytope.dim}-D")
-    validate(polytope)
 
     if isinstance(anchor, str):
         if anchor == "none":
@@ -135,7 +139,7 @@ def build(
         raise InvalidAnchor(f"anchor {t.tolist()} lies outside the polytope")
 
     working_poly = polytope.translate(t) if np.any(t != 0.0) else polytope
-    working_validation = validate(working_poly)
+    validate(working_poly)
 
     if sense not in ("convex", "concave"):
         raise ValueError(f"sense must be 'convex' or 'concave', got {sense!r}")
@@ -151,7 +155,6 @@ def build(
         offset=offset,
         sense=sense,
         certification=None,
-        validation=working_validation,
     )
     if run_certification:
         from .verify import certify  # deferred: verify consumes models

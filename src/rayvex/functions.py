@@ -37,7 +37,6 @@ class ScalarField:
     eval: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "field"
-    domain_note: str = ""
 
     def __call__(self, x) -> float:
         return float(self.eval(np.asarray(x, dtype=float)))
@@ -113,7 +112,6 @@ def _compose_field(field: ScalarField, anchor=None, negate: bool = False, base: 
         eval=value,
         grad=grad if field.grad is not None else None,
         name=f"-{name}" if negate else name,
-        domain_note=field.domain_note,
     )
 
 
@@ -154,7 +152,7 @@ class CatalogEntry:
 
 
 def bilinear_neg(lx: float = 0.0, ly: float = 0.0, ux: float = 1.0, uy: float = 1.0) -> CatalogEntry:
-    """f(x, y) = -x*y over a box; its convex envelope is the McCormick pair."""
+    """f(x, y) = -x*y, defined on all of R^2, over a box; its convex envelope there is the McCormick pair."""
     if not (lx < ux and ly < uy):
         raise ValueError("bilinear box needs lx < ux and ly < uy")
 
@@ -163,7 +161,6 @@ def bilinear_neg(lx: float = 0.0, ly: float = 0.0, ux: float = 1.0, uy: float = 
         _on_floats(lambda x, y: -x * y),
         grad=lambda p: np.array([-p[1], -p[0]]),
         name="bilinear_neg",
-        domain_note="all of R^2",
     )
 
     def env(p):
@@ -172,7 +169,7 @@ def bilinear_neg(lx: float = 0.0, ly: float = 0.0, ux: float = 1.0, uy: float = 
             return -uy * x - lx * y + lx * uy
         return -ly * x - ux * y + ly * ux
 
-    expected = ScalarField(2, env, name="mccormick_under", domain_note=f"[{lx},{ux}]x[{ly},{uy}]")
+    expected = ScalarField(2, env, name="mccormick_under")
     return CatalogEntry(
         name="bilinear",
         field=field,
@@ -185,13 +182,12 @@ def bilinear_neg(lx: float = 0.0, ly: float = 0.0, ux: float = 1.0, uy: float = 
 
 
 def fractional() -> CatalogEntry:
-    """f(x, y) = y/x over a fixed trapezoid-like polytope with x >= 1."""
+    """f(x, y) = y/x, defined for x > 0, over a fixed trapezoid-like polytope with x >= 1, where its envelope holds."""
     field = ScalarField(
         2,
         _on_floats(lambda x, y: y / x),
         grad=lambda p: np.array([-p[1] / p[0] ** 2, 1.0 / p[0]]),
         name="fractional",
-        domain_note="x > 0",
     )
     poly = Polytope.from_inequalities(
         [[-1.0, 2.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
@@ -208,7 +204,7 @@ def fractional() -> CatalogEntry:
             return y * (1.0 - x + 2.0 * y) / den
         return 0.5 * y
 
-    expected = ScalarField(2, env, name="fractional_under", domain_note="the default polytope")
+    expected = ScalarField(2, env, name="fractional_under")
     return CatalogEntry(
         name="fractional",
         field=field,
@@ -223,8 +219,9 @@ def fractional() -> CatalogEntry:
 def reliability(ux: float = 1.0, uy: float = 1.0) -> CatalogEntry:
     """f(x, y) = x*y / (x + y - x*y), the series reliability of two components.
 
-    Concave-envelope sense; the two-branch closed form switches across the
-    ray y = (uy/ux) x.  Intended for 0 < ux, uy <= 1.
+    Defined where x + y - x*y > 0, plus the origin.  Concave-envelope sense;
+    the two-branch closed form, the envelope over [0, ux] x [0, uy], switches
+    across the ray y = (uy/ux) x.  Intended for 0 < ux, uy <= 1.
     """
     if ux <= 0 or uy <= 0:
         raise ValueError("reliability box needs positive upper bounds")
@@ -240,7 +237,7 @@ def reliability(ux: float = 1.0, uy: float = 1.0) -> CatalogEntry:
         den = x + y - x * y
         return np.array([y * y / den**2, x * x / den**2])
 
-    field = ScalarField(2, _on_floats(f), grad=grad, name="reliability", domain_note="x + y - x*y > 0, plus the origin")
+    field = ScalarField(2, _on_floats(f), grad=grad, name="reliability")
 
     def env(p):
         x, y = p
@@ -250,7 +247,7 @@ def reliability(ux: float = 1.0, uy: float = 1.0) -> CatalogEntry:
             return x * y / (x + y - x * uy)
         return x * y / (x + y - ux * y)
 
-    expected = ScalarField(2, env, name="reliability_over", domain_note=f"[0,{ux}]x[0,{uy}]")
+    expected = ScalarField(2, env, name="reliability_over")
     return CatalogEntry(
         name="reliability",
         field=field,
@@ -318,7 +315,7 @@ def cubic_rational() -> CatalogEntry:
         ) / (x * (x + y) ** 3)
         return np.array([gx, gy])
 
-    field = ScalarField(2, _on_floats(f), grad=grad, name="cubic_rational", domain_note="x > 0 (inf on the x = 0 facet)")
+    field = ScalarField(2, _on_floats(f), grad=grad, name="cubic_rational")
     poly = Polytope.from_inequalities(
         [[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [1.0, 1.0]],
         [0.0, 0.0, -1.0, 2.0],
@@ -331,7 +328,7 @@ def cubic_rational() -> CatalogEntry:
             return 0.0 if y == 0.0 else math.inf
         return y * y / x
 
-    expected = ScalarField(2, env, name="cubic_under", domain_note="x > 0")
+    expected = ScalarField(2, env, name="cubic_under")
     return CatalogEntry(
         name="cubic",
         field=field,
@@ -351,7 +348,7 @@ def cobb_douglas(
     lower: float = 1.0,
     upper: float = 2.0,
 ) -> CatalogEntry:
-    """f = scale * x1^a1 * x2^a2 * x3^a3 over a positive box.
+    """f = scale * x1^a1 * x2^a2 * x3^a3, defined on the positive orthant, over a positive box.
 
     With a1 + a2 + a3 = 1 the function is positively homogeneous; no
     closed-form envelope is stored (the concavity workflow uses it).
@@ -382,7 +379,7 @@ def cobb_douglas(
         p = np.asarray(p, dtype=float)
         return f(p) * exps / p
 
-    field = ScalarField(3, f, grad=grad, name="cobb_douglas", domain_note="positive orthant")
+    field = ScalarField(3, f, grad=grad, name="cobb_douglas")
     return CatalogEntry(
         name="cobb-douglas",
         field=field,

@@ -139,15 +139,16 @@ class Polytope:
 
         The margins are on canonical rows, so tol is a distance within a factor 2 sqrt(n), whatever
         scale the rows were given at.  A negative tol asks for points at least that far inside every halfspace.
+        At the default tol it may differ from ``locate`` at v != 0 only in a band: if every b_i - a_i.v >= 0
+        both accept (given one finite exit ratio b_i / (a_i.v)); if some b_i - a_i.v
+        < -2 GEOM_TOL max(1, |a_i.v|) both reject.
         """
         inside = self.margins(x).min(axis=-1) >= -tol
         return inside if inside.ndim else bool(inside)
 
     def translate(self, t) -> "Polytope":
-        """The shifted polytope P - t (so x in result iff x + t in self)."""
-        t = np.asarray(t, dtype=float)
-        moved = [b - float(a @ t) for a, b in zip(self.matrix, self.offsets)]
-        return Polytope(self.matrix, moved, self.facet_labels)
+        """The shifted polytope P - t (x in result iff x + t in self), whose offsets are t's margins bit for bit."""
+        return Polytope(self.matrix, self.margins(t), self.facet_labels)
 
     def label(self, index: int) -> str:
         if self.facet_labels is not None and self.facet_labels[index]:
@@ -540,6 +541,8 @@ def locate(polytope: Polytope, v) -> RayTrace:
 
     Tested within GEOM_TOL on the ratios b / (a.v), which ignore row scaling; raises
     PointOutsidePolytope otherwise (also when the ray misses P) and ZeroDirection at v = 0.
+    It may differ from ``Polytope.contains`` only in a band: if every b_i - a_i.v >= 0 both accept (given
+    one finite exit ratio b_i / (a_i.v)); if some b_i - a_i.v < -2 GEOM_TOL max(1, |a_i.v|) both reject.
     """
     try:
         trace = ray_intersect(polytope, v)

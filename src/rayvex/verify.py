@@ -414,18 +414,9 @@ def oracle_build(field: ScalarField, polytope: Polytope, grid_density: int = 10)
         mesh = lattice(np.stack([verts.min(axis=0), verts.max(axis=0)], axis=1), grid_density + 1)
         pts.append(mesh[polytope.contains(mesh)])
     combined = np.unique(np.vstack(pts), axis=0)
-
-    keep = []
-    values = []
-    skipped = 0
-    for p in combined:
-        val = float(field.eval(p))
-        if math.isfinite(val):
-            keep.append(p)
-            values.append(val)
-        else:
-            skipped += 1
-    return SampledOracle(np.array(keep), np.array(values), skipped)
+    values = np.fromiter((float(field.eval(p)) for p in combined), dtype=float, count=len(combined))
+    finite = np.isfinite(values)
+    return SampledOracle(combined[finite], values[finite], int(np.count_nonzero(~finite)))
 
 
 def oracle_eval(oracle: SampledOracle, x) -> float:

@@ -219,6 +219,17 @@ def test_compare_gap_shrinks_with_density(tmp_path, capsys):
     assert gaps[20] <= gaps[10] + 1e-9
 
 
+def test_compare_without_a_finite_oracle_point_is_a_typed_error(tmp_path, capsys):
+    path = tmp_path / "box.json"
+    rx.Polytope.box([-2.0, -2.0], [-1.0, -1.0]).save(path)  # reliability is inf on all of it
+    code, out, err = run(
+        capsys, "compare", "--function", "reliability", "--polytope", str(path), "--anchor", "none",
+        "--budget", "200", "--density", "4", "--resolution", "5",
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-2:] == ["oracle skipped 25 non-finite closure points", "error: no comparable query points"]
+
+
 def test_compare_warns_for_uncertified(capsys):
     # shrinking the domain of the oversized box does not matter; the point is
     # the warning path plus a successful secant comparison

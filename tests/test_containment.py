@@ -3,7 +3,9 @@
 Both take a point (n,) or a batch (k, n).  a . x is summed column by column,
 as the ray kernels sum it, so a point gets the same margins, bit for bit,
 and the same verdict alone and as a row of a batch.  Halfspaces with a
-non-finite entry are rejected when they are built.
+non-finite entry are rejected when they are built.  A translated polytope's
+offsets are the anchor's margins, and the point-location rule ``locate``
+agrees with ``contains`` outside a stated band around each facet.
 """
 
 import json
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 
 import rayvex as rx
 from rayvex.cli import main
-from rayvex.geometry import GEOM_TOL, INTERIOR_MARGIN, _facet_dots, _facet_products
+from rayvex.errors import PointOutsidePolytope
+from rayvex.geometry import GEOM_TOL, INTERIOR_MARGIN, _facet_dots, _facet_products, locate
 
 CATALOG_POLYTOPES = [entry.default_polytope for entry in rx.catalog()]
 
@@ -93,6 +96,78 @@ def test_the_shared_products_equal_the_scalar_kernels_bit_for_bit(data):
         want = np.array(_facet_products(polytope._rows, x.tolist()))
         assert row.tobytes() == want.tobytes()
         assert _facet_dots(polytope.matrix, x).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_translated_offsets_are_the_anchor_margins(data):
+    polytope, center = data.draw(polytopes())
+    t = data.draw(st.one_of(st.just(center), near_facet(polytope, center)))
+    moved = polytope.translate(t)
+    assert moved.offsets.tobytes() == polytope.margins(t).tobytes()
+    assert moved.matrix.tobytes() == polytope.matrix.tobytes()
+    assert moved.contains(np.zeros(polytope.dim)) == polytope.contains(t)
+
+
+def _located(polytope, v) -> bool:
+    try:
+        locate(polytope, v)
+    except PointOutsidePolytope:
+        return False
+    return True
+
+
+@st.composite
+def band_cases(draw):
+    """(polytope, v): a polytope, maybe translated to a point near a facet, and a point near a facet.
+
+    The point may then move 1e-12 to 1e-6 along a facet normal and be rescaled along its ray.
+    """
+    polytope, center = draw(polytopes())
+    if draw(st.booleans()):
+        t = draw(near_facet(polytope, center))  # a working origin on or next to a facet line
+        polytope, center = polytope.translate(t), center - t
+    v = draw(near_facet(polytope, center))
+    if draw(st.booleans()):
+        a = polytope.matrix[draw(st.integers(0, polytope.n_facets - 1))]
+        v = v + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -6.0)) * a / np.linalg.norm(a)
+    if draw(st.booleans()):
+        v = v * 10.0 ** draw(st.floats(-3.0, 3.0))
+    return polytope, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(band_cases())
+def test_locate_and_contains_differ_only_in_the_band(case):
+    """Every margin >= 0: both accept; a margin < -2 GEOM_TOL max(1, |a.v|): both reject.
+
+    The accept half needs a finite exit ratio b / (a.v): next to the origin
+    every exit ratio can overflow, and the ray kernel then finds no exit.
+    """
+    polytope, v = case
+    if not v.any():
+        return
+    t = _facet_dots(polytope.matrix, v)
+    margins = polytope.margins(v)
+    verdicts = (polytope.contains(v), _located(polytope, v))
+    with np.errstate(divide="ignore", over="ignore"):
+        exits = polytope.offsets[t > 0.0] / t[t > 0.0]
+    if np.all(margins >= 0.0) and np.isfinite(exits).any():
+        assert verdicts == (True, True)
+    if np.any(margins < -2.0 * GEOM_TOL * np.maximum(1.0, np.abs(t))):
+        assert verdicts == (False, False)
+
+
+def test_one_ulp_outside_a_facet_through_the_origin_is_in_the_band():
+    """On reliability's working box, (-5e-324, 0.5) has margin -5e-324 on x >= 0: contains accepts, locate rejects."""
+    entry = rx.reliability()
+    model = rx.envelope.build(entry.field, entry.default_polytope, anchor=entry.default_anchor, run_certification=False)
+    v = np.array([np.nextafter(0.0, -1.0), 0.5])
+    margins = model.polytope.margins(v)
+    assert margins.min() == -5e-324
+    assert model.polytope.contains(v)
+    with pytest.raises(PointOutsidePolytope):
+        locate(model.polytope, v)
 
 
 def test_points_of_the_wrong_shape_are_rejected():

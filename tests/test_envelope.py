@@ -67,15 +67,23 @@ class TestBuild:
         # the secant interpolant still evaluates
         assert env.value(model, [0.5, 0.5]) == pytest.approx(1.0)  # midpoint of 0 and f(1,1)=2
 
-    def test_translated_anchor_validates_each_polytope_once(self, monkeypatch):
+    @staticmethod
+    def _count_lps(monkeypatch, entry, anchor) -> int:
         lps = []
         solve = rx.geometry.solve_inequality_lp
         monkeypatch.setattr(rx.geometry, "solve_inequality_lp", lambda *a: lps.append(1) or solve(*a))
-        entry = rx.bilinear_neg(0.5, -0.25, 2.0, 1.0)
-        model = env.build(entry.field, entry.default_polytope, anchor=entry.default_anchor, budget=500)
+        model = env.build(entry.field, entry.default_polytope, sense=entry.build_sense, anchor=anchor, budget=500)
         assert model.polytope is not entry.default_polytope
-        # the given and the working polytope: 2 x (4 bound LPs + the Chebyshev centre)
-        assert len(lps) <= 2 * 5
+        assert model.validation is rx.validate(model.polytope)  # read from the cache, no LP
+        return len(lps)
+
+    def test_translated_anchor_validates_each_polytope_once(self, monkeypatch):
+        entry = rx.bilinear_neg(0.5, -0.25, 2.0, 1.0)
+        # the working polytope only: 2n = 4 bound LPs + the Chebyshev centre
+        assert self._count_lps(monkeypatch, entry, entry.default_anchor) == 5
+
+    def test_translated_3d_anchor_solves_2n_plus_1_lps(self, monkeypatch):
+        assert self._count_lps(monkeypatch, rx.cobb_douglas(), [1.25, 1.5, 1.75]) == 7
 
     def test_dimension_mismatch(self):
         field = rx.ScalarField(3, lambda p: p[0])
@@ -101,6 +109,10 @@ class TestBuild:
         )
         with pytest.raises(rx.errors.EmptyInterior):
             env.build(entry.field, flat, run_certification=False)
+        # the anchor is checked first: only the working domain is validated
+        for anchor in ([-1.0, -1.0], "bogus"):
+            with pytest.raises(InvalidAnchor):
+                env.build(entry.field, quadrant, anchor=anchor, run_certification=False)
 
 
 class TestEval:

@@ -3,7 +3,7 @@
 With every working offset b_i >= 0 the secant satisfies
 g(lambda v) = lambda g(v) + (1 - lambda) f(0) for any field, so
 ``check_positive_homogeneity`` evaluates f at 0 and nothing else.  These
-tests hold the identity itself to a few ulps, and pin an anchor whose
+tests hold the identity itself to a few ulps, and pin anchors whose
 working offset rounds to just below 0.
 """
 
@@ -99,3 +99,21 @@ def test_anchor_in_the_tolerance_band_passes_on_one_evaluation(entry):
     assert (result.status, result.samples, result.worst_violation) == ("pass", 1, 0.0)
     report = verify.certify(model, budget=2000).to_dict()
     assert report["sample_counts"]["positively_homogeneous"] == 1
+
+
+def test_an_anchor_that_contains_accepts_is_the_working_origin():
+    """P - t's offsets are t's margins: the anchor check and the working report cannot disagree.
+
+    Numpy's a @ t once put the tilted row's working offset at -1.000000082740371e-09,
+    past GEOM_TOL, so the origin read "outside" and the product identity failed at 0.3.
+    """
+    t = np.array([0.04209497566114795, -2.373472765629156])
+    box = rx.Polytope.box(t - 1.0, t + 1.0)
+    tilt = [-1.054498971952105, -1.6250971219763803]
+    polytope = rx.Polytope(np.vstack([box.matrix, tilt]), np.append(box.offsets, 3.812734650954232))
+    assert polytope.contains(t)
+    assert polytope.margins(t)[-1] == polytope.translate(t).offsets[-1] == -9.999996386511611e-10
+    model = env.build(rx.ScalarField(2, lambda p: p[0] * p[1]), polytope, anchor=t, budget=2000)
+    assert model.validation.origin_location == "boundary"
+    result = model.certification.positively_homogeneous
+    assert (result.status, result.samples, result.worst_violation) == ("pass", 1, 0.0)

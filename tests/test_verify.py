@@ -157,6 +157,16 @@ class TestOracle:
         assert oracle.skipped == 2  # the two vertices on the x = 0 facet
         assert np.all(np.isfinite(oracle.values))
 
+    def test_no_finite_point_gives_an_empty_oracle(self):
+        """reliability is inf on [-2, -1]^2, where x + y - xy < 0: an empty (0, 2) sample, not (0,)."""
+        entry = rx.reliability()
+        box = rx.Polytope.box([-2.0, -2.0], [-1.0, -1.0])
+        oracle = rx.oracle_build(entry.field, box, grid_density=4)
+        assert oracle.points.shape == (0, 2) and oracle.values.shape == (0,)
+        assert oracle.skipped == 25
+        with pytest.raises(InfeasibleLP):
+            rx.oracle_eval(oracle, [-1.5, -1.5])
+
     def test_bilinear_vertex_oracle_value(self):
         field = _field(lambda p: -p[0] * p[1])
         oracle = rx.oracle_build(field, UNIT_BOX, grid_density=0)
