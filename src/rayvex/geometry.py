@@ -140,8 +140,7 @@ class Polytope:
         The margins are on canonical rows, so tol is a distance within a factor 2 sqrt(n), whatever
         scale the rows were given at.  A negative tol asks for points at least that far inside every halfspace.
         At the default tol it may differ from ``locate`` at v != 0 only in a band: if every b_i - a_i.v >= 0
-        both accept (given one finite exit ratio b_i / (a_i.v)); if some b_i - a_i.v
-        < -2 GEOM_TOL max(1, |a_i.v|) both reject.
+        both accept; if some b_i - a_i.v < -2 GEOM_TOL max(1, |a_i.v|) both reject.
         """
         inside = self.margins(x).min(axis=-1) >= -tol
         return inside if inside.ndim else bool(inside)
@@ -385,9 +384,11 @@ def ray_intersect(polytope: Polytope, v) -> RayTrace:
         raise ZeroDirection("ray direction must be nonzero")
 
     # plain python over the handful of facets: faster than masked numpy here
-    t = _facet_products(polytope._rows, coords)
-    b = polytope._offset_list
+    return _trace(v, _facet_products(polytope._rows, coords), polytope._offset_list)
 
+
+def _trace(v: np.ndarray, t: list[float], b: list[float]) -> RayTrace:
+    """``ray_intersect``'s trace of v from its facet products t = a_i.v and offsets b."""
     alpha_hi = math.inf
     alpha_lo = 0.0
     hi_arg = -1
@@ -541,16 +542,56 @@ def locate(polytope: Polytope, v) -> RayTrace:
 
     Tested within GEOM_TOL on the ratios b / (a.v), which ignore row scaling; raises
     PointOutsidePolytope otherwise (also when the ray misses P) and ZeroDirection at v = 0.
-    It may differ from ``Polytope.contains`` only in a band: if every b_i - a_i.v >= 0 both accept (given
-    one finite exit ratio b_i / (a_i.v)); if some b_i - a_i.v < -2 GEOM_TOL max(1, |a_i.v|) both reject.
+    It may differ from ``Polytope.contains`` only in a band: if every b_i - a_i.v >= 0 both accept;
+    if some b_i - a_i.v < -2 GEOM_TOL max(1, |a_i.v|) both reject.  Next to the origin every exit
+    ratio can overflow, so a short v whose ray misses P is traced again by ``_short_trace``.
     """
     try:
         trace = ray_intersect(polytope, v)
     except RayMissesPolytope as exc:
-        raise PointOutsidePolytope(f"the ray through {np.ravel(v).tolist()} misses the polytope") from exc
+        trace = _short_trace(polytope, v)
+        if trace is None:
+            raise PointOutsidePolytope(f"the ray through {np.ravel(v).tolist()} misses the polytope") from exc
     if trace.alpha_minus > 1.0 + GEOM_TOL or trace.alpha_plus < 1.0 - GEOM_TOL:
         raise PointOutsidePolytope(f"point {trace.v.tolist()} lies outside the polytope")
     return trace
+
+
+def _short_trace(polytope: Polytope, v) -> RayTrace | None:
+    """v's trace for 0 < max |v_j| < 1, read off the ray through 2^k v with max |2^k v_j| in [1, 2).
+
+    The facet products a_i.v are summed at v, as ``Polytope.margins`` sums them, and then
+    scaled by 2^k, which is exact: the ratios b_i / (a_i.v) scale by 2^-k, so exit ratios that
+    overflow at v are finite, and the facets and points found are v's.  alpha_minus and alpha_plus
+    are given at v's scale (inf where they overflow), and alpha_v places v itself on [v_minus, v_plus].
+    The points are as accurate as a_i.v, whose products may be subnormal and carry few bits.
+    None where v is not short or the scaled ray misses P too.
+    """
+    v = np.asarray(v, dtype=float).reshape(-1)
+    top = float(np.abs(v).max())
+    if not 0.0 < top < 1.0:
+        return None
+    k = 1 - math.frexp(top)[1]
+    scaled = [math.ldexp(ti, k) for ti in _facet_products(polytope._rows, v.tolist())]
+    try:
+        trace = _trace(np.ldexp(v, k), scaled, polytope._offset_list)
+    except RayMissesPolytope:
+        return None
+    if trace.degenerate:
+        alpha_v = 1.0
+    else:
+        at_v = math.ldexp(1.0, -k)  # v's own scaling on the traced ray
+        alpha_v = min(1.0, max(0.0, (trace.alpha_plus - at_v) / (trace.alpha_plus - trace.alpha_minus)))
+    return trace._replace(
+        v=v, alpha_minus=_ldexp_or_inf(trace.alpha_minus, k), alpha_plus=_ldexp_or_inf(trace.alpha_plus, k), alpha_v=alpha_v
+    )
+
+
+def _ldexp_or_inf(x: float, k: int) -> float:
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.inf
 
 
 def region_of(polytope: Polytope, v) -> RegionId:
@@ -562,24 +603,30 @@ def region_of(polytope: Polytope, v) -> RegionId:
 def vertices(polytope: Polytope) -> np.ndarray:
     """All vertices by brute force over n-subsets of active halfspaces.
 
-    Singular subsets are skipped; solutions are kept when ``contains`` them
-    (so at most GEOM_TOL outside any facet's hyperplane) and deduplicated
-    within DEDUP_TOL.  Returns a lexicographically sorted (k, n) array.
+    Singular subsets are skipped, and so are solutions whose margins are not
+    finite (a nearly singular subset can solve to a point so far out that
+    a.x overflows); the rest are kept when ``contains`` them (so at most
+    GEOM_TOL outside any facet's hyperplane) and deduplicated within
+    DEDUP_TOL.  Returns a lexicographically sorted (k, n) array.
     """
     a = polytope.matrix
     b = polytope.offsets
     n = polytope.dim
-    found: list[np.ndarray] = []
+    candidates = []
     for subset in itertools.combinations(range(len(b)), n):
-        sub = a[list(subset)]
+        rows = list(subset)
         try:
-            x = np.linalg.solve(sub, b[list(subset)])
+            candidates.append(np.linalg.solve(a[rows], b[rows]))
         except np.linalg.LinAlgError:
             continue
-        if not (np.all(np.isfinite(x)) and polytope.contains(x)):
-            continue
-        if not any(np.max(np.abs(x - y)) <= DEDUP_TOL for y in found):
-            found.append(x)
+    found: list[np.ndarray] = []
+    if candidates:
+        points = np.array(candidates)
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = points[np.isfinite(polytope.margins(points)).all(axis=1)]
+        for x in points[polytope.contains(points)]:
+            if not any(np.max(np.abs(x - y)) <= DEDUP_TOL for y in found):
+                found.append(x)
     if not found:
         return np.zeros((0, n))
     arr = np.array(found)

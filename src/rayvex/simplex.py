@@ -6,6 +6,19 @@ that do not lower the objective, pricing falls back to Bland's
 smallest-index rule until the objective drops again, which rules out
 cycling.  Sized for desk-scale instances (a handful of equality rows, up to
 ~10^4 columns); everything is a plain numpy tableau.
+
+A caller that re-solves one LP under a changed right-hand side passes the
+previous optimal basis as ``start``.  A basis stays dual feasible when only
+b changes (its reduced costs do not depend on b), so a dual simplex
+(parametric right-hand side; Bertsimas & Tsitsiklis, *Introduction to
+Linear Optimization*, ch. 4-5) restores primal feasibility in a few
+pivots.  Where that does not cleanly reach an optimum -- a singular or
+dual-infeasible start, a start beyond DUAL_REACH, a breakdown, the pivot
+limit, a row with no dual ratio (the LP may be infeasible) -- the cold
+two-phase solve decides, so statuses never depend on ``start``.  A warm
+optimum may differ from the cold one in the last ulps (another optimal
+basis, another rounding), and is deterministic for a fixed sequence of
+solves.
 """
 
 from __future__ import annotations
@@ -19,6 +32,12 @@ from .errors import NumericalBreakdown
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
 DEGENERATE_RUN = 50  # pivots without a new objective low before Bland pricing takes over
+# A warm start goes cold when its most negative basic value is below
+# -DUAL_REACH, or after DUAL_PIVOT_LIMIT dual pivots.  On the oracle's LPs the
+# basic values are barycentric weights, and a start that far out takes more
+# dual pivots (each ~1/15 to 1/30 of a cold solve) than the cold solve costs.
+DUAL_REACH = 4.0
+DUAL_PIVOT_LIMIT = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,20 +45,35 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float | None
-    pivots: int  # simplex pivots over both phases of the attempt that returned
+    pivots: int  # pivots of the attempt that returned: both cold phases, or the warm dual pivots
+    basis: tuple[int, ...] | None = None  # optimal basic columns, row by row (None unless optimal)
 
 
-def solve_lp(objective, eq_matrix, eq_rhs) -> LPResult:
+def solve_lp(objective, eq_matrix, eq_rhs, start=None) -> LPResult:
     """Solve min c.x s.t. A x = b, x >= 0.
 
-    Retries once with row rescaling if pivoting breaks down, then raises
-    NumericalBreakdown.  ``pivots`` counts the pivots of the returned attempt.
+    With ``start`` (the ``basis`` of an earlier optimum of the same c and A),
+    B = A[:, start] is factored once and dual simplex pivots run from it;
+    ``pivots`` then counts them.  A singular or dual-infeasible start, a
+    start beyond DUAL_REACH, a breakdown, DUAL_PIVOT_LIMIT pivots or a row
+    with no dual ratio sends the solve to the cold path, so the status is
+    always the cold one.  A warm optimum may differ from the cold one in the
+    last ulps, and is deterministic for a fixed sequence of solves.
+
+    The cold path retries once with row rescaling if pivoting breaks down,
+    then raises NumericalBreakdown.  ``pivots`` counts the pivots of the
+    returned attempt.  ``basis`` lists the final basic columns (taken from
+    the tableau, so zero-valued basics of a degenerate optimum too).
     """
     c = np.asarray(objective, dtype=float).reshape(-1)
     a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
     b = np.asarray(eq_rhs, dtype=float).reshape(-1)
     if a.shape != (b.size, c.size):
         raise ValueError(f"inconsistent LP shapes: A{a.shape}, b({b.size},), c({c.size},)")
+    if start is not None:
+        warm = _dual_simplex(c, a, b, start)
+        if warm is not None:
+            return warm
     try:
         return _two_phase(c, a, b)
     except NumericalBreakdown:
@@ -102,11 +136,71 @@ def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult:
     if status == "unbounded":
         return LPResult("unbounded", None, None, pivots)
 
-    x = np.zeros(n)
-    for row, j in enumerate(basis):
-        x[j] = tab[row, -1]
+    return _optimum(c, tab, basis, pivots)
+
+
+def _optimum(c: np.ndarray, tab: np.ndarray, basis: list[int], pivots: int) -> LPResult:
+    x = np.zeros(c.size)
+    x[basis] = tab[:-1, -1]
     x[np.abs(x) < 1e-15] = 0.0
-    return LPResult("optimal", x, float(c @ x), pivots)
+    return LPResult("optimal", x, float(c @ x), pivots, tuple(basis))
+
+
+def _dual_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, start) -> LPResult | None:
+    """Re-solve from the basis ``start`` by dual simplex pivots, or None where the cold solve must.
+
+    The leaving row holds the most negative basic value; the entering column
+    passes the dual ratio test (smallest reduced cost over |pivot|, ties to
+    the largest |pivot|), which keeps every reduced cost >= 0.  The answer is
+    returned only with its optimality certificate: basics >= -PIVOT_TOL,
+    reduced costs >= -FEAS_TOL and A x = b within FEAS_TOL.
+    """
+    m, n = a.shape
+    basis = [int(j) for j in start]
+    if len(basis) != m or len(set(basis)) != m or not all(0 <= j < n for j in basis):
+        return None
+    try:
+        b_inv = np.linalg.inv(a[:, basis])  # m x m: one factorization per solve
+    except np.linalg.LinAlgError:
+        return None
+    tab = np.empty((m + 1, n + 1))
+    np.matmul(b_inv, a, out=tab[:m, :n])
+    np.matmul(b_inv, b, out=tab[:m, -1])
+    if not np.isfinite(tab[:m]).all():
+        return None
+    basics = tab[:m, -1]  # views: _pivot updates tab in place
+    costs = tab[-1, :n]
+    tab[-1] = -(c[basis] @ tab[:m])  # reduced costs c - c_B B^-1 A, then -c_B x_B
+    costs += c
+    costs[basis] = 0.0
+    if costs.min() < -FEAS_TOL or basics.min() < -DUAL_REACH:
+        return None
+
+    for pivots in range(DUAL_PIVOT_LIMIT + 1):
+        leave = int(basics.argmin())
+        if basics[leave] >= -PIVOT_TOL:
+            break
+        if pivots == DUAL_PIVOT_LIMIT:
+            return None
+        row = tab[leave, :n]
+        eligible = (row < -PIVOT_TOL).nonzero()[0]
+        if eligible.size == 0:
+            return None  # no x >= 0 meets this row: the cold solve reports infeasible
+        steps = row[eligible]  # negative
+        ratios = np.maximum(costs[eligible], 0.0) / steps  # minus the dual step each column allows
+        ties = ratios >= ratios.max() - 1e-12
+        enter = int(eligible[ties][steps[ties].argmin()])
+        try:
+            _pivot(tab, leave, enter)
+        except NumericalBreakdown:
+            return None
+        basis[leave] = enter
+
+    result = _optimum(c, tab, basis, pivots)
+    residual = np.abs(a @ result.x - b).max(initial=0.0)
+    if costs.min() < -FEAS_TOL or residual > FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0)):
+        return None
+    return result
 
 
 def _iterate(tab: np.ndarray, basis: list[int], n_cols: int) -> tuple[str, int]:
@@ -177,12 +271,9 @@ def _drop_artificials(tab: np.ndarray, basis: list[int], n: int):
     for row in range(m):
         if basis[row] < n:
             continue
-        piv = -1
-        for j in range(n):
-            if abs(tab[row, j]) > PIVOT_TOL:
-                piv = j
-                break
-        if piv >= 0:
+        candidates = np.flatnonzero(np.abs(tab[row, :n]) > PIVOT_TOL)
+        if candidates.size:
+            piv = int(candidates[0])
             _pivot(tab, row, piv)
             basis[row] = piv
             pivots += 1

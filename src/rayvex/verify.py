@@ -10,6 +10,7 @@ convex hull evaluation).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -95,13 +96,23 @@ class CertificationReport:
         }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class SampledOracle:
-    """Finite graph sample (all polytope vertices plus a nested lattice)."""
+    """Finite graph sample (all polytope vertices plus a nested lattice).
+
+    Also holds its LP: the (n + 1, k) constraint matrix, stacked once, and
+    the optimal basis of the last feasible query, from which the next query
+    starts.
+    """
 
     points: np.ndarray  # (k, n)
     values: np.ndarray  # (k,)
     skipped: int = 0  # closure points where the field was non-finite
+    constraints: np.ndarray = dataclasses.field(init=False, repr=False)  # the points' coordinates over a row of ones
+    basis: tuple[int, ...] | None = dataclasses.field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.constraints = np.vstack([self.points.T, np.ones(len(self.values))])
 
 
 def _sample_values(fn, points: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
@@ -425,12 +436,17 @@ def oracle_eval(oracle: SampledOracle, x) -> float:
     minimize sum(lambda_k f_k) s.t. sum(lambda_k x_k) = x, sum(lambda) = 1,
     lambda >= 0.  Sandwiched between the true envelope and f at sample
     points; refining the sample set never increases the value.
+
+    One ``solve_lp`` per query, warm-started from the oracle's last optimal
+    basis (only the right-hand side (x, 1) changes between queries); the
+    first query and every failed warm start solve cold.  A warm value may
+    differ from the cold one in the last ulps, so values depend on the
+    query order, deterministically.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    k = len(oracle.values)
-    eq = np.vstack([oracle.points.T, np.ones(k)])
     rhs = np.concatenate([x, [1.0]])
-    res = solve_lp(oracle.values, eq, rhs)
+    res = solve_lp(oracle.values, oracle.constraints, rhs, start=oracle.basis)
     if res.status != "optimal":
         raise InfeasibleLP(f"{x.tolist()} is outside the sampled hull ({res.status})")
+    oracle.basis = res.basis
     return float(res.objective)

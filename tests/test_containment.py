@@ -121,7 +121,8 @@ def _located(polytope, v) -> bool:
 def band_cases(draw):
     """(polytope, v): a polytope, maybe translated to a point near a facet, and a point near a facet.
 
-    The point may then move 1e-12 to 1e-6 along a facet normal and be rescaled along its ray.
+    The point may then move 1e-12 to 1e-6 along a facet normal and be rescaled along its ray,
+    by 10^[-3, 3] or by 2^-[1020, 1080], where every exit ratio b / (a.v) may overflow.
     """
     polytope, center = draw(polytopes())
     if draw(st.booleans()):
@@ -131,31 +132,38 @@ def band_cases(draw):
     if draw(st.booleans()):
         a = polytope.matrix[draw(st.integers(0, polytope.n_facets - 1))]
         v = v + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -6.0)) * a / np.linalg.norm(a)
-    if draw(st.booleans()):
+    scale = draw(st.sampled_from(["none", "decades", "subnormal"]))
+    if scale == "decades":
         v = v * 10.0 ** draw(st.floats(-3.0, 3.0))
+    elif scale == "subnormal":
+        v = np.ldexp(v, -draw(st.integers(1020, 1080)))
     return polytope, v
 
 
 @settings(max_examples=200, deadline=None)
 @given(band_cases())
 def test_locate_and_contains_differ_only_in_the_band(case):
-    """Every margin >= 0: both accept; a margin < -2 GEOM_TOL max(1, |a.v|): both reject.
-
-    The accept half needs a finite exit ratio b / (a.v): next to the origin
-    every exit ratio can overflow, and the ray kernel then finds no exit.
-    """
+    """Every margin >= 0: both accept; a margin < -2 GEOM_TOL max(1, |a.v|): both reject."""
     polytope, v = case
     if not v.any():
         return
     t = _facet_dots(polytope.matrix, v)
     margins = polytope.margins(v)
     verdicts = (polytope.contains(v), _located(polytope, v))
-    with np.errstate(divide="ignore", over="ignore"):
-        exits = polytope.offsets[t > 0.0] / t[t > 0.0]
-    if np.all(margins >= 0.0) and np.isfinite(exits).any():
+    if np.all(margins >= 0.0):
         assert verdicts == (True, True)
     if np.any(margins < -2.0 * GEOM_TOL * np.maximum(1.0, np.abs(t))):
         assert verdicts == (False, False)
+
+
+def test_a_subnormal_v_along_a_facet_from_a_vertex_is_located():
+    """On [0, 1] x [-1, 0], v = (5e-324, 0) has every margin >= 0, and 1 / 5e-324 overflows."""
+    box = rx.Polytope.box([0.0, -1.0], [1.0, 0.0])
+    v = np.array([5e-324, 0.0])
+    assert np.all(box.margins(v) >= 0.0) and box.contains(v)
+    trace = locate(box, v)
+    assert trace.alpha_minus == 0.0 and trace.alpha_plus == math.inf and trace.alpha_v == 1.0
+    assert trace.v_plus.tolist() == [1.0, 0.0] and trace.out_facet == 0
 
 
 def test_one_ulp_outside_a_facet_through_the_origin_is_in_the_band():

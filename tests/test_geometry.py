@@ -278,6 +278,41 @@ class TestVertices:
         verts = rx.vertices(rx.Polytope.box([-1, 0, 2], [1, 3, 5]))
         assert len(verts) == 8
 
+    def test_near_singular_pair_far_outside(self):
+        """x = 1 and (1, 1e-308).x = 2.5 solve to (1, 1.5e308), where (0.5, 1.9).x overflows."""
+        poly = rx.Polytope.from_inequalities(
+            np.vstack([UNIT_BOX.matrix, [[1.0, 1e-308], [0.5, 1.9]]]), np.append(UNIT_BOX.offsets, [2.5, 10.0])
+        )
+        assert np.array_equal(rx.vertices(poly), rx.vertices(UNIT_BOX))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.data(),
+    st.floats(307.99, 308.25),
+    st.floats(0.5, 2.0),
+    st.floats(0.1, 1.0),
+)
+def test_vertices_skip_candidates_whose_margins_overflow(n, data, log_far, slack, weight):
+    """A box plus two redundant rows: e_i + d e_j, with d so small that a pair
+    solves to x_j ~ 10^308, and w e_i + 1.9 e_j, whose a.x then overflows.
+
+    The vertices are the box's, with no overflow warning (an error here).
+    """
+    lower = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    box = rx.Polytope.box(lower, lower + 1.0)
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    near = np.zeros(n)
+    near[i], near[j] = 1.0, slack / 10.0**log_far
+    steep = np.zeros(n)
+    steep[i], steep[j] = weight, 1.9
+    rows = np.vstack([box.matrix, near, steep])
+    offsets = np.append(box.offsets, [lower[i] + 1.0 + slack, np.abs(steep) @ (np.abs(lower) + 1.0) + 1.0])
+    order = data.draw(st.permutations(range(len(offsets))))
+    poly = rx.Polytope.from_inequalities(rows[order], offsets[order])
+    assert np.array_equal(rx.vertices(poly), rx.vertices(box))
+
 
 class TestSampleInterior:
     def test_points_strictly_inside(self):

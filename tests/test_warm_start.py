@@ -1,0 +1,264 @@
+"""Warm-started LPs: ``solve_lp(start=...)`` and the oracle that reuses its last optimal basis.
+
+A warm solve runs dual simplex pivots from ``start`` and must agree with
+the cold two-phase solve: the same status everywhere, the same optimum
+within 1e-9 relative.  Every way out of the warm path lands in the cold
+solve, whose result is then returned unchanged.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rayvex as rx
+from rayvex import cli, simplex, verify
+from rayvex.errors import InfeasibleLP, NumericalBreakdown
+from rayvex.geometry import lattice
+from rayvex.simplex import solve_lp
+
+PLANAR = [entry.name for entry in rx.catalog() if entry.default_polytope.dim == 2]
+
+
+def _hull_lp(points, values, x):
+    """(c, A, b) of the oracle's LP at x: convex weights of the points, weighted values minimised."""
+    points = np.asarray(points, dtype=float)
+    return np.asarray(values, dtype=float), np.vstack([points.T, np.ones(len(points))]), np.append(x, 1.0)
+
+
+def _same(res, want):
+    assert res.status == want.status
+    assert res.pivots == want.pivots and res.basis == want.basis
+    assert res.objective == want.objective
+    assert (res.x is None and want.x is None) or res.x.tobytes() == want.x.tobytes()
+
+
+@pytest.fixture
+def cold_calls(monkeypatch):
+    """Counts the cold two-phase solves."""
+    calls = []
+    two_phase = simplex._two_phase
+
+    def counted(*args):
+        calls.append(args)
+        return two_phase(*args)
+
+    monkeypatch.setattr(simplex, "_two_phase", counted)
+    return calls
+
+
+# a 9 x 9 lattice on the unit box (row-major in x) with a strictly convex
+# field: every lattice point is on the lower hull, so moving the query walks
+# across triangles
+GRID = lattice(np.array([[0.0, 1.0], [0.0, 1.0]]), 9)
+GRID_VALUES = (GRID**2).sum(axis=1) + 0.3 * GRID[:, 0]
+NEAR = ([0.3, 0.6, 1.0], [0.5, 0.4, 1.0])  # a query and one four dual pivots away
+
+
+def test_an_optimal_start_is_kept_with_no_pivot(cold_calls):
+    c, a, b = _hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
+    cold = solve_lp(c, a, b)
+    warm = solve_lp(c, a, b, start=cold.basis)
+    assert len(cold_calls) == 1  # the first solve only
+    assert warm.pivots == 0 and set(warm.basis) == set(cold.basis)
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-15)
+
+
+def test_a_neighbouring_start_walks_by_dual_pivots(cold_calls):
+    c, a, _ = _hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
+    start = solve_lp(c, a, NEAR[0]).basis
+    b_next = np.array(NEAR[1])
+    warm = solve_lp(c, a, b_next, start=start)
+    cold = solve_lp(c, a, b_next)
+    assert len(cold_calls) == 2  # the two cold solves, not the warm one
+    assert 1 <= warm.pivots <= simplex.DUAL_PIVOT_LIMIT
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+    weights = np.zeros(len(c))
+    weights[list(warm.basis)] = np.linalg.solve(a[:, list(warm.basis)], b_next)
+    assert np.allclose(weights, warm.x, rtol=0.0, atol=1e-12)
+
+
+def _fallback_case():
+    """A grid LP, the basis of a query near one corner and a query near the opposite one."""
+    c, a, b = _hull_lp(GRID, GRID_VALUES, [0.9, 0.9])
+    return c, a, solve_lp(c, a, b).basis, np.array([0.1, 0.15, 1.0])
+
+
+def test_a_singular_start_goes_cold(cold_calls):
+    c, a, _, b = _fallback_case()
+    on_a_line = (0, 10, 20)  # (0, 0), (0.125, 0.125), (0.25, 0.25): B is singular
+    assert np.linalg.matrix_rank(a[:, on_a_line]) == 2
+    for start in (on_a_line, (0, 0, 10), (0, 10), (0, 10, len(c))):
+        del cold_calls[:]
+        _same(solve_lp(c, a, b, start=start), solve_lp(c, a, b))
+        assert len(cold_calls) == 2
+
+
+def test_a_dual_infeasible_start_goes_cold(cold_calls):
+    # the basis (0, 8, 72) -- three box corners -- is feasible but not optimal:
+    # the strictly convex field puts interior points below its plane
+    c, a, _, b = _fallback_case()
+    del cold_calls[:]
+    _same(solve_lp(c, a, b, start=(0, 8, 72)), solve_lp(c, a, b))
+    assert len(cold_calls) == 2
+
+
+def test_the_pivot_limit_sends_the_walk_cold(cold_calls, monkeypatch):
+    c, a, _ = _hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
+    start = solve_lp(c, a, NEAR[0]).basis
+    b_next = np.array(NEAR[1])
+    del cold_calls[:]
+    walked = solve_lp(c, a, b_next, start=start)
+    assert walked.pivots >= 1 and not cold_calls
+    monkeypatch.setattr(simplex, "DUAL_PIVOT_LIMIT", walked.pivots - 1)
+    _same(solve_lp(c, a, b_next, start=start), solve_lp(c, a, b_next))
+    assert len(cold_calls) == 2
+
+
+def test_a_start_beyond_the_dual_reach_goes_cold(cold_calls, monkeypatch):
+    c, a, start, b = _fallback_case()
+    monkeypatch.setattr(simplex, "DUAL_PIVOT_LIMIT", 10**6)
+    basics = np.linalg.solve(a[:, list(start)], b)
+    assert basics.min() < -simplex.DUAL_REACH
+    del cold_calls[:]
+    _same(solve_lp(c, a, b, start=start), solve_lp(c, a, b))
+    assert len(cold_calls) == 2
+
+
+def test_a_breakdown_sends_the_walk_cold(cold_calls, monkeypatch):
+    c, a, _ = _hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
+    start = solve_lp(c, a, NEAR[0]).basis
+    b_next = np.array(NEAR[1])
+    pivot = simplex._pivot
+    broken = []
+
+    def breaks_once(*args):
+        if not broken:
+            broken.append(args)
+            raise NumericalBreakdown("forced")
+        return pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", breaks_once)
+    del cold_calls[:]
+    res = solve_lp(c, a, b_next, start=start)
+    assert broken and len(cold_calls) == 1
+    monkeypatch.setattr(simplex, "_pivot", pivot)
+    _same(res, solve_lp(c, a, b_next))
+
+
+def test_an_infeasible_query_gets_the_cold_status(cold_calls):
+    # outside the hull: the dual ratio test finds no column, and the cold solve says why
+    c, a, start, _ = _fallback_case()
+    b = np.array([1.02, 0.5, 1.0])
+    res = solve_lp(c, a, b, start=start)
+    assert res.status == "infeasible" and res.basis is None
+    assert len(cold_calls) == 2  # the start's solve, then this one
+
+
+def test_one_solve_lp_per_oracle_eval_in_compare(monkeypatch, capsys):
+    # the benchmark's completeness identity: cmd_compare > oracle_eval
+    # = oracle_eval > solve_lp = queries + skipped_infeasible
+    evals, solves = [], []  # solves: (start, result)
+    oracle_eval, verify_solve = cli.oracle_eval, verify.solve_lp
+
+    def counted_eval(*args, **kwargs):
+        evals.append(len(solves))
+        return oracle_eval(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        solves.append((kwargs.get("start"), verify_solve(*args, **kwargs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(cli, "oracle_eval", counted_eval)
+    monkeypatch.setattr(verify, "solve_lp", counted_solve)
+    code = cli.main(["compare", "--function", "cubic", "--density", "10", "--resolution", "9", "--budget", "400"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0 and data["skipped_infeasible"] > 0
+    assert len(evals) == len(solves) == data["queries"] + data["skipped_infeasible"]
+    assert evals == list(range(len(evals)))  # each query's one solve happens inside its own call
+    last = None  # each query starts from the basis of the last optimal one
+    for start, res in solves:
+        assert start == last
+        if res.status == "optimal":
+            last = res.basis
+    assert last is not None
+
+
+def test_compare_output_is_byte_identical_for_one_seed(capsys):
+    argv = ["compare", "--function", "cubic", "--density", "20", "--resolution", "9", "--budget", "400", "--seed", "5"]
+    outputs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+# -- the warm oracle against fresh cold solves ------------------------------
+
+
+def _field(coeffs):
+    c = coeffs
+    return lambda p: c[0] * p[0] ** 2 + c[1] * p[0] * p[1] + c[2] * p[1] ** 2 + c[3] * abs(p[0] - c[4]) + c[5] * p[1]
+
+
+@st.composite
+def oracles(draw):
+    """An oracle: a planar catalog entry (density 0-20) or a random field on a random cut box (density 0-12)."""
+    if draw(st.booleans()):
+        entry = rx.CATALOG_BUILDERS[draw(st.sampled_from(PLANAR))]()
+        return rx.oracle_build(entry.field, entry.default_polytope, grid_density=draw(st.integers(0, 20)))
+    lower = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)))
+    upper = lower + np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=2, max_size=2)))
+    box = rx.Polytope.box(lower, upper)
+    theta = draw(st.floats(0.0, 2.0 * np.pi))
+    normal = np.array([np.cos(theta), np.sin(theta)])
+    cut = normal @ (0.5 * (lower + upper)) + draw(st.floats(0.0, 1.0)) * np.abs(normal) @ (upper - lower)
+    polytope = rx.Polytope.from_inequalities(np.vstack([box.matrix, normal]), np.append(box.offsets, cut))
+    coeffs = draw(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))
+    field = rx.ScalarField(2, _field(coeffs), name="any")
+    return rx.oracle_build(field, polytope, grid_density=draw(st.integers(0, 12)))
+
+
+@st.composite
+def query_runs(draw, oracle):
+    """Queries in lattice order, random jumps, at sample points (degenerate optima) and outside the hull."""
+    lo, hi = oracle.points.min(axis=0), oracle.points.max(axis=0)
+    span = hi - lo
+    kind = draw(st.sampled_from(["lattice", "jumps", "samples", "mixed"]))
+    if kind == "lattice":
+        grid = lattice(np.stack([lo - 0.05 * span, hi + 0.05 * span], axis=1), draw(st.integers(2, 4)))
+        return list(grid)
+    count = draw(st.integers(2, 8))
+    samples = [oracle.points[i] for i in draw(st.lists(st.integers(0, len(oracle.points) - 1), min_size=count, max_size=count))]
+    unit = st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2))
+    jumps = [lo + np.array(u) * span for u in draw(st.lists(unit, min_size=count, max_size=count))]
+    if kind == "samples":
+        return samples
+    if kind == "jumps":
+        return jumps
+    return [p for pair in zip(samples, jumps) for p in pair]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_warm_oracle_matches_a_cold_solve_at_every_query(data):
+    oracle = data.draw(oracles())
+    for x in data.draw(query_runs(oracle)):
+        rhs = np.append(x, 1.0)
+        cold = solve_lp(oracle.values, oracle.constraints, rhs)
+        warm = solve_lp(oracle.values, oracle.constraints, rhs, start=oracle.basis)
+        try:
+            value = rx.oracle_eval(oracle, x)
+        except InfeasibleLP:
+            assert cold.status == warm.status == "infeasible"
+            continue
+        assert cold.status == warm.status == "optimal"
+        assert value == warm.objective  # oracle_eval is this very solve
+        assert abs(value - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+        assert oracle.basis == warm.basis
+        basis = list(warm.basis)
+        weights = np.zeros(len(oracle.values))
+        weights[basis] = np.linalg.lstsq(oracle.constraints[:, basis], rhs, rcond=None)[0]
+        assert np.allclose(weights, warm.x, rtol=0.0, atol=1e-9)
