@@ -13,10 +13,8 @@ from .envelope import (
     build,
     eval_homogeneous,
     gradient,
-    model_from_descriptor,
     secant_raw,
 )
-from .envelope import eval as eval_envelope
 from .functions import (
     CATALOG_BUILDERS,
     CatalogEntry,
@@ -25,11 +23,9 @@ from .functions import (
     catalog,
     cobb_douglas,
     cubic_rational,
-    fd_gradient,
     fractional,
     negate_field,
     reliability,
-    shift_field,
 )
 from .geometry import (
     Polytope,
@@ -39,7 +35,6 @@ from .geometry import (
     ValidationReport,
     enumerate_regions_2d,
     normalize_facet,
-    polygon_area,
     ray_intersect,
     ray_intersect_batch,
     region_of,
@@ -90,24 +85,19 @@ __all__ = [
     "cubic_rational",
     "enumerate_regions_2d",
     "errors",
-    "eval_envelope",
     "eval_homogeneous",
-    "fd_gradient",
     "fractional",
     "gradient",
-    "model_from_descriptor",
     "negate_field",
     "normalize_facet",
     "oracle_build",
     "oracle_eval",
-    "polygon_area",
     "ray_intersect",
     "ray_intersect_batch",
     "region_of",
     "reliability",
     "sample_interior",
     "secant_raw",
-    "shift_field",
     "solve_lp",
     "validate",
     "vertices",

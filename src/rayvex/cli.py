@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/IO error, 2 hypothesis or sandwich failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -16,8 +17,9 @@ from . import envelope as env
 from .errors import DimensionNotSupported, RayvexError
 from .functions import CATALOG_BUILDERS, CatalogEntry, catalog
 from .geometry import Polytope, enumerate_regions_2d, lattice
-from .verify import oracle_build, oracle_eval
+from .verify import DEFAULT_BUDGET, oracle_build, oracle_eval
 
+_SHORTHANDS = ("lx", "ly", "ux", "uy", "A", "a1", "a2", "a3", "l", "u")
 _PARAM_ALIASES = {"A": "scale", "l": "lower", "u": "upper"}
 _FLOAT_FMT = "{:.17g}"  # exact double round-trips
 
@@ -27,18 +29,19 @@ class UsageError(RayvexError):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        return args.handler(args)
+        # looked up by name at each call, so a wrapper installed on cmd_* later is what runs
+        return globals()[f"cmd_{args.command}"](args)
     except (RayvexError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
+@functools.cache  # built on the first main call, then shared by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rayvex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -46,45 +49,38 @@ def _build_parser() -> argparse.ArgumentParser:
     model_flags = argparse.ArgumentParser(add_help=False)
     model_flags.add_argument("--function", required=True, choices=sorted(CATALOG_BUILDERS))
     model_flags.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
-    for flag in ("lx", "ly", "ux", "uy", "A", "a1", "a2", "a3", "l", "u"):
+    for flag in _SHORTHANDS:
         model_flags.add_argument(f"--{flag}", type=float, default=None)
     model_flags.add_argument("--polytope", default=None, metavar="FILE")
     model_flags.add_argument("--sense", choices=["auto", "convex", "concave"], default="auto")
     model_flags.add_argument("--anchor", default="auto", help="auto | none | origin | t1,t2,...")
     model_flags.add_argument("--seed", type=int, default=0)
-    model_flags.add_argument("--budget", type=int, default=10_000)
+    model_flags.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     output_flags = argparse.ArgumentParser(add_help=False)
     output_flags.add_argument("--out", default=None, metavar="FILE")
     output_flags.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p = sub.add_parser("catalog", parents=[output_flags], help="list catalog entries")
-    p.set_defaults(handler=cmd_catalog)
-
-    p = sub.add_parser("certify", parents=[model_flags, output_flags], help="run hypothesis certification")
-    p.set_defaults(handler=cmd_certify)
+    sub.add_parser("catalog", parents=[output_flags], help="list catalog entries")
+    sub.add_parser("certify", parents=[model_flags, output_flags], help="run hypothesis certification")
 
     p = sub.add_parser("eval", parents=[model_flags, output_flags], help="evaluate the envelope at points")
     p.add_argument("--point", action="append", default=[], metavar="X1,X2,...")
-    p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("grid", parents=[model_flags, output_flags], help="evaluate over a lattice")
     p.add_argument("--resolution", type=int, default=11)
-    p.set_defaults(handler=cmd_grid)
 
-    p = sub.add_parser("regions", parents=[model_flags, output_flags], help="export the 2-D subdivision")
-    p.set_defaults(handler=cmd_regions)
+    sub.add_parser("regions", parents=[model_flags, output_flags], help="export the 2-D subdivision")
 
     p = sub.add_parser("compare", parents=[model_flags, output_flags], help="envelope vs sampled oracle")
     p.add_argument("--density", type=int, default=10)
     p.add_argument("--resolution", type=int, default=11)
-    p.set_defaults(handler=cmd_compare)
     return parser
 
 
 def _entry_from_args(args) -> CatalogEntry:
     params = {}
-    for flag in ("lx", "ly", "ux", "uy", "A", "a1", "a2", "a3", "l", "u"):
+    for flag in _SHORTHANDS:
         val = getattr(args, flag)
         if val is not None:
             params[_PARAM_ALIASES.get(flag, flag)] = val
@@ -101,6 +97,11 @@ def _entry_from_args(args) -> CatalogEntry:
 
 
 def _model_from_args(args):
+    """The catalog entry and its model: the flags map one-to-one onto ``build``'s arguments.
+
+    ``auto`` takes the entry's build sense or default anchor, and ``--anchor
+    origin`` is the "origin-shift" policy.
+    """
     entry = _entry_from_args(args)
     polytope = Polytope.load(args.polytope) if args.polytope else entry.default_polytope
     sense = entry.build_sense if args.sense == "auto" else args.sense

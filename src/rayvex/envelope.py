@@ -37,6 +37,7 @@ from .geometry import (
     ray_intersect,
     validate,
 )
+from .verify import DEFAULT_BUDGET, CertificationReport, certify
 
 TIGHT_TOL = 1e-9
 
@@ -69,7 +70,7 @@ class EnvelopeModel:
     anchor: np.ndarray
     offset: float
     sense: str  # "convex" | "concave"
-    certification: object | None
+    certification: CertificationReport | None
 
     @property
     def validation(self) -> ValidationReport:
@@ -104,7 +105,7 @@ def build(
     polytope: Polytope,
     sense: str = "convex",
     anchor="origin-shift",
-    budget: int = 10_000,
+    budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     run_certification: bool = True,
 ) -> EnvelopeModel:
@@ -157,8 +158,6 @@ def build(
         certification=None,
     )
     if run_certification:
-        from .verify import certify  # deferred: verify consumes models
-
         model = replace(model, certification=certify(model, budget=budget, seed=seed))
     return model
 
@@ -215,12 +214,6 @@ def value(model: EnvelopeModel, x) -> float:
     return eval(model, x).value
 
 
-def original_value(model: EnvelopeModel, x) -> float:
-    """The underlying function f at x, reconstructed from the working field."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return model.sign * float(model.field.eval(x - model.anchor)) + model.offset
-
-
 def eval_homogeneous(model: EnvelopeModel, x) -> float:
     """Envelope via the product form (a_out . v) * f(v_plus).
 
@@ -265,36 +258,3 @@ def gradient(model: EnvelopeModel, x) -> np.ndarray:
     raw = f_plus * a_out + grad_plus - float(grad_plus @ v_plus) * a_out
     return model.sign * raw
 
-
-def model_from_descriptor(descriptor: dict, budget: int = 10_000, seed: int = 0) -> EnvelopeModel:
-    """Build a model from the JSON descriptor form.
-
-    {"function": {"name": ..., **params} or "name", "polytope": inline dict,
-     file path or null for the catalog default, "sense": ..., "anchor":
-     "none" | "origin-shift" | [t...] or null for the catalog default}
-    """
-    from .functions import CATALOG_BUILDERS  # local: avoid import-order knots
-
-    function = descriptor.get("function")
-    if isinstance(function, str):
-        name, params = function, {}
-    else:
-        params = dict(function)
-        name = params.pop("name")
-    if name not in CATALOG_BUILDERS:
-        raise KeyError(f"unknown catalog function {name!r}")
-    entry = CATALOG_BUILDERS[name](**params)
-
-    poly_source = descriptor.get("polytope")
-    if poly_source is None:
-        polytope = entry.default_polytope
-    elif isinstance(poly_source, dict):
-        polytope = Polytope.from_json_dict(poly_source)
-    else:
-        polytope = Polytope.load(poly_source)
-
-    sense = descriptor.get("sense") or entry.build_sense
-    anchor = descriptor.get("anchor")
-    if anchor is None:
-        anchor = entry.default_anchor
-    return build(entry.field, polytope, sense=sense, anchor=anchor, budget=budget, seed=seed)

@@ -66,12 +66,6 @@ def fd_gradient(field: ScalarField, x) -> np.ndarray:
     return out
 
 
-def shift_field(field: ScalarField, anchor) -> ScalarField:
-    """The recentred field f(x + anchor) - f(anchor), which vanishes at 0."""
-    anchor = np.asarray(anchor, dtype=float)
-    return _compose_field(field, anchor, base=float(field.eval(anchor)))
-
-
 def negate_field(field: ScalarField) -> ScalarField:
     """The field -f."""
     return _compose_field(field, negate=True)
@@ -82,11 +76,12 @@ def _compose_field(field: ScalarField, anchor=None, negate: bool = False, base: 
 
     ``base`` is f(anchor), which the caller has evaluated; without an anchor
     the shift is left out and ``base`` stays 0.0 (f - 0.0 is f bit for bit,
-    -0.0 included).  The values are those of ``shift_field`` followed by
-    ``negate_field`` applied one at a time, bit for bit, except that a zero
-    anchor skips the no-op ``p + anchor``, so a -0.0 coordinate reaches f as
-    -0.0.  ``field.eval`` and ``field.grad`` are looked up at every call, so
-    replacing them on ``field`` later changes what this field calls.
+    -0.0 included).  The values are those of the shift p -> f(p + anchor) -
+    base followed by the negation, applied one at a time, bit for bit, except
+    that a zero anchor skips the no-op ``p + anchor``, so a -0.0 coordinate
+    reaches f as -0.0.  ``field.eval`` and ``field.grad`` are looked up at
+    every call, so replacing them on ``field`` later changes what this field
+    calls.
     """
     name = field.name
     at = None

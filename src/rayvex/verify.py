@@ -69,7 +69,6 @@ class CertificationReport:
     ray_concave: CheckResult
     facet_convex: CheckResult
     positively_homogeneous: CheckResult
-    sample_counts: dict
     seed: int
     tolerance: float
 
@@ -91,7 +90,7 @@ class CertificationReport:
             "all_passed": self.all_passed,
             "seed": self.seed,
             "tolerance": self.tolerance,
-            "sample_counts": self.sample_counts,
+            "sample_counts": {name: entry["samples"] for name, entry in checks.items()},
             "checks": checks,
         }
 
@@ -384,30 +383,25 @@ def check_corollary_convexity(
     return CheckResult(name, status, worst, tol, samples, witness, details)
 
 
-def certify(model, budget: int = DEFAULT_BUDGET, seed: int = 0, tol: float = DEFAULT_TOL) -> CertificationReport:
+def certify(model, budget: int = DEFAULT_BUDGET, seed: int = 0) -> CertificationReport:
     """Run the three hypothesis checks on a model's working field and domain."""
     field = model.field
     polytope = model.polytope
     ray = check_ray_concavity(
-        field, polytope, n_rays=max(1, budget // 10), n_per_ray=10, tol=tol, seed=seed
+        field, polytope, n_rays=max(1, budget // 10), n_per_ray=10, seed=seed
     )
     facet = check_facet_convexity(
         field, polytope,
         n_pairs_per_facet=max(10, budget // max(1, polytope.n_facets)),
-        tol=tol, seed=seed + 1,
+        seed=seed + 1,
     )
-    homogeneous = check_positive_homogeneity(model, n_samples=budget, tol=tol, seed=seed + 2)
+    homogeneous = check_positive_homogeneity(model, n_samples=budget, seed=seed + 2)
     return CertificationReport(
         ray_concave=ray,
         facet_convex=facet,
         positively_homogeneous=homogeneous,
-        sample_counts={
-            "ray_concave": ray.samples,
-            "facet_convex": facet.samples,
-            "positively_homogeneous": homogeneous.samples,
-        },
         seed=seed,
-        tolerance=tol,
+        tolerance=DEFAULT_TOL,
     )
 
 

@@ -204,17 +204,17 @@ def test_criterion_06_convexity_and_underestimation(catalog_models):
             b = pts[k + 1] + model.anchor
             mid = 0.5 * (a + b)
             g_mid = env.value(model, mid)
-            g_a = env.value(model, a)
+            at_a = env.eval(model, a)
+            g_a = at_a.value
             g_b = env.value(model, b)
             worst_mid = max(worst_mid, flip * (g_mid - 0.5 * (g_a + g_b)))
-            worst_under = max(worst_under, flip * (g_a - env.original_value(model, a)))
+            worst_under = max(worst_under, flip * (g_a - at_a.f))
 
         for vtx in rx.vertices(model.polytope):
-            x = vtx + model.anchor
-            f_x = env.original_value(model, x)
-            if not math.isfinite(f_x):
+            result = env.eval(model, vtx + model.anchor)
+            if not math.isfinite(result.f):
                 continue  # the cubic entry blows up on its x = 0 facet
-            worst_vertex = max(worst_vertex, abs(env.value(model, x) - f_x))
+            worst_vertex = max(worst_vertex, abs(result.value - result.f))
 
         # tightness at boundary points on facets avoiding the working origin
         boundary = []
@@ -227,8 +227,8 @@ def test_criterion_06_convexity_and_underestimation(catalog_models):
             if len(boundary) >= 1000:
                 break
         for v in boundary[:1000]:
-            x = v + model.anchor
-            worst_boundary = max(worst_boundary, abs(env.value(model, x) - env.original_value(model, x)))
+            result = env.eval(model, v + model.anchor)
+            worst_boundary = max(worst_boundary, abs(result.value - result.f))
 
     passed = worst_mid <= 1e-9 and worst_under <= 1e-12 and worst_vertex <= 1e-9 and worst_boundary <= 1e-9
     report(

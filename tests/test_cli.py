@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rayvex as rx
+from rayvex import cli
 from rayvex import envelope as env
 from rayvex.cli import main
 
@@ -263,3 +264,63 @@ def test_polytope_file_flow(tmp_path, capsys):
     rows = json.loads(out)["rows"]
     # secant between f(0,0) = 0 and f(2,2) = -4 on the [0,2]^2 diagonal
     assert rows[0]["g"] == pytest.approx(-2.0)
+
+    # a file that is not the catalog's default domain (the unit box) replaces it
+    rx.Polytope.box([0.0, 0.0], [2.0, 1.0]).save(poly_file)
+    code, out, _ = run(
+        capsys, "eval", "--function", "bilinear", "--polytope", str(poly_file),
+        "--point", "1,0.5", "--point", "2,1", *FAST,
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["omitted"] == 0
+    # on the ray from f(0,0) = 0 to f(2,1) = -2; the unit box would give f(1,0.5) = -0.5 and omit (2,1)
+    assert [row["g"] for row in data["rows"]] == pytest.approx([-1.0, -2.0])
+
+
+def test_explicit_flags_reach_build_as_given(capsys):
+    # --param and the shorthands, --sense, a vector --anchor, --seed and --budget, one-to-one
+    code, out, _ = run(
+        capsys, "certify", "--function", "bilinear", "--param", "lx=0", "--param", "ly=0",
+        "--ux", "1", "--uy", "1", "--sense", "convex", "--anchor", "0,0", "--seed", "3", "--budget", "500",
+    )
+    assert code == 0
+    data = json.loads(out)
+    entry = rx.bilinear_neg(0.0, 0.0, 1.0, 1.0)
+    model = env.build(entry.field, entry.default_polytope, sense="convex", anchor=np.zeros(2), budget=500, seed=3)
+    assert data["params"] == entry.params
+    assert (data["status"], data["sense"], data["anchor"]) == ("certified", "convex", [0.0, 0.0])
+    assert data["certification"] == json.loads(json.dumps(model.certification.to_dict()))
+
+
+@pytest.mark.parametrize(
+    "name, spelled",
+    [
+        ("bilinear", ["--sense", "convex", "--anchor", "0,0"]),
+        ("fractional", ["--sense", "convex", "--anchor", "1,0"]),
+        ("reliability", ["--sense", "concave", "--anchor", "origin"]),
+        ("cubic", ["--sense", "convex", "--anchor", "none"]),
+        ("cobb-douglas", ["--sense", "concave", "--anchor", "none"]),
+    ],
+)
+def test_auto_sense_and_anchor_are_the_catalog_defaults(name, spelled, capsys):
+    # "auto" reads the entry's build sense and default anchor; "origin" is build's "origin-shift"
+    entry = rx.CATALOG_BUILDERS[name]()
+    default = run(capsys, "certify", "--function", name, *FAST)
+    assert json.loads(default[1])["sense"] == entry.build_sense
+    assert run(capsys, "certify", "--function", name, *spelled, *FAST) == default
+
+
+def test_repeated_main_calls_print_identical_bytes(capsys):
+    argv = ["eval", "--function", "fractional", "--point", "1.5,0.5", "--point", "3,3", "--format", "csv", *FAST]
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert run(capsys, *argv) == first
+    assert run(capsys, "eval", "--function", "fractional", *FAST) == (1, "", "error: eval needs at least one --point\n")
+
+
+def test_commands_are_looked_up_at_each_call(monkeypatch, capsys):
+    # the parser is kept after the first call; a cmd_* wrapped later (as a tracer does) must still run
+    assert run(capsys, "catalog")[0] == 0
+    monkeypatch.setattr(cli, "cmd_catalog", lambda args: print("patched", args.format) or 0)
+    assert run(capsys, "catalog", "--format", "csv") == (0, "patched csv\n", "")

@@ -294,7 +294,8 @@ class TestConvexityProperties:
         flip = model.sign
         for p in rx.sample_interior(model.polytope, 19, 1000):
             x = p + model.anchor
-            viol = flip * (env.value(model, x) - env.original_value(model, x))
+            result = env.eval(model, x)
+            viol = flip * (result.value - result.f)
             assert viol <= 1e-12
 
     @pytest.mark.parametrize("fixture", ["mccormick", "cubic"])
@@ -339,26 +340,6 @@ class TestConvexityProperties:
             assert gap >= -1e-8
             tested += 1
         assert tested >= 50
-
-
-def test_model_from_descriptor_round_trip(tmp_path):
-    descriptor = {
-        "function": {"name": "bilinear", "lx": 0.0, "ly": 0.0, "ux": 1.0, "uy": 1.0},
-        "polytope": None,
-        "sense": "convex",
-        "anchor": [0.0, 0.0],
-    }
-    model = env.model_from_descriptor(descriptor, budget=500)
-    assert model.certified
-    assert env.value(model, [0.5, 0.25]) == pytest.approx(-0.25)
-
-    poly_file = tmp_path / "box.json"
-    rx.Polytope.box([0, 0], [2, 1]).save(poly_file)
-    model = env.model_from_descriptor(
-        {"function": "bilinear", "polytope": str(poly_file), "anchor": None},
-        budget=500,
-    )
-    assert model.polytope.n_facets == 4
 
 
 # -- the working field: anchor shift, offset and sign composed once -----------

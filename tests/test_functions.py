@@ -6,41 +6,50 @@ import numpy as np
 import pytest
 
 import rayvex as rx
+from rayvex import envelope as env
 from rayvex.errors import NonFiniteEvaluation
+from rayvex.functions import fd_gradient
 
 
 class TestFdGradient:
     def test_bilinear(self):
         field = rx.ScalarField(2, lambda p: -p[0] * p[1])
-        grad = rx.fd_gradient(field, [0.5, 0.25])
+        grad = fd_gradient(field, [0.5, 0.25])
         assert np.allclose(grad, [-0.25, -0.5], atol=1e-8)
 
     def test_quotient(self):
         field = rx.ScalarField(2, lambda p: p[1] / p[0])
-        grad = rx.fd_gradient(field, [1.0, 2.0])
+        grad = fd_gradient(field, [1.0, 2.0])
         assert np.allclose(grad, [-2.0, 1.0], rtol=1e-6)
 
     def test_non_finite_probe(self):
         field = rx.ScalarField(1, lambda p: float(np.log(p[0])) if p[0] > 0 else -np.inf)
         with pytest.raises(NonFiniteEvaluation):
-            rx.fd_gradient(field, [1e-9])  # probe below zero
+            fd_gradient(field, [1e-9])  # probe below zero
+
+
+def _shifted(field, polytope, anchor) -> env.EnvelopeModel:
+    """A model whose working field is f(p + anchor) - f(anchor), from build: the one shifting path."""
+    return env.build(field, polytope, anchor=np.asarray(anchor, dtype=float), run_certification=False)
 
 
 class TestShiftField:
     def test_vanishes_at_zero(self):
         entry = rx.bilinear_neg(0.25, 0.4, 1.5, 2.0)
-        shifted = rx.shift_field(entry.field, [0.25, 0.4])
+        shifted = _shifted(entry.field, entry.default_polytope, [0.25, 0.4]).field
         assert shifted.eval(np.zeros(2)) == 0.0
 
     def test_bilinear_anchor_formula(self):
         lx, ly = 0.3, -0.2
-        shifted = rx.shift_field(rx.bilinear_neg(-1, -1, 2, 2).field, [lx, ly])
+        entry = rx.bilinear_neg(-1, -1, 2, 2)
+        shifted = _shifted(entry.field, entry.default_polytope, [lx, ly]).field
         p = np.array([0.5, 0.7])
         expect = -(p[0] + lx) * (p[1] + ly) + lx * ly
         assert shifted.eval(p) == pytest.approx(expect, abs=1e-15)
 
     def test_fractional_anchor(self):
-        shifted = rx.shift_field(rx.fractional().field, [1.0, 0.0])
+        entry = rx.fractional()
+        shifted = _shifted(entry.field, entry.default_polytope, [1.0, 0.0]).field
         p = np.array([0.4, 1.1])
         assert shifted.eval(p) == pytest.approx(1.1 / 1.4, abs=1e-15)
 
@@ -48,7 +57,8 @@ class TestShiftField:
         # shift(shift(f, a), -a) = f - f(0), so adding f(0) back restores f
         field = rx.ScalarField(2, lambda p: -p[0] * p[1] + 1.0)
         anchor = np.array([0.4, 0.3])
-        back = rx.shift_field(rx.shift_field(field, anchor), -anchor)
+        there = _shifted(field, rx.Polytope.box([-1.0, -1.0], [1.0, 1.0]), anchor)
+        back = _shifted(there.field, there.polytope, -anchor).field  # -anchor is the origin of P
         offset = field.eval(np.zeros(2))
         rng = np.random.default_rng(5)
         for p in rng.uniform(-1.0, 1.0, size=(50, 2)):
@@ -104,7 +114,7 @@ class TestCatalog:
             if entry.name == "cubic" and p[0] < 1e-2:
                 continue  # FD truncation error ~h^2/x^2 breaches 1e-6 below x ~ 6e-3
             analytic = entry.field.gradient(p)
-            numeric = rx.fd_gradient(entry.field, p)
+            numeric = fd_gradient(entry.field, p)
             scale = max(1.0, float(np.linalg.norm(analytic)))
             assert np.linalg.norm(analytic - numeric) <= 1e-6 * scale
 

@@ -16,6 +16,7 @@ from rayvex.errors import (
     UnboundedPolytope,
     ZeroDirection,
 )
+from rayvex.geometry import polygon_area
 
 UNIT_BOX = rx.Polytope.box([0.0, 0.0], [1.0, 1.0])
 # {(x, y) >= 0 : 1 <= x + y <= 2}
@@ -224,7 +225,7 @@ class TestEnumerateRegions2D:
         regions = rx.enumerate_regions_2d(UNIT_BOX)
         assert len(regions) == 2
         assert all(rid.in_facet is None for rid, _ in regions)
-        total = sum(rx.polygon_area(poly) for _, poly in regions)
+        total = sum(polygon_area(poly) for _, poly in regions)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_slab_is_one_region(self):
@@ -232,12 +233,12 @@ class TestEnumerateRegions2D:
         assert len(regions) == 1
         rid, poly = regions[0]
         assert rid == rx.RegionId(2, 3)
-        assert rx.polygon_area(poly) == pytest.approx(1.5, abs=1e-9)
+        assert polygon_area(poly) == pytest.approx(1.5, abs=1e-9)
 
     def test_triangle_splits_at_interior_vertex_ray(self):
         regions = rx.enumerate_regions_2d(TRIANGLE)
         assert len(regions) == 2
-        area = sum(rx.polygon_area(poly) for _, poly in regions)
+        area = sum(polygon_area(poly) for _, poly in regions)
         assert area == pytest.approx(0.5, abs=1e-9)
 
     def test_region_interiors_are_disjoint(self):
@@ -254,7 +255,7 @@ class TestEnumerateRegions2D:
         assert len(regions) == 4  # one cone per facet
         assert {rid.out_facet for rid, _ in regions} == {0, 1, 2, 3}
         assert all(rid.in_facet is None for rid, _ in regions)
-        total = sum(rx.polygon_area(poly) for _, poly in regions)
+        total = sum(polygon_area(poly) for _, poly in regions)
         assert total == pytest.approx(4.0, abs=1e-9)
 
     def test_three_dimensional_rejected(self):

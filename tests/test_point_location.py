@@ -261,4 +261,7 @@ def test_envelope_value_carries_f(catalog_models):
                 result = env.eval(model, x)
             except PointOutsideDomain:
                 continue
-            np.testing.assert_equal(result.f, env.original_value(model, x))  # NaN matches NaN
+            # f from the working field: sign and offset undone at x - anchor
+            v = np.asarray(x, dtype=float) - model.anchor
+            f_at_x = model.sign * float(model.field.eval(v)) + model.offset
+            np.testing.assert_equal(result.f, f_at_x)  # NaN matches NaN
