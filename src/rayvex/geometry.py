@@ -476,7 +476,7 @@ def ray_intersect_batch(polytope: Polytope, v) -> RayTraceBatch:
     t = _facet_dots(polytope.matrix, v)  # (k, m)
     outward = t > 0.0
     inward = t < 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # b / t overflows to inf, as in float division
         ratio = b / t
     exit_ratio = np.where(outward, ratio, math.inf)
     hi_arg = np.argmin(exit_ratio, axis=1)  # first occurrence, as the scalar strict <
@@ -517,7 +517,7 @@ def ray_intersect_batch(polytope: Polytope, v) -> RayTraceBatch:
     at_entry[rows[entering], lo_arg[entering]] = True
     in_facet = np.where(entering, np.argmax(at_entry, axis=1), -1)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha_v = (alpha_hi - 1.0) / (alpha_hi - alpha_lo)
     alpha_v = np.where(alpha_v > 0.0, alpha_v, 0.0)  # max(0.0, x), then min(1.0, .)
     alpha_v = np.where(alpha_v < 1.0, alpha_v, 1.0)

@@ -384,7 +384,12 @@ def check_corollary_convexity(
 
 
 def certify(model, budget: int = DEFAULT_BUDGET, seed: int = 0) -> CertificationReport:
-    """Run the three hypothesis checks on a model's working field and domain."""
+    """Run the three hypothesis checks on a model's working field and domain.
+
+    A budget below 1 draws no homogeneity sample, so it is rejected rather than certified.
+    """
+    if budget < 1:
+        raise ValueError(f"certification budget must be at least 1, got {budget}")
     field = model.field
     polytope = model.polytope
     ray = check_ray_concavity(

@@ -1,0 +1,397 @@
+"""Hypothesis strategies that draw polytopes and points near their facets, and shared numeric helpers.
+
+Every composite strategy of the suite lives here, and so does every helper
+that more than one test file needs.  Each strategy's docstring states the
+domain it draws from.  Row scaling and permutation are one shared step,
+``_rescaled``.
+"""
+
+import itertools
+import math
+
+import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
+from reference_regions import order_ccw
+
+import rayvex as rx
+from rayvex import envelope as env
+from rayvex.errors import GradientUnavailable, PointOutsideDomain, PointOutsidePolytope
+from rayvex.geometry import lattice
+
+CATALOG = {entry.name: entry.default_polytope for entry in rx.catalog()}
+PLANAR = [name for name, polytope in CATALOG.items() if polytope.dim == 2]
+SLAB = rx.Polytope.from_inequalities(  # {(x, y) >= 0 : 1 <= x + y <= 2}, origin outside
+    [[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [1.0, 1.0]],
+    [0.0, 0.0, -1.0, 2.0],
+)
+
+
+def bits(x) -> bytes:
+    """x as float64 bytes: equal only when every bit is."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def central_diff_gradient(fn, x, h=6e-6):
+    """Fourth-order central differences; truncation ~h^4 keeps the steep cubic honest."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.size)
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = h
+        out[i] = (-fn(x + 2 * e) + 8 * fn(x + e) - 8 * fn(x - e) + fn(x - 2 * e)) / (12 * h)
+    return out
+
+
+def hull_lp(points, values, x):
+    """(c, A, b) of the lower-hull LP at x: convex weights of the points, weighted values minimised."""
+    points = np.asarray(points, dtype=float)
+    return np.asarray(values, dtype=float), np.vstack([points.T, np.ones(len(points))]), np.append(x, 1.0)
+
+
+def brute_force_optimum(c, a, b, tol=1e-9):
+    """Minimum of c.x over basic feasible solutions of {A x = b, x >= 0}.
+
+    The optimum of a feasible bounded LP is attained at one of these, which
+    makes this an independent oracle for the simplex path.
+    """
+    m, n = a.shape
+    best = None
+    for cols in itertools.combinations(range(n), m):
+        try:
+            xb = np.linalg.solve(a[:, cols], b)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(xb)) or np.any(xb < -tol):
+            continue
+        val = float(c[list(cols)] @ xb)
+        if best is None or val < best:
+            best = val
+    return best
+
+
+def record_calls(monkeypatch, owner, name) -> list:
+    """The arguments of every later call of owner.name, which still runs."""
+    calls, wrapped = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or wrapped(*args))
+    return calls
+
+
+def outside(fn, *args) -> bool:
+    """Whether fn reports its point outside P or the domain; any other error propagates.
+
+    A gradient with no derivative at its point reports a point inside.
+    """
+    try:
+        fn(*args)
+    except (PointOutsideDomain, PointOutsidePolytope):
+        return True
+    except GradientUnavailable:
+        if fn is not env.gradient:
+            raise
+    return False
+
+
+def scaled(polytope, scales):
+    """polytope with row i times scales[i]."""
+    s = np.asarray(scales, dtype=float)
+    return rx.Polytope.from_inequalities(polytope.matrix * s[:, None], polytope.offsets * s)
+
+
+def region_interior(model, v, margin) -> bool:
+    """Whether every +-margin axis probe of v stays at least 1e-12 inside P and in v's region."""
+    base = rx.region_of(model.polytope, v)
+    for i, sign in itertools.product(range(v.size), (-1.0, 1.0)):
+        probe = v.copy()
+        probe[i] += sign * margin
+        if not model.polytope.contains(probe, tol=-1e-12) or rx.region_of(model.polytope, probe) != base:
+            return False
+    return True
+
+
+def region_interior_points(model, count, margin, seed) -> np.ndarray:
+    """The first count region-interior points among 6 count interior samples, in working coordinates."""
+    pool = rx.sample_interior(model.polytope, seed, 6 * count)
+    return np.array(list(itertools.islice((v for v in pool if region_interior(model, v, margin)), count)))
+
+
+def facets(polytope) -> list[tuple[int, np.ndarray]]:
+    """(index, vertices on it) for every facet of a polytope that has at least dim vertices."""
+    verts = rx.vertices(polytope)
+    out = []
+    for i, (a, b) in enumerate(zip(polytope.matrix, polytope.offsets)):
+        on = verts[np.abs(verts @ a - b) <= 1e-9]
+        if len(on) >= polytope.dim:
+            out.append((i, on))
+    return out
+
+
+def on_facet(face, weights) -> np.ndarray:
+    """w0 + sum_k lambda_k (w_k - w0): stays exactly on an axis-aligned facet."""
+    w = np.asarray(weights, dtype=float)[: len(face)]
+    w = w / w.sum()
+    return face[0] + w[1:] @ (face[1:] - face[0])
+
+
+def _rescaled(draw, a, b, exponents, permute):
+    """Rows (a_i, b_i) times 10^e_i, each e_i in exponents = (lo, hi) (no scaling for None), then maybe permuted."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if exponents is not None:
+        scales = 10.0 ** np.array(draw(st.lists(st.floats(*exponents), min_size=len(b), max_size=len(b))))
+        a, b = a * scales[:, None], b * scales
+    if permute:
+        order = np.array(draw(st.permutations(range(len(b)))))
+        a, b = a[order], b[order]
+    return a, b
+
+
+@st.composite
+def cut_boxes(draw, dims=(2, 4), exponents=(-3.0, 3.0), permute=True, rounded=False, cuts=1):
+    """(a, b, centre): user rows of a box cut to keep its centre inside, and that centre.
+
+    The box is lower + [0, w], n in dims, lower in [-3, 3]^n, w in [0.1, 4]^n.
+    Each of the cuts is c.x <= c.centre + d with c in [-1, 1]^n, max |c_j| >= 0.1,
+    and d in [0, max(1, |c|.w)], which reaches past the far corner; with two
+    or more cuts d is at least 0.05 max(1, |c|.w), so no pair of cuts flattens
+    P.  Then ``_rescaled`` scales each row by 10^exponents and permutes the
+    rows.  ``rounded`` rounds lower and c to 1e-6, so every entry is 0 or at
+    least 1e-6 in magnitude and stays a normal double through any scaling by
+    10^[-8, 8].
+    """
+    n = draw(st.integers(*dims))
+    rounding = (lambda x: round(x, 6)) if rounded else (lambda x: x)
+    coords = st.floats(-1.0, 1.0).map(rounding)
+    lower = np.array(draw(st.lists(st.floats(-3.0, 3.0).map(rounding), min_size=n, max_size=n)))
+    widths = np.array(draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n)))
+    box = rx.Polytope.box(lower, lower + widths)
+    centre = lower + 0.5 * widths
+    a, b = [box.matrix], [box.offsets]
+    for _ in range(cuts):
+        c = np.array(draw(st.lists(coords, min_size=n, max_size=n).filter(lambda c: max(map(abs, c)) >= 0.1)))
+        depth = draw(st.floats(0.05 if cuts > 1 else 0.0, 1.0)) * max(1.0, float(np.abs(c) @ widths))
+        a.append(c[None])
+        b.append([c @ centre + depth])
+    a, b = _rescaled(draw, np.vstack(a), np.concatenate(b), exponents, permute)
+    return a, b, centre
+
+
+def polytopes():
+    """(polytope, a point inside it): a catalog polytope and its Chebyshev centre, or ``cut_boxes()`` and its centre."""
+    return st.one_of(
+        st.sampled_from(list(CATALOG.values())).map(lambda p: (p, rx.validate(p).interior_point)),
+        cut_boxes().map(lambda case: (rx.Polytope.from_inequalities(case[0], case[1]), case[2])),
+    )
+
+
+def ulps(x, direction, steps) -> np.ndarray:
+    """x moved steps ulps per coordinate towards x + direction."""
+    for _ in range(steps):
+        x = np.nextafter(x, x + direction)
+    return x
+
+
+@st.composite
+def near_facet(draw, polytope, centre=None, moves=("on", "ulps", "unit")):
+    """A point on a facet of polytope, then moved off it to either side by one of moves.
+
+    With centre, the point is centre + [-0.5, 0.5]^n projected onto any facet's
+    hyperplane, up to rounding; without, a convex combination, weights in
+    [0.01, 1], of the vertices on a facet with at least dim of them, exact on an
+    axis-aligned facet.  The moves along the facet's row a: "on" none, "ulps"
+    1-3 ulps per coordinate, "unit" 1e-10 a / |a|, "row" 1e-6 a or 1e-10 a.
+    """
+    if centre is None:
+        i, face = draw(st.sampled_from(facets(polytope)))
+        x = on_facet(face, draw(st.lists(st.floats(0.01, 1.0), min_size=len(face), max_size=len(face))))
+    else:
+        i = draw(st.integers(0, polytope.n_facets - 1))
+        a, b = polytope.matrix[i], polytope.offsets[i]
+        x = centre + np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=polytope.dim, max_size=polytope.dim)))
+        x = x + (b - a @ x) / (a @ a) * a  # onto the hyperplane, up to rounding
+    a = polytope.matrix[i]
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    move = draw(st.sampled_from(moves))
+    if move == "ulps":
+        x = ulps(x, side * a, draw(st.integers(1, 3)))
+    elif move == "unit":
+        x = x + side * 1e-10 * a / np.linalg.norm(a)
+    elif move == "row":
+        x = x + side * draw(st.sampled_from([1e-6, 1e-10])) * a
+    return x
+
+
+def near_catalog_facet():
+    """(entry name, point): ``near_facet`` on a catalog entry's default polytope, moves "on", "ulps" or "row"."""
+    at = {name: near_facet(polytope, moves=("on", "ulps", "row")) for name, polytope in CATALOG.items()}
+    return st.sampled_from(list(CATALOG)).flatmap(lambda name: at[name].map(lambda x: (name, x)))
+
+
+@st.composite
+def band_cases(draw):
+    """(polytope, v): a ``polytopes()`` polytope, maybe translated to a point near a facet, and a point near a facet.
+
+    The point may then move 1e-12 to 1e-6 along a facet normal and be rescaled along its ray,
+    by 10^[-3, 3] or by 2^-[1020, 1080], where every exit ratio b / (a.v) may overflow.
+    """
+    polytope, centre = draw(polytopes())
+    if draw(st.booleans()):
+        t = draw(near_facet(polytope, centre))  # a working origin on or next to a facet line
+        polytope, centre = polytope.translate(t), centre - t
+    v = draw(near_facet(polytope, centre))
+    if draw(st.booleans()):
+        a = polytope.matrix[draw(st.integers(0, polytope.n_facets - 1))]
+        v = v + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -6.0)) * a / np.linalg.norm(a)
+    scale = draw(st.sampled_from(["none", "decades", "subnormal"]))
+    if scale == "decades":
+        v = v * 10.0 ** draw(st.floats(-3.0, 3.0))
+    elif scale == "subnormal":
+        v = np.ldexp(v, -draw(st.integers(1020, 1080)))
+    return polytope, v
+
+
+@st.composite
+def origin_in_polytopes(draw):
+    """A 2-D box around the origin, maybe cut, its rows scaled by 10^[-6, 6] and permuted; every b_i >= 0.
+
+    The box is [-l, h] with l, h in [0.2, 2]^2, and the origin is interior, on
+    the x >= 0 facet or at the vertex of both lower facets.  A cut keeps the
+    box centre inside and may pass through the origin.
+    """
+    lo = np.array([-draw(st.floats(0.2, 2.0)), -draw(st.floats(0.2, 2.0))])
+    hi = np.array([draw(st.floats(0.2, 2.0)), draw(st.floats(0.2, 2.0))])
+    lo[: draw(st.integers(0, 2))] = 0.0  # on the x >= 0 facet, or at the vertex of both
+    rows = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    offsets = [hi[0], hi[1], -lo[0], -lo[1]]
+    if draw(st.booleans()):
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        c = np.array([math.cos(theta), math.sin(theta)])
+        at_center = float(c @ (0.5 * (lo + hi)))
+        top = max(float(c @ np.array([x, y])) for x in (lo[0], hi[0]) for y in (lo[1], hi[1]))
+        if at_center < -0.05 and draw(st.booleans()):
+            d = 0.0  # through the origin
+        else:
+            base = max(0.0, at_center)
+            d = base + draw(st.floats(0.05, 0.95)) * (top - base)
+        rows.append(c.tolist())
+        offsets.append(d)
+    return rx.Polytope.from_inequalities(*_rescaled(draw, rows, offsets, (-6.0, 6.0), permute=True))
+
+
+def _halfspaces_of(hull):
+    """(A, b) with one row a.x <= b per edge of a counterclockwise polygon."""
+    nxt = np.roll(hull, -1, axis=0)
+    a = np.column_stack([nxt[:, 1] - hull[:, 1], hull[:, 0] - nxt[:, 0]])
+    return a, np.einsum("ij,ij->i", a, hull)
+
+
+def _convex_hull(points):
+    """Counterclockwise hull vertices of 2-D points (monotone chain), collinear points dropped."""
+    pts = sorted(set(points))
+
+    def chain(ps):
+        out = []
+        for p in ps:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1]) - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return np.array(chain(pts)[:-1] + chain(pts[::-1])[:-1])
+
+
+PLACEMENTS = ("interior", "outside", "vertex", "facet", "facet line")
+
+
+@st.composite
+def placed_polygons(draw, conditioned=True):
+    """(placement, polytope): a catalog polygon or a random convex one, its origin placed, rows scaled and permuted.
+
+    The random polygon has 3-8 vertices on an ellipse with axes in [0.3, 3],
+    centred in [-3, 3]^2, the arcs between neighbours at least 2 pi / (3k - 2).
+    The origin goes to an interior point, a point outside, a vertex, a point
+    of a facet, or a point outside on a facet's line.  ``translate`` rounds,
+    so "on" means within rounding.  Rows are scaled by 10^[-2, 2] and
+    permuted.  Unless ``conditioned``, the random polygon is the hull of 3-8
+    arbitrary points of [-3, 3]^2, so its edges and turns can be as small as
+    hypothesis likes.
+    """
+    if not conditioned:
+        coord = st.floats(-3.0, 3.0, allow_subnormal=False)
+        hull = _convex_hull(draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=8)))
+        assume(len(hull) >= 3)
+    elif draw(st.booleans()):
+        hull = order_ccw(rx.vertices(CATALOG[draw(st.sampled_from(PLANAR))]))
+    else:
+        # k points on an ellipse, arcs between neighbours at least 2 pi / (3k - 2): edges and turns stay far from zero
+        k = draw(st.integers(3, 8))
+        arcs = np.cumsum(draw(st.lists(st.floats(1.0, 3.0), min_size=k, max_size=k)))
+        theta = 2.0 * math.pi * arcs / arcs[-1] + draw(st.floats(0.0, 2.0 * math.pi))
+        turn = draw(st.floats(0.0, math.pi))
+        rot = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+        axes = np.array([draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))])
+        shift = np.array([draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))])
+        hull = np.column_stack([np.cos(theta), np.sin(theta)]) * axes @ rot.T + shift
+    a, b = _halfspaces_of(hull)
+    j = draw(st.integers(0, len(hull) - 1))
+    edge = hull[(j + 1) % len(hull)] - hull[j]
+    center = hull.mean(axis=0)
+    placement = draw(st.sampled_from(PLACEMENTS))
+    if placement == "interior":
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(hull), max_size=len(hull))))
+        t = weights @ hull / weights.sum()
+    elif placement == "outside":
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        radius = np.abs(hull - center).max() * 2.0 * draw(st.floats(1.0, 4.0))
+        t = center + radius * np.array([math.cos(theta), math.sin(theta)])
+    elif placement == "vertex":
+        t = hull[j]
+    elif placement == "facet":
+        t = hull[j] + draw(st.floats(0.05, 0.95)) * edge
+    else:
+        t = hull[j] + draw(st.one_of(st.floats(-3.0, -0.2), st.floats(1.2, 4.0))) * edge
+    a, b = _rescaled(draw, a, b, (-2.0, 2.0), permute=True)
+    return placement, rx.Polytope.from_inequalities(a, b).translate(t)
+
+
+def _oracle_field(coeffs):
+    c = coeffs
+    return lambda p: c[0] * p[0] ** 2 + c[1] * p[0] * p[1] + c[2] * p[1] ** 2 + c[3] * abs(p[0] - c[4]) + c[5] * p[1]
+
+
+@st.composite
+def oracles(draw):
+    """An oracle: a planar catalog entry (density 0-20), or on a 2-D ``cut_boxes`` polytope, unscaled and
+    unpermuted, the field c0 x^2 + c1 xy + c2 y^2 + c3 |x - c4| + c5 y with c in [-2, 2]^6 (density 0-12)."""
+    if draw(st.booleans()):
+        entry = rx.CATALOG_BUILDERS[draw(st.sampled_from(PLANAR))]()
+        return rx.oracle_build(entry.field, entry.default_polytope, grid_density=draw(st.integers(0, 20)))
+    a, b, _ = draw(cut_boxes(dims=(2, 2), exponents=None, permute=False))
+    field = rx.ScalarField(2, _oracle_field(draw(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))), name="any")
+    return rx.oracle_build(field, rx.Polytope.from_inequalities(a, b), grid_density=draw(st.integers(0, 12)))
+
+
+@st.composite
+def query_runs(draw, oracle):
+    """Queries in lattice order, random jumps, at sample points (degenerate optima) and outside the hull.
+
+    Lattices of 2-4 points per axis over the sample box grown by 5% a side; 2-8
+    jumps in that box grown by 20% a side; 2-8 sample points; or both
+    interleaved.
+    """
+    lo, hi = oracle.points.min(axis=0), oracle.points.max(axis=0)
+    span = hi - lo
+    kind = draw(st.sampled_from(["lattice", "jumps", "samples", "mixed"]))
+    if kind == "lattice":
+        grid = lattice(np.stack([lo - 0.05 * span, hi + 0.05 * span], axis=1), draw(st.integers(2, 4)))
+        return list(grid)
+    count = draw(st.integers(2, 8))
+    samples = [oracle.points[i] for i in draw(st.lists(st.integers(0, len(oracle.points) - 1), min_size=count, max_size=count))]
+    unit = st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2))
+    jumps = [lo + np.array(u) * span for u in draw(st.lists(unit, min_size=count, max_size=count))]
+    if kind == "samples":
+        return samples
+    if kind == "jumps":
+        return jumps
+    return [p for pair in zip(samples, jumps) for p in pair]

@@ -14,8 +14,10 @@ import pytest
 import rayvex as rx
 from rayvex import envelope as env
 from rayvex.errors import InfeasibleLP
+from rayvex.geometry import lattice
 
 from conftest import session_elapsed
+from strategies import central_diff_gradient, region_interior_points
 
 
 def report(number, passed, detail):
@@ -24,52 +26,17 @@ def report(number, passed, detail):
     assert passed, line
 
 
-def central_diff_gradient(fn, x, h=6e-6):
-    """Fourth-order central differences (truncation ~h^4)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        out[i] = (-fn(x + 2 * e) + 8 * fn(x + e) - 8 * fn(x - e) + fn(x - 2 * e)) / (12 * h)
-    return out
-
-
-def region_interior_points(model, count, margin, seed):
-    """Points whose +-margin axis probes stay in the domain and region."""
-    kept = []
-    pool = rx.sample_interior(model.polytope, seed, 6 * count)
-    for v in pool:
-        ok = True
-        base = rx.region_of(model.polytope, v)
-        for i in range(v.size):
-            for sign in (-1.0, 1.0):
-                probe = v.copy()
-                probe[i] += sign * margin
-                if not model.polytope.contains(probe, tol=-1e-12) or rx.region_of(model.polytope, probe) != base:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            kept.append(v)
-            if len(kept) == count:
-                break
-    return np.array(kept)
-
-
 def test_criterion_01_mccormick_reproduction():
     worst = 0.0
     elapsed = 0.0
     for lower, upper in (((0.0, 0.0), (1.0, 1.0)), ((-1.0, 0.5), (2.0, 3.0))):
         entry = rx.bilinear_neg(lower[0], lower[1], upper[0], upper[1])
         model = env.build(entry.field, entry.default_polytope, anchor=entry.default_anchor, budget=500)
-        axes = [np.linspace(lower[i], upper[i], 101) for i in range(2)]
-        lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        points = lattice(np.array([lower, upper]).T, 101)
         start = time.perf_counter()
-        got = np.array([env.value(model, p) for p in lattice])
+        got = np.array([env.value(model, p) for p in points])
         elapsed += time.perf_counter() - start
-        expect = np.array([entry.expected_envelope(p) for p in lattice])
+        expect = np.array([entry.expected_envelope(p) for p in points])
         worst = max(worst, float(np.abs(got - expect).max()))
     passed = worst <= 1e-9 and elapsed < 1.0
     report(1, passed, f"max |eval - closed form| = {worst:.3e} on two 101x101 boxes, eval time {elapsed:.2f}s")
@@ -78,11 +45,9 @@ def test_criterion_01_mccormick_reproduction():
 def test_criterion_02_fractional_reproduction():
     entry = rx.fractional()
     model = env.build(entry.field, entry.default_polytope, anchor=entry.default_anchor, budget=500)
-    axes = [np.linspace(1.0, 2.0, 101), np.linspace(0.0, 2.0, 101)]
-    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
     worst = 0.0
     used = 0
-    for p in lattice:
+    for p in lattice(np.array([[1.0, 2.0], [0.0, 2.0]]), 101):
         if not entry.default_polytope.contains(p):
             continue
         worst = max(worst, abs(env.value(model, p) - entry.expected_envelope(p)))
@@ -280,8 +245,7 @@ def test_criterion_08_oracle_sandwich(catalog_models):
     # (b) exact polyhedral case: vertices-only oracle equals the envelope
     entry, model = catalog_models["bilinear"]
     oracle = rx.oracle_build(model.field, model.polytope, grid_density=0)
-    axes = np.linspace(0.0, 1.0, 21)
-    grid = np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = lattice(np.array([[0.0, 1.0], [0.0, 1.0]]), 21)
     exact_gap = max(abs(rx.oracle_eval(oracle, q) - env.value(model, q)) for q in grid)
     exact_ok = exact_gap <= 1e-8
 

@@ -10,6 +10,7 @@ import pytest
 import reference_checks as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import SLAB
 
 import rayvex as rx
 from rayvex import envelope as env
@@ -17,10 +18,6 @@ from rayvex import verify
 from rayvex.cli import main
 
 BUDGET = 2000
-SLAB = rx.Polytope.from_inequalities(  # {(x, y) >= 0 : 1 <= x + y <= 2}, origin outside
-    [[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [1.0, 1.0]],
-    [0.0, 0.0, -1.0, 2.0],
-)
 
 # a box cut by one halfspace, rows rescaled, moved away from the origin:
 # its normalised facet rows give inexact a . v products
@@ -29,14 +26,6 @@ CUT_FAR = rx.Polytope.from_inequalities(
     np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.6, -1.3]]) * _SCALES[:, None],
     np.array([1.3, 0.9, 0.7, 1.1, 0.8]) * _SCALES,
 ).translate([3.0, 3.0])
-
-
-def _catalog_model(name):
-    entry = next(e for e in rx.catalog() if e.name == name)
-    return env.build(
-        entry.field, entry.default_polytope, sense=entry.build_sense, anchor=entry.default_anchor,
-        run_certification=False,
-    )
 
 
 def _plain_model(fn, polytope, name="anon"):
@@ -63,8 +52,8 @@ def _assert_same_reports(model, budget, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("name", [entry.name for entry in rx.catalog()])
-def test_checks_match_per_sample_loops_on_catalog(name, seed):
-    _assert_same_reports(_catalog_model(name), BUDGET, seed)
+def test_checks_match_per_sample_loops_on_catalog(uncertified_models, name, seed):
+    _assert_same_reports(uncertified_models[name], BUDGET, seed)
 
 
 @pytest.mark.parametrize(
@@ -119,9 +108,9 @@ class _Calls:
 
 
 @pytest.mark.parametrize("name", ["bilinear", "reliability", "cubic", "cobb-douglas"])
-def test_checks_call_the_field_once_per_point(name, monkeypatch):
+def test_checks_call_the_field_once_per_point(uncertified_models, name, monkeypatch):
     calls = _Calls(monkeypatch)
-    model = calls.wrap(_catalog_model(name))
+    model = calls.wrap(uncertified_models[name])
 
     result = verify.check_ray_concavity(model.field, model.polytope, n_rays=50, seed=2)
     assert (calls.field, calls.secants) == (3 * result.samples, 0)

@@ -12,22 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import bits, cut_boxes, scaled
 
 import rayvex as rx
 from rayvex.errors import PointOutsidePolytope
 from rayvex.geometry import _facet_dots
 
 
-def _bits(x):
-    return np.asarray(x, dtype=float).tobytes()
-
-
 @pytest.mark.parametrize("scales", [(1e3, 1, 1e-6, 1, 1e4), (1e3, 1, 1e-6, 1, 1e3)])
 def test_rescaled_fractional_rows_validate_with_the_unscaled_bounds(scales):
     # "polytope is empty" and "interior-point search failed" on the user's rows
     poly = rx.fractional().default_polytope
-    s = np.array(scales)
-    report = rx.validate(rx.Polytope.from_inequalities(poly.matrix * s[:, None], poly.offsets * s))
+    report = rx.validate(scaled(poly, scales))
     want = rx.validate(poly)
     np.testing.assert_allclose(report.coordinate_bounds, want.coordinate_bounds, rtol=0, atol=1e-12)
     assert report.origin_location == want.origin_location == "outside"
@@ -69,27 +65,9 @@ def test_vertices_keep_no_point_outside_a_small_row():
     assert not any(np.array_equal(v, [0.0, -1e-7]) for v in verts)
 
 
-@st.composite
-def scaled_cut_boxes(draw):
-    """(user rows a, b, interior point): a 2-4-D box around any origin cut once, rows scaled by 10^[-8, 8]."""
-    n = draw(st.integers(2, 4))
-    # entries rounded to 0 or at least 1e-6 stay normal doubles through the scalings below
-    coords = st.lists(st.floats(-3.0, 1.0).map(lambda x: round(x, 6)), min_size=n, max_size=n)
-    lower = np.array(draw(coords))
-    upper = lower + np.array(draw(st.lists(st.floats(0.2, 4.0), min_size=n, max_size=n)))
-    box = rx.Polytope.box(lower, upper)
-    center = 0.5 * (lower + upper)
-    coords = st.lists(st.floats(-1.0, 1.0).map(lambda x: round(x, 6)), min_size=n, max_size=n)
-    normal = np.array(draw(coords.filter(lambda c: max(map(abs, c)) >= 0.1)))
-    a = np.vstack([box.matrix, normal])
-    b = np.append(box.offsets, normal @ center + draw(st.floats(0.05, 1.0)))  # the cut keeps the center inside
-    scales = 10.0 ** np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=len(b), max_size=len(b))))
-    return a * scales[:, None], b * scales, center
-
-
 @settings(max_examples=100, deadline=None)
 @given(
-    scaled_cut_boxes(),
+    cut_boxes(exponents=(-8.0, 8.0), permute=False, rounded=True),
     st.lists(st.integers(-60, 60), min_size=9, max_size=9),
     st.lists(st.floats(-6.0, 6.0), min_size=9, max_size=9),
     st.integers(0, 2**32 - 1),
@@ -103,16 +81,16 @@ def test_canonical_rows_keep_every_ratio_and_every_verdict(case, powers, exponen
     # powers of two, per row, and a rebuild from the stored rows give the same bytes
     two = np.ldexp(1.0, np.array(powers[:m]))
     for again in (rx.Polytope.from_inequalities(a * two[:, None], b * two), rx.Polytope(poly.matrix, poly.offsets)):
-        assert _bits(again.matrix) == _bits(poly.matrix) and _bits(again.offsets) == _bits(poly.offsets)
+        assert bits(again.matrix) == bits(poly.matrix) and bits(again.offsets) == bits(poly.offsets)
 
     # normals and ratios formed from the user's rows, bit for bit
     for i in range(m):
         if abs(poly.offsets[i]) > rx.geometry.GEOM_TOL:
-            assert _bits(rx.normalize_facet(poly, i)) == _bits(a[i] / b[i])
+            assert bits(rx.normalize_facet(poly, i)) == bits(a[i] / b[i])
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(8, n)) + center
     with np.errstate(divide="ignore", invalid="ignore"):
-        assert _bits(poly.offsets / _facet_dots(poly.matrix, directions)) == _bits(b / _facet_dots(a, directions))
+        assert bits(poly.offsets / _facet_dots(poly.matrix, directions)) == bits(b / _facet_dots(a, directions))
 
     # any per-row factor: validate succeeds, and points 1e-7 clear of every facet line get one verdict
     lam = 10.0 ** np.array(exponents[:m])
@@ -145,7 +123,7 @@ def test_the_rows_are_stored_once_and_read_only():
         with pytest.raises(ValueError):
             arr[0] = 1.0
     again = rx.Polytope.from_json_dict(poly.to_json_dict())
-    assert _bits(again.matrix) == _bits(poly.matrix) and _bits(again.offsets) == _bits(poly.offsets)
+    assert bits(again.matrix) == bits(poly.matrix) and bits(again.offsets) == bits(poly.offsets)
 
 
 @pytest.mark.parametrize("matrix, offsets, message", [

@@ -19,10 +19,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_catalog_lists_five(capsys):
-    code, out, _ = run(capsys, "catalog")
+def run_json(capsys, *argv):
+    """stdout read as JSON, once the command has exited 0."""
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    data = json.loads(out)
+    return json.loads(out)
+
+
+def test_catalog_lists_five(capsys):
+    data = run_json(capsys, "catalog")
     assert [e["name"] for e in data["entries"]] == [
         "bilinear", "fractional", "reliability", "cubic", "cobb-douglas",
     ]
@@ -62,35 +67,37 @@ def test_missing_polytope_file_exit_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_non_positive_budget_exit_one(budget, capsys):
+    # a budget below 1 drew no homogeneity sample and still printed "certification passed"
+    code, out, err = run(capsys, "certify", "--function", "cubic", "--budget", budget)
+    assert (code, out) == (1, "")
+    assert err == f"error: certification budget must be at least 1, got {budget}\n"
+
+
 def test_unknown_flag_usage_error(capsys):
     assert main(["certify", "--function", "bilinear", "--frobnicate"]) == 1
 
 
 def test_eval_points(capsys):
-    code, out, _ = run(
+    rows = run_json(
         capsys, "eval", "--function", "bilinear", "--point", "0.5,0.25", "--point", "1,1", *FAST,
-    )
-    assert code == 0
-    rows = json.loads(out)["rows"]
+    )["rows"]
     assert rows[0]["g"] == pytest.approx(-0.25)
     assert rows[1]["g"] == pytest.approx(-1.0)
     assert rows[1]["tight"] is True
 
 
 def test_eval_outside_point_is_omitted(capsys):
-    code, out, _ = run(
+    data = run_json(
         capsys, "eval", "--function", "bilinear", "--point", "2,2", "--point", "0.5,0.5", *FAST,
     )
-    assert code == 0
-    data = json.loads(out)
     assert data["omitted"] == 1
     assert len(data["rows"]) == 1
 
 
 def test_grid_resolution_three(capsys):
-    code, out, _ = run(capsys, "grid", "--function", "bilinear", "--resolution", "3", *FAST)
-    assert code == 0
-    data = json.loads(out)
+    data = run_json(capsys, "grid", "--function", "bilinear", "--resolution", "3", *FAST)
     assert len(data["rows"]) == 9
     assert data["omitted"] == 0
     for row in data["rows"]:
@@ -116,31 +123,32 @@ def test_grid_omits_points_outside_polytope(tmp_path, capsys):
     assert len(data["rows"]) + data["omitted"] == 25
 
 
-def test_grid_csv_round_trip(tmp_path, capsys):
+def fractional_grid_csv(tmp_path, capsys, resolution):
+    """(x, g) for each row of ``grid --function fractional --format csv``, after its "# omitted=" line is checked."""
     out_file = tmp_path / "grid.csv"
     code, _, _ = run(
-        capsys, "grid", "--function", "fractional", "--resolution", "7",
+        capsys, "grid", "--function", "fractional", "--resolution", str(resolution),
         "--format", "csv", "--out", str(out_file), *FAST,
     )
     assert code == 0
     lines = out_file.read_text().strip().splitlines()
     assert lines[-1].startswith("# omitted=")
-    header = lines[0].split(",")
+    cells = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:-1]]
+    return [(np.array([float(c["x1"]), float(c["x2"])]), float(c["g"])) for c in cells]
+
+
+def test_grid_csv_round_trip(tmp_path, capsys):
     entry = rx.fractional()
     model = env.build(
         entry.field, entry.default_polytope, sense="convex",
         anchor=entry.default_anchor, budget=400,
     )
-    for line in lines[1:-1]:
-        cells = dict(zip(header, line.split(",")))
-        x = np.array([float(cells["x1"]), float(cells["x2"])])
-        assert env.value(model, x) == pytest.approx(float(cells["g"]), abs=1e-12)
+    for x, g in fractional_grid_csv(tmp_path, capsys, 7):
+        assert env.value(model, x) == pytest.approx(g, abs=1e-12)
 
 
 def test_regions_unit_box(capsys):
-    code, out, _ = run(capsys, "regions", "--function", "bilinear", *FAST)
-    assert code == 0
-    data = json.loads(out)
+    data = run_json(capsys, "regions", "--function", "bilinear", *FAST)
     assert len(data["regions"]) == 2
     for region in data["regions"]:
         assert region["in_facet"] is None
@@ -149,9 +157,7 @@ def test_regions_unit_box(capsys):
 
 
 def test_regions_fractional_split_along_y_eq_2x(capsys):
-    code, out, _ = run(capsys, "regions", "--function", "fractional", *FAST)
-    assert code == 0
-    data = json.loads(out)
+    data = run_json(capsys, "regions", "--function", "fractional", *FAST)
     assert len(data["regions"]) == 2
     # the shared boundary in working coordinates is the ray y = 2x, i.e. the
     # segment from the anchor (1, 0) towards (2, 2) in original coordinates
@@ -167,11 +173,9 @@ def test_regions_3d_not_supported(capsys):
 
 
 def test_compare_bilinear_vertices_only(capsys):
-    code, out, _ = run(
+    data = run_json(
         capsys, "compare", "--function", "bilinear", "--density", "0", "--resolution", "21", *FAST,
     )
-    assert code == 0
-    data = json.loads(out)
     assert data["oracle_points"] == 4
     assert abs(data["max_oracle_minus_g"]) <= 1e-8
     assert abs(data["min_oracle_minus_g"]) <= 1e-8
@@ -179,21 +183,9 @@ def test_compare_bilinear_vertices_only(capsys):
 
 
 def test_grid_fractional_matches_closed_form_at_high_resolution(tmp_path, capsys):
-    out_file = tmp_path / "grid.csv"
-    code, _, _ = run(
-        capsys, "grid", "--function", "fractional", "--resolution", "101",
-        "--format", "csv", "--out", str(out_file), *FAST,
-    )
-    assert code == 0
     entry = rx.fractional()
-    lines = out_file.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    worst = 0.0
-    for line in lines[1:-1]:
-        cells = dict(zip(header, line.split(",")))
-        p = np.array([float(cells["x1"]), float(cells["x2"])])
-        worst = max(worst, abs(float(cells["g"]) - entry.expected_envelope(p)))
-    assert worst <= 1e-9
+    rows = fractional_grid_csv(tmp_path, capsys, 101)
+    assert max(abs(g - entry.expected_envelope(x)) for x, g in rows) <= 1e-9
 
 
 def test_certify_three_dimensional_model(tmp_path, capsys):
@@ -255,24 +247,20 @@ def test_commands_are_deterministic(tmp_path, capsys):
 def test_polytope_file_flow(tmp_path, capsys):
     poly_file = tmp_path / "box.json"
     rx.Polytope.box([0.0, 0.0], [2.0, 2.0]).save(poly_file)
-    code, out, _ = run(
+    rows = run_json(
         capsys, "eval", "--function", "bilinear",
         "--ux", "2", "--uy", "2", "--polytope", str(poly_file),
         "--point", "1,1", *FAST,
-    )
-    assert code == 0
-    rows = json.loads(out)["rows"]
+    )["rows"]
     # secant between f(0,0) = 0 and f(2,2) = -4 on the [0,2]^2 diagonal
     assert rows[0]["g"] == pytest.approx(-2.0)
 
     # a file that is not the catalog's default domain (the unit box) replaces it
     rx.Polytope.box([0.0, 0.0], [2.0, 1.0]).save(poly_file)
-    code, out, _ = run(
+    data = run_json(
         capsys, "eval", "--function", "bilinear", "--polytope", str(poly_file),
         "--point", "1,0.5", "--point", "2,1", *FAST,
     )
-    assert code == 0
-    data = json.loads(out)
     assert data["omitted"] == 0
     # on the ray from f(0,0) = 0 to f(2,1) = -2; the unit box would give f(1,0.5) = -0.5 and omit (2,1)
     assert [row["g"] for row in data["rows"]] == pytest.approx([-1.0, -2.0])
@@ -280,12 +268,10 @@ def test_polytope_file_flow(tmp_path, capsys):
 
 def test_explicit_flags_reach_build_as_given(capsys):
     # --param and the shorthands, --sense, a vector --anchor, --seed and --budget, one-to-one
-    code, out, _ = run(
+    data = run_json(
         capsys, "certify", "--function", "bilinear", "--param", "lx=0", "--param", "ly=0",
         "--ux", "1", "--uy", "1", "--sense", "convex", "--anchor", "0,0", "--seed", "3", "--budget", "500",
     )
-    assert code == 0
-    data = json.loads(out)
     entry = rx.bilinear_neg(0.0, 0.0, 1.0, 1.0)
     model = env.build(entry.field, entry.default_polytope, sense="convex", anchor=np.zeros(2), budget=500, seed=3)
     assert data["params"] == entry.params

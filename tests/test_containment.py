@@ -16,56 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import band_cases, near_facet, outside, polytopes
 
 import rayvex as rx
 from rayvex.cli import main
 from rayvex.errors import PointOutsidePolytope
 from rayvex.geometry import GEOM_TOL, INTERIOR_MARGIN, _facet_dots, _facet_products, locate
-
-CATALOG_POLYTOPES = [entry.default_polytope for entry in rx.catalog()]
-
-
-@st.composite
-def polytopes(draw):
-    """(polytope, a point inside it): a catalog polytope, or a 2-4-D box cut, row-scaled and permuted."""
-    if draw(st.booleans()):
-        polytope = draw(st.sampled_from(CATALOG_POLYTOPES))
-        return polytope, rx.validate(polytope).interior_point
-    n = draw(st.integers(2, 4))
-    lower = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
-    upper = lower + np.array(draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n)))
-    box = rx.Polytope.box(lower, upper)
-    center = 0.5 * (lower + upper)
-    coords = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
-    normal = np.array(draw(coords.filter(lambda c: max(map(abs, c)) >= 0.1)))  # a . a stays far from underflow
-    a = np.vstack([box.matrix, normal])
-    b = np.append(box.offsets, normal @ center + draw(st.floats(0.0, 1.0)))  # the cut keeps the center
-    scales = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=len(b), max_size=len(b))))
-    perm = np.array(draw(st.permutations(range(len(b)))))
-    return rx.Polytope.from_inequalities((a * scales[:, None])[perm], (b * scales)[perm]), center
-
-
-def near_facet(polytope, center):
-    """Points on a facet hyperplane, 1-3 ulps off it or 1e-10 off it, either side."""
-
-    @st.composite
-    def point(draw):
-        i = draw(st.integers(0, polytope.n_facets - 1))
-        a, b = polytope.matrix[i], polytope.offsets[i]
-        n = polytope.dim
-        x = center + np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
-        x = x + (b - a @ x) / (a @ a) * a  # onto the hyperplane, up to rounding
-        side = draw(st.sampled_from([-1.0, 1.0]))
-        offset = draw(st.sampled_from(["on", "ulps", "1e-10"]))
-        if offset == "ulps":
-            target = x + side * a
-            for _ in range(draw(st.integers(1, 3))):
-                x = np.nextafter(x, target)
-        elif offset == "1e-10":
-            x = x + side * 1e-10 * a / np.linalg.norm(a)
-        return x
-
-    return point()
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,37 +65,6 @@ def test_translated_offsets_are_the_anchor_margins(data):
     assert moved.contains(np.zeros(polytope.dim)) == polytope.contains(t)
 
 
-def _located(polytope, v) -> bool:
-    try:
-        locate(polytope, v)
-    except PointOutsidePolytope:
-        return False
-    return True
-
-
-@st.composite
-def band_cases(draw):
-    """(polytope, v): a polytope, maybe translated to a point near a facet, and a point near a facet.
-
-    The point may then move 1e-12 to 1e-6 along a facet normal and be rescaled along its ray,
-    by 10^[-3, 3] or by 2^-[1020, 1080], where every exit ratio b / (a.v) may overflow.
-    """
-    polytope, center = draw(polytopes())
-    if draw(st.booleans()):
-        t = draw(near_facet(polytope, center))  # a working origin on or next to a facet line
-        polytope, center = polytope.translate(t), center - t
-    v = draw(near_facet(polytope, center))
-    if draw(st.booleans()):
-        a = polytope.matrix[draw(st.integers(0, polytope.n_facets - 1))]
-        v = v + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -6.0)) * a / np.linalg.norm(a)
-    scale = draw(st.sampled_from(["none", "decades", "subnormal"]))
-    if scale == "decades":
-        v = v * 10.0 ** draw(st.floats(-3.0, 3.0))
-    elif scale == "subnormal":
-        v = np.ldexp(v, -draw(st.integers(1020, 1080)))
-    return polytope, v
-
-
 @settings(max_examples=200, deadline=None)
 @given(band_cases())
 def test_locate_and_contains_differ_only_in_the_band(case):
@@ -149,7 +74,7 @@ def test_locate_and_contains_differ_only_in_the_band(case):
         return
     t = _facet_dots(polytope.matrix, v)
     margins = polytope.margins(v)
-    verdicts = (polytope.contains(v), _located(polytope, v))
+    verdicts = (polytope.contains(v), not outside(locate, polytope, v))
     if np.all(margins >= 0.0):
         assert verdicts == (True, True)
     if np.any(margins < -2.0 * GEOM_TOL * np.maximum(1.0, np.abs(t))):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,3 +61,14 @@ def test_every_exported_name_resolves():
         assert not hasattr(rayvex, name), name
         assert not hasattr(importlib.import_module(f"rayvex.{module}"), name), name
     assert [name for name in UNEXPORTED if hasattr(rayvex, name)] == []
+
+
+# tests/strategies.py is the one home of composite strategies and of these helpers
+ONE_HOME = re.compile(
+    r"^\s*(@(\w+\.)*composite\b|def (near_facet|central_diff_gradient|region_interior_points)\b)", re.M
+)
+
+
+def test_strategies_and_shared_helpers_have_one_home():
+    tests = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
+    assert [(path.name, m.group(1)) for path in tests for m in ONE_HOME.finditer(path.read_text())] == []

@@ -7,6 +7,7 @@ import pytest
 
 import rayvex as rx
 import reference_fields as ref
+from strategies import record_calls, region_interior
 from rayvex import envelope as env
 from rayvex.errors import (
     DimensionMismatch,
@@ -19,24 +20,21 @@ from rayvex.errors import (
 BUDGET = 2000  # module-level checks; acceptance runs the full 10^4
 
 
+# (entry, model): the catalog's bilinear on [0, 1]^2, cubic with anchor "none", and reliability on
+# [0, 1]^2 in concave sense at the origin, certified once per session at 10^4
 @pytest.fixture(scope="module")
-def mccormick():
-    entry = rx.bilinear_neg(0, 0, 1, 1)
-    return entry, env.build(entry.field, entry.default_polytope, anchor=entry.default_anchor, budget=BUDGET)
-
-
-@pytest.fixture(scope="module")
-def cubic():
-    entry = rx.cubic_rational()
-    return entry, env.build(entry.field, entry.default_polytope, anchor="none", budget=BUDGET)
+def mccormick(catalog_models):
+    return catalog_models["bilinear"]
 
 
 @pytest.fixture(scope="module")
-def reliability_cave():
-    entry = rx.reliability(1.0, 1.0)
-    return entry, env.build(
-        entry.field, entry.default_polytope, sense="concave", anchor="origin-shift", budget=BUDGET
-    )
+def cubic(catalog_models):
+    return catalog_models["cubic"]
+
+
+@pytest.fixture(scope="module")
+def reliability_cave(catalog_models):
+    return catalog_models["reliability"]
 
 
 class TestBuild:
@@ -69,9 +67,7 @@ class TestBuild:
 
     @staticmethod
     def _count_lps(monkeypatch, entry, anchor) -> int:
-        lps = []
-        solve = rx.geometry.solve_inequality_lp
-        monkeypatch.setattr(rx.geometry, "solve_inequality_lp", lambda *a: lps.append(1) or solve(*a))
+        lps = record_calls(monkeypatch, rx.geometry, "solve_inequality_lp")
         model = env.build(entry.field, entry.default_polytope, sense=entry.build_sense, anchor=anchor, budget=500)
         assert model.polytope is not entry.default_polytope
         assert model.validation is rx.validate(model.polytope)  # read from the cache, no LP
@@ -233,71 +229,8 @@ class TestGradient:
             env.gradient(replace(model, field=field), [0.0, 1.5])  # v_plus on x = 0, where f = inf
         assert probed == []
 
-    @pytest.mark.parametrize("fixture", ["mccormick", "cubic", "reliability_cave"])
-    def test_matches_finite_differences(self, fixture, request):
-        entry, model = request.getfixturevalue(fixture)
-        checked = 0
-        for p in rx.sample_interior(model.polytope, 13, 400):
-            x = p + model.anchor
-            if not _region_interior(model, p, margin=1e-3):
-                continue
-            analytic = env.gradient(model, x)
-            numeric = central_diff_gradient(lambda z: env.value(model, z), x)
-            scale = max(1.0, float(np.linalg.norm(analytic)))
-            assert np.linalg.norm(analytic - numeric) <= 1e-6 * scale
-            checked += 1
-            if checked >= 100:
-                break
-        assert checked >= 50
-
-
-def central_diff_gradient(fn, x, h=6e-6):
-    """Fourth-order central stencil; truncation ~h^4 keeps the steep cubic honest."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        out[i] = (-fn(x + 2 * e) + 8 * fn(x + e) - 8 * fn(x - e) + fn(x - 2 * e)) / (12 * h)
-    return out
-
-
-def _region_interior(model, v, margin):
-    """True when all +-margin probes stay in the polytope and the same region."""
-    base = rx.region_of(model.polytope, v)
-    for i in range(v.size):
-        for sign in (-1.0, 1.0):
-            probe = v.copy()
-            probe[i] += sign * margin
-            if not model.polytope.contains(probe, tol=-1e-12):
-                return False
-            if rx.region_of(model.polytope, probe) != base:
-                return False
-    return True
-
 
 class TestConvexityProperties:
-    @pytest.mark.parametrize("fixture", ["mccormick", "cubic", "reliability_cave"])
-    def test_midpoint_convexity(self, fixture, request):
-        entry, model = request.getfixturevalue(fixture)
-        flip = model.sign
-        pts = rx.sample_interior(model.polytope, 17, 1000)
-        for k in range(0, 1000, 2):
-            a, b = pts[k] + model.anchor, pts[k + 1] + model.anchor
-            mid = 0.5 * (a + b)
-            viol = flip * (env.value(model, mid) - 0.5 * (env.value(model, a) + env.value(model, b)))
-            assert viol <= 1e-9
-
-    @pytest.mark.parametrize("fixture", ["mccormick", "cubic", "reliability_cave"])
-    def test_underestimation(self, fixture, request):
-        entry, model = request.getfixturevalue(fixture)
-        flip = model.sign
-        for p in rx.sample_interior(model.polytope, 19, 1000):
-            x = p + model.anchor
-            result = env.eval(model, x)
-            viol = flip * (result.value - result.f)
-            assert viol <= 1e-12
-
     @pytest.mark.parametrize("fixture", ["mccormick", "cubic"])
     def test_positive_homogeneity_of_secant(self, fixture, request):
         entry, model = request.getfixturevalue(fixture)
@@ -331,7 +264,7 @@ class TestConvexityProperties:
         tested = 0
         for k in range(0, 400, 2):
             v = pts[k]
-            if not _region_interior(model, v, margin=1e-4):
+            if not region_interior(model, v, margin=1e-4):
                 continue
             w = pts[k + 1]
             x_v, x_w = v + model.anchor, w + model.anchor

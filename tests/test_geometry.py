@@ -1,9 +1,12 @@
 """Geometry: validation, ray traces, regions, vertices and sampling."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from strategies import SLAB, bits, cut_boxes, record_calls
 
 import rayvex as rx
 from rayvex.errors import (
@@ -19,11 +22,6 @@ from rayvex.errors import (
 from rayvex.geometry import polygon_area
 
 UNIT_BOX = rx.Polytope.box([0.0, 0.0], [1.0, 1.0])
-# {(x, y) >= 0 : 1 <= x + y <= 2}
-SLAB = rx.Polytope.from_inequalities(
-    [[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [1.0, 1.0]],
-    [0.0, 0.0, -1.0, 2.0],
-)
 # triangle conv{(1,0), (0,1), (1,1)}
 TRIANGLE = rx.Polytope.from_inequalities(
     [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
@@ -65,9 +63,7 @@ class TestValidate:
         assert report.origin_on_facet_interior
 
     def test_report_is_kept_on_the_polytope(self, monkeypatch):
-        lps = []
-        solve = rx.geometry.solve_inequality_lp
-        monkeypatch.setattr(rx.geometry, "solve_inequality_lp", lambda *a: lps.append(1) or solve(*a))
+        lps = record_calls(monkeypatch, rx.geometry, "solve_inequality_lp")
         box = rx.Polytope.box([0.0, 0.0], [2.0, 1.0])
         report = rx.validate(box)
         assert len(lps) == 5  # two bounds per coordinate and the Chebyshev centre
@@ -78,9 +74,7 @@ class TestValidate:
             report.coordinate_bounds[0, 0] = -1.0
 
     def test_failed_validation_is_not_kept(self, monkeypatch):
-        lps = []
-        solve = rx.geometry.solve_inequality_lp
-        monkeypatch.setattr(rx.geometry, "solve_inequality_lp", lambda *a: lps.append(1) or solve(*a))
+        lps = record_calls(monkeypatch, rx.geometry, "solve_inequality_lp")
         quadrant = rx.Polytope.from_inequalities([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
         for attempt in (1, 2):
             with pytest.raises(UnboundedPolytope):
@@ -104,25 +98,10 @@ def test_interior_point_contract_on_catalog(entry):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    lower=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
-    widths=st.tuples(st.floats(0.1, 4), st.floats(0.1, 4)),
-    angle=st.floats(0, 2 * np.pi),
-    depth=st.floats(0.05, 1.0),
-    scales=st.lists(st.floats(0.25, 4), min_size=5, max_size=5),
-)
-def test_interior_point_contract_on_cut_boxes(lower, widths, angle, depth, scales):
-    # A box cut by one halfspace that keeps the box centre inside, rows rescaled.
-    lower = np.array(lower)
-    upper = lower + np.array(widths)
-    box = rx.Polytope.box(lower, upper)
-    normal = np.array([np.cos(angle), np.sin(angle)])
-    centre = 0.5 * (lower + upper)
-    offset = normal @ centre + depth * 0.5 * min(widths)
-    a = np.vstack([box.matrix, normal])
-    b = np.append(box.offsets, offset)
-    s = np.array(scales)
-    _assert_interior_point_clears_margin(rx.Polytope.from_inequalities(a * s[:, None], b * s))
+@given(cut_boxes(dims=(2, 2), exponents=(math.log10(0.25), math.log10(4.0)), permute=False))
+def test_interior_point_contract_on_cut_boxes(case):
+    a, b, _ = case
+    _assert_interior_point_clears_margin(rx.Polytope.from_inequalities(a, b))
 
 
 class TestRayIntersect:
@@ -412,15 +391,6 @@ def test_polytope_labels_survive_round_trip(tmp_path):
 # -- the batched ray kernel ------------------------------------------------------
 
 
-def _cut_box(rng, dim):
-    """A box with two random cuts, every row rescaled: rows with inexact a.v sums."""
-    a = np.vstack([np.eye(dim), -np.eye(dim), rng.normal(size=(2, dim))])
-    b = np.concatenate([rng.uniform(0.5, 2.0, size=2 * dim), rng.uniform(0.3, 1.0, size=2)])
-    b[2 * dim :] += a[2 * dim :] @ rng.uniform(-0.2, 0.2, size=dim)  # keep the cuts off the origin
-    scale = 10.0 ** rng.uniform(-3, 3, size=len(b))
-    return rx.Polytope.from_inequalities(a * scale[:, None], b * scale)
-
-
 KERNEL_POLYTOPES = [entry.default_polytope for entry in rx.catalog()] + [
     UNIT_BOX,
     SLAB,
@@ -452,23 +422,19 @@ def _ray_candidates(poly, rng):
     )
 
 
-def _bits(x):
-    return np.asarray(x, dtype=float).tobytes()
-
-
 def _assert_rows_match(poly, rows):
     batch = rx.ray_intersect_batch(poly, rows)
     v_minus, v_plus = batch.v_minus, batch.v_plus
     for r, v in enumerate(rows):
         trace = rx.ray_intersect(poly, v)
-        assert _bits(batch.alpha_minus[r]) == _bits(trace.alpha_minus)
-        assert _bits(batch.alpha_plus[r]) == _bits(trace.alpha_plus)
-        assert _bits(batch.alpha_v[r]) == _bits(trace.alpha_v)
+        assert bits(batch.alpha_minus[r]) == bits(trace.alpha_minus)
+        assert bits(batch.alpha_plus[r]) == bits(trace.alpha_plus)
+        assert bits(batch.alpha_v[r]) == bits(trace.alpha_v)
         assert batch.in_facet[r] == (-1 if trace.in_facet is None else trace.in_facet)
         assert batch.out_facet[r] == trace.out_facet
         assert batch.degenerate[r] == trace.degenerate
-        assert _bits(v_minus[r]) == _bits(trace.v_minus)
-        assert _bits(v_plus[r]) == _bits(trace.v_plus)
+        assert bits(v_minus[r]) == bits(trace.v_minus)
+        assert bits(v_plus[r]) == bits(trace.v_plus)
 
 
 def _scalar_outcome(poly, v):
@@ -480,13 +446,16 @@ def _scalar_outcome(poly, v):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, len(KERNEL_POLYTOPES) + 2), st.integers(0, 2**32 - 1))
-def test_batch_kernel_matches_scalar_bit_for_bit(which, seed):
+@given(
+    st.one_of(
+        st.sampled_from(KERNEL_POLYTOPES),
+        # two cuts, every row rescaled: rows with inexact a.v sums, in 2-4-D
+        cut_boxes(cuts=2, permute=False).map(lambda case: rx.Polytope.from_inequalities(case[0], case[1])),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_batch_kernel_matches_scalar_bit_for_bit(poly, seed):
     rng = np.random.default_rng(seed)
-    if which < len(KERNEL_POLYTOPES):
-        poly = KERNEL_POLYTOPES[which]
-    else:
-        poly = _cut_box(rng, 2 + which - len(KERNEL_POLYTOPES))  # 2-, 3- and 4-D
     rows = _ray_candidates(poly, rng)
     outcomes = [_scalar_outcome(poly, v) for v in rows]
     _assert_rows_match(poly, rows[[o is None for o in outcomes]])
@@ -506,6 +475,14 @@ def test_batch_kernel_reports_first_failing_row():
     with pytest.raises(ValueError):
         rx.ray_intersect_batch(UNIT_BOX, np.ones((3, 3)))
     assert rx.ray_intersect_batch(UNIT_BOX, np.zeros((0, 2))).out_facet.shape == (0,)
+
+
+def test_batch_kernel_overflows_to_inf_without_a_warning():
+    """b / (a.v) and alpha_v may overflow, as the scalar kernel's float division does; numpy warned there."""
+    with pytest.raises(RayMissesPolytope, match="never exits"):  # 1 / 2.2e-311 is inf: no finite exit
+        rx.ray_intersect_batch(UNIT_BOX, [[0.0, 2.2e-311]])
+    thin = rx.Polytope.box([0.0, -1.1125369292536007e-308], [1.0, 1.0])
+    _assert_rows_match(thin, np.array([[3.883676458323351, -2.2638173737797933]]))  # alpha_v = -1 / 4.9e-309
 
 
 def test_far_ray_is_not_degenerate():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import origin_in_polytopes
 
 import rayvex as rx
 from rayvex import envelope as env
@@ -28,37 +29,6 @@ FIELDS = (
     lambda c: lambda p: c[0] * math.exp(0.5 * c[1] * p[0] + 0.5 * c[2] * p[1]) + c[3],
     lambda c: lambda p: c[0] + abs(p[0]) ** 0.3 - c[1] * p[1] ** 3,
 )
-
-
-@st.composite
-def origin_in_polytopes(draw):
-    """A box around the origin, maybe cut, its rows rescaled and permuted; every b_i >= 0.
-
-    The origin is interior, on one facet or at a vertex.  A cut keeps the
-    box centre inside and may pass through the origin.
-    """
-    lo = np.array([-draw(st.floats(0.2, 2.0)), -draw(st.floats(0.2, 2.0))])
-    hi = np.array([draw(st.floats(0.2, 2.0)), draw(st.floats(0.2, 2.0))])
-    lo[: draw(st.integers(0, 2))] = 0.0  # on the x >= 0 facet, or at the vertex of both
-    rows = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
-    offsets = [hi[0], hi[1], -lo[0], -lo[1]]
-    if draw(st.booleans()):
-        theta = draw(st.floats(0.0, 2.0 * math.pi))
-        c = np.array([math.cos(theta), math.sin(theta)])
-        at_center = float(c @ (0.5 * (lo + hi)))
-        top = max(float(c @ np.array([x, y])) for x in (lo[0], hi[0]) for y in (lo[1], hi[1]))
-        if at_center < -0.05 and draw(st.booleans()):
-            d = 0.0  # through the origin
-        else:
-            base = max(0.0, at_center)
-            d = base + draw(st.floats(0.05, 0.95)) * (top - base)
-        rows.append(c.tolist())
-        offsets.append(d)
-    scales = np.array([10.0 ** draw(st.floats(-6.0, 6.0)) for _ in offsets])
-    order = draw(st.permutations(range(len(offsets))))
-    a = (np.array(rows) * scales[:, None])[order]
-    b = (np.array(offsets) * scales)[order]
-    return rx.Polytope.from_inequalities(a, b)
 
 
 @settings(max_examples=200, deadline=None)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from strategies import facets, near_catalog_facet, on_facet, outside, scaled, ulps
 
 import rayvex as rx
 from rayvex import envelope as env
@@ -24,55 +25,17 @@ ENTRIES = [entry.name for entry in rx.catalog()]
 EVALUATORS = (env.value, env.eval_homogeneous, env.gradient)
 
 
-def _facets(polytope: rx.Polytope) -> list[tuple[int, np.ndarray]]:
-    """(index, vertices on it) for every facet of a polytope."""
-    verts = rx.vertices(polytope)
-    out = []
-    for i, (a, b) in enumerate(zip(polytope.matrix, polytope.offsets)):
-        on = verts[np.abs(verts @ a - b) <= 1e-9]
-        if len(on) >= polytope.dim:
-            out.append((i, on))
-    return out
-
-
-def _on_facet(face: np.ndarray, weights) -> np.ndarray:
-    """w0 + sum_k lambda_k (w_k - w0): stays exactly on an axis-aligned facet."""
-    w = np.asarray(weights, dtype=float)[: len(face)]
-    w = w / w.sum()
-    return face[0] + w[1:] @ (face[1:] - face[0])
-
-
-def _ulps(x: np.ndarray, normal: np.ndarray, steps: int) -> np.ndarray:
-    """x moved |steps| ulps per coordinate along +normal (steps > 0) or -normal."""
-    target = x + np.sign(steps) * normal
-    for _ in range(abs(steps)):
-        x = np.nextafter(x, target)
-    return x
-
-
-def _outside(fn, *args) -> bool:
-    """Whether fn reports its point outside; any other error propagates."""
-    try:
-        fn(*args)
-    except (PointOutsideDomain, PointOutsidePolytope):
-        return True
-    except GradientUnavailable:
-        if fn is not env.gradient:
-            raise
-    return False
-
-
 def test_one_ulp_outside_each_facet_through_the_origin(catalog_models):
     checked = 0
     for name in ENTRIES:
         entry, model = catalog_models[name]
         assert model.homogeneity_certified
-        for i, face in _facets(model.polytope):
+        for i, face in facets(model.polytope):
             normal = model.polytope.matrix[i]
             if model.polytope.offsets[i] != 0.0:
                 continue
             for weights in ([1.0, 1.0], [1.0, 3.0], [5.0, 1.0]):
-                x = _ulps(_on_facet(face, weights) + model.anchor, normal, 1)
+                x = ulps(on_facet(face, weights) + model.anchor, normal, 1)
                 v = x - model.anchor
                 assert float(normal @ v) > 0.0  # strictly outside the b = 0 facet
                 for fn in EVALUATORS:
@@ -98,39 +61,16 @@ def test_defect_point_on_shifted_bilinear_box():
     assert np.all(np.isfinite(env.gradient(model, inside)))
 
 
-@st.composite
-def near_facet(draw):
-    """(entry name, point in original coordinates) on, or just either side of, a facet."""
-    name = draw(st.sampled_from(ENTRIES))
-    entry = rx.CATALOG_BUILDERS[name]()
-    facets = _facets(entry.default_polytope)
-    i, face = facets[draw(st.integers(0, len(facets) - 1))]
-    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(face), max_size=len(face)))
-    x = _on_facet(face, weights)
-    normal = entry.default_polytope.matrix[i]
-    move = draw(st.sampled_from(["ulps", "relative"]))
-    if move == "ulps":
-        x = _ulps(x, normal, draw(st.integers(-3, 3)))
-    else:
-        x = x + draw(st.sampled_from([-1e-6, -1e-10, 1e-10, 1e-6])) * normal
-    return name, x
-
-
 @settings(max_examples=300, deadline=None)
-@given(near_facet())
+@given(near_catalog_facet())
 def test_all_point_queries_agree_on_inside_and_outside(catalog_models, case):
     name, x = case
     _, model = catalog_models[name]
     v = x - model.anchor
     assume(np.any(v != 0.0))  # the anchor has its own rules in each evaluator
-    verdicts = {fn.__name__: _outside(fn, model, x) for fn in EVALUATORS}
-    verdicts["region_of"] = _outside(rx.region_of, model.polytope, v)
+    verdicts = {fn.__name__: outside(fn, model, x) for fn in EVALUATORS}
+    verdicts["region_of"] = outside(rx.region_of, model.polytope, v)
     assert len(set(verdicts.values())) == 1, verdicts
-
-
-def _scaled(polytope: rx.Polytope, scales) -> rx.Polytope:
-    s = np.asarray(scales, dtype=float)
-    return rx.Polytope.from_inequalities(polytope.matrix * s[:, None], polytope.offsets * s)
 
 
 def _value_or_none(model, x):
@@ -147,30 +87,18 @@ def _region_or_none(polytope, v):
         return None
 
 
-@pytest.fixture(scope="module")
-def uncertified_models():
-    """Catalog models at their default anchors, built without certification."""
-    out = {}
-    for entry in rx.catalog():
-        out[entry.name] = env.build(
-            entry.field, entry.default_polytope, sense=entry.build_sense, anchor=entry.default_anchor,
-            run_certification=False,
-        )
-    return out
-
-
 @settings(max_examples=150, deadline=None)
-@given(near_facet(), st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6))
+@given(near_catalog_facet(), st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6))
 def test_row_scaling_changes_no_verdict_or_value(uncertified_models, case, exponents):
     name, x = case
     model = uncertified_models[name]
     entry = rx.CATALOG_BUILDERS[name]()
     scales = [10.0**e for e in exponents[: model.polytope.n_facets]]
-    scaled = env.build(
-        entry.field, _scaled(entry.default_polytope, scales), sense=entry.build_sense, anchor=entry.default_anchor,
+    rescaled = env.build(
+        entry.field, scaled(entry.default_polytope, scales), sense=entry.build_sense, anchor=entry.default_anchor,
         run_certification=False,
     )
-    models = [model, scaled]
+    models = [model, rescaled]
     v = x - model.anchor
     assume(np.any(v != 0.0))
     regions = [_region_or_none(m.polytope, v) for m in models]
@@ -185,7 +113,7 @@ def test_row_scaling_changes_no_verdict_or_value(uncertified_models, case, expon
 def test_scaled_unit_box_pinned_point():
     """(1 + 5e-12, 0.5) is inside the unit box, also when its rows read x 1e6."""
     box = rx.Polytope.box([0.0, 0.0], [1.0, 1.0])
-    big = _scaled(box, [1e6] * 4)
+    big = scaled(box, [1e6] * 4)
     x = np.array([1.0 + 5e-12, 0.5])
     assert rx.region_of(big, x) == rx.region_of(box, x) == rx.RegionId(None, 0)
     entry = rx.bilinear_neg()
@@ -198,7 +126,7 @@ def test_scaled_unit_box_pinned_point():
 def test_subnormal_point_keeps_its_verdict_under_row_scaling():
     """(0.5, -5e-324) is outside y >= 0; with that row read x 0.1, a.v once rounded to 0 and v was inside."""
     box = rx.Polytope.box([0.0, 0.0], [1.0, 1.0])
-    for p in (box, _scaled(box, [1.0, 1.0, 1.0, 0.1])):
+    for p in (box, scaled(box, [1.0, 1.0, 1.0, 0.1])):
         with pytest.raises(PointOutsidePolytope):
             locate(p, [0.5, -5e-324])
 

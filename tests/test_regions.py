@@ -15,21 +15,17 @@ filter) decide ids and cells; there only the shape guarantees are required.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
-from hypothesis import strategies as st
+from hypothesis import event, given, settings
 from reference_regions import order_ccw, regions_by_clipping, without_repeats
+from strategies import placed_polygons
 
 import rayvex as rx
 from rayvex.cli import main
 from rayvex.errors import RayvexError, UnboundedPolytope
 from rayvex.geometry import DEDUP_TOL, polygon_area
-
-PLANAR_CATALOG = [entry.default_polytope for entry in rx.catalog() if entry.default_polytope.dim == 2]
-PLACEMENTS = ("interior", "outside", "vertex", "facet", "facet line")
 
 
 def signed_area(poly):
@@ -40,80 +36,6 @@ def signed_area(poly):
 def assert_ccw_with_distinct_vertices(poly):
     assert signed_area(poly) > 0.0
     assert np.abs(poly - np.roll(poly, 1, axis=0)).max(axis=1).min() > DEDUP_TOL  # consecutive, cyclically
-
-
-def halfspaces_of(hull):
-    """(A, b) with one row a.x <= b per edge of a counterclockwise polygon."""
-    nxt = np.roll(hull, -1, axis=0)
-    a = np.column_stack([nxt[:, 1] - hull[:, 1], hull[:, 0] - nxt[:, 0]])
-    return a, np.einsum("ij,ij->i", a, hull)
-
-
-def convex_hull(points):
-    """Counterclockwise hull vertices of 2-D points (monotone chain), collinear points dropped."""
-    pts = sorted(set(points))
-
-    def chain(ps):
-        out = []
-        for p in ps:
-            while len(out) >= 2 and (
-                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1]) - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
-            ) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    return np.array(chain(pts)[:-1] + chain(pts[::-1])[:-1])
-
-
-@st.composite
-def placed_polygons(draw, conditioned=True):
-    """(placement, polytope): a catalog polygon or a random convex one, its origin placed, rows scaled and permuted.
-
-    The origin goes to an interior point, a point outside, a vertex, a point
-    of a facet, or a point outside on a facet's line.  ``translate`` rounds,
-    so "on" means within rounding.  Unless ``conditioned``, the random
-    polygon is the hull of arbitrary points, so its edges and turns can be
-    as small as hypothesis likes.
-    """
-    if not conditioned:
-        coord = st.floats(-3.0, 3.0, allow_subnormal=False)
-        hull = convex_hull(draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=8)))
-        assume(len(hull) >= 3)
-    elif draw(st.booleans()):
-        hull = order_ccw(rx.vertices(draw(st.sampled_from(PLANAR_CATALOG))))
-    else:
-        # k points on an ellipse, arcs between neighbours at least 2 pi / (3k - 2): edges and turns stay far from zero
-        k = draw(st.integers(3, 8))
-        arcs = np.cumsum(draw(st.lists(st.floats(1.0, 3.0), min_size=k, max_size=k)))
-        theta = 2.0 * math.pi * arcs / arcs[-1] + draw(st.floats(0.0, 2.0 * math.pi))
-        turn = draw(st.floats(0.0, math.pi))
-        rot = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
-        axes = np.array([draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))])
-        shift = np.array([draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))])
-        hull = np.column_stack([np.cos(theta), np.sin(theta)]) * axes @ rot.T + shift
-    a, b = halfspaces_of(hull)
-    j = draw(st.integers(0, len(hull) - 1))
-    edge = hull[(j + 1) % len(hull)] - hull[j]
-    center = hull.mean(axis=0)
-    placement = draw(st.sampled_from(PLACEMENTS))
-    if placement == "interior":
-        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(hull), max_size=len(hull))))
-        t = weights @ hull / weights.sum()
-    elif placement == "outside":
-        theta = draw(st.floats(0.0, 2.0 * math.pi))
-        radius = np.abs(hull - center).max() * 2.0 * draw(st.floats(1.0, 4.0))
-        t = center + radius * np.array([math.cos(theta), math.sin(theta)])
-    elif placement == "vertex":
-        t = hull[j]
-    elif placement == "facet":
-        t = hull[j] + draw(st.floats(0.05, 0.95)) * edge
-    else:
-        t = hull[j] + draw(st.one_of(st.floats(-3.0, -0.2), st.floats(1.2, 4.0))) * edge
-    scales = 10.0 ** np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=len(b), max_size=len(b))))
-    order = np.array(draw(st.permutations(range(len(b)))))
-    polytope = rx.Polytope.from_inequalities((a * scales[:, None])[order], (b * scales)[order]).translate(t)
-    return placement, polytope
 
 
 def partitions(polytope, cells):

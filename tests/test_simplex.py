@@ -1,11 +1,10 @@
 """Solver checks against golden instances and a brute-force basic-solution oracle."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import brute_force_optimum, hull_lp
 
 import rayvex as rx
 from rayvex.simplex import DEGENERATE_RUN, _iterate, _pivot, solve_inequality_lp, solve_lp
@@ -20,28 +19,6 @@ BEALE_A = np.array(
     ]
 )
 BEALE_B = np.array([0.0, 0.0, 1.0])
-
-
-def brute_force_optimum(c, a, b, tol=1e-9):
-    """Minimum of c.x over basic feasible solutions of {A x = b, x >= 0}.
-
-    The optimum of a feasible bounded LP is attained at one of these, which
-    makes this an independent oracle for the simplex path.
-    """
-    m, n = a.shape
-    best = None
-    for cols in itertools.combinations(range(n), m):
-        sub = a[:, cols]
-        try:
-            xb = np.linalg.solve(sub, b)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(xb)) or np.any(xb < -tol):
-            continue
-        val = float(c[list(cols)] @ xb)
-        if best is None or val < best:
-            best = val
-    return best
 
 
 def test_pivot_matches_row_loop_reference():
@@ -81,9 +58,7 @@ def test_unbounded_direction():
 def test_bilinear_vertex_oracle_instance():
     # Convex-combination LP of -x*y over the unit-box corners at (0.5, 0.5).
     points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    values = np.array([0.0, 0.0, 0.0, -1.0])
-    a = np.vstack([points.T, np.ones(4)])
-    b = np.array([0.5, 0.5, 1.0])
+    values, a, b = hull_lp(points, [0.0, 0.0, 0.0, -1.0], [0.5, 0.5])
     res = solve_lp(values, a, b)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(brute_force_optimum(values, a, b))
@@ -187,8 +162,7 @@ def test_degenerate_lattice_lps_match_brute_force(density, step, corner, data):
     values = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)), dtype=float)
     quarters = data.draw(st.tuples(st.integers(0, 4 * density), st.integers(0, 4 * density)))
     query = np.array(corner) + np.array(quarters) * step / 4
-    a = np.vstack([points.T, np.ones(k)])
-    b = np.concatenate([query, [1.0]])
+    values, a, b = hull_lp(points, values, query)
     res = solve_lp(values, a, b)
     assert res.status == "optimal"
     assert np.max(np.abs(a @ res.x - b)) <= 1e-9

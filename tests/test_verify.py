@@ -1,9 +1,8 @@
 """Hypothesis certifiers, the sampled-envelope oracle, and determinism."""
 
-import itertools
-
 import numpy as np
 import pytest
+from strategies import brute_force_optimum, hull_lp
 
 import rayvex as rx
 from rayvex import envelope as env
@@ -172,7 +171,7 @@ class TestOracle:
         oracle = rx.oracle_build(field, UNIT_BOX, grid_density=0)
         value = rx.oracle_eval(oracle, [0.5, 0.5])
         assert value == pytest.approx(-0.5, abs=1e-12)
-        assert value == pytest.approx(_hull_brute_force(oracle, np.array([0.5, 0.5])), abs=1e-9)
+        assert value == pytest.approx(brute_force_optimum(*hull_lp(oracle.points, oracle.values, [0.5, 0.5])), abs=1e-9)
 
     def test_sample_point_upper_bound(self):
         field = _field(lambda p: (p[0] - 0.3) ** 2 + p[1])
@@ -207,27 +206,16 @@ class TestOracle:
             previous = values
 
 
-def _hull_brute_force(oracle, x, tol=1e-9):
-    """Lower hull by enumeration of support sets (independent LP oracle)."""
-    k, n = oracle.points.shape
-    a_full = np.vstack([oracle.points.T, np.ones(k)])
-    rhs = np.concatenate([x, [1.0]])
-    best = None
-    for cols in itertools.combinations(range(k), n + 1):
-        sub = a_full[:, cols]
-        try:
-            lam = np.linalg.solve(sub, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if np.any(lam < -tol):
-            continue
-        val = float(oracle.values[list(cols)] @ lam)
-        if best is None or val < best:
-            best = val
-    return best
-
-
 class TestCertify:
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_non_positive_budget_is_rejected(self, budget):
+        entry = rx.cubic_rational()
+        model = env.build(entry.field, entry.default_polytope, anchor="none", run_certification=False)
+        with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+            rx.certify(model, budget=budget)
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            env.build(entry.field, entry.default_polytope, anchor="none", budget=budget)
+
     def test_reports_are_bit_identical(self):
         entry = rx.reliability(1.0, 1.0)
         model = env.build(

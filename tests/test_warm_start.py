@@ -12,20 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import hull_lp, oracles, query_runs, record_calls
 
 import rayvex as rx
 from rayvex import cli, simplex, verify
 from rayvex.errors import InfeasibleLP, NumericalBreakdown
 from rayvex.geometry import lattice
 from rayvex.simplex import solve_lp
-
-PLANAR = [entry.name for entry in rx.catalog() if entry.default_polytope.dim == 2]
-
-
-def _hull_lp(points, values, x):
-    """(c, A, b) of the oracle's LP at x: convex weights of the points, weighted values minimised."""
-    points = np.asarray(points, dtype=float)
-    return np.asarray(values, dtype=float), np.vstack([points.T, np.ones(len(points))]), np.append(x, 1.0)
 
 
 def _same(res, want):
@@ -37,16 +30,8 @@ def _same(res, want):
 
 @pytest.fixture
 def cold_calls(monkeypatch):
-    """Counts the cold two-phase solves."""
-    calls = []
-    two_phase = simplex._two_phase
-
-    def counted(*args):
-        calls.append(args)
-        return two_phase(*args)
-
-    monkeypatch.setattr(simplex, "_two_phase", counted)
-    return calls
+    """The arguments of each cold two-phase solve."""
+    return record_calls(monkeypatch, simplex, "_two_phase")
 
 
 # a 9 x 9 lattice on the unit box (row-major in x) with a strictly convex
@@ -58,7 +43,7 @@ NEAR = ([0.3, 0.6, 1.0], [0.5, 0.4, 1.0])  # a query and one four dual pivots aw
 
 
 def test_an_optimal_start_is_kept_with_no_pivot(cold_calls):
-    c, a, b = _hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
+    c, a, b = hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
     cold = solve_lp(c, a, b)
     warm = solve_lp(c, a, b, start=cold.basis)
     assert len(cold_calls) == 1  # the first solve only
@@ -67,7 +52,7 @@ def test_an_optimal_start_is_kept_with_no_pivot(cold_calls):
 
 
 def test_a_neighbouring_start_walks_by_dual_pivots(cold_calls):
-    c, a, _ = _hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
+    c, a, _ = hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
     start = solve_lp(c, a, NEAR[0]).basis
     b_next = np.array(NEAR[1])
     warm = solve_lp(c, a, b_next, start=start)
@@ -82,7 +67,7 @@ def test_a_neighbouring_start_walks_by_dual_pivots(cold_calls):
 
 def _fallback_case():
     """A grid LP, the basis of a query near one corner and a query near the opposite one."""
-    c, a, b = _hull_lp(GRID, GRID_VALUES, [0.9, 0.9])
+    c, a, b = hull_lp(GRID, GRID_VALUES, [0.9, 0.9])
     return c, a, solve_lp(c, a, b).basis, np.array([0.1, 0.15, 1.0])
 
 
@@ -106,7 +91,7 @@ def test_a_dual_infeasible_start_goes_cold(cold_calls):
 
 
 def test_the_pivot_limit_sends_the_walk_cold(cold_calls, monkeypatch):
-    c, a, _ = _hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
+    c, a, _ = hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
     start = solve_lp(c, a, NEAR[0]).basis
     b_next = np.array(NEAR[1])
     del cold_calls[:]
@@ -128,7 +113,7 @@ def test_a_start_beyond_the_dual_reach_goes_cold(cold_calls, monkeypatch):
 
 
 def test_a_breakdown_sends_the_walk_cold(cold_calls, monkeypatch):
-    c, a, _ = _hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
+    c, a, _ = hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
     start = solve_lp(c, a, NEAR[0]).basis
     b_next = np.array(NEAR[1])
     pivot = simplex._pivot
@@ -196,49 +181,6 @@ def test_compare_output_is_byte_identical_for_one_seed(capsys):
 
 
 # -- the warm oracle against fresh cold solves ------------------------------
-
-
-def _field(coeffs):
-    c = coeffs
-    return lambda p: c[0] * p[0] ** 2 + c[1] * p[0] * p[1] + c[2] * p[1] ** 2 + c[3] * abs(p[0] - c[4]) + c[5] * p[1]
-
-
-@st.composite
-def oracles(draw):
-    """An oracle: a planar catalog entry (density 0-20) or a random field on a random cut box (density 0-12)."""
-    if draw(st.booleans()):
-        entry = rx.CATALOG_BUILDERS[draw(st.sampled_from(PLANAR))]()
-        return rx.oracle_build(entry.field, entry.default_polytope, grid_density=draw(st.integers(0, 20)))
-    lower = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)))
-    upper = lower + np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=2, max_size=2)))
-    box = rx.Polytope.box(lower, upper)
-    theta = draw(st.floats(0.0, 2.0 * np.pi))
-    normal = np.array([np.cos(theta), np.sin(theta)])
-    cut = normal @ (0.5 * (lower + upper)) + draw(st.floats(0.0, 1.0)) * np.abs(normal) @ (upper - lower)
-    polytope = rx.Polytope.from_inequalities(np.vstack([box.matrix, normal]), np.append(box.offsets, cut))
-    coeffs = draw(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))
-    field = rx.ScalarField(2, _field(coeffs), name="any")
-    return rx.oracle_build(field, polytope, grid_density=draw(st.integers(0, 12)))
-
-
-@st.composite
-def query_runs(draw, oracle):
-    """Queries in lattice order, random jumps, at sample points (degenerate optima) and outside the hull."""
-    lo, hi = oracle.points.min(axis=0), oracle.points.max(axis=0)
-    span = hi - lo
-    kind = draw(st.sampled_from(["lattice", "jumps", "samples", "mixed"]))
-    if kind == "lattice":
-        grid = lattice(np.stack([lo - 0.05 * span, hi + 0.05 * span], axis=1), draw(st.integers(2, 4)))
-        return list(grid)
-    count = draw(st.integers(2, 8))
-    samples = [oracle.points[i] for i in draw(st.lists(st.integers(0, len(oracle.points) - 1), min_size=count, max_size=count))]
-    unit = st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2))
-    jumps = [lo + np.array(u) * span for u in draw(st.lists(unit, min_size=count, max_size=count))]
-    if kind == "samples":
-        return samples
-    if kind == "jumps":
-        return jumps
-    return [p for pair in zip(samples, jumps) for p in pair]
 
 
 @settings(max_examples=30, deadline=None)
