@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         model_flags.add_argument(f"--{flag}", type=float, default=None)
     model_flags.add_argument("--polytope", default=None, metavar="FILE")
     model_flags.add_argument("--sense", choices=["auto", "convex", "concave"], default="auto")
-    model_flags.add_argument("--anchor", default="auto", help="auto | none | origin | t1,t2,...")
+    model_flags.add_argument("--anchor", default="auto", help="auto | none | origin | origin-shift | t1,t2,...")
     model_flags.add_argument("--seed", type=int, default=0)
     model_flags.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
@@ -99,8 +99,8 @@ def _entry_from_args(args) -> CatalogEntry:
 def _model_from_args(args):
     """The catalog entry and its model: the flags map one-to-one onto ``build``'s arguments.
 
-    ``auto`` takes the entry's build sense or default anchor, and ``--anchor
-    origin`` is the "origin-shift" policy.
+    ``auto`` takes the entry's build sense or default anchor; ``--anchor`` also takes the
+    policies as ``rayvex catalog`` prints them, and ``origin`` is short for "origin-shift".
     """
     entry = _entry_from_args(args)
     polytope = Polytope.load(args.polytope) if args.polytope else entry.default_polytope
@@ -110,7 +110,7 @@ def _model_from_args(args):
         anchor = entry.default_anchor
     elif anchor == "origin":
         anchor = "origin-shift"
-    elif anchor != "none":
+    elif anchor not in ("none", "origin-shift"):
         anchor = np.array([float(part) for part in anchor.split(",")])
     model = env.build(entry.field, polytope, sense=sense, anchor=anchor, budget=args.budget, seed=args.seed)
     return model, entry

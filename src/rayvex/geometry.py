@@ -206,7 +206,8 @@ class RayTrace(NamedTuple):
     v_plus = alpha_plus * v; when v lies in the polytope, alpha_minus <= 1
     <= alpha_plus and v = alpha_v * v_minus + (1 - alpha_v) * v_plus.
     in_facet is None when the ray starts inside (alpha_minus = 0), and a
-    degenerate trace meets the polytope in one point (alpha_v = 1).
+    degenerate trace meets the polytope in one point (alpha_v = 1).  Next to
+    the origin an alpha can overflow to inf while its point stays finite.
 
     An immutable named tuple, because ``ray_intersect`` builds one per call
     on the certification checks' hot path.  Its arrays make ``==`` and
@@ -373,6 +374,12 @@ def ray_intersect(polytope: Polytope, v) -> RayTrace:
     crosses outward; alpha_minus the largest entry ratio clamped at 0.  When
     several facets are active at an endpoint the smallest facet index wins.
     A single-point intersection yields a degenerate trace with alpha_v = 1.
+    This is the one statement of the trace rules; ``ray_intersect_batch`` and ``locate`` defer to it.
+
+    Next to the origin every exit ratio can overflow, so a v with max |v_j| < 1 whose ray misses P
+    is read again on the ray through 2^k v, max |2^k v_j| in [1, 2).  Its products are v's times 2^k,
+    which is exact, so its ratios are v's times 2^-k and the facets and points found are v's; the
+    points are as accurate as a_i.v, whose products may be subnormal.  If that ray misses P, its error is raised.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
@@ -384,11 +391,24 @@ def ray_intersect(polytope: Polytope, v) -> RayTrace:
         raise ZeroDirection("ray direction must be nonzero")
 
     # plain python over the handful of facets: faster than masked numpy here
-    return _trace(v, _facet_products(polytope._rows, coords), polytope._offset_list)
+    t = _facet_products(polytope._rows, coords)
+    try:
+        return _trace(v, t, polytope._offset_list)
+    except RayMissesPolytope:
+        top = max(map(abs, coords))
+        if top >= 1.0:
+            raise
+    k = 1 - math.frexp(top)[1]
+    scaled = [math.ldexp(ti, k) for ti in t]
+    return _trace(np.ldexp(v, k), scaled, polytope._offset_list, at=math.ldexp(1.0, -k))._replace(v=v)
 
 
-def _trace(v: np.ndarray, t: list[float], b: list[float]) -> RayTrace:
-    """``ray_intersect``'s trace of v from its facet products t = a_i.v and offsets b."""
+def _trace(v: np.ndarray, t: list[float], b: list[float], at: float = 1.0) -> RayTrace:
+    """The trace of the ray through v from its facet products t = a_i.v and offsets b.
+
+    ``at`` is the queried point's scaling on that ray: alpha_v places at * v, and alpha_minus and
+    alpha_plus are relative to at * v (inf where they overflow).
+    """
     alpha_hi = math.inf
     alpha_lo = 0.0
     hi_arg = -1
@@ -428,10 +448,10 @@ def _trace(v: np.ndarray, t: list[float], b: list[float]) -> RayTrace:
     if degenerate:
         alpha_v = 1.0
     else:
-        alpha_v = (alpha_hi - 1.0) / (alpha_hi - alpha_lo)
+        alpha_v = (alpha_hi - at) / (alpha_hi - alpha_lo)
         alpha_v = min(1.0, max(0.0, alpha_v))
 
-    return RayTrace(v, alpha_lo, alpha_hi, alpha_lo * v, alpha_hi * v, in_facet, out_facet, alpha_v, degenerate)
+    return RayTrace(v, alpha_lo / at, alpha_hi / at, alpha_lo * v, alpha_hi * v, in_facet, out_facet, alpha_v, degenerate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,33 +459,29 @@ class RayTraceBatch:
     """``ray_intersect`` of every row of a (k, n) direction array, as arrays.
 
     Row r holds the fields of ``ray_intersect(polytope, v[r])`` bit for bit,
-    with in_facet -1 where the scalar trace has None.  The endpoints are
-    formed on demand, so a batch holds no endpoint arrays.
+    with in_facet -1 where the scalar trace has None.  The endpoints are kept,
+    as ``RayTrace`` keeps them: a short row's alphas may overflow to inf.
     """
 
     v: np.ndarray  # (k, n)
     alpha_minus: np.ndarray  # (k,)
     alpha_plus: np.ndarray  # (k,)
+    v_minus: np.ndarray  # (k, n)
+    v_plus: np.ndarray  # (k, n)
     in_facet: np.ndarray  # (k,) int, -1 for None
     out_facet: np.ndarray  # (k,) int
     alpha_v: np.ndarray  # (k,)
     degenerate: np.ndarray  # (k,) bool
 
-    @property
-    def v_minus(self) -> np.ndarray:
-        return self.alpha_minus[:, None] * self.v
-
-    @property
-    def v_plus(self) -> np.ndarray:
-        return self.alpha_plus[:, None] * self.v
-
 
 def ray_intersect_batch(polytope: Polytope, v) -> RayTraceBatch:
     """``ray_intersect`` for every row of the (k, n) array ``v`` at once.
 
-    Same rules, a_i . v and smallest-index tie-break as the scalar kernel;
-    a row the scalar kernel rejects makes the whole batch raise the scalar
-    kernel's error for the first such row.
+    A vector pass traces the rows the scalar rules accept at v's scale, with
+    the same a_i . v and smallest-index tie-break.  Every other row (parallel
+    to a violated facet, no finite exit, an empty interval; a zero row has no
+    exit) goes, in order, to ``ray_intersect`` itself, which traces a short
+    row whose ray meets P and otherwise raises, with " (row r)" appended.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != polytope.dim:
@@ -490,23 +506,11 @@ def ray_intersect_batch(polytope: Polytope, v) -> RayTraceBatch:
     entered = best_entry > 0.0  # the scalar loop only moves alpha_lo above 0
     alpha_lo = np.where(entered, best_entry, 0.0)
 
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # alpha_hi - alpha_lo may overflow, as floats do
         empty, degenerate = _interval_rules(alpha_lo, alpha_hi)
-    zero = ~np.any(v != 0.0, axis=1)
-    parallel = np.any(~outward & ~inward & (b < -GEOM_TOL), axis=1)
-    no_exit = ~(alpha_hi < math.inf)
-    failed = zero | parallel | no_exit | empty
-    if np.any(failed):
-        first = int(np.argmax(failed))
-        # the scalar kernel's error for that row, in the order it checks them
-        for bad, error, message in (
-            (zero, ZeroDirection, "ray direction must be nonzero"),
-            (parallel, RayMissesPolytope, "ray is parallel to a violated facet"),
-            (no_exit, RayMissesPolytope, "ray never exits (polytope unbounded along it?)"),
-            (empty, RayMissesPolytope, "empty intersection interval"),
-        ):
-            if bad[first]:
-                raise error(f"{message} (row {first})")
+    scalar = empty | ~(alpha_hi < math.inf) | np.any(~outward & ~inward & (b < -GEOM_TOL), axis=1)
+    alpha_hi[scalar] = 1.0  # placeholders until ray_intersect fills the row, so the tie-break stays finite
+    alpha_lo[scalar] = 0.0
     alpha_lo = np.where(degenerate, alpha_hi, alpha_lo)
 
     at_exit = outward & _meets(t, alpha_hi[:, None], b)
@@ -522,7 +526,16 @@ def ray_intersect_batch(polytope: Polytope, v) -> RayTraceBatch:
     alpha_v = np.where(alpha_v > 0.0, alpha_v, 0.0)  # max(0.0, x), then min(1.0, .)
     alpha_v = np.where(alpha_v < 1.0, alpha_v, 1.0)
     alpha_v = np.where(degenerate, 1.0, alpha_v)
-    return RayTraceBatch(v, alpha_lo, alpha_hi, in_facet, out_facet, alpha_v, degenerate)
+    v_minus, v_plus = alpha_lo[:, None] * v, alpha_hi[:, None] * v
+    batch = RayTraceBatch(v, alpha_lo, alpha_hi, v_minus, v_plus, in_facet, out_facet, alpha_v, degenerate)
+    for r in np.flatnonzero(scalar).tolist():  # the rows the vector pass rejected, in order
+        try:
+            trace = ray_intersect(polytope, v[r])
+        except (RayMissesPolytope, ZeroDirection) as exc:
+            raise type(exc)(f"{exc} (row {r})") from None
+        for name, value in zip(trace._fields[1:], trace[1:]):
+            getattr(batch, name)[r] = -1 if value is None else value
+    return batch
 
 
 def normalize_facet(polytope: Polytope, facet_index: int) -> np.ndarray:
@@ -543,55 +556,15 @@ def locate(polytope: Polytope, v) -> RayTrace:
     Tested within GEOM_TOL on the ratios b / (a.v), which ignore row scaling; raises
     PointOutsidePolytope otherwise (also when the ray misses P) and ZeroDirection at v = 0.
     It may differ from ``Polytope.contains`` only in a band: if every b_i - a_i.v >= 0 both accept;
-    if some b_i - a_i.v < -2 GEOM_TOL max(1, |a_i.v|) both reject.  Next to the origin every exit
-    ratio can overflow, so a short v whose ray misses P is traced again by ``_short_trace``.
+    if some b_i - a_i.v < -2 GEOM_TOL max(1, |a_i.v|) both reject.
     """
     try:
         trace = ray_intersect(polytope, v)
     except RayMissesPolytope as exc:
-        trace = _short_trace(polytope, v)
-        if trace is None:
-            raise PointOutsidePolytope(f"the ray through {np.ravel(v).tolist()} misses the polytope") from exc
+        raise PointOutsidePolytope(f"the ray through {np.ravel(v).tolist()} misses the polytope") from exc
     if trace.alpha_minus > 1.0 + GEOM_TOL or trace.alpha_plus < 1.0 - GEOM_TOL:
         raise PointOutsidePolytope(f"point {trace.v.tolist()} lies outside the polytope")
     return trace
-
-
-def _short_trace(polytope: Polytope, v) -> RayTrace | None:
-    """v's trace for 0 < max |v_j| < 1, read off the ray through 2^k v with max |2^k v_j| in [1, 2).
-
-    The facet products a_i.v are summed at v, as ``Polytope.margins`` sums them, and then
-    scaled by 2^k, which is exact: the ratios b_i / (a_i.v) scale by 2^-k, so exit ratios that
-    overflow at v are finite, and the facets and points found are v's.  alpha_minus and alpha_plus
-    are given at v's scale (inf where they overflow), and alpha_v places v itself on [v_minus, v_plus].
-    The points are as accurate as a_i.v, whose products may be subnormal and carry few bits.
-    None where v is not short or the scaled ray misses P too.
-    """
-    v = np.asarray(v, dtype=float).reshape(-1)
-    top = float(np.abs(v).max())
-    if not 0.0 < top < 1.0:
-        return None
-    k = 1 - math.frexp(top)[1]
-    scaled = [math.ldexp(ti, k) for ti in _facet_products(polytope._rows, v.tolist())]
-    try:
-        trace = _trace(np.ldexp(v, k), scaled, polytope._offset_list)
-    except RayMissesPolytope:
-        return None
-    if trace.degenerate:
-        alpha_v = 1.0
-    else:
-        at_v = math.ldexp(1.0, -k)  # v's own scaling on the traced ray
-        alpha_v = min(1.0, max(0.0, (trace.alpha_plus - at_v) / (trace.alpha_plus - trace.alpha_minus)))
-    return trace._replace(
-        v=v, alpha_minus=_ldexp_or_inf(trace.alpha_minus, k), alpha_plus=_ldexp_or_inf(trace.alpha_plus, k), alpha_v=alpha_v
-    )
-
-
-def _ldexp_or_inf(x: float, k: int) -> float:
-    try:
-        return math.ldexp(x, k)
-    except OverflowError:
-        return math.inf
 
 
 def region_of(polytope: Polytope, v) -> RegionId:

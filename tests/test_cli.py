@@ -297,6 +297,15 @@ def test_auto_sense_and_anchor_are_the_catalog_defaults(name, spelled, capsys):
     assert run(capsys, "certify", "--function", name, *spelled, *FAST) == default
 
 
+def test_anchor_takes_the_policy_names_the_catalog_prints(capsys):
+    # "origin-shift" was read as a vector: "could not convert string to float"
+    printed = {entry["name"]: entry["default_anchor"] for entry in run_json(capsys, "catalog")["entries"]}
+    assert printed["reliability"] == "origin-shift"
+    shifted = run(capsys, "certify", "--function", "reliability", "--anchor", "origin-shift", *FAST)
+    assert shifted[0] == 0
+    assert shifted == run(capsys, "certify", "--function", "reliability", "--anchor", "origin", *FAST)
+
+
 def test_repeated_main_calls_print_identical_bytes(capsys):
     argv = ["eval", "--function", "fractional", "--point", "1.5,0.5", "--point", "3,3", "--format", "csv", *FAST]
     first = run(capsys, *argv)

@@ -103,6 +103,17 @@ def test_one_ulp_outside_a_facet_through_the_origin_is_in_the_band():
         locate(model.polytope, v)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 5.0])
+def test_contains_pins_its_tolerance_on_canonical_margins(scale):
+    """Rows given at any scale: a canonical margin of -1.5 GEOM_TOL is outside, -0.5 GEOM_TOL inside."""
+    corner = rx.Polytope.from_inequalities(np.diag([scale, 1.0]), [scale, 1.0])  # x <= 1, y <= 1
+    a, b = corner.matrix[0, 0], corner.offsets[0]  # the canonical row of x <= 1
+    points = np.array([[(b + 1.5 * GEOM_TOL) / a, 0.5], [(b + 0.5 * GEOM_TOL) / a, 0.5]])
+    assert np.allclose(corner.margins(points)[:, 0], [-1.5 * GEOM_TOL, -0.5 * GEOM_TOL], rtol=1e-6, atol=0.0)
+    assert [corner.contains(x) for x in points] == [False, True]
+    assert corner.contains(points).tolist() == [False, True]
+
+
 def test_points_of_the_wrong_shape_are_rejected():
     box = rx.Polytope.box([0.0, 0.0], [1.0, 1.0])
     for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2)), np.float64(0.5)):

@@ -72,3 +72,18 @@ ONE_HOME = re.compile(
 def test_strategies_and_shared_helpers_have_one_home():
     tests = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
     assert [(path.name, m.group(1)) for path in tests for m in ONE_HOME.finditer(path.read_text())] == []
+
+
+# ray_intersect states the trace rules; the batch kernel and locate defer to it
+TRACE_ERRORS = [
+    "ray direction must be nonzero",
+    "ray is parallel to a violated facet",
+    "ray never exits (polytope unbounded along it?)",
+    "empty intersection interval",
+]
+
+
+def test_each_trace_error_is_stated_once():
+    package = Path(__file__).resolve().parents[1] / "src" / "rayvex"
+    text = "".join(path.read_text() for path in sorted(package.glob("*.py")))
+    assert {message: text.count(message) for message in TRACE_ERRORS} == dict.fromkeys(TRACE_ERRORS, 1)

@@ -337,18 +337,6 @@ def test_reconstruction_identity_on_boxes(box, fx, fy):
     assert np.max(np.abs(rebuilt - v)) <= 1e-10
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.floats(0.02, 0.98), st.floats(0.02, 0.98), st.floats(0.05, 1.0))
-def test_scaling_invariance_of_endpoints(fx, fy, lam):
-    # the ray, not the point on it, determines v_minus and v_plus
-    v = np.array([0.25 + fx, fy])
-    assume(SLAB.contains(v))
-    base = rx.ray_intersect(SLAB, v)
-    scaled = rx.ray_intersect(SLAB, lam * v)
-    assert np.max(np.abs(base.v_minus - scaled.v_minus)) <= 1e-10
-    assert np.max(np.abs(base.v_plus - scaled.v_plus)) <= 1e-10
-
-
 def test_hyperplane_relation_when_origin_outside():
     # alpha_v / (a_in . v) + (1 - alpha_v) / (a_out . v) = 1
     pts = rx.sample_interior(SLAB, 3, 300)
@@ -457,6 +445,8 @@ def _scalar_outcome(poly, v):
 def test_batch_kernel_matches_scalar_bit_for_bit(poly, seed):
     rng = np.random.default_rng(seed)
     rows = _ray_candidates(poly, rng)
+    # short rows, whose ratios may overflow: the batch hands those to ray_intersect
+    rows = np.vstack([rows, np.ldexp(rows, rng.integers(-1080, -1019, size=(len(rows), 1)))])
     outcomes = [_scalar_outcome(poly, v) for v in rows]
     _assert_rows_match(poly, rows[[o is None for o in outcomes]])
     for v, outcome in zip(rows, outcomes):
@@ -479,10 +469,38 @@ def test_batch_kernel_reports_first_failing_row():
 
 def test_batch_kernel_overflows_to_inf_without_a_warning():
     """b / (a.v) and alpha_v may overflow, as the scalar kernel's float division does; numpy warned there."""
-    with pytest.raises(RayMissesPolytope, match="never exits"):  # 1 / 2.2e-311 is inf: no finite exit
-        rx.ray_intersect_batch(UNIT_BOX, [[0.0, 2.2e-311]])
+    short = rx.ray_intersect_batch(UNIT_BOX, [[0.0, 2.2e-311]])  # 1 / 2.2e-311 is inf, traced at 2^k v
+    assert (short.alpha_plus[0], short.out_facet[0], short.v_plus[0].tolist()) == (math.inf, 2, [0.0, 1.0])
     thin = rx.Polytope.box([0.0, -1.1125369292536007e-308], [1.0, 1.0])
     _assert_rows_match(thin, np.array([[3.883676458323351, -2.2638173737797933]]))  # alpha_v = -1 / 4.9e-309
+
+
+def test_short_direction_is_traced_by_every_entry_point():
+    # every exit ratio 1 / (a.v) overflows at v; the ray through 2^k v leaves through y <= 1 at (0, 1)
+    v = np.array([0.0, 2.2e-311])
+    trace = rx.ray_intersect(UNIT_BOX, v)
+    assert (trace.in_facet, trace.out_facet, trace.alpha_plus) == (None, 2, math.inf)
+    assert (trace.v_minus.tolist(), trace.v_plus.tolist(), trace.alpha_v) == ([0.0, 0.0], [0.0, 1.0], 1.0)
+    assert bits(trace.v) == bits(v)  # v itself, not 2^k v
+    _assert_rows_match(UNIT_BOX, np.array([[0.5, 0.5], v]))
+    seen = []
+    field = rx.ScalarField(2, lambda x: seen.append(x.tolist()) or float(x[1]))
+    model = rx.build(field, UNIT_BOX, anchor="none", run_certification=False)
+    seen.clear()
+    assert rx.secant_raw(model, v) == 0.0
+    assert seen == [[0.0, 0.0], [0.0, 1.0]]
+
+
+def test_short_direction_whose_scaled_ray_misses_raises_that_traces_error():
+    # at v both exit ratios overflow ("never exits"); at 2^k v the ray enters x >= 2 after leaving y >= -1
+    poly = rx.Polytope.box([2.0, -1.0], [3.0, 1.0])
+    v = np.array([2.2e-311, -2.2e-310])
+    with pytest.raises(RayMissesPolytope, match=r"^empty intersection interval$"):
+        rx.ray_intersect(poly, v)
+    with pytest.raises(RayMissesPolytope, match=r"^empty intersection interval \(row 1\)$"):
+        rx.ray_intersect_batch(poly, np.array([[2.5, 0.0], v]))
+    with pytest.raises(PointOutsidePolytope, match="misses the polytope"):
+        rx.region_of(poly, v)
 
 
 def test_far_ray_is_not_degenerate():
