@@ -21,7 +21,6 @@ from .verify import DEFAULT_BUDGET, oracle_build, oracle_eval
 
 _SHORTHANDS = ("lx", "ly", "ux", "uy", "A", "a1", "a2", "a3", "l", "u")
 _PARAM_ALIASES = {"A": "scale", "l": "lower", "u": "upper"}
-_FLOAT_FMT = "{:.17g}"  # exact double round-trips
 
 
 class UsageError(RayvexError):
@@ -170,7 +169,8 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _point_rows(model, points) -> tuple[list[dict], int]:
+def _point_rows(model, points) -> tuple[list[tuple], int]:
+    """Per point that ``env.eval`` accepts the row (x1, ..., xn, f, g, tight, region_in, region_out), and how many it rejected."""
     rows = []
     omitted = 0
     for x in points:
@@ -180,38 +180,23 @@ def _point_rows(model, points) -> tuple[list[dict], int]:
             omitted += 1
             continue
         region = result.region
-        rows.append(
-            {
-                **{f"x{i + 1}": float(x[i]) for i in range(len(x))},
-                "f": result.f,
-                "g": result.value,
-                "tight": result.tight,
-                "region_in": None if region is None else region.in_facet,
-                "region_out": None if region is None else region.out_facet,
-            }
-        )
+        ends = (None, None) if region is None else (region.in_facet, region.out_facet)
+        rows.append((*x.tolist(), result.f, result.value, result.tight, *ends))
     return rows, omitted
 
 
-def _emit_rows(payload: dict, rows: list[dict], omitted: int, args) -> None:
+def _emit_rows(payload: dict, dim: int, rows: list[tuple], omitted: int, args) -> None:
+    """The rows as JSON objects keyed x1, ..., xn, f, g, ... or as CSV, floats in %.17g (exact double round-trips)."""
+    keys = [f"x{i + 1}" for i in range(dim)] + ["f", "g", "tight", "region_in", "region_out"]
     if args.format == "json":
-        _write_json({**payload, "rows": rows, "omitted": omitted}, args.out)
+        _write_json({**payload, "rows": [dict(zip(keys, row)) for row in rows], "omitted": omitted}, args.out)
         return
     lines = []
     if rows:
-        header = list(rows[0].keys())
-        lines.append(",".join(header))
-        for row in rows:
-            cells = []
-            for key in header:
-                val = row[key]
-                if isinstance(val, bool) or val is None:
-                    cells.append("" if val is None else str(int(val)))
-                elif isinstance(val, float):
-                    cells.append(_FLOAT_FMT.format(val))
-                else:
-                    cells.append(str(val))
-            lines.append(",".join(cells))
+        lines.append(",".join(keys))
+        line = "%.17g," * (dim + 2) + "%d,%s,%s"  # a facet cell is empty where it is None
+        for *head, region_in, region_out in rows:
+            lines.append(line % (*head, "" if region_in is None else region_in, "" if region_out is None else region_out))
     lines.append(f"# omitted={omitted}")
     _write("\n".join(lines) + "\n", args.out)
 
@@ -225,7 +210,7 @@ def cmd_eval(args) -> int:
         if x.size != model.polytope.dim:
             raise UsageError(f"point {x.tolist()} has wrong dimension")
     rows, omitted = _point_rows(model, points)
-    _emit_rows({"command": "eval", "function": entry.name}, rows, omitted, args)
+    _emit_rows({"command": "eval", "function": entry.name}, model.polytope.dim, rows, omitted, args)
     return 0
 
 
@@ -237,6 +222,7 @@ def cmd_grid(args) -> int:
     rows, omitted = _point_rows(model, lattice(bounds, args.resolution))
     _emit_rows(
         {"command": "grid", "function": entry.name, "resolution": args.resolution},
+        model.polytope.dim,
         rows,
         omitted,
         args,

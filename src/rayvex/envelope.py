@@ -12,7 +12,9 @@ models still evaluate g as a plain secant interpolant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .geometry import (
     RayTrace,
     RegionId,
     ValidationReport,
+    _region_id,
     locate,
     normalize_facet,
     ray_intersect,
@@ -42,9 +45,13 @@ from .verify import DEFAULT_BUDGET, CertificationReport, certify
 TIGHT_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class EnvelopeValue:
-    """One envelope evaluation with the ray data that produced it."""
+class EnvelopeValue(NamedTuple):
+    """One envelope evaluation with the ray data that produced it.
+
+    An immutable named tuple, as ``RayTrace`` is, because ``eval`` builds one
+    per call.  Its trace's arrays make ``==`` and ``hash`` unusable, so
+    compare results field by field.
+    """
 
     value: float
     trace: RayTrace | None
@@ -187,7 +194,9 @@ def _secant_from_trace(field: ScalarField, trace: RayTrace) -> float:
 
 def _locate(model: EnvelopeModel, x) -> tuple[np.ndarray, RayTrace | None]:
     """v = x - anchor and its ``geometry.locate`` trace (None at the anchor), or PointOutsideDomain."""
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        x = x.reshape(-1)
     v = x - model.anchor
     try:
         if any(v.tolist()):  # np.any(v != 0.0), but cheaper for a few coordinates
@@ -202,12 +211,13 @@ def _locate(model: EnvelopeModel, x) -> tuple[np.ndarray, RayTrace | None]:
 def eval(model: EnvelopeModel, x) -> EnvelopeValue:  # noqa: A001 - deliberate builtin shadow
     """Envelope value at x, with the trace, region, tightness flag and f(x)."""
     v, trace = _locate(model, x)
-    f_at_x = model.sign * float(model.field.eval(v)) + model.offset
+    sign = model.sign
+    f_at_x = sign * float(model.field.eval(v)) + model.offset
     if trace is None:
         return EnvelopeValue(f_at_x, None, None, True, f_at_x)
-    value = model.sign * _secant_from_trace(model.field, trace) + model.offset
+    value = sign * _secant_from_trace(model.field, trace) + model.offset
     tight = abs(value - f_at_x) <= TIGHT_TOL * max(1.0, abs(f_at_x))
-    return EnvelopeValue(value, trace, RegionId(trace.in_facet, trace.out_facet), tight, f_at_x)
+    return EnvelopeValue(value, trace, _region_id(trace.in_facet, trace.out_facet), tight, f_at_x)
 
 
 def value(model: EnvelopeModel, x) -> float:
@@ -249,12 +259,15 @@ def gradient(model: EnvelopeModel, x) -> np.ndarray:
     v_plus = trace.v_plus
     try:
         f_plus = float(model.field.eval(v_plus))
-        grad_plus = model.field.gradient(v_plus) if np.isfinite(f_plus) else None
+        grad_plus = model.field.gradient(v_plus) if math.isfinite(f_plus) else None
     except NonFiniteEvaluation as exc:
         raise GradientUnavailable(str(exc)) from exc
-    if grad_plus is None or not np.all(np.isfinite(grad_plus)):
+    grad_list = None if grad_plus is None else grad_plus.tolist()
+    if grad_list is None or not all(map(math.isfinite, grad_list)):
         raise GradientUnavailable(f"non-finite boundary data at {v_plus.tolist()}")
 
-    raw = f_plus * a_out + grad_plus - float(grad_plus @ v_plus) * a_out
-    return model.sign * raw
+    # per coordinate, the float operations of sign * (f_plus a + grad_plus - (grad_plus . v_plus) a) on arrays
+    slope = float(grad_plus @ v_plus)
+    sign = model.sign
+    return np.array([sign * (f_plus * a + g - slope * a) for a, g in zip(a_out.tolist(), grad_list)])
 

@@ -220,6 +220,15 @@ def near_facet(draw, polytope, centre=None, moves=("on", "ulps", "unit")):
     return x
 
 
+@st.composite
+def non_finite_points(draw, dim):
+    """A point (dim,) with at least one coordinate inf, -inf or nan, the others in [-3, 3]."""
+    x = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim)))
+    spoilt = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True))
+    x[spoilt] = draw(st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), min_size=len(spoilt), max_size=len(spoilt)))
+    return x
+
+
 def near_catalog_facet():
     """(entry name, point): ``near_facet`` on a catalog entry's default polytope, moves "on", "ulps" or "row"."""
     at = {name: near_facet(polytope, moves=("on", "ulps", "row")) for name, polytope in CATALOG.items()}

@@ -80,6 +80,7 @@ TRACE_ERRORS = [
     "ray is parallel to a violated facet",
     "ray never exits (polytope unbounded along it?)",
     "empty intersection interval",
+    "is not finite: no point of it lies in the polytope",
 ]
 
 
