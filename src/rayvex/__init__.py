@@ -24,7 +24,6 @@ from .functions import (
     cobb_douglas,
     cubic_rational,
     fractional,
-    negate_field,
     reliability,
 )
 from .geometry import (
@@ -88,7 +87,6 @@ __all__ = [
     "eval_homogeneous",
     "fractional",
     "gradient",
-    "negate_field",
     "normalize_facet",
     "oracle_build",
     "oracle_eval",

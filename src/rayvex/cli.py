@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     try:
         # looked up by name at each call, so a wrapper installed on cmd_* later is what runs
         return globals()[f"cmd_{args.command}"](args)
-    except (RayvexError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (RayvexError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

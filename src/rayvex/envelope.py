@@ -7,7 +7,8 @@ and negated for concave sense) over a working polytope.  The secant value
     g(v) = alpha_v * f(v_minus) + (1 - alpha_v) * f(v_plus)
 
 is the convex envelope whenever the certification checks pass; uncertified
-models still evaluate g as a plain secant interpolant.
+models still evaluate g as a plain secant interpolant.  An endpoint of
+weight 0 adds 0, also where f is infinite there (0 * inf = 0).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     PointOutsidePolytope,
     ZeroDirection,
 )
-from .functions import ScalarField, _compose_field
+from .functions import ScalarField, _working_field
 from .geometry import (
     Polytope,
     RayTrace,
@@ -43,10 +44,15 @@ from .geometry import (
 from .verify import DEFAULT_BUDGET, CertificationReport, certify
 
 TIGHT_TOL = 1e-9
+_SIGNS = {"convex": 1.0, "concave": -1.0}  # the working field's sign per sense
 
 
 class EnvelopeValue(NamedTuple):
     """One envelope evaluation with the ray data that produced it.
+
+    ``tight`` is whether ``value`` is within ``TIGHT_TOL`` of ``f``, relative
+    to max(1, |f|), or equal to it: where f is infinite, g is tight exactly
+    when it is the same infinity (on cubic's x = 0 facet both are +inf).
 
     An immutable named tuple, as ``RayTrace`` is, because ``eval`` builds one
     per call.  Its trace's arrays make ``==`` and ``hash`` unusable, so
@@ -64,12 +70,13 @@ class EnvelopeValue(NamedTuple):
 class EnvelopeModel:
     """Secant-envelope model over a working (possibly translated) polytope.
 
-    ``field`` is the working function: the original shifted by ``anchor``,
-    minus its anchor value, and negated for concave sense.  It is one field
-    that calls the original once per evaluation, looking up the original's
-    ``eval``/``grad`` at each call (the original itself when there is
-    nothing to shift or negate).  Evaluation maps x to working coordinates
-    v = x - anchor, applies the secant formula and undoes sign and offset.
+    In working coordinates v = x - t, with t = ``anchor``, ``field`` is
+    f_w(v) = s * (f(v + t) - f(t)), where f(t) is ``offset`` (0 for the
+    anchor policy "none") and s is ``sign`` (-1 for concave sense).  It calls
+    f once per evaluation, looking up f's ``eval``/``grad`` at each call, and
+    is f itself when there is nothing to shift, subtract or negate.
+    Evaluation maps x to v, applies the secant formula and undoes sign and
+    offset.
     """
 
     field: ScalarField
@@ -89,7 +96,7 @@ class EnvelopeModel:
 
     @property
     def sign(self) -> float:
-        return -1.0 if self.sense == "concave" else 1.0
+        return _SIGNS[self.sense]
 
     @property
     def certified(self) -> bool:
@@ -125,18 +132,16 @@ def build(
     passed ``contains``.  Construction succeeds even when certification
     fails; the model is then a plain secant interpolant.
     """
+    if sense not in _SIGNS:
+        raise ValueError(f"sense must be 'convex' or 'concave', got {sense!r}")
     if field.dim != polytope.dim:
         raise DimensionMismatch(f"field is {field.dim}-D, polytope is {polytope.dim}-D")
 
     if isinstance(anchor, str):
-        if anchor == "none":
-            t = np.zeros(polytope.dim)
-            subtract = False
-        elif anchor == "origin-shift":
-            t = np.zeros(polytope.dim)
-            subtract = True
-        else:
+        if anchor not in ("none", "origin-shift"):
             raise InvalidAnchor(f"unknown anchor policy {anchor!r}")
+        t = np.zeros(polytope.dim)
+        subtract = anchor == "origin-shift"
     else:
         t = np.asarray(anchor, dtype=float).reshape(-1)
         if t.size != polytope.dim:
@@ -146,18 +151,13 @@ def build(
     if subtract and not polytope.contains(t):
         raise InvalidAnchor(f"anchor {t.tolist()} lies outside the polytope")
 
-    working_poly = polytope.translate(t) if np.any(t != 0.0) else polytope
+    shift = t if t.any() else None
+    working_poly = polytope if shift is None else polytope.translate(t)
     validate(working_poly)
 
-    if sense not in ("convex", "concave"):
-        raise ValueError(f"sense must be 'convex' or 'concave', got {sense!r}")
     offset = float(field.eval(t)) if subtract else 0.0
-    working = field
-    if subtract or sense == "concave":
-        working = _compose_field(field, t if subtract else None, negate=sense == "concave", base=offset)
-
     model = EnvelopeModel(
-        field=working,
+        field=_working_field(field, shift, offset, _SIGNS[sense]),
         polytope=working_poly,
         anchor=t,
         offset=offset,
@@ -185,11 +185,16 @@ def secant_raw(model: EnvelopeModel, v) -> float:
 
 
 def _secant_from_trace(field: ScalarField, trace: RayTrace) -> float:
+    """alpha_v f(v_minus) + (1 - alpha_v) f(v_plus), where an endpoint of weight 0 adds 0 even if its f is infinite."""
     if trace.degenerate:
         return float(field.eval(trace.v))
     lo = float(field.eval(trace.v_minus))
     hi = float(field.eval(trace.v_plus))
-    return trace.alpha_v * lo + (1.0 - trace.alpha_v) * hi
+    w = trace.alpha_v
+    g = w * lo + (1.0 - w) * hi
+    if g != g:  # NaN: drop a 0 * inf term, if that is where it came from
+        g = (0.0 if w == 0.0 and math.isinf(lo) else w * lo) + (0.0 if w == 1.0 and math.isinf(hi) else (1.0 - w) * hi)
+    return g
 
 
 def _locate(model: EnvelopeModel, x) -> tuple[np.ndarray, RayTrace | None]:
@@ -216,7 +221,7 @@ def eval(model: EnvelopeModel, x) -> EnvelopeValue:  # noqa: A001 - deliberate b
     if trace is None:
         return EnvelopeValue(f_at_x, None, None, True, f_at_x)
     value = sign * _secant_from_trace(model.field, trace) + model.offset
-    tight = abs(value - f_at_x) <= TIGHT_TOL * max(1.0, abs(f_at_x))
+    tight = abs(value - f_at_x) <= TIGHT_TOL * max(1.0, abs(f_at_x)) or value == f_at_x
     return EnvelopeValue(value, trace, _region_id(trace.in_facet, trace.out_facet), tight, f_at_x)
 
 

@@ -1,4 +1,4 @@
-"""Scalar fields, finite-difference derivatives, and the example catalog.
+"""Scalar fields, finite-difference derivatives, the working-field transform, and the example catalog.
 
 The catalog carries the classical test functions for envelope construction
 (bilinear, fractional, a network-reliability ratio, a cubic rational with a
@@ -66,47 +66,31 @@ def fd_gradient(field: ScalarField, x) -> np.ndarray:
     return out
 
 
-def negate_field(field: ScalarField) -> ScalarField:
-    """The field -f."""
-    return _compose_field(field, negate=True)
+def _working_field(field: ScalarField, shift, base: float, sign: float) -> ScalarField:
+    """The field v -> sign * (f(v + shift) - base), which calls f once per evaluation.
 
-
-def _compose_field(field: ScalarField, anchor=None, negate: bool = False, base: float = 0.0) -> ScalarField:
-    """±(f(p + anchor) - base) as one field that calls f once per evaluation.
-
-    ``base`` is f(anchor), which the caller has evaluated; without an anchor
-    the shift is left out and ``base`` stays 0.0 (f - 0.0 is f bit for bit,
-    -0.0 included).  The values are those of the shift p -> f(p + anchor) -
-    base followed by the negation, applied one at a time, bit for bit, except
-    that a zero anchor skips the no-op ``p + anchor``, so a -0.0 coordinate
-    reaches f as -0.0.  ``field.eval`` and ``field.grad`` are looked up at
-    every call, so replacing them on ``field`` later changes what this field
-    calls.
+    ``shift`` is None for no shift: the add is left out, so a -0.0 coordinate
+    reaches f as -0.0.  The gradient is sign * grad f(v + shift) as a float
+    array, and there is none when f has none.  ``field.eval`` and
+    ``field.grad`` are looked up at every call, so replacing them on
+    ``field`` later changes what this field calls.  With nothing to shift,
+    subtract or negate, ``field`` itself is returned.
     """
-    name = field.name
-    at = None
-    if anchor is not None:
-        anchor = np.asarray(anchor, dtype=float)
-        at = anchor if anchor.any() else None
-        name = f"{name}[shifted]"
-    if at is None:
-        if negate:
-            value = lambda p: -(field.eval(p) - base)  # noqa: E731
-            grad = lambda p: -field.grad(p)  # noqa: E731
-        else:
-            value = lambda p: field.eval(p) - base  # noqa: E731
-            grad = lambda p: field.grad(p)  # noqa: E731
-    elif negate:
-        value = lambda p: -(field.eval(p + at) - base)  # noqa: E731
-        grad = lambda p: -field.grad(p + at)  # noqa: E731
-    else:
-        value = lambda p: field.eval(p + at) - base  # noqa: E731
-        grad = lambda p: field.grad(p + at)  # noqa: E731
+    if shift is None and sign == 1.0 and base == 0.0 and math.copysign(1.0, base) == 1.0:
+        return field  # f - (-0.0) would turn an f of -0.0 into +0.0
+
+    def value(p):
+        return sign * (field.eval(p if shift is None else p + shift) - base)
+
+    def grad(p):
+        out = np.asarray(field.grad(p if shift is None else p + shift), dtype=float)
+        return -out if sign < 0.0 else out  # sign * out, without numpy's costlier array-times-float
+
     return ScalarField(
         dim=field.dim,
         eval=value,
         grad=grad if field.grad is not None else None,
-        name=f"-{name}" if negate else name,
+        name=f"{'-' if sign < 0.0 else ''}{field.name}{'' if shift is None else '[shifted]'}",
     )
 
 

@@ -185,11 +185,18 @@ class Polytope:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Polytope":
+        if not isinstance(data, dict):
+            raise ValueError(f"polytope JSON must be an object, got {type(data).__name__}")
+        _require_keys(data, ("dim", "halfspaces"), "polytope JSON")
         items = data["halfspaces"]
+        if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+            raise ValueError("polytope JSON 'halfspaces' must be a list of objects")
+        for i, item in enumerate(items):
+            _require_keys(item, ("a", "b"), f"halfspace {i}")
         labels = [item.get("label") for item in items]
         polytope = cls([item["a"] for item in items], [item["b"] for item in items], labels if any(labels) else None)
-        if polytope.dim != int(data["dim"]):
-            raise ValueError(f"halfspace dimension {polytope.dim} != {data['dim']}")
+        if polytope.dim != data["dim"]:
+            raise ValueError(f"halfspace dimension {polytope.dim} != {data['dim']!r}")
         return polytope
 
     def save(self, path) -> None:
@@ -198,6 +205,12 @@ class Polytope:
     @classmethod
     def load(cls, path) -> "Polytope":
         return cls.from_json_dict(json.loads(Path(path).read_text()))
+
+
+def _require_keys(obj: dict, keys, what: str) -> None:
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r} key")
 
 
 class RayTrace(NamedTuple):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleLP
-from .functions import ScalarField, negate_field
+from .functions import ScalarField, _working_field
 from .geometry import (
     Polytope,
     lattice,
@@ -339,7 +339,7 @@ def check_corollary_convexity(
     if bad is not None:
         return _non_finite(name, tol, hom_worst, len(f_points) * len(_SCALING_FACTORS), {}, points[bad[0]])
 
-    working = negate_field(field) if sense == "concave" else field
+    working = _working_field(field, None, 0.0, flip)
     facet = check_facet_convexity(
         working, polytope, n_pairs_per_facet=max(10, n_samples // max(1, polytope.n_facets)),
         tol=tol, seed=seed + 1,

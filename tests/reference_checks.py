@@ -11,9 +11,9 @@ so they are only a reference for fields finite there.
 import math
 
 import numpy as np
+from reference_fields import negate_field
 
 from rayvex import envelope as env
-from rayvex.functions import negate_field
 from rayvex.geometry import normalize_facet, ray_intersect, sample_interior
 from rayvex.verify import _SCALING_FACTORS, CheckResult
 

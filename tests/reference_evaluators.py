@@ -8,7 +8,9 @@ n-element arrays.  ``point_rows``/``emit_rows`` are the writer that keyed a
 dict per row and formatted each cell through an ``isinstance`` chain.  Tests
 hold the lean path to these bit for bit (finite points) and byte for byte
 (CLI output).  ``eval`` returns (value, trace, region, tight, f), the fields
-of ``rayvex.EnvelopeValue`` in order.
+of ``rayvex.EnvelopeValue`` in order.  The secant and ``tight`` follow the
+library's rules for infinite values: a weight of 0 on an infinite endpoint
+value adds 0, and equal values, infinities included, are tight.
 """
 
 import math
@@ -139,7 +141,11 @@ def _secant_from_trace(field, trace):
         return float(field.eval(trace.v))
     lo = float(field.eval(trace.v_minus))
     hi = float(field.eval(trace.v_plus))
-    return trace.alpha_v * lo + (1.0 - trace.alpha_v) * hi
+    return _weighted(trace.alpha_v, lo) + _weighted(1.0 - trace.alpha_v, hi)
+
+
+def _weighted(weight, value):
+    return 0.0 if weight == 0.0 and math.isinf(value) else weight * value  # 0 * inf = 0
 
 
 def _locate(model, x):
@@ -161,7 +167,7 @@ def eval(model, x):  # noqa: A001 - the name it replaces
     if trace is None:
         return f_at_x, None, None, True, f_at_x
     value = model.sign * _secant_from_trace(model.field, trace) + model.offset
-    tight = abs(value - f_at_x) <= TIGHT_TOL * max(1.0, abs(f_at_x))
+    tight = value == f_at_x or abs(value - f_at_x) <= TIGHT_TOL * max(1.0, abs(f_at_x))
     return value, trace, RegionId(trace.in_facet, trace.out_facet), tight, f_at_x
 
 

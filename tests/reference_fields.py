@@ -1,12 +1,15 @@
 """The numpy-scalar forms of the catalog fields and of the working-field chain.
 
 The catalog fields in ``rayvex.functions`` compute on plain Python floats,
-and ``envelope.build`` composes anchor shift, offset and sign into one
-field.  These are the forms they replaced: each field unpacks its point
-into numpy float64 scalars, and the working field is ``shift_field``
-followed by ``negate_field``, one lambda layer each.  Tests require the
-same bits from both.  Numpy warns where these return inf or nan; call them
-under ``np.errstate(all="ignore")``.
+and ``envelope.build`` applies anchor shift, offset and sign by one private
+transform, v -> s * (f(v + t) - f(t)).  These are the forms they replaced:
+each field unpacks its point into numpy float64 scalars, and the working
+field is ``shift_field`` followed by ``negate_field``, one lambda layer
+each.  Tests require the same bits from both, except that ``shift_field``
+adds a zero t, which turns a -0.0 coordinate into +0.0.  ``negate_field``
+is also the reference for the concave working field of the checks, with
+the bits of the transform at t = 0 and f(t) = 0.  Numpy warns where these
+return inf or nan; call them under ``np.errstate(all="ignore")``.
 """
 
 import math

@@ -67,6 +67,29 @@ def test_missing_polytope_file_exit_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "polytope JSON must be an object, got list"),
+        ('{"dim": 2, "halfspaces": [1, 2]}', "polytope JSON 'halfspaces' must be a list of objects"),
+        ('{"dim": 2, "halfspaces": {"a": [1, 0], "b": 1}}', "polytope JSON 'halfspaces' must be a list of objects"),
+        ('{"halfspaces": [{"a": [1, 0], "b": 1}]}', "polytope JSON has no 'dim' key"),
+        ('{"dim": 2}', "polytope JSON has no 'halfspaces' key"),
+        ('{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 1}, {"a": [0, 1]}]}', "halfspace 1 has no 'b' key"),
+        ('{"dim": 2, "halfspaces": [{"b": 1}]}', "halfspace 0 has no 'a' key"),
+        ('{"dim": null, "halfspaces": [{"a": [1, 0], "b": 1}]}', "halfspace dimension 2 != None"),
+        ('{"dim": 2, "halfspaces": [', "Expecting value: line 1 column 27 (char 26)"),
+    ],
+)
+def test_malformed_polytope_file_is_a_one_line_error(text, message, tmp_path, capsys):
+    # a list or a null dim gave a TypeError traceback, a non-object halfspace an AttributeError one,
+    # a missing key "error: 'dim'"
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "certify", "--function", "bilinear", "--polytope", str(path), *FAST)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_non_positive_budget_exit_one(budget, capsys):
     # a budget below 1 drew no homogeneity sample and still printed "certification passed"

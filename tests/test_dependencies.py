@@ -33,15 +33,16 @@ EXPORTED = [
     "SampledOracle", "ScalarField", "ValidationReport", "bilinear_neg", "build", "catalog",
     "certify", "check_corollary_convexity", "check_facet_convexity", "check_positive_homogeneity",
     "check_ray_concavity", "cobb_douglas", "cubic_rational", "enumerate_regions_2d", "errors",
-    "eval_homogeneous", "fractional", "gradient", "negate_field", "normalize_facet",
-    "oracle_build", "oracle_eval", "ray_intersect", "ray_intersect_batch", "region_of",
-    "reliability", "sample_interior", "secant_raw", "solve_lp", "validate", "vertices",
+    "eval_homogeneous", "fractional", "gradient", "normalize_facet", "oracle_build", "oracle_eval",
+    "ray_intersect", "ray_intersect_batch", "region_of", "reliability", "sample_interior", "secant_raw",
+    "solve_lp", "validate", "vertices",
 ]
 # (module, name) gone from the package and from its module
 REMOVED = [
     ("envelope", "model_from_descriptor"),  # the CLI is the one path from catalog names to build
     ("envelope", "original_value"),  # eval(model, x).f
     ("functions", "shift_field"),  # build's working field is the one shifting path
+    ("functions", "negate_field"),  # the working field's sign is the one negating path
     ("geometry", "Halfspace"),
 ]
 UNEXPORTED = ["eval_envelope", "fd_gradient", "polygon_area"]  # still in their modules where used

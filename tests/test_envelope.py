@@ -1,14 +1,18 @@
 """Envelope models: secant evaluation, homogeneous forms, gradients, properties."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rayvex as rx
 import reference_fields as ref
-from strategies import record_calls, region_interior
+from strategies import near_facet, outside, placed_polygons, record_calls, region_interior
 from rayvex import envelope as env
+from rayvex.functions import fd_gradient
 from rayvex.errors import (
     DimensionMismatch,
     GradientUnavailable,
@@ -110,6 +114,19 @@ class TestBuild:
             with pytest.raises(InvalidAnchor):
                 env.build(entry.field, quadrant, anchor=anchor, run_certification=False)
 
+    def test_sense_is_checked_first(self, monkeypatch):
+        # a misspelt sense raised UnboundedPolytope or InvalidAnchor, or came after the validation LPs
+        entry = rx.bilinear_neg(0, 0, 1, 1)
+        quadrant = rx.Polytope.from_inequalities([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
+        lps = record_calls(monkeypatch, rx.geometry, "solve_inequality_lp")
+        seen = []
+        field = replace(entry.field, eval=lambda p: seen.append(p) or entry.field.eval(p))
+        away = rx.Polytope.box([2, 2], [3, 3])
+        for polytope, anchor in ((quadrant, "origin-shift"), (entry.default_polytope, [5.0, 5.0]), (away, "none")):
+            with pytest.raises(ValueError, match="sense must be 'convex' or 'concave', got 'convx'"):
+                env.build(field, polytope, sense="convx", anchor=anchor, run_certification=False)
+        assert (lps, seen) == ([], [])
+
 
 class TestEval:
     def test_mccormick_value(self, mccormick):
@@ -169,6 +186,14 @@ class TestEval:
         assert result.trace.degenerate
         assert result.value == entry.field(np.array([1.0, 0.0]))
         assert result.tight
+
+    @pytest.mark.parametrize("point", [(0.0, 1.0), (0.0, 1.5), (0.0, 2.0)])
+    def test_cubic_is_inf_and_tight_on_its_x0_facet(self, cubic, point):
+        # y^2/x is +inf there; f(v_minus) = f(v_plus) = inf, and a zero weight on one made g nan at (0, 1) and (0, 2)
+        _, model = cubic
+        result = env.eval(model, point)
+        assert (result.value, result.f, result.tight) == (math.inf, math.inf, True)
+        assert env.secant_raw(model, point) == math.inf
 
     def test_secant_reconstruction(self, mccormick):
         _, model = mccormick
@@ -277,9 +302,12 @@ class TestConvexityProperties:
 
 # -- the working field: anchor shift, offset and sign composed once -----------
 
-WORKING_CASES = [  # (entry, anchor); each polytope contains the origin and the vector anchor
-    (rx.bilinear_neg(-1.0, -1.0, 2.0, 2.0), anchor) for anchor in ("none", "origin-shift", (0.3, 0.2))
-] + [(rx.reliability(), anchor) for anchor in ("none", "origin-shift", (0.3, 0.2))]
+WORKING_ENTRIES = (rx.bilinear_neg(-1.0, -1.0, 2.0, 2.0), rx.reliability())
+WORKING_CASES = [  # (entry, anchor); each polytope contains its vector anchors, and all but fractional's the origin
+    (entry, anchor) for entry in WORKING_ENTRIES for anchor in ("none", "origin-shift", (0.3, 0.2))
+] + [
+    (entry, zero) for entry in WORKING_ENTRIES for zero in ((0.0, 0.0), (-0.0, 0.0))  # no add, as "origin-shift"
+] + [(rx.fractional(), (1.0, 0.0))]  # fractional's default anchor
 
 
 def _bits(values) -> list:
@@ -346,3 +374,82 @@ def test_build_evaluates_the_anchor_once(anchor, calls, sense):
     assert len(seen) == calls
     assert model.offset == (entry.field.eval(model.anchor) if calls else 0.0)
     assert model.field.eval(np.zeros(2)) == 0.0
+
+
+@pytest.mark.parametrize("sense", ["convex", "concave"])
+@pytest.mark.parametrize("entry, anchor", WORKING_CASES)
+def test_working_field_differentiates_a_field_without_grad(entry, anchor, sense):
+    # the finite-difference gradient probes the working field, which calls f once per probe
+    field = replace(entry.field, grad=None)
+    model = env.build(field, entry.default_polytope, sense=sense, anchor=anchor, run_certification=False)
+    assert model.field.grad is None
+    t = np.zeros(2) if isinstance(anchor, str) else np.asarray(anchor, dtype=float)
+    chain = field if anchor == "none" else ref.shift_field(field, t)
+    if sense == "concave":
+        chain = ref.negate_field(chain)
+    seen = []
+    object.__setattr__(field, "eval", lambda p: seen.append(p) or entry.field.eval(p))
+    for p in _working_points(entry):
+        del seen[:]
+        with np.errstate(all="ignore"):  # the chain's numpy forms warn outside the domain
+            try:
+                got = _bits(model.field.gradient(p))
+            except rx.errors.NonFiniteEvaluation:
+                got = None
+            assert len(seen) <= 4 and (got is None or len(seen) == 4)
+            try:
+                want = _bits(fd_gradient(chain, p))
+            except rx.errors.NonFiniteEvaluation:
+                want = None
+        if t.any() or not np.any(np.signbit(p) & (p == 0.0)):
+            assert got == want, p  # the chain adds a zero t, which turns a probe's -0.0 into +0.0
+
+
+@pytest.mark.parametrize("sense", ["convex", "concave"])
+@pytest.mark.parametrize("zero", [(0.0, 0.0), (-0.0, 0.0)])
+def test_a_zero_vector_anchor_shifts_nothing(zero, sense):
+    # f gets the working point itself, so a -0.0 coordinate reaches it as -0.0, as with "origin-shift"
+    entry = rx.reliability()  # f(0, 0) and f(-0, 0) are both +0.0, so the two models subtract the same base
+    seen = []
+    field = replace(entry.field, eval=lambda p: seen.append(p) or entry.field.eval(p))
+    vector = env.build(field, entry.default_polytope, sense=sense, anchor=zero, run_certification=False)
+    shifted = env.build(
+        entry.field, entry.default_polytope, sense=sense, anchor="origin-shift", run_certification=False
+    )
+    assert vector.polytope is entry.default_polytope
+    for p in _working_points(entry):
+        assert _bits(vector.field.eval(p)) == _bits(shifted.field.eval(p))
+        assert seen[-1] is p
+        with np.errstate(all="ignore"):  # the analytic grad divides by zero at the origin
+            assert _bits(vector.field.gradient(p)) == _bits(shifted.field.gradient(p))
+
+
+@pytest.mark.parametrize("sense", ["convex", "concave"])
+def test_working_gradient_accepts_a_list_returning_grad(sense):
+    # the concave working field negated the list: "bad operand type for unary -: 'list'"
+    entry = rx.reliability()
+    field = rx.ScalarField(2, entry.field.eval, grad=lambda p: entry.field.grad(p).tolist())
+    model = env.build(field, entry.default_polytope, sense=sense, anchor=(0.3, 0.2), run_certification=False)
+    p = np.array([0.2, 0.4])
+    assert _bits(model.field.gradient(p)) == _bits(model.sign * entry.field.grad(p + model.anchor))
+
+
+@settings(max_examples=30, deadline=None)  # about 1 example in 3 met the nan before the rule
+@given(case=placed_polygons(), data=st.data())
+def test_secant_is_never_nan_where_f_is_inf_on_a_facet(case, data):
+    # 0 * inf adds 0: an endpoint of weight 0 on the infinite facet made g nan
+    _, polytope = case
+    k = data.draw(st.integers(0, polytope.n_facets - 1))
+    a, b = polytope.matrix[k].tolist(), float(polytope.offsets[k])
+    band = 1e-9 * max(1.0, abs(b))
+
+    def f(p):
+        x, y = p.tolist()
+        return math.inf if a[0] * x + a[1] * y >= b - band else x - 2.0 * y  # +inf on facet k's line
+
+    model = env.build(rx.ScalarField(2, f), polytope, anchor="none", run_certification=False)
+    for x in data.draw(st.lists(near_facet(polytope, moves=("on", "ulps")), min_size=8, max_size=8)):
+        if outside(env.eval, model, x):
+            continue
+        assert not math.isnan(env.eval(model, x).value)
+        assert not math.isnan(env.secant_raw(model, x))

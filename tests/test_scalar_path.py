@@ -2,7 +2,6 @@
 non-finite points, and the call structure the benchmark's tracer counts."""
 
 import importlib.util
-import itertools
 import json
 import warnings
 from dataclasses import replace
@@ -290,7 +289,8 @@ def test_row_writer_prints_the_reference_bytes(case, fmt, capsys, tmp_path):
     if fmt == "csv":
         cells = [line.split(",") for line in out.splitlines()[1:-1]]
         if case.startswith("grid-inf") or case.startswith("grid-polytope"):
-            assert {"inf", "nan"} <= set(itertools.chain.from_iterable(cells))
+            g_cells = {row[3] for row in cells}  # x1, x2, f, g, ...
+            assert "inf" in g_cells and "nan" not in g_cells  # x = 0, where f is inf: 0 * inf adds 0
         if case == "grid-origin-inside":
             assert ["", ""] in [row[-2:] for row in cells]  # the anchor row
         if case == "eval-all-omitted":

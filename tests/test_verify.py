@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_fields import negate_field
 from strategies import brute_force_optimum, hull_lp
 
 import rayvex as rx
@@ -23,7 +24,7 @@ class TestRayConcavity:
 
     def test_negated_reliability_passes(self):
         entry = rx.reliability(1.0, 1.0)
-        negated = rx.negate_field(entry.field)
+        negated = negate_field(entry.field)
         result = rx.check_ray_concavity(negated, entry.default_polytope, n_rays=200, seed=0)
         assert result.status == "pass"
 
@@ -69,7 +70,7 @@ class TestFacetConvexity:
         # u_x = 1.5 leaves ray-concavity intact but breaks convexity on the
         # facet x = 1.5 (the facet restriction turns concave there).
         entry = rx.reliability(1.5, 1.0)
-        negated = rx.negate_field(entry.field)
+        negated = negate_field(entry.field)
         facet = rx.check_facet_convexity(negated, entry.default_polytope, n_pairs_per_facet=200, seed=0)
         assert facet.status == "fail"
         assert facet.worst_violation > 0.05
@@ -195,7 +196,7 @@ class TestOracle:
 
     def test_monotone_refinement(self):
         entry = rx.reliability(1.0, 1.0)
-        negated = rx.negate_field(entry.field)  # working field of the concave model
+        negated = negate_field(entry.field)  # working field of the concave model
         queries = rx.sample_interior(UNIT_BOX, 2, 40)
         previous = None
         for density in (2, 4, 8):
