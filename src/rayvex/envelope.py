@@ -191,10 +191,7 @@ def _secant_from_trace(field: ScalarField, trace: RayTrace) -> float:
     lo = float(field.eval(trace.v_minus))
     hi = float(field.eval(trace.v_plus))
     w = trace.alpha_v
-    g = w * lo + (1.0 - w) * hi
-    if g != g:  # NaN: drop a 0 * inf term, if that is where it came from
-        g = (0.0 if w == 0.0 and math.isinf(lo) else w * lo) + (0.0 if w == 1.0 and math.isinf(hi) else (1.0 - w) * hi)
-    return g
+    return (0.0 if w == 0.0 and math.isinf(lo) else w * lo) + (0.0 if w == 1.0 and math.isinf(hi) else (1.0 - w) * hi)
 
 
 def _locate(model: EnvelopeModel, x) -> tuple[np.ndarray, RayTrace | None]:

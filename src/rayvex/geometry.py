@@ -193,10 +193,17 @@ class Polytope:
             raise ValueError("polytope JSON 'halfspaces' must be a list of objects")
         for i, item in enumerate(items):
             _require_keys(item, ("a", "b"), f"halfspace {i}")
+        try:
+            dim = int(data["dim"])
+        except (TypeError, ValueError):
+            raise ValueError(f"polytope JSON 'dim' must be an integer, got {data['dim']!r}") from None
         labels = [item.get("label") for item in items]
-        polytope = cls([item["a"] for item in items], [item["b"] for item in items], labels if any(labels) else None)
-        if polytope.dim != data["dim"]:
-            raise ValueError(f"halfspace dimension {polytope.dim} != {data['dim']!r}")
+        try:
+            polytope = cls([item["a"] for item in items], [item["b"] for item in items], labels if any(labels) else None)
+        except TypeError:
+            raise ValueError("halfspace entries must be numbers") from None
+        if polytope.dim != dim:
+            raise ValueError(f"halfspace dimension {polytope.dim} != {data['dim']}")
         return polytope
 
     def save(self, path) -> None:

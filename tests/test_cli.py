@@ -77,13 +77,16 @@ def test_missing_polytope_file_exit_one(capsys):
         ('{"dim": 2}', "polytope JSON has no 'halfspaces' key"),
         ('{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 1}, {"a": [0, 1]}]}', "halfspace 1 has no 'b' key"),
         ('{"dim": 2, "halfspaces": [{"b": 1}]}', "halfspace 0 has no 'a' key"),
-        ('{"dim": null, "halfspaces": [{"a": [1, 0], "b": 1}]}', "halfspace dimension 2 != None"),
+        ('{"dim": null, "halfspaces": [{"a": [1, 0], "b": 1}]}', "polytope JSON 'dim' must be an integer, got None"),
+        ('{"dim": "two", "halfspaces": [{"a": [1, 0], "b": 1}]}', "polytope JSON 'dim' must be an integer, got 'two'"),
+        ('{"dim": 2, "halfspaces": [{"a": {"x": 1}, "b": 1}]}', "halfspace entries must be numbers"),
+        ('{"dim": 2, "halfspaces": [{"a": [1, 0], "b": {"y": 1}}]}', "halfspace entries must be numbers"),
         ('{"dim": 2, "halfspaces": [', "Expecting value: line 1 column 27 (char 26)"),
     ],
 )
 def test_malformed_polytope_file_is_a_one_line_error(text, message, tmp_path, capsys):
-    # a list or a null dim gave a TypeError traceback, a non-object halfspace an AttributeError one,
-    # a missing key "error: 'dim'"
+    # a list, a null dim or an object entry gave a TypeError traceback, a non-object halfspace an
+    # AttributeError one, a missing key "error: 'dim'"
     path = tmp_path / "bad.json"
     path.write_text(text)
     code, out, err = run(capsys, "certify", "--function", "bilinear", "--polytope", str(path), *FAST)

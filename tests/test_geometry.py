@@ -368,6 +368,12 @@ def test_polytope_json_round_trip(tmp_path):
     assert np.allclose(loaded.offsets, SLAB.offsets)
 
 
+def test_polytope_json_dim_is_read_as_int():
+    # "dim" is read with int(), so a string such as "2" loads as it always did
+    data = SLAB.to_json_dict()
+    assert rx.Polytope.from_json_dict({**data, "dim": "2"}).dim == 2
+
+
 def test_polytope_labels_survive_round_trip(tmp_path):
     path = tmp_path / "box.json"
     UNIT_BOX.save(path)
