@@ -25,7 +25,10 @@ class ScalarField:
     """An evaluatable function with an optional analytic gradient.
 
     ``eval`` receives one point: the library always passes a 1-D float64
-    array, and the catalog fields also accept lists and tuples.  It must be
+    array, and the catalog fields also accept lists and tuples.  Where the
+    library evaluates many points (the certification checks, the oracle) it
+    still makes one ``eval`` call per point, in sample order, each with a 1-D
+    float64 row.  It must be
     finite at every strictly interior point of the intended domain and
     pure/re-entrant.  The planar catalog fields compute on plain Python
     floats; where float arithmetic would raise (``ZeroDivisionError``,
@@ -70,28 +73,56 @@ def _working_field(field: ScalarField, shift, base: float, sign: float) -> Scala
     """The field v -> sign * (f(v + shift) - base), which calls f once per evaluation.
 
     ``shift`` is None for no shift: the add is left out, so a -0.0 coordinate
-    reaches f as -0.0.  The gradient is sign * grad f(v + shift) as a float
-    array, and there is none when f has none.  ``field.eval`` and
-    ``field.grad`` are looked up at every call, so replacing them on
-    ``field`` later changes what this field calls.  With nothing to shift,
-    subtract or negate, ``field`` itself is returned.
+    reaches f as -0.0.  f's value is read as a float64 before the transform.
+    The gradient is sign * grad f(v + shift) as a float array, and there is
+    none when f has none.  ``field.eval`` and ``field.grad`` are looked up at
+    every call, so replacing them on ``field`` later changes what this field
+    calls.  With nothing to shift, subtract or negate, ``field`` itself is
+    returned.
+
+    The eval closure also carries the row form ``rows(points)`` of the same
+    transform, which ``_eval_rows`` uses: on a (k, n) array it adds ``shift``
+    once, evaluates f through ``_eval_rows`` (one ``field.eval`` per row, in
+    row order, looked up when the batch runs) and applies sign and base once
+    to the (k,) values, with the scalar closure's bits.
     """
     if shift is None and sign == 1.0 and base == 0.0 and math.copysign(1.0, base) == 1.0:
         return field  # f - (-0.0) would turn an f of -0.0 into +0.0
 
     def value(p):
-        return sign * (field.eval(p if shift is None else p + shift) - base)
+        return sign * (float(field.eval(p if shift is None else p + shift)) - base)
+
+    def rows(points):
+        values = _eval_rows(field, points if shift is None else points + shift)
+        with np.errstate(all="ignore"):  # inf - inf and overflow, silent as in the float arithmetic above
+            return sign * (values - base)
 
     def grad(p):
         out = np.asarray(field.grad(p if shift is None else p + shift), dtype=float)
         return -out if sign < 0.0 else out  # sign * out, without numpy's costlier array-times-float
 
+    value._rows = rows
     return ScalarField(
         dim=field.dim,
         eval=value,
         grad=grad if field.grad is not None else None,
         name=f"{'-' if sign < 0.0 else ''}{field.name}{'' if shift is None else '[shifted]'}",
     )
+
+
+def _eval_rows(field: ScalarField, points) -> np.ndarray:
+    """``field.eval`` at every row of a (k, n) array, as a (k,) float64 array.
+
+    Uses the row form that ``_working_field`` attaches to its eval closure;
+    any other eval, including one that replaced a working field's, is called
+    once per row, in row order, on 1-D float64 rows.
+    """
+    points = np.asarray(points, dtype=float)
+    evaluate = field.eval
+    rows = getattr(evaluate, "_rows", None)
+    if rows is not None:
+        return rows(points)
+    return np.fromiter(map(float, map(evaluate, points)), dtype=float, count=len(points))
 
 
 def _on_floats(formula: Callable[..., float]) -> Callable[[object], float]:

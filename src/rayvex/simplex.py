@@ -262,8 +262,11 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
 def _drop_artificials(tab: np.ndarray, basis: list[int], n: int):
     """Pivot artificial variables out of the basis, then cut their columns.
 
-    A basic artificial row with no real-column pivot is a redundant
-    constraint and is removed entirely.  Also returns the pivots made.
+    Each basic artificial leaves on its row's largest real entry: a pivot
+    barely above PIVOT_TOL, as the first such entry can be, leaves a basis
+    that rounding makes singular.  A basic artificial row with no real-column
+    pivot is a redundant constraint and is removed entirely.  Also returns
+    the pivots made.
     """
     m = tab.shape[0] - 1
     drop_rows = []
@@ -271,9 +274,9 @@ def _drop_artificials(tab: np.ndarray, basis: list[int], n: int):
     for row in range(m):
         if basis[row] < n:
             continue
-        candidates = np.flatnonzero(np.abs(tab[row, :n]) > PIVOT_TOL)
-        if candidates.size:
-            piv = int(candidates[0])
+        magnitudes = np.abs(tab[row, :n])
+        piv = int(np.argmax(magnitudes))
+        if magnitudes[piv] > PIVOT_TOL:
             _pivot(tab, row, piv)
             basis[row] = piv
             pivots += 1

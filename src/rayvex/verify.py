@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleLP
-from .functions import ScalarField, _working_field
+from .functions import ScalarField, _eval_rows, _working_field
 from .geometry import (
     Polytope,
     lattice,
@@ -114,8 +114,11 @@ class SampledOracle:
         self.constraints = np.vstack([self.points.T, np.ones(len(self.values))])
 
 
-def _sample_values(fn, points: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """fn at every point of a (samples, per_sample, n) array, one call per point in order.
+def _sample_values(field: ScalarField, points: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """The field at every point of a (samples, per_sample, n) array, one ``field.eval`` call per point in order.
+
+    The points go through ``functions._eval_rows`` as one batch, so a
+    working field shifts, subtracts and negates once for all of them.
 
     Returns the values of the samples before the first one with a
     non-finite value, as a (done, per_sample) array, and the (sample, slot)
@@ -123,7 +126,7 @@ def _sample_values(fn, points: np.ndarray) -> tuple[np.ndarray, tuple[int, int] 
     the check that asked for it, with that point as the witness.
     """
     per_sample = points.shape[1]
-    values = np.fromiter((float(fn(p)) for p in points.reshape(-1, points.shape[2])), dtype=float)
+    values = _eval_rows(field, points.reshape(-1, points.shape[2]))
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         sample, slot = divmod(int(bad[0]), per_sample)
@@ -181,7 +184,7 @@ def check_ray_concavity(
     triples = np.stack([v_minus + s * chord, v_minus + u * chord, v_minus + 0.5 * (s + u) * chord], axis=2)
     triples = triples.reshape(-1, 3, polytope.dim)  # per sample: p, q, midpoint
 
-    f, bad = _sample_values(field.eval, triples)
+    f, bad = _sample_values(field, triples)
     tested = len(f)
     worst, i = _worst(0.5 * (f[:, 0] + f[:, 1]) - f[:, 2])
     if bad is not None:
@@ -231,7 +234,7 @@ def check_facet_convexity(
         pair_idx = rng.integers(0, len(arr), size=(n_pairs_per_facet, 2))
         p, q = arr[pair_idx[:, 0]], arr[pair_idx[:, 1]]
         triples = np.stack([0.5 * (p + q), p, q], axis=1)
-        f, bad = _sample_values(field.eval, triples)
+        f, bad = _sample_values(field, triples)
         tested += len(f)
         facet_worst, i = _worst(f[:, 0] - 0.5 * (f[:, 1] + f[:, 2]))
         if facet_worst > worst:
@@ -294,7 +297,7 @@ def check_positive_homogeneity(
     for facet in np.unique(np.concatenate([in_facet, out_facet])).tolist():
         normals[facet] = normalize_facet(polytope, facet)
     pairs = np.stack([traces.v_minus[keep], traces.v_plus[keep]], axis=1)
-    f, bad = _sample_values(field.eval, pairs)
+    f, bad = _sample_values(field, pairs)
     tested = len(f)
     lhs = _row_dots(normals[in_facet[:tested]], rays[:tested]) * f[:, 0]
     rhs = _row_dots(normals[out_facet[:tested]], rays[:tested]) * f[:, 1]
@@ -327,11 +330,10 @@ def check_corollary_convexity(
     flip = -1.0 if sense == "concave" else 1.0
     n_hom = min(n_samples, 2000)
     points = sample_interior(polytope, seed, n_hom)
-    f_points, bad = _sample_values(field.eval, points[:, None, :])
+    f_points, bad = _sample_values(field, points[:, None, :])
     lams = np.array(_SCALING_FACTORS)
     scaled = lams[:, None] * points[: len(f_points), None, :]  # (k, 3, n): point-major, lambda-minor
-    f_scaled = np.fromiter((float(field.eval(p)) for p in scaled.reshape(-1, polytope.dim)), dtype=float)
-    f_scaled = f_scaled.reshape(len(f_points), len(lams))
+    f_scaled = _eval_rows(field, scaled.reshape(-1, polytope.dim)).reshape(len(f_points), len(lams))
     viol = np.abs(f_scaled - lams * f_points) / (1.0 + np.abs(f_points))
     # a scaled point may leave the field's domain: non-finite values there are left out
     hom_worst, i = _worst(np.where(np.isfinite(f_scaled), viol, 0.0).ravel())
@@ -348,7 +350,7 @@ def check_corollary_convexity(
     rng_points = sample_interior(polytope, seed + 2, 2 * n_samples)
     p, q = rng_points[0::2], rng_points[1::2]
     triples = np.stack([0.5 * (p + q), p, q], axis=1)
-    f, bad = _sample_values(field.eval, triples)
+    f, bad = _sample_values(field, triples)
     global_worst, i = _worst(flip * (f[:, 0] - 0.5 * (f[:, 1] + f[:, 2])))
     if bad is not None:
         samples = n_hom * len(_SCALING_FACTORS) + facet.samples + len(f)
@@ -424,7 +426,7 @@ def oracle_build(field: ScalarField, polytope: Polytope, grid_density: int = 10)
         mesh = lattice(np.stack([verts.min(axis=0), verts.max(axis=0)], axis=1), grid_density + 1)
         pts.append(mesh[polytope.contains(mesh)])
     combined = np.unique(np.vstack(pts), axis=0)
-    values = np.fromiter((float(field.eval(p)) for p in combined), dtype=float, count=len(combined))
+    values = _eval_rows(field, combined)
     finite = np.isfinite(values)
     return SampledOracle(combined[finite], values[finite], int(np.count_nonzero(~finite)))
 

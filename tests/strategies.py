@@ -404,3 +404,10 @@ def query_runs(draw, oracle):
     if kind == "jumps":
         return jumps
     return [p for pair in zip(samples, jumps) for p in pair]
+
+
+@st.composite
+def oracle_query_runs(draw):
+    """An ``oracles()`` draw and a ``query_runs`` draw on it, as one (oracle, queries) pair."""
+    oracle = draw(oracles())
+    return oracle, draw(query_runs(oracle))

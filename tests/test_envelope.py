@@ -12,7 +12,7 @@ import rayvex as rx
 import reference_fields as ref
 from strategies import near_facet, outside, placed_polygons, record_calls, region_interior
 from rayvex import envelope as env
-from rayvex.functions import fd_gradient
+from rayvex.functions import _eval_rows, fd_gradient
 from rayvex.errors import (
     DimensionMismatch,
     GradientUnavailable,
@@ -360,7 +360,8 @@ def test_working_field_calls_the_field_callables_of_the_moment(anchor, sense):
     object.__setattr__(field, "grad", lambda p: seen.append("grad") or entry.field.grad(p))
     model.field.eval(np.array([0.2, 0.4]))
     model.field.gradient(np.array([0.2, 0.4]))
-    assert seen == ["eval", "grad"]
+    _eval_rows(model.field, np.array([[0.2, 0.4], [0.6, 0.1]]))  # the row form, one eval per row
+    assert seen == ["eval", "grad", "eval", "eval"]
 
 
 @pytest.mark.parametrize("sense", ["convex", "concave"])

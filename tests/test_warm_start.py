@@ -10,9 +10,8 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from strategies import hull_lp, oracles, query_runs, record_calls
+from hypothesis import example, given, settings
+from strategies import hull_lp, oracle_query_runs, record_calls
 
 import rayvex as rx
 from rayvex import cli, simplex, verify
@@ -183,11 +182,32 @@ def test_compare_output_is_byte_identical_for_one_seed(capsys):
 # -- the warm oracle against fresh cold solves ------------------------------
 
 
+def _thin_box_oracle():
+    """An oracle whose cold solve at (-1e-5, 1) drives an artificial out of a row with a -1.39e-6 entry.
+
+    That entry is the row's first above PIVOT_TOL, and 1.25 its largest.
+    Pivoting on the first gave the basis (90, 0, 80): three lattice points
+    on y = 1, whose [points; 1] has rank 2.
+    """
+    field = rx.ScalarField(2, lambda p: -abs(p[0]), name="-|x|")
+    return rx.oracle_build(field, rx.Polytope.box([-1e-5, 1.0], [1.25, 2.25]), grid_density=9)
+
+
+THIN_BOX_QUERY = np.array([-1e-5, 1.0])
+
+
+def test_the_cold_solve_reports_a_full_rank_basis():
+    oracle = _thin_box_oracle()
+    assert rx.oracle_eval(oracle, THIN_BOX_QUERY) == -1e-5
+    assert np.linalg.matrix_rank(oracle.constraints[:, list(oracle.basis)]) == 3
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_warm_oracle_matches_a_cold_solve_at_every_query(data):
-    oracle = data.draw(oracles())
-    for x in data.draw(query_runs(oracle)):
+@given(oracle_query_runs())
+@example((_thin_box_oracle(), [THIN_BOX_QUERY]))
+def test_warm_oracle_matches_a_cold_solve_at_every_query(case):
+    oracle, queries = case
+    for x in queries:
         rhs = np.append(x, 1.0)
         cold = solve_lp(oracle.values, oracle.constraints, rhs)
         warm = solve_lp(oracle.values, oracle.constraints, rhs, start=oracle.basis)
