@@ -26,14 +26,15 @@ class ScalarField:
 
     ``eval`` receives one point: the library always passes a 1-D float64
     array, and the catalog fields also accept lists and tuples.  Where the
-    library evaluates many points (the certification checks, the oracle) it
-    still makes one ``eval`` call per point, in sample order, each with a 1-D
-    float64 row.  It must be
+    library evaluates many points (the certification checks, the oracle), a
+    catalog field evaluates the whole batch through its private column form,
+    with the bits of its per-point ``eval``; any other ``eval``, a catalog
+    field's too once it has been replaced, is called once per point, in
+    sample order, each with a 1-D float64 row.  It must be
     finite at every strictly interior point of the intended domain and
     pure/re-entrant.  The planar catalog fields compute on plain Python
-    floats; where float arithmetic would raise (``ZeroDivisionError``,
-    ``OverflowError``) they return numpy's inf or nan for that point
-    instead, without a warning.
+    floats; where float arithmetic would raise (``ZeroDivisionError``) they
+    return numpy's inf or nan for that point instead, without a warning.
     """
 
     dim: int
@@ -113,9 +114,11 @@ def _working_field(field: ScalarField, shift, base: float, sign: float) -> Scala
 def _eval_rows(field: ScalarField, points) -> np.ndarray:
     """``field.eval`` at every row of a (k, n) array, as a (k,) float64 array.
 
-    Uses the row form that ``_working_field`` attaches to its eval closure;
-    any other eval, including one that replaced a working field's, is called
-    once per row, in row order, on 1-D float64 rows.
+    Uses the batch form that the eval callable carries as ``_rows``: a
+    catalog field's column form (``_on_floats``, cobb-douglas), or the row
+    form that ``_working_field`` attaches.  Any other eval, a user field's or
+    one that replaced a catalog or working field's, is called once per row,
+    in row order, on 1-D float64 rows.
     """
     points = np.asarray(points, dtype=float)
     evaluate = field.eval
@@ -125,22 +128,34 @@ def _eval_rows(field: ScalarField, points) -> np.ndarray:
     return np.fromiter(map(float, map(evaluate, points)), dtype=float, count=len(points))
 
 
-def _on_floats(formula: Callable[..., float]) -> Callable[[object], float]:
+def _on_floats(formula: Callable[..., float], columns: Callable | None = None) -> Callable[[object], float]:
     """A catalog field computing ``formula(*coordinates)`` on plain floats.
 
-    Float ``+ - * /`` and ``**`` give numpy float64's bits, but raise where
-    numpy returns inf or nan; there the formula runs again on numpy scalars,
-    with numpy's warnings silenced, and that value is returned.
+    Float ``+ - * /`` give numpy float64's bits, but a division by zero
+    raises where numpy returns inf or nan; there the formula runs again on
+    numpy scalars, with numpy's warnings silenced, and that value is returned.
+
+    ``columns`` is the same formula on coordinate columns, its branches
+    written as ``np.where``.  When given, it is the field's column form: a
+    (k, n) batch through ``_eval_rows`` is ``columns(*points.T)``, one numpy
+    pass with numpy's warnings silenced, with the per-point bits.
     """
 
     def field(p) -> float:
         coords = p.tolist() if isinstance(p, np.ndarray) else [float(c) for c in p]
         try:
             return formula(*coords)
-        except (ZeroDivisionError, OverflowError):
+        except ZeroDivisionError:
             with np.errstate(all="ignore"):
                 return float(formula(*map(np.float64, coords)))
 
+    if columns is not None:
+
+        def rows(points):
+            with np.errstate(all="ignore"):
+                return columns(*points.T)
+
+        field._rows = rows
     return field
 
 
@@ -166,9 +181,12 @@ def bilinear_neg(lx: float = 0.0, ly: float = 0.0, ux: float = 1.0, uy: float = 
     if not (lx < ux and ly < uy):
         raise ValueError("bilinear box needs lx < ux and ly < uy")
 
+    def f(x, y):  # floats or columns
+        return -x * y
+
     field = ScalarField(
         2,
-        _on_floats(lambda x, y: -x * y),
+        _on_floats(f, f),
         grad=lambda p: np.array([-p[1], -p[0]]),
         name="bilinear_neg",
     )
@@ -193,9 +211,13 @@ def bilinear_neg(lx: float = 0.0, ly: float = 0.0, ux: float = 1.0, uy: float = 
 
 def fractional() -> CatalogEntry:
     """f(x, y) = y/x, defined for x > 0, over a fixed trapezoid-like polytope with x >= 1, where its envelope holds."""
+
+    def f(x, y):  # floats or columns
+        return y / x
+
     field = ScalarField(
         2,
-        _on_floats(lambda x, y: y / x),
+        _on_floats(f, f),
         grad=lambda p: np.array([-p[1] / p[0] ** 2, 1.0 / p[0]]),
         name="fractional",
     )
@@ -236,18 +258,25 @@ def reliability(ux: float = 1.0, uy: float = 1.0) -> CatalogEntry:
     if ux <= 0 or uy <= 0:
         raise ValueError("reliability box needs positive upper bounds")
 
+    def ratio(x, y):  # numerator and denominator, branch-free: floats or columns
+        return x * y, x + y - x * y
+
     def f(x, y):
-        den = x + y - x * y
+        num, den = ratio(x, y)
         if den <= 0.0:
             return 0.0 if (x == 0.0 and y == 0.0) else math.inf
-        return x * y / den
+        return num / den
+
+    def columns(x, y):
+        num, den = ratio(x, y)
+        return np.where(den <= 0.0, np.where((x == 0.0) & (y == 0.0), 0.0, np.inf), num / den)
 
     def grad(p):
         x, y = p
         den = x + y - x * y
         return np.array([y * y / den**2, x * x / den**2])
 
-    field = ScalarField(2, _on_floats(f), grad=grad, name="reliability")
+    field = ScalarField(2, _on_floats(f, columns), grad=grad, name="reliability")
 
     def env(p):
         x, y = p
@@ -277,19 +306,21 @@ def cubic_rational() -> CatalogEntry:
     x = 0, so evaluation there returns inf (the closure limit).
     """
 
+    def core(x, y):
+        # branch-free, on floats or columns; the powers are products because
+        # numpy's array ** is not libm's pow, and products give both forms one set of bits
+        x2, y2, s = x * x, y * y, x + y
+        x4 = x2 * x2
+        n = y2 * y + 2.0 * x * y2 + x2 * y + x2 * x * (3.0 * y - y2 - 2.0) - 2.0 * x4 * y + 3.0 * x4 - x4 * x
+        return y * n / (x * (s * s))
+
     def f(x, y):
         if x <= 0.0:
             return 0.0 if y == 0.0 else math.inf
-        n = (
-            y**3
-            + 2.0 * x * y**2
-            + x**2 * y
-            + x**3 * (3.0 * y - y**2 - 2.0)
-            - 2.0 * x**4 * y
-            + 3.0 * x**4
-            - x**5
-        )
-        return y * n / (x * (x + y) ** 2)
+        return core(x, y)
+
+    def columns(x, y):
+        return np.where(x <= 0.0, np.where(y == 0.0, 0.0, np.inf), core(x, y))
 
     def grad(p):
         x, y = p
@@ -325,7 +356,7 @@ def cubic_rational() -> CatalogEntry:
         ) / (x * (x + y) ** 3)
         return np.array([gx, gy])
 
-    field = ScalarField(2, _on_floats(f), grad=grad, name="cubic_rational")
+    field = ScalarField(2, _on_floats(f, columns), grad=grad, name="cubic_rational")
     poly = Polytope.from_inequalities(
         [[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [1.0, 1.0]],
         [0.0, 0.0, -1.0, 2.0],
@@ -384,6 +415,15 @@ def cobb_douglas(
             with np.errstate(all="ignore"):
                 q0, q1, q2 = (p**exps).tolist()
         return scale * (q0 * q1 * q2)
+
+    def rows(points):
+        # the column form: numpy's power gives the same bits on (k, 3) as on (3,), a
+        # NaN's sign aside, then the same product; 0 * inf, nan and overflow stay silent
+        with np.errstate(all="ignore"):
+            q = points**exps
+            return scale * (q[:, 0] * q[:, 1] * q[:, 2])
+
+    f._rows = rows
 
     def grad(p):
         p = np.asarray(p, dtype=float)

@@ -6,10 +6,12 @@ transform, v -> s * (f(v + t) - f(t)).  These are the forms they replaced:
 each field unpacks its point into numpy float64 scalars, and the working
 field is ``shift_field`` followed by ``negate_field``, one lambda layer
 each.  Tests require the same bits from both, except that ``shift_field``
-adds a zero t, which turns a -0.0 coordinate into +0.0.  ``negate_field``
-is also the reference for the concave working field of the checks, with
-the bits of the transform at t = 0 and f(t) = 0.  Numpy warns where these
-return inf or nan; call them under ``np.errstate(all="ignore")``.
+adds a zero t, which turns a -0.0 coordinate into +0.0.  ``cubic`` forms
+its powers as products, as the catalog field does; ``cubic_pow`` keeps the
+``**`` form, which libm's pow rounds differently in the last place.
+``negate_field`` is also the reference for the concave working field of the
+checks, with the bits of the transform at t = 0 and f(t) = 0.  Numpy warns
+where these return inf or nan; call them under ``np.errstate(all="ignore")``.
 """
 
 import math
@@ -36,6 +38,17 @@ def reliability(p):
 
 
 def cubic(p):
+    x, y = p
+    if x <= 0.0:
+        return 0.0 if y == 0.0 else math.inf
+    x2, y2, s = x * x, y * y, x + y
+    x4 = x2 * x2
+    n = y2 * y + 2.0 * x * y2 + x2 * y + x2 * x * (3.0 * y - y2 - 2.0) - 2.0 * x4 * y + 3.0 * x4 - x4 * x
+    return y * n / (x * (s * s))
+
+
+def cubic_pow(p):
+    """``cubic`` with its powers written as ``**``, as the catalog field computed it before."""
     x, y = p
     if x <= 0.0:
         return 0.0 if y == 0.0 else math.inf

@@ -1,10 +1,13 @@
-"""The catalog fields on plain floats give the bits of their numpy-scalar forms.
+"""The catalog fields on plain floats give the bits of their numpy-scalar forms,
+and their column forms give the bits of the per-point field.
 
 ``tests/reference_fields.py`` keeps the forms that unpacked each point into
 numpy float64 scalars.  Every catalog field must return the same value for
 every input, non-finite and out-of-domain ones included (same NaN-ness,
 same sign of zero and of inf), for arrays, lists and tuples alike, without
-raising and without a warning.
+raising and without a warning.  A batch through ``functions._eval_rows``,
+which uses a catalog field's column form, must give the per-point
+``eval``'s bits on the same rows, NaN-ness for a NaN, also without a warning.
 """
 
 import itertools
@@ -18,6 +21,8 @@ from hypothesis import strategies as st
 
 import rayvex as rx
 import reference_fields as ref
+from rayvex.functions import _eval_rows
+from strategies import bits
 
 SUBNORMAL = 2.2250738585072014e-308 / 2**20
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, SUBNORMAL, -SUBNORMAL, 1e-300, 1.0, -1.0, 2.0, 1e200, -1e200, math.inf, -math.inf, math.nan)
@@ -92,3 +97,50 @@ def test_cubic_next_to_its_x0_facet_is_inf_without_a_warning():
     # inside P, where the numpy-scalar form overflowed with a RuntimeWarning
     # (an error under this suite's warning filters)
     assert rx.cubic_rational().field.eval(np.array([5e-324, 1.5])) == math.inf
+
+
+def test_cubic_products_stay_within_rounding_of_its_powers():
+    # the powers are products so that the float and column forms share their bits;
+    # against libm's pow they differ in the last place only, over cubic's default domain
+    rng = np.random.default_rng(0)
+    s = rng.uniform(1.0, 2.0, 20_000)  # x + y
+    x = s * rng.uniform(0.0, 1.0, s.size)
+    field = rx.cubic_rational().field
+    for p in np.column_stack([x, s - x])[x > 0.0]:
+        got, want = field.eval(p), ref.cubic_pow(p)
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (p.tolist(), got, want)
+
+
+BATCHED = {  # every catalog field, cobb-douglas at three parameter sets
+    **{name: field for name, (field, _) in PLANAR.items()},
+    **{f"cobb-douglas-{k}": field for k, (field, _) in enumerate(COBB_DOUGLAS)},
+}
+
+
+def _check_batch(field, points) -> None:
+    points = np.asarray(points, dtype=float).reshape(-1, field.dim)
+    want = np.array([float(field.eval(row)) for row in points])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _eval_rows(field, points)
+    assert got.shape == (len(points),) and got.dtype == np.float64
+    nan = np.isnan(want)  # NaN-ness only: numpy's power does not fix a NaN's sign from call to call
+    assert (np.isnan(got) == nan).all(), (points, got, want)
+    assert bits(np.where(nan, 0.0, got)) == bits(np.where(nan, 0.0, want)), (points, got, want)
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_column_forms_on_every_pair_or_triple_of_special_values(name):
+    # one batch: nan, infinities, signed zeros, subnormal and huge coordinates in every slot
+    field = BATCHED[name]
+    assert callable(getattr(field.eval, "_rows", None))  # the batch runs through the column form
+    _check_batch(field, list(itertools.product(SPECIAL, repeat=field.dim)))
+    _check_batch(field, np.empty((0, field.dim)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(BATCHED)), st.data())
+def test_column_forms_match_the_per_point_field(name, data):
+    field = BATCHED[name]
+    rows = data.draw(st.lists(st.lists(coordinate, min_size=field.dim, max_size=field.dim), max_size=12), label="rows")
+    _check_batch(field, rows)

@@ -3,6 +3,7 @@ non-finite points, and the call structure the benchmark's tracer counts."""
 
 import importlib.util
 import json
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -300,17 +301,18 @@ def test_row_writer_prints_the_reference_bytes(case, fmt, capsys, tmp_path):
 # -- the call structure the benchmark traces -----------------------------------------
 
 
-def _tracer_class():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("rayvex_bench_tracer", path)
+def _bench_module(name):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"rayvex_bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
-    return module.Tracer
+    return module
 
 
 @pytest.fixture
 def tracer(catalog_models):
-    tracer = _tracer_class()()
+    tracer = _bench_module("tracer").Tracer()
     tracer.install()
     try:
         for entry, _ in catalog_models.values():
@@ -373,3 +375,17 @@ def test_a_grid_command_evaluates_each_lattice_point_once(tracer):
     counts = _counts(tracer, lambda: cli.main(["grid", "--function", "reliability", "--resolution", "9", "--budget", "300"]))
     assert counts["cli.cmd_grid > envelope.eval"] == 81
     assert counts["envelope.eval > geometry.locate"] == 80  # every lattice point but the anchor
+
+
+@pytest.mark.parametrize("name", sorted(rx.CATALOG_BUILDERS))
+def test_a_traced_certify_makes_the_field_calls_the_benchmark_expects(tracer, name):
+    # the tracer wraps each catalog field's eval in place when the CLI builds it, which
+    # drops the column form: the checks then call f once per point, as the benchmark's
+    # certify completeness requires (3 per ray or facet sample; 1, or 2 per homogeneity sample)
+    workloads = _bench_module("workloads")
+    tracer.begin_op(0)
+    output = workloads.run_cli(["certify", "--function", name, "--budget", "400", "--seed", "5"])
+    counts = tracer.end_op()
+    assert output.code == 0, output.err
+    assert counts[("verify.check_ray_concavity", "functions.field")] > 0
+    assert workloads.CertifyWorkload().completeness(None, output, counts) is None
