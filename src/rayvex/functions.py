@@ -29,8 +29,8 @@ class ScalarField:
     library evaluates many points (the certification checks, the oracle), a
     catalog field evaluates the whole batch through its private column form,
     with the bits of its per-point ``eval``; any other ``eval``, a catalog
-    field's too once it has been replaced, is called once per point, in
-    sample order, each with a 1-D float64 row.  It must be
+    field's too once it has been replaced or wrapped, is called once per
+    point, in sample order, each with a 1-D float64 row.  It must be
     finite at every strictly interior point of the intended domain and
     pure/re-entrant.  The planar catalog fields compute on plain Python
     floats; where float arithmetic would raise (``ZeroDivisionError``) they
@@ -83,9 +83,10 @@ def _working_field(field: ScalarField, shift, base: float, sign: float) -> Scala
 
     The eval closure also carries the row form ``rows(points)`` of the same
     transform, which ``_eval_rows`` uses: on a (k, n) array it adds ``shift``
-    once, evaluates f through ``_eval_rows`` (one ``field.eval`` per row, in
-    row order, looked up when the batch runs) and applies sign and base once
-    to the (k,) values, with the scalar closure's bits.
+    once, evaluates f through ``_eval_rows`` (f's column form, or one
+    ``field.eval`` per row, in row order, looked up when the batch runs) and
+    applies sign and base once to the (k,) values, with the scalar closure's
+    bits.
     """
     if shift is None and sign == 1.0 and base == 0.0 and math.copysign(1.0, base) == 1.0:
         return field  # f - (-0.0) would turn an f of -0.0 into +0.0
@@ -102,7 +103,7 @@ def _working_field(field: ScalarField, shift, base: float, sign: float) -> Scala
         out = np.asarray(field.grad(p if shift is None else p + shift), dtype=float)
         return -out if sign < 0.0 else out  # sign * out, without numpy's costlier array-times-float
 
-    value._rows = rows
+    value._rows = (value, rows)
     return ScalarField(
         dim=field.dim,
         eval=value,
@@ -114,21 +115,24 @@ def _working_field(field: ScalarField, shift, base: float, sign: float) -> Scala
 def _eval_rows(field: ScalarField, points) -> np.ndarray:
     """``field.eval`` at every row of a (k, n) array, as a (k,) float64 array.
 
-    Uses the batch form that the eval callable carries as ``_rows``: a
-    catalog field's column form (``_on_floats``, cobb-douglas), or the row
-    form that ``_working_field`` attaches.  Any other eval, a user field's or
-    one that replaced a catalog or working field's, is called once per row,
-    in row order, on 1-D float64 rows.
+    Uses the batch form that the eval callable carries as ``_rows``, an
+    ``(owner, form)`` pair: a catalog field's column form (``_on_floats``,
+    cobb-douglas), or the row form that ``_working_field`` attaches.  The form
+    is used only when its owner is this eval, so a wrapper that copied the
+    attributes of the eval it wraps (``functools.wraps``) is not bypassed.
+    Any other eval, a user field's or one that replaced or wrapped a catalog
+    or working field's, is called once per row, in row order, on 1-D float64
+    rows.
     """
     points = np.asarray(points, dtype=float)
     evaluate = field.eval
-    rows = getattr(evaluate, "_rows", None)
-    if rows is not None:
+    owner, rows = getattr(evaluate, "_rows", (None, None))
+    if owner is evaluate:
         return rows(points)
     return np.fromiter(map(float, map(evaluate, points)), dtype=float, count=len(points))
 
 
-def _on_floats(formula: Callable[..., float], columns: Callable | None = None) -> Callable[[object], float]:
+def _on_floats(formula: Callable[..., float], columns: Callable[..., np.ndarray]) -> Callable[[object], float]:
     """A catalog field computing ``formula(*coordinates)`` on plain floats.
 
     Float ``+ - * /`` give numpy float64's bits, but a division by zero
@@ -136,9 +140,9 @@ def _on_floats(formula: Callable[..., float], columns: Callable | None = None) -
     numpy scalars, with numpy's warnings silenced, and that value is returned.
 
     ``columns`` is the same formula on coordinate columns, its branches
-    written as ``np.where``.  When given, it is the field's column form: a
-    (k, n) batch through ``_eval_rows`` is ``columns(*points.T)``, one numpy
-    pass with numpy's warnings silenced, with the per-point bits.
+    written as ``np.where``, and is the field's column form: a (k, n) batch
+    through ``_eval_rows`` is ``columns(*points.T)``, one numpy pass with
+    numpy's warnings silenced, with the per-point bits.
     """
 
     def field(p) -> float:
@@ -149,13 +153,11 @@ def _on_floats(formula: Callable[..., float], columns: Callable | None = None) -
             with np.errstate(all="ignore"):
                 return float(formula(*map(np.float64, coords)))
 
-    if columns is not None:
+    def rows(points):
+        with np.errstate(all="ignore"):
+            return columns(*points.T)
 
-        def rows(points):
-            with np.errstate(all="ignore"):
-                return columns(*points.T)
-
-        field._rows = rows
+    field._rows = (field, rows)
     return field
 
 
@@ -423,7 +425,7 @@ def cobb_douglas(
             q = points**exps
             return scale * (q[:, 0] * q[:, 1] * q[:, 2])
 
-    f._rows = rows
+    f._rows = (f, rows)
 
     def grad(p):
         p = np.asarray(p, dtype=float)

@@ -115,10 +115,12 @@ class SampledOracle:
 
 
 def _sample_values(field: ScalarField, points: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """The field at every point of a (samples, per_sample, n) array, one ``field.eval`` call per point in order.
+    """The field at every point of a (samples, per_sample, n) array, evaluated as one batch.
 
-    The points go through ``functions._eval_rows`` as one batch, so a
-    working field shifts, subtracts and negates once for all of them.
+    The points go through ``functions._eval_rows``: a catalog field's column
+    form, or a working field's row form over it, evaluates them in one numpy
+    pass; any other eval is called once per point, in order.  A working field
+    shifts, subtracts and negates once for all of them.
 
     Returns the values of the samples before the first one with a
     non-finite value, as a (done, per_sample) array, and the (sample, slot)

@@ -10,9 +10,11 @@ which uses a catalog field's column form, must give the per-point
 ``eval``'s bits on the same rows, NaN-ness for a NaN, also without a warning.
 """
 
+import functools
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,7 +135,8 @@ def _check_batch(field, points) -> None:
 def test_column_forms_on_every_pair_or_triple_of_special_values(name):
     # one batch: nan, infinities, signed zeros, subnormal and huge coordinates in every slot
     field = BATCHED[name]
-    assert callable(getattr(field.eval, "_rows", None))  # the batch runs through the column form
+    owner, form = field.eval._rows  # the batch runs through the column form
+    assert owner is field.eval and callable(form)
     _check_batch(field, list(itertools.product(SPECIAL, repeat=field.dim)))
     _check_batch(field, np.empty((0, field.dim)))
 
@@ -144,3 +147,24 @@ def test_column_forms_match_the_per_point_field(name, data):
     field = BATCHED[name]
     rows = data.draw(st.lists(st.lists(coordinate, min_size=field.dim, max_size=field.dim), max_size=12), label="rows")
     _check_batch(field, rows)
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_a_wrapped_catalog_eval_is_called_once_per_row(name):
+    # functools.wraps copies the column form onto the wrapper; the form is not its own, so
+    # the wrapper, put in by replace or in place, still sees every row
+    field = BATCHED[name]
+    seen = []
+
+    @functools.wraps(field.eval)
+    def counted(p):
+        seen.append(bits(p))
+        return field.eval(p)
+
+    points = np.array(list(itertools.product((0.5, 1.5, 2.0), repeat=field.dim)))
+    in_place = replace(field)
+    object.__setattr__(in_place, "eval", counted)
+    for wrapped in (replace(field, eval=counted), in_place):
+        seen.clear()
+        assert bits(_eval_rows(wrapped, points)) == bits(_eval_rows(field, points))
+        assert seen == [bits(p) for p in points]

@@ -7,6 +7,7 @@ call counts that a tracer wrapping the user's f sees there: one call per point,
 in sample order, with a 1-D float64 row.
 """
 
+import functools
 import math
 from dataclasses import replace
 
@@ -144,6 +145,22 @@ def test_a_replaced_working_eval_is_called_once_per_row():
     assert bits(_eval_rows(counted, points)) == bits(_eval_rows(model.field, points))
     assert seen == [bits(p) for p in points]
     assert len(_eval_rows(counted, np.empty((0, 2)))) == 0 and len(seen) == 3
+
+
+def test_a_wrapped_working_eval_is_called_once_per_row():
+    # functools.wraps copies the row form onto the wrapper, which must not bypass it
+    entry = rx.reliability()
+    model = env.build(entry.field, entry.default_polytope, sense="convex", anchor=(0.5, 0.25), run_certification=False)
+    evaluate, seen = model.field.eval, []
+
+    @functools.wraps(evaluate)
+    def counting(p):
+        seen.append(bits(p))
+        return evaluate(p)
+
+    points = np.array([[0.1, 0.2], [0.3, -0.4], [1.0, 1.5]])
+    assert bits(_eval_rows(replace(model.field, eval=counting), points)) == bits(_eval_rows(model.field, points))
+    assert seen == [bits(p) for p in points]
 
 
 @pytest.mark.parametrize("name", ["bilinear", "fractional", "reliability", "cubic"])
