@@ -14,17 +14,13 @@ import sys
 import numpy as np
 
 from . import envelope as env
-from .errors import DimensionNotSupported, RayvexError
+from .errors import DimensionMismatch, InvalidInput, RayvexError
 from .functions import CATALOG_BUILDERS, CatalogEntry, catalog
 from .geometry import Polytope, enumerate_regions_2d, lattice
 from .verify import DEFAULT_BUDGET, oracle_build, oracle_eval
 
 _SHORTHANDS = ("lx", "ly", "ux", "uy", "A", "a1", "a2", "a3", "l", "u")
 _PARAM_ALIASES = {"A": "scale", "l": "lower", "u": "upper"}
-
-
-class UsageError(RayvexError):
-    pass
 
 
 def main(argv=None) -> int:
@@ -35,7 +31,7 @@ def main(argv=None) -> int:
     try:
         # looked up by name at each call, so a wrapper installed on cmd_* later is what runs
         return globals()[f"cmd_{args.command}"](args)
-    except (RayvexError, OSError, ValueError) as exc:
+    except (RayvexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -85,14 +81,13 @@ def _entry_from_args(args) -> CatalogEntry:
             params[_PARAM_ALIASES.get(flag, flag)] = val
     for item in args.param:
         if "=" not in item:
-            raise UsageError(f"--param expects KEY=VALUE, got {item!r}")
-        key, raw = item.split("=", 1)
-        key = key.strip()
-        params[_PARAM_ALIASES.get(key, key)] = float(raw)
+            raise InvalidInput(f"--param expects KEY=VALUE, got {item!r}")
+        key, raw = map(str.strip, item.split("=", 1))
+        params[_PARAM_ALIASES.get(key, key)] = _number(f"--param {key}", raw)
     try:
         return CATALOG_BUILDERS[args.function](**params)
     except TypeError as exc:
-        raise UsageError(f"bad parameters for {args.function}: {exc}") from exc
+        raise InvalidInput(f"bad parameters for {args.function}: {exc}") from exc
 
 
 def _model_from_args(args):
@@ -110,9 +105,16 @@ def _model_from_args(args):
     elif anchor == "origin":
         anchor = "origin-shift"
     elif anchor not in ("none", "origin-shift"):
-        anchor = np.array([float(part) for part in anchor.split(",")])
+        anchor = np.array([_number("--anchor", part) for part in anchor.split(",")])
     model = env.build(entry.field, polytope, sense=sense, anchor=anchor, budget=args.budget, seed=args.seed)
     return model, entry
+
+
+def _number(flag: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise InvalidInput(f"{flag}: {text!r} is not a number") from None
 
 
 def _write(text: str, out: str | None) -> None:
@@ -203,12 +205,12 @@ def _emit_rows(payload: dict, dim: int, rows: list[tuple], omitted: int, args) -
 
 def cmd_eval(args) -> int:
     if not args.point:
-        raise UsageError("eval needs at least one --point")
+        raise InvalidInput("eval needs at least one --point")
     model, entry = _model_from_args(args)
-    points = [np.array([float(c) for c in raw.split(",")]) for raw in args.point]
+    points = [np.array([_number("--point", c) for c in raw.split(",")]) for raw in args.point]
     for x in points:
         if x.size != model.polytope.dim:
-            raise UsageError(f"point {x.tolist()} has wrong dimension")
+            raise DimensionMismatch(f"point {x.tolist()} has wrong dimension")
     rows, omitted = _point_rows(model, points)
     _emit_rows({"command": "eval", "function": entry.name}, model.polytope.dim, rows, omitted, args)
     return 0
@@ -216,7 +218,7 @@ def cmd_eval(args) -> int:
 
 def cmd_grid(args) -> int:
     if args.resolution < 2:
-        raise UsageError("grid needs --resolution >= 2")
+        raise InvalidInput("grid needs --resolution >= 2")
     model, entry = _model_from_args(args)
     bounds = model.validation.coordinate_bounds + model.anchor[:, None]
     rows, omitted = _point_rows(model, lattice(bounds, args.resolution))
@@ -232,8 +234,6 @@ def cmd_grid(args) -> int:
 
 def cmd_regions(args) -> int:
     model, entry = _model_from_args(args)
-    if model.polytope.dim != 2:
-        raise DimensionNotSupported("regions export is 2-D only")
     normals = model.polytope._normalized  # None for a facet through the anchor: its cells reach the anchor
     regions = []
     for region_id, polygon in enumerate_regions_2d(model.polytope):
@@ -260,7 +260,7 @@ def cmd_regions(args) -> int:
 
 def cmd_compare(args) -> int:
     if args.resolution < 2:
-        raise UsageError("compare needs --resolution >= 2")
+        raise InvalidInput("compare needs --resolution >= 2")
     model, entry = _model_from_args(args)
     if not model.certified:
         _info(f"warning: {entry.name} is uncertified; comparing against the secant interpolant")
@@ -285,7 +285,7 @@ def cmd_compare(args) -> int:
         gaps.append(o_raw - g_raw)
         f_gaps.append(float(model.field.eval(v)) - g_raw)
     if not gaps:
-        raise UsageError("no comparable query points")
+        raise InvalidInput("no comparable query points")
 
     gaps_arr = np.array(gaps)
     payload = {

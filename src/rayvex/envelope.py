@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     GradientUnavailable,
     InvalidAnchor,
+    InvalidInput,
     NonFiniteEvaluation,
     NotCertifiedHomogeneous,
     PointOutsideDomain,
@@ -133,7 +134,7 @@ def build(
     fails; the model is then a plain secant interpolant.
     """
     if sense not in _SIGNS:
-        raise ValueError(f"sense must be 'convex' or 'concave', got {sense!r}")
+        raise InvalidInput(f"sense must be 'convex' or 'concave', got {sense!r}")
     if field.dim != polytope.dim:
         raise DimensionMismatch(f"field is {field.dim}-D, polytope is {polytope.dim}-D")
 

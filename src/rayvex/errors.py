@@ -1,8 +1,12 @@
-"""Exception types shared across the library."""
+"""Exception types: every rayvex failure is a ``RayvexError``, and malformed input an ``InvalidInput``."""
 
 
 class RayvexError(Exception):
     """Base class for all rayvex errors."""
+
+
+class InvalidInput(RayvexError, ValueError):
+    """An argument, flag or polytope file is malformed; also a ``ValueError``, so ``except ValueError`` catches it."""
 
 
 # -- geometry ----------------------------------------------------------------
@@ -50,8 +54,8 @@ class NonFiniteEvaluation(RayvexError):
 # -- envelope models ---------------------------------------------------------
 
 
-class DimensionMismatch(RayvexError):
-    """Field dimension does not match the polytope dimension."""
+class DimensionMismatch(InvalidInput):
+    """A field, anchor, point or direction does not match the polytope's dimension, or an LP's arrays their shapes."""
 
 
 class InvalidAnchor(RayvexError):

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteEvaluation
+from .errors import InvalidInput, NonFiniteEvaluation
 from .geometry import Polytope
 
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))  # ~6.1e-6
@@ -181,7 +181,7 @@ class CatalogEntry:
 def bilinear_neg(lx: float = 0.0, ly: float = 0.0, ux: float = 1.0, uy: float = 1.0) -> CatalogEntry:
     """f(x, y) = -x*y, defined on all of R^2, over a box; its convex envelope there is the McCormick pair."""
     if not (lx < ux and ly < uy):
-        raise ValueError("bilinear box needs lx < ux and ly < uy")
+        raise InvalidInput("bilinear box needs lx < ux and ly < uy")
 
     def f(x, y):  # floats or columns
         return -x * y
@@ -258,7 +258,7 @@ def reliability(ux: float = 1.0, uy: float = 1.0) -> CatalogEntry:
     across the ray y = (uy/ux) x.  Intended for 0 < ux, uy <= 1.
     """
     if ux <= 0 or uy <= 0:
-        raise ValueError("reliability box needs positive upper bounds")
+        raise InvalidInput("reliability box needs positive upper bounds")
 
     def ratio(x, y):  # numerator and denominator, branch-free: floats or columns
         return x * y, x + y - x * y
@@ -397,9 +397,9 @@ def cobb_douglas(
     closed-form envelope is stored (the concavity workflow uses it).
     """
     if min(a1, a2, a3) <= 0 or scale <= 0:
-        raise ValueError("cobb-douglas needs positive scale and exponents")
+        raise InvalidInput("cobb-douglas needs positive scale and exponents")
     if lower <= 0 or lower >= upper:
-        raise ValueError("cobb-douglas box must be positive with lower < upper")
+        raise InvalidInput("cobb-douglas box must be positive with lower < upper")
     exps = np.array([a1, a2, a3])
     # per coordinate, the largest value whose power stays below 2**1000
     top1, top2, top3 = (2.0 ** (1000.0 / a) if a > 1.0 else math.inf for a in (a1, a2, a3))

@@ -21,9 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     DimensionNotSupported,
     EmptyInterior,
     HyperplaneThroughOrigin,
+    InvalidInput,
     PointOutsidePolytope,
     RayMissesPolytope,
     SamplingBudgetExceeded,
@@ -62,24 +64,24 @@ class Polytope:
         a = np.array(self.matrix, dtype=float)
         b = np.array(self.offsets, dtype=float)
         if a.ndim != 2 or len(a) == 0:
-            raise ValueError("polytope needs at least one halfspace")
+            raise InvalidInput("polytope needs at least one halfspace")
         if a.shape[1] < 1:
-            raise ValueError("dimension must be positive")
+            raise InvalidInput("dimension must be positive")
         if b.shape != (len(a),):
-            raise ValueError(f"{len(a)} halfspace rows need {len(a)} offsets, got shape {b.shape}")
+            raise InvalidInput(f"{len(a)} halfspace rows need {len(a)} offsets, got shape {b.shape}")
         finite = np.isfinite(a).all(axis=1) & np.isfinite(b)
         nonzero = np.any(a != 0.0, axis=1)
         if not np.all(finite & nonzero):
             i = int(np.argmin(finite & nonzero))  # the first bad row, checked as it was built
             if not finite[i]:
-                raise ValueError(f"halfspace entries must be finite, got a = {a[i].tolist()}, b = {b[i]}")
-            raise ValueError("halfspace normal must be nonzero")
+                raise InvalidInput(f"halfspace entries must be finite, got a = {a[i].tolist()}, b = {b[i]}")
+            raise InvalidInput("halfspace normal must be nonzero")
         _, exponent = np.frexp(np.abs(a).max(axis=1))  # max |a_ij| = m 2^e with m in [0.5, 1)
         with np.errstate(over="ignore"):
             scaled = np.ldexp(b, 1 - exponent)
         if not np.all(np.isfinite(scaled)):
             i = int(np.argmin(np.isfinite(scaled)))
-            raise ValueError(f"halfspace offset overflows at unit scale, got a = {a[i].tolist()}, b = {b[i]}")
+            raise InvalidInput(f"halfspace offset overflows at unit scale, got a = {a[i].tolist()}, b = {b[i]}")
         a, b = np.ldexp(a, 1 - exponent[:, None]), scaled
         a.setflags(write=False)
         b.setflags(write=False)
@@ -88,7 +90,7 @@ class Polytope:
         if self.facet_labels is not None:
             labels = tuple(self.facet_labels)
             if len(labels) != len(b):
-                raise ValueError("facet_labels length must match halfspace count")
+                raise InvalidInput("facet_labels length must match halfspace count")
             object.__setattr__(self, "facet_labels", labels)
 
     @property
@@ -132,7 +134,7 @@ class Polytope:
         """
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
-            raise ValueError(f"points must be ({self.dim},) or (k, {self.dim}), got shape {x.shape}")
+            raise DimensionMismatch(f"points must be ({self.dim},) or (k, {self.dim}), got shape {x.shape}")
         return self.offsets - _facet_dots(self.matrix, x)
 
     def contains(self, x, tol: float = GEOM_TOL) -> bool | np.ndarray:
@@ -160,7 +162,7 @@ class Polytope:
         lower = np.asarray(lower, dtype=float).reshape(-1)
         upper = np.asarray(upper, dtype=float).reshape(-1)
         if lower.size != upper.size or np.any(lower >= upper):
-            raise ValueError("box needs lower < upper per coordinate")
+            raise InvalidInput("box needs lower < upper per coordinate")
         n = lower.size
         eye = np.eye(n)
         matrix = np.stack([eye, -eye], axis=1).reshape(2 * n, n)  # rows e_1, -e_1, e_2, -e_2, ...
@@ -186,38 +188,44 @@ class Polytope:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Polytope":
         if not isinstance(data, dict):
-            raise ValueError(f"polytope JSON must be an object, got {type(data).__name__}")
+            raise InvalidInput(f"polytope JSON must be an object, got {type(data).__name__}")
         _require_keys(data, ("dim", "halfspaces"), "polytope JSON")
         items = data["halfspaces"]
         if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
-            raise ValueError("polytope JSON 'halfspaces' must be a list of objects")
+            raise InvalidInput("polytope JSON 'halfspaces' must be a list of objects")
+        try:
+            dim = float(data["dim"])  # "2" and 2.0 are integers; 2.7, inf and nan are not
+        except (TypeError, ValueError, OverflowError):
+            dim = math.nan
+        if not dim.is_integer():
+            raise InvalidInput(f"polytope JSON 'dim' must be an integer, got {data['dim']!r}")
         for i, item in enumerate(items):
             _require_keys(item, ("a", "b"), f"halfspace {i}")
-        try:
-            dim = int(data["dim"])
-        except (TypeError, ValueError):
-            raise ValueError(f"polytope JSON 'dim' must be an integer, got {data['dim']!r}") from None
+            if isinstance(item["a"], list) and len(item["a"]) != dim:
+                raise DimensionMismatch(f"halfspace {i} has {len(item['a'])} 'a' entries, 'dim' is {data['dim']}")
         labels = [item.get("label") for item in items]
         try:
-            polytope = cls([item["a"] for item in items], [item["b"] for item in items], labels if any(labels) else None)
-        except TypeError:
-            raise ValueError("halfspace entries must be numbers") from None
-        if polytope.dim != dim:
-            raise ValueError(f"halfspace dimension {polytope.dim} != {data['dim']}")
-        return polytope
+            a, b = (np.array([item[key] for item in items], dtype=float) for key in ("a", "b"))
+        except (TypeError, ValueError, OverflowError):  # a non-numeric, nested or out-of-range entry
+            raise InvalidInput("halfspace entries must be numbers") from None
+        return cls(a, b, labels if any(labels) else None)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "Polytope":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not JSON, or not UTF-8: the decoder's message
+            raise InvalidInput(str(exc)) from None
+        return cls.from_json_dict(data)
 
 
 def _require_keys(obj: dict, keys, what: str) -> None:
     for key in keys:
         if key not in obj:
-            raise ValueError(f"{what} has no {key!r} key")
+            raise InvalidInput(f"{what} has no {key!r} key")
 
 
 class RayTrace(NamedTuple):
@@ -422,7 +430,7 @@ def ray_intersect(polytope: Polytope, v) -> RayTrace:
     coords = v.tolist()
     rows = polytope._rows
     if len(coords) != len(rows[0]):
-        raise ValueError(f"direction dimension {v.size} != {polytope.dim}")
+        raise DimensionMismatch(f"direction dimension {v.size} != {polytope.dim}")
     if not any(coords):
         raise ZeroDirection("ray direction must be nonzero")
     if not math.isfinite(sum(coords)) and not all(map(math.isfinite, coords)):  # the sum of finite ones may overflow
@@ -529,7 +537,7 @@ def ray_intersect_batch(polytope: Polytope, v) -> RayTraceBatch:
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != polytope.dim:
-        raise ValueError(f"directions must be a (k, {polytope.dim}) array, got shape {v.shape}")
+        raise DimensionMismatch(f"directions must be a (k, {polytope.dim}) array, got shape {v.shape}")
     b = polytope.offsets
     rows = np.arange(len(v))
     finite = np.isfinite(v).all(axis=1)
@@ -660,6 +668,8 @@ def sample_interior(polytope: Polytope, seed: int, count: int) -> np.ndarray:
     least INTERIOR_MARGIN / (2 sqrt(n)) from its hyperplane.  Gives up once
     1000 * count candidates have been tried.
     """
+    if seed < 0:  # numpy's generators take none
+        raise InvalidInput(f"seed must be non-negative, got {seed}")
     report = validate(polytope)
     lo = report.coordinate_bounds[:, 0]
     hi = report.coordinate_bounds[:, 1]

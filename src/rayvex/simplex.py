@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalBreakdown
+from .errors import DimensionMismatch, NumericalBreakdown
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
@@ -69,7 +69,7 @@ def solve_lp(objective, eq_matrix, eq_rhs, start=None) -> LPResult:
     a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
     b = np.asarray(eq_rhs, dtype=float).reshape(-1)
     if a.shape != (b.size, c.size):
-        raise ValueError(f"inconsistent LP shapes: A{a.shape}, b({b.size},), c({c.size},)")
+        raise DimensionMismatch(f"inconsistent LP shapes: A{a.shape}, b({b.size},), c({c.size},)")
     if start is not None:
         warm = _dual_simplex(c, a, b, start)
         if warm is not None:

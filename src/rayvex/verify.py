@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleLP
+from .errors import InfeasibleLP, InvalidInput
 from .functions import ScalarField, _eval_rows, _working_field
 from .geometry import (
     Polytope,
@@ -393,7 +393,7 @@ def certify(model, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Certification
     A budget below 1 draws no homogeneity sample, so it is rejected rather than certified.
     """
     if budget < 1:
-        raise ValueError(f"certification budget must be at least 1, got {budget}")
+        raise InvalidInput(f"certification budget must be at least 1, got {budget}")
     field = model.field
     polytope = model.polytope
     ray = check_ray_concavity(

@@ -183,6 +183,42 @@ def polytopes():
     )
 
 
+@st.composite
+def polytope_json(draw):
+    """A JSON-shaped dict near the polytope wire format ``{"dim": n, "halfspaces": [{"a": [...], "b": ...}]}``.
+
+    Well formed, it is n in 1..3 and 0..5 halfspaces of n small numbers each; that can still be
+    an invalid polytope (a zero row).  Each of "dim", every "a" and every "b" is instead, one draw in
+    eight, drawn from the malformed grammar: "dim" an int, a float (2.7, inf and nan too), a
+    string, null, a bool or a list; an "a" row a list of mixed length and entry types, or a bare entry;
+    "b" a list, a string, another non-number or missing.  Entries then include any float, strings,
+    null, bools, ints past float range and lists.  A failing example shrinks toward well-formed parts.
+    """
+    n = draw(st.integers(1, 3))
+    number = st.one_of(st.integers(-3, 3), st.floats(-4.0, 4.0))
+    other = st.one_of(
+        st.floats(), st.text(max_size=3), st.none(), st.booleans(), st.just(10**400), st.lists(number, max_size=2)
+    )
+
+    def usually(well_formed, otherwise):
+        return draw(otherwise if draw(st.integers(0, 7)) == 7 else well_formed)
+
+    dim = usually(
+        st.just(n),
+        st.one_of(
+            st.integers(-1, 4), st.floats(), st.sampled_from(["2", " 3 ", "2.0", "1e400", "nan", "two"]),
+            st.text(max_size=3), st.none(), st.booleans(), st.lists(st.integers(0, 3), max_size=2),
+        ),
+    )
+    missing = object()  # a "b" key left out
+    halfspaces = []
+    for _ in range(draw(st.integers(0, 5))):
+        a = usually(st.lists(number, min_size=n, max_size=n), st.one_of(st.lists(number | other, max_size=4), other))
+        b = usually(number, st.one_of(st.just(missing), other, st.lists(number | other, max_size=2)))
+        halfspaces.append({"a": a} if b is missing else {"a": a, "b": b})
+    return {"dim": dim, "halfspaces": halfspaces}
+
+
 def ulps(x, direction, steps) -> np.ndarray:
     """x moved steps ulps per coordinate towards x + direction."""
     for _ in range(steps):

@@ -82,13 +82,23 @@ def test_missing_polytope_file_exit_one(capsys):
         ('{"dim": 2, "halfspaces": [{"a": {"x": 1}, "b": 1}]}', "halfspace entries must be numbers"),
         ('{"dim": 2, "halfspaces": [{"a": [1, 0], "b": {"y": 1}}]}', "halfspace entries must be numbers"),
         ('{"dim": 2, "halfspaces": [', "Expecting value: line 1 column 27 (char 26)"),
+        ('{"dim": Infinity, "halfspaces": [{"a": [1, 0], "b": 1}]}', "polytope JSON 'dim' must be an integer, got inf"),
+        ('{"dim": 1e400, "halfspaces": [{"a": [1, 0], "b": 1}]}', "polytope JSON 'dim' must be an integer, got inf"),
+        ('{"dim": 2.7, "halfspaces": [{"a": [1, 0], "b": 1}]}', "polytope JSON 'dim' must be an integer, got 2.7"),
+        ('{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 1}, {"a": [1], "b": 1}]}', "halfspace 1 has 1 'a' entries, 'dim' is 2"),
+        ('{"dim": 2, "halfspaces": [{"a": [1, 0], "b": [1, 2]}]}', "1 halfspace rows need 1 offsets, got shape (1, 2)"),
+        ('{"dim": 2, "halfspaces": [{"a": [1, "x"], "b": 1}]}', "halfspace entries must be numbers"),
+        ('{"dim": 2, "halfspaces": [{"a": [1, [0]], "b": 1}]}', "halfspace entries must be numbers"),
+        (b'{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 1, "label": "\xff"}]}',
+         "'utf-8' codec can't decode byte 0xff in position 58: invalid start byte"),
     ],
 )
 def test_malformed_polytope_file_is_a_one_line_error(text, message, tmp_path, capsys):
     # a list, a null dim or an object entry gave a TypeError traceback, a non-object halfspace an
-    # AttributeError one, a missing key "error: 'dim'"
+    # AttributeError one, a missing key "error: 'dim'"; an infinite dim an OverflowError traceback,
+    # ragged rows numpy's wording, and a dim of 2.7 loaded as 2
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = run(capsys, "certify", "--function", "bilinear", "--polytope", str(path), *FAST)
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
@@ -338,6 +348,31 @@ def test_repeated_main_calls_print_identical_bytes(capsys):
     assert first[0] == 0
     assert run(capsys, *argv) == first
     assert run(capsys, "eval", "--function", "fractional", *FAST) == (1, "", "error: eval needs at least one --point\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--point", "a,b"], "--point: 'a' is not a number"),
+        (["eval", "--point", "0.5,0.5", "--anchor", "1,x"], "--anchor: 'x' is not a number"),
+        (["certify", "--param", "lx=abc"], "--param lx: 'abc' is not a number"),
+        (["certify", "--seed", "-1"], "seed must be non-negative, got -1"),
+    ],
+)
+def test_a_bad_number_is_a_one_line_error_that_names_its_flag(argv, message, capsys):
+    # each was numpy's or float()'s wording: "could not convert string to float: 'a'"
+    command, *flags = argv
+    assert run(capsys, command, "--function", "bilinear", *flags, *FAST) == (1, "", f"error: {message}\n")
+
+
+def test_a_programming_error_is_not_reported_as_an_input_error(monkeypatch, capsys):
+    # main prints one "error:" line for a RayvexError or an OSError only; anything else is a traceback
+    def broken(args):
+        raise ValueError("a bug, not an input")
+
+    monkeypatch.setattr(cli, "cmd_catalog", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["catalog"])
 
 
 def test_commands_are_looked_up_at_each_call(monkeypatch, capsys):
