@@ -2,6 +2,10 @@
 
 Machine-readable output goes to --out (or stdout); diagnostics go to stderr.
 Exit codes: 0 success, 1 usage/IO error, 2 hypothesis or sandwich failure.
+Size flags have upper caps, checked before anything of that size is built:
+--budget at most MAX_BUDGET samples, --resolution at most MAX_LATTICE_POINTS
+lattice points (resolution^dim), --density at most MAX_ORACLE_POINTS oracle
+lattice points ((density + 1)^dim, the columns of each oracle LP).
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from .functions import CATALOG_BUILDERS, CatalogEntry, catalog
 from .geometry import Polytope, enumerate_regions_2d, lattice
 from .verify import DEFAULT_BUDGET, oracle_build, oracle_eval
 
+MAX_BUDGET = 10**6
+MAX_LATTICE_POINTS = 10**6
+MAX_ORACLE_POINTS = 10**5
 _SHORTHANDS = ("lx", "ly", "ux", "uy", "A", "a1", "a2", "a3", "l", "u")
 _PARAM_ALIASES = {"A": "scale", "l": "lower", "u": "upper"}
 
@@ -50,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     model_flags.add_argument("--sense", choices=["auto", "convex", "concave"], default="auto")
     model_flags.add_argument("--anchor", default="auto", help="auto | none | origin | origin-shift | t1,t2,...")
     model_flags.add_argument("--seed", type=int, default=0)
-    model_flags.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    model_flags.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=f"certification samples, 1 to {MAX_BUDGET}")
 
     output_flags = argparse.ArgumentParser(add_help=False)
     output_flags.add_argument("--out", default=None, metavar="FILE")
@@ -62,14 +69,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[model_flags, output_flags], help="evaluate the envelope at points")
     p.add_argument("--point", action="append", default=[], metavar="X1,X2,...")
 
+    resolution_help = f"lattice points per axis, at least 2 and at most {MAX_LATTICE_POINTS} points in all"
     p = sub.add_parser("grid", parents=[model_flags, output_flags], help="evaluate over a lattice")
-    p.add_argument("--resolution", type=int, default=11)
+    p.add_argument("--resolution", type=int, default=11, help=resolution_help)
 
     sub.add_parser("regions", parents=[model_flags, output_flags], help="export the 2-D subdivision")
 
     p = sub.add_parser("compare", parents=[model_flags, output_flags], help="envelope vs sampled oracle")
-    p.add_argument("--density", type=int, default=10)
-    p.add_argument("--resolution", type=int, default=11)
+    p.add_argument("--density", type=int, default=10, help=f"oracle lattice intervals per axis, at most {MAX_ORACLE_POINTS} points in all")
+    p.add_argument("--resolution", type=int, default=11, help=resolution_help)
     return parser
 
 
@@ -97,6 +105,7 @@ def _model_from_args(args):
     policies as ``rayvex catalog`` prints them, and ``origin`` is short for "origin-shift".
     """
     entry = _entry_from_args(args)
+    _check_sizes(args, entry.field.dim)
     polytope = Polytope.load(args.polytope) if args.polytope else entry.default_polytope
     sense = entry.build_sense if args.sense == "auto" else args.sense
     anchor = args.anchor
@@ -108,6 +117,17 @@ def _model_from_args(args):
         anchor = np.array([_number("--anchor", part) for part in anchor.split(",")])
     model = env.build(entry.field, polytope, sense=sense, anchor=anchor, budget=args.budget, seed=args.seed)
     return model, entry
+
+
+def _check_sizes(args, dim: int) -> None:
+    """Reject a size flag past its cap; a lattice has resolution^dim points, the oracle's (density + 1)^dim."""
+    resolution, density = getattr(args, "resolution", None), getattr(args, "density", None)
+    if args.budget > MAX_BUDGET:
+        raise InvalidInput(f"--budget must be at most {MAX_BUDGET}, got {args.budget}")
+    if resolution is not None and resolution**dim > MAX_LATTICE_POINTS:
+        raise InvalidInput(f"--resolution {resolution} gives more than {MAX_LATTICE_POINTS} lattice points in {dim}-D")
+    if density is not None and max(density + 1, 1) ** dim > MAX_ORACLE_POINTS:
+        raise InvalidInput(f"--density {density} gives more than {MAX_ORACLE_POINTS} oracle lattice points in {dim}-D")
 
 
 def _number(flag: str, text: str) -> float:

@@ -408,7 +408,8 @@ def cobb_douglas(
         # numpy's array power (its bits differ from libm's pow), then the product
         # left to right as np.prod forms it; where numpy could warn (a negative
         # coordinate gives nan, a huge one may overflow) the power runs with its
-        # warnings silenced
+        # warnings silenced.  A NaN comes back as math.nan: numpy's power gives
+        # a NaN of either sign for the same input
         p = np.asarray(p)
         x1, x2, x3 = p.tolist()
         if 0.0 <= x1 <= top1 and 0.0 <= x2 <= top2 and 0.0 <= x3 <= top3:
@@ -416,14 +417,18 @@ def cobb_douglas(
         else:
             with np.errstate(all="ignore"):
                 q0, q1, q2 = (p**exps).tolist()
-        return scale * (q0 * q1 * q2)
+        value = scale * (q0 * q1 * q2)
+        return value if value == value else math.nan
 
     def rows(points):
         # the column form: numpy's power gives the same bits on (k, 3) as on (3,), a
-        # NaN's sign aside, then the same product; 0 * inf, nan and overflow stay silent
+        # NaN's sign aside, then the same product, and the same one NaN as f; 0 * inf,
+        # nan and overflow stay silent
         with np.errstate(all="ignore"):
             q = points**exps
-            return scale * (q[:, 0] * q[:, 1] * q[:, 2])
+            values = scale * (q[:, 0] * q[:, 1] * q[:, 2])
+        values[np.isnan(values)] = math.nan
+        return values
 
     f._rows = (f, rows)
 

@@ -203,6 +203,10 @@ class Polytope:
             _require_keys(item, ("a", "b"), f"halfspace {i}")
             if isinstance(item["a"], list) and len(item["a"]) != dim:
                 raise DimensionMismatch(f"halfspace {i} has {len(item['a'])} 'a' entries, 'dim' is {data['dim']}")
+            if not (isinstance(item["a"], list) and _json_numbers(item["a"]) and _json_numbers(item["b"])):
+                raise InvalidInput("halfspace entries must be numbers")
+            if not isinstance(item.get("label", ""), (str, type(None))):
+                raise InvalidInput(f"halfspace {i} 'label' must be a string, got {item['label']!r}")
         labels = [item.get("label") for item in items]
         try:
             a, b = (np.array([item[key] for item in items], dtype=float) for key in ("a", "b"))
@@ -220,6 +224,14 @@ class Polytope:
         except ValueError as exc:  # not JSON, or not UTF-8: the decoder's message
             raise InvalidInput(str(exc)) from None
         return cls.from_json_dict(data)
+
+
+def _json_numbers(value) -> bool:
+    """Whether value is a JSON number, or a list of them: an int or a float, never a bool or a numeric string."""
+    return all(
+        isinstance(item, (int, float)) and not isinstance(item, bool)
+        for item in (value if isinstance(value, list) else [value])
+    )
 
 
 def _require_keys(obj: dict, keys, what: str) -> None:

@@ -7,18 +7,22 @@ smallest-index rule until the objective drops again, which rules out
 cycling.  Sized for desk-scale instances (a handful of equality rows, up to
 ~10^4 columns); everything is a plain numpy tableau.
 
-A caller that re-solves one LP under a changed right-hand side passes the
-previous optimal basis as ``start``.  A basis stays dual feasible when only
-b changes (its reduced costs do not depend on b), so a dual simplex
-(parametric right-hand side; Bertsimas & Tsitsiklis, *Introduction to
-Linear Optimization*, ch. 4-5) restores primal feasibility in a few
-pivots.  Where that does not cleanly reach an optimum -- a singular or
-dual-infeasible start, a start beyond DUAL_REACH, a breakdown, the pivot
-limit, a row with no dual ratio (the LP may be infeasible) -- the cold
-two-phase solve decides, so statuses never depend on ``start``.  A warm
-optimum may differ from the cold one in the last ulps (another optimal
-basis, another rounding), and is deterministic for a fixed sequence of
-solves.
+A caller that re-solves one LP under a changed right-hand side can start
+from earlier optima.  An optimal basis stays dual feasible when only b
+changes (its reduced costs do not depend on b; the parametric right-hand
+side of Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
+ch. 4-5), so it is optimal for every b with B^-1 b >= 0.  ``start`` is
+either the basis of the previous optimum or a ``CertifiedBases``: the
+optimal bases of one (c, A) whose reduced costs were checked once, as they
+entered.  A certified basis that is primal feasible for b is the answer
+with no pivot; otherwise dual simplex pivots from the last optimal basis
+restore primal feasibility.  Where that does not cleanly reach an optimum
+-- a singular or dual-infeasible start, a start beyond DUAL_REACH, a
+breakdown, the pivot limit, a row with no dual ratio (the LP may be
+infeasible) -- the cold two-phase solve decides, so statuses never depend
+on ``start``.  A warm optimum may differ from the cold one in the last ulps
+(another optimal basis, another rounding), and is deterministic for a fixed
+sequence of solves.
 """
 
 from __future__ import annotations
@@ -49,27 +53,102 @@ class LPResult:
     basis: tuple[int, ...] | None = None  # optimal basic columns, row by row (None unless optimal)
 
 
+class CertifiedBases:
+    """The optimal bases of one LP's (c, A), kept for re-solving it under other right-hand sides.
+
+    A basis enters through ``offer`` only, at most once, and only when
+    B = A[:, basis] is invertible and its reduced costs c - c_B B^-1 A are
+    all >= -FEAS_TOL: B is then optimal for every b with B^-1 b >= 0.  Each
+    entry keeps its B and B^-1, and the inverses are stacked by rows into
+    one (k*m, m) matrix, so ``solve_lp`` tests every entry against a b with
+    one product.  ``entries`` lists the bases in the order they entered, and
+    ``last`` is the basis of the last optimum ``solve_lp`` reached from this
+    set.  The set is bounded by the number of distinct optimal bases.
+    """
+
+    def __init__(self):
+        self.entries: list[tuple[int, ...]] = []
+        self.last: tuple[int, ...] | None = None
+        self._matrices: list[np.ndarray] = []  # B of each entry
+        self._inverses = np.empty((0, 0))  # B^-1 of each entry, stacked by rows
+
+    def offer(self, objective, eq_matrix, basis) -> bool:
+        """Add ``basis`` if it is new and its reduced costs certify it optimal; return whether it entered."""
+        c = np.asarray(objective, dtype=float).reshape(-1)
+        a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
+        basis = tuple(int(j) for j in basis)
+        if set(basis) in (set(entry) for entry in self.entries):
+            return False
+        b_inv = _inverse(a, basis)
+        if b_inv is None or (c - (c[list(basis)] @ b_inv) @ a).min(initial=0.0) < -FEAS_TOL:
+            return False
+        self.entries.append(basis)
+        self._matrices.append(a[:, list(basis)])
+        self._inverses = np.vstack([self._inverses.reshape(-1, len(basis)), b_inv])
+        return True
+
+    def _lookup(self, c: np.ndarray, b: np.ndarray) -> LPResult | None:
+        """The optimum at b from the first entry whose basics B^-1 b are all >= -PIVOT_TOL, or None.
+
+        The entry must also meet A x = b within FEAS_TOL, as a warm optimum
+        must.  No tableau is formed and nothing is re-priced: the entry's
+        reduced costs were checked when it entered.
+        """
+        if not self.entries:
+            return None
+        basics = (self._inverses @ b).reshape(len(self.entries), b.size)
+        limit = FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0))
+        for k in (basics.min(axis=1) >= -PIVOT_TOL).nonzero()[0]:
+            if np.abs(self._matrices[k] @ basics[k] - b).max() <= limit:
+                return _optimum(c, list(self.entries[k]), basics[k], 0)
+        return None
+
+
 def solve_lp(objective, eq_matrix, eq_rhs, start=None) -> LPResult:
     """Solve min c.x s.t. A x = b, x >= 0.
 
-    With ``start`` (the ``basis`` of an earlier optimum of the same c and A),
-    B = A[:, start] is factored once and dual simplex pivots run from it;
-    ``pivots`` then counts them.  A singular or dual-infeasible start, a
-    start beyond DUAL_REACH, a breakdown, DUAL_PIVOT_LIMIT pivots or a row
-    with no dual ratio sends the solve to the cold path, so the status is
-    always the cold one.  A warm optimum may differ from the cold one in the
-    last ulps, and is deterministic for a fixed sequence of solves.
+    ``start`` is the ``basis`` of an earlier optimum of the same c and A, or
+    a ``CertifiedBases`` of them.
 
-    The cold path retries once with row rescaling if pivoting breaks down,
-    then raises NumericalBreakdown.  ``pivots`` counts the pivots of the
-    returned attempt.  ``basis`` lists the final basic columns (taken from
-    the tableau, so zero-valued basics of a degenerate optimum too).
+    From a basis, B = A[:, start] is factored once and dual simplex pivots
+    run from it; ``pivots`` then counts them.  A singular or dual-infeasible
+    start, a start beyond DUAL_REACH, a breakdown, DUAL_PIVOT_LIMIT pivots
+    or a row with no dual ratio sends the solve to the cold path, so the
+    status is always the cold one.
+
+    From a certified set, every entry is tested against b at once: the
+    first entry whose basic values are all >= -PIVOT_TOL and that meets
+    A x = b within FEAS_TOL * max(1, |b|) is the optimum, with 0 pivots.
+    Otherwise the solve runs as from the set's ``last`` basis (cold if it
+    has none).  An optimum it reaches is offered to the set and becomes its
+    ``last``.
+
+    A warm optimum may differ from the cold one in the last ulps, and is
+    deterministic for a fixed sequence of solves.  The cold path retries
+    once with row rescaling if pivoting breaks down, then raises
+    NumericalBreakdown.  ``pivots`` counts the pivots of the returned
+    attempt.  ``basis`` lists the final basic columns (taken from the
+    tableau, so zero-valued basics of a degenerate optimum too).
     """
     c = np.asarray(objective, dtype=float).reshape(-1)
     a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
     b = np.asarray(eq_rhs, dtype=float).reshape(-1)
     if a.shape != (b.size, c.size):
         raise DimensionMismatch(f"inconsistent LP shapes: A{a.shape}, b({b.size},), c({c.size},)")
+    if not isinstance(start, CertifiedBases):
+        return _solve(c, a, b, start)
+    res = start._lookup(c, b)
+    if res is None:
+        res = _solve(c, a, b, start.last)
+        if res.status == "optimal":
+            start.offer(c, a, res.basis)
+    if res.status == "optimal":
+        start.last = res.basis
+    return res
+
+
+def _solve(c: np.ndarray, a: np.ndarray, b: np.ndarray, start) -> LPResult:
+    """Dual simplex from the basis ``start`` where it cleanly reaches an optimum, else the cold solve."""
     if start is not None:
         warm = _dual_simplex(c, a, b, start)
         if warm is not None:
@@ -136,12 +215,12 @@ def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult:
     if status == "unbounded":
         return LPResult("unbounded", None, None, pivots)
 
-    return _optimum(c, tab, basis, pivots)
+    return _optimum(c, basis, tab[:-1, -1], pivots)
 
 
-def _optimum(c: np.ndarray, tab: np.ndarray, basis: list[int], pivots: int) -> LPResult:
+def _optimum(c: np.ndarray, basis: list[int], basics: np.ndarray, pivots: int) -> LPResult:
     x = np.zeros(c.size)
-    x[basis] = tab[:-1, -1]
+    x[basis] = basics
     x[np.abs(x) < 1e-15] = 0.0
     return LPResult("optimal", x, float(c @ x), pivots, tuple(basis))
 
@@ -157,11 +236,8 @@ def _dual_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, start) -> LPResul
     """
     m, n = a.shape
     basis = [int(j) for j in start]
-    if len(basis) != m or len(set(basis)) != m or not all(0 <= j < n for j in basis):
-        return None
-    try:
-        b_inv = np.linalg.inv(a[:, basis])  # m x m: one factorization per solve
-    except np.linalg.LinAlgError:
+    b_inv = _inverse(a, basis)  # m x m: one factorization per solve
+    if b_inv is None:
         return None
     tab = np.empty((m + 1, n + 1))
     np.matmul(b_inv, a, out=tab[:m, :n])
@@ -196,11 +272,23 @@ def _dual_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, start) -> LPResul
             return None
         basis[leave] = enter
 
-    result = _optimum(c, tab, basis, pivots)
+    result = _optimum(c, basis, tab[:-1, -1], pivots)
     residual = np.abs(a @ result.x - b).max(initial=0.0)
     if costs.min() < -FEAS_TOL or residual > FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0)):
         return None
     return result
+
+
+def _inverse(a: np.ndarray, basis) -> np.ndarray | None:
+    """B^-1 for B = A[:, basis], or None unless ``basis`` is m distinct columns of A and B is invertible."""
+    m, n = a.shape
+    if len(basis) != m or len(set(basis)) != m or not all(0 <= j < n for j in basis):
+        return None
+    try:
+        b_inv = np.linalg.inv(a[:, list(basis)])
+    except np.linalg.LinAlgError:
+        return None
+    return b_inv if np.isfinite(b_inv).all() else None
 
 
 def _iterate(tab: np.ndarray, basis: list[int], n_cols: int) -> tuple[str, int]:

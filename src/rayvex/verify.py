@@ -26,7 +26,7 @@ from .geometry import (
     sample_interior,
     vertices,
 )
-from .simplex import solve_lp
+from .simplex import CertifiedBases, solve_lp
 
 DEFAULT_TOL = 1e-7
 DEFAULT_BUDGET = 10_000
@@ -100,15 +100,16 @@ class SampledOracle:
     """Finite graph sample (all polytope vertices plus a nested lattice).
 
     Also holds its LP: the (n + 1, k) constraint matrix, stacked once, and
-    the optimal basis of the last feasible query, from which the next query
-    starts.
+    the ``simplex.CertifiedBases`` of that LP: every optimal basis a query
+    has reached, each checked once for optimality as it entered.  Every
+    query starts from them.
     """
 
     points: np.ndarray  # (k, n)
     values: np.ndarray  # (k,)
     skipped: int = 0  # closure points where the field was non-finite
     constraints: np.ndarray = dataclasses.field(init=False, repr=False)  # the points' coordinates over a row of ones
-    basis: tuple[int, ...] | None = dataclasses.field(default=None, init=False, repr=False)
+    bases: CertifiedBases = dataclasses.field(default_factory=CertifiedBases, init=False, repr=False)
 
     def __post_init__(self):
         self.constraints = np.vstack([self.points.T, np.ones(len(self.values))])
@@ -440,16 +441,17 @@ def oracle_eval(oracle: SampledOracle, x) -> float:
     lambda >= 0.  Sandwiched between the true envelope and f at sample
     points; refining the sample set never increases the value.
 
-    One ``solve_lp`` per query, warm-started from the oracle's last optimal
-    basis (only the right-hand side (x, 1) changes between queries); the
-    first query and every failed warm start solve cold.  A warm value may
+    One ``solve_lp`` per query, started from the oracle's certified bases
+    (only the right-hand side (x, 1) changes between queries).  A query
+    inside the simplex of a certified basis is answered with no pivot;
+    any other runs dual simplex pivots from the last optimal basis, or
+    solves cold, and its optimal basis joins the set.  A warm value may
     differ from the cold one in the last ulps, so values depend on the
     query order, deterministically.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     rhs = np.concatenate([x, [1.0]])
-    res = solve_lp(oracle.values, oracle.constraints, rhs, start=oracle.basis)
+    res = solve_lp(oracle.values, oracle.constraints, rhs, start=oracle.bases)
     if res.status != "optimal":
         raise InfeasibleLP(f"{x.tolist()} is outside the sampled hull ({res.status})")
-    oracle.basis = res.basis
     return float(res.objective)

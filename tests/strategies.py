@@ -192,7 +192,8 @@ def polytope_json(draw):
     eight, drawn from the malformed grammar: "dim" an int, a float (2.7, inf and nan too), a
     string, null, a bool or a list; an "a" row a list of mixed length and entry types, or a bare entry;
     "b" a list, a string, another non-number or missing.  Entries then include any float, strings,
-    null, bools, ints past float range and lists.  A failing example shrinks toward well-formed parts.
+    null, bools, ints past float range and lists.  A "label" is a string or missing, or one draw in
+    eight null or any of those non-numbers.  A failing example shrinks toward well-formed parts.
     """
     n = draw(st.integers(1, 3))
     number = st.one_of(st.integers(-3, 3), st.floats(-4.0, 4.0))
@@ -215,7 +216,8 @@ def polytope_json(draw):
     for _ in range(draw(st.integers(0, 5))):
         a = usually(st.lists(number, min_size=n, max_size=n), st.one_of(st.lists(number | other, max_size=4), other))
         b = usually(number, st.one_of(st.just(missing), other, st.lists(number | other, max_size=2)))
-        halfspaces.append({"a": a} if b is missing else {"a": a, "b": b})
+        label = usually(st.one_of(st.just(missing), st.text(max_size=3)), st.one_of(number, other))
+        halfspaces.append({key: value for key, value in (("a", a), ("b", b), ("label", label)) if value is not missing})
     return {"dim": dim, "halfspaces": halfspaces}
 
 

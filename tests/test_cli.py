@@ -91,12 +91,21 @@ def test_missing_polytope_file_exit_one(capsys):
         ('{"dim": 2, "halfspaces": [{"a": [1, [0]], "b": 1}]}', "halfspace entries must be numbers"),
         (b'{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 1, "label": "\xff"}]}',
          "'utf-8' codec can't decode byte 0xff in position 58: invalid start byte"),
+        ('{"dim": 2, "halfspaces": [{"a": ["1", " 0 "], "b": "1"}]}', "halfspace entries must be numbers"),
+        ('{"dim": 2, "halfspaces": [{"a": [1, 0], "b": "1"}]}', "halfspace entries must be numbers"),
+        ('{"dim": 2, "halfspaces": [{"a": [true, false], "b": 0}]}', "halfspace entries must be numbers"),
+        ('{"dim": 2, "halfspaces": [{"a": [1, 0], "b": false}]}', "halfspace entries must be numbers"),
+        ('{"dim": 2, "halfspaces": [{"a": "12", "b": 1}]}', "halfspace entries must be numbers"),
+        ('{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 1, "label": 5}]}', "halfspace 0 'label' must be a string, got 5"),
+        ('{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 1}, {"a": [0, 1], "b": 1, "label": ["y"]}]}',
+         "halfspace 1 'label' must be a string, got ['y']"),
     ],
 )
 def test_malformed_polytope_file_is_a_one_line_error(text, message, tmp_path, capsys):
     # a list, a null dim or an object entry gave a TypeError traceback, a non-object halfspace an
     # AttributeError one, a missing key "error: 'dim'"; an infinite dim an OverflowError traceback,
-    # ragged rows numpy's wording, and a dim of 2.7 loaded as 2
+    # ragged rows numpy's wording, and a dim of 2.7 loaded as 2; numeric strings and bools loaded
+    # as numbers, any value as a label, and a bare "a": "12" read as no halfspace at all
     path = tmp_path / "bad.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = run(capsys, "certify", "--function", "bilinear", "--polytope", str(path), *FAST)
@@ -109,6 +118,42 @@ def test_non_positive_budget_exit_one(budget, capsys):
     code, out, err = run(capsys, "certify", "--function", "cubic", "--budget", budget)
     assert (code, out) == (1, "")
     assert err == f"error: certification budget must be at least 1, got {budget}\n"
+
+
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify", "--function", "cubic", "--budget", HUGE], f"--budget must be at most 1000000, got {HUGE}"),
+        (["certify", "--function", "cubic", "--budget", "1000001"], "--budget must be at most 1000000, got 1000001"),
+        (["eval", "--function", "bilinear", "--point", "0.5,0.5", "--budget", HUGE], f"--budget must be at most 1000000, got {HUGE}"),
+        (["regions", "--function", "bilinear", "--budget", HUGE], f"--budget must be at most 1000000, got {HUGE}"),
+        (["grid", "--function", "bilinear", "--resolution", HUGE], f"--resolution {HUGE} gives more than 1000000 lattice points in 2-D"),
+        (["grid", "--function", "bilinear", "--resolution", "1001"], "--resolution 1001 gives more than 1000000 lattice points in 2-D"),
+        (["grid", "--function", "cobb-douglas", "--resolution", "101"], "--resolution 101 gives more than 1000000 lattice points in 3-D"),
+        (["compare", "--function", "cubic", "--resolution", HUGE], f"--resolution {HUGE} gives more than 1000000 lattice points in 2-D"),
+        (["compare", "--function", "cubic", "--density", HUGE], f"--density {HUGE} gives more than 100000 oracle lattice points in 2-D"),
+        (["compare", "--function", "cubic", "--density", "316"], "--density 316 gives more than 100000 oracle lattice points in 2-D"),
+        (["compare", "--function", "cobb-douglas", "--density", "46"], "--density 46 gives more than 100000 oracle lattice points in 3-D"),
+    ],
+)
+def test_a_size_past_its_cap_is_a_one_line_error_before_anything_is_built(argv, message, monkeypatch, capsys):
+    # --budget 1e20 ended in numpy's "Maximum allowed dimension exceeded" traceback
+    def never(*args, **kwargs):
+        raise AssertionError("built past a size cap")
+
+    for owner, name in ((env, "build"), (cli, "lattice"), (cli, "oracle_build"), (rx.Polytope, "load")):
+        monkeypatch.setattr(owner, name, never)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("dim, resolution, density", [(2, 1000, 315), (3, 100, 45)])
+def test_a_size_at_its_cap_passes(dim, resolution, density):
+    args = cli._build_parser().parse_args(["compare", "--function", "bilinear", "--budget", str(cli.MAX_BUDGET)])
+    args.resolution, args.density = resolution, density
+    cli._check_sizes(args, dim)
 
 
 def test_unknown_flag_usage_error(capsys):

@@ -85,10 +85,15 @@ def test_a_negative_seed_is_an_input_error():
 @settings(max_examples=100, deadline=None)
 @given(data=polytope_json())
 def test_any_json_shaped_value_gives_a_polytope_or_invalid_input(data):
-    # "dim": Infinity was an OverflowError; ragged rows numpy's ValueError; "dim": 2.7 loaded as 2-D
+    # "dim": Infinity was an OverflowError; ragged rows numpy's ValueError; "dim": 2.7 loaded as 2-D;
+    # numeric strings and bools loaded as numbers, and any value as a label
     try:
         polytope = rx.Polytope.from_json_dict(data)
     except InvalidInput:
         return
     assert polytope.dim == float(data["dim"])
     assert math.isfinite(float(data["dim"]))
+    for item in data["halfspaces"]:
+        for entry in [*item["a"], *(item["b"] if isinstance(item["b"], list) else [item["b"]])]:
+            assert type(entry) in (int, float)
+        assert isinstance(item.get("label"), (str, type(None)))

@@ -95,6 +95,17 @@ def test_cobb_douglas_on_every_triple_of_special_values(which):
         _check(field, reference, list(coords), list)
 
 
+@pytest.mark.parametrize("which", range(len(COBB_DOUGLAS)))
+@pytest.mark.parametrize("coords", [(0.0, -5e-324, math.nan), (math.nan, 1.0, 1.0), (1.0, -1.0, 1.0), (0.0, math.inf, 1.0)])
+def test_cobb_douglas_gives_one_nan(which, coords):
+    # numpy's power returned a NaN of either sign for the same input: at (0, -5e-324, nan)
+    # both sign bits over 3,000 calls in one process, and -nan at (1, -1, 1) every time
+    field, _ = COBB_DOUGLAS[which]
+    values = [field.eval(np.array(coords)) for _ in range(300)]
+    assert all(math.isnan(v) for v in values)
+    assert {bits(v) for v in values} == {bits(math.nan)}
+
+
 def test_cubic_next_to_its_x0_facet_is_inf_without_a_warning():
     # inside P, where the numpy-scalar form overflowed with a RuntimeWarning
     # (an error under this suite's warning filters)

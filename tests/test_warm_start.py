@@ -1,11 +1,13 @@
-"""Warm-started LPs: ``solve_lp(start=...)`` and the oracle that reuses its last optimal basis.
+"""Warm-started LPs: ``solve_lp(start=...)`` and the oracle that reuses its certified bases.
 
-A warm solve runs dual simplex pivots from ``start`` and must agree with
-the cold two-phase solve: the same status everywhere, the same optimum
-within 1e-9 relative.  Every way out of the warm path lands in the cold
-solve, whose result is then returned unchanged.
+A warm solve answers from a certified basis, or runs dual simplex pivots
+from ``start``, and must agree with the cold two-phase solve: the same
+status everywhere, the same optimum within 1e-9 relative.  Every way out
+of the warm path lands in the cold solve, whose result is then returned
+unchanged.
 """
 
+import copy
 import json
 
 import numpy as np
@@ -17,7 +19,7 @@ import rayvex as rx
 from rayvex import cli, simplex, verify
 from rayvex.errors import InfeasibleLP, NumericalBreakdown
 from rayvex.geometry import lattice
-from rayvex.simplex import solve_lp
+from rayvex.simplex import CertifiedBases, solve_lp
 
 
 def _same(res, want):
@@ -144,12 +146,12 @@ def test_an_infeasible_query_gets_the_cold_status(cold_calls):
 def test_one_solve_lp_per_oracle_eval_in_compare(monkeypatch, capsys):
     # the benchmark's completeness identity: cmd_compare > oracle_eval
     # = oracle_eval > solve_lp = queries + skipped_infeasible
-    evals, solves = [], []  # solves: (start, result)
+    evals, solves = [], []  # evals: (solves before it, oracle); solves: (start, result)
     oracle_eval, verify_solve = cli.oracle_eval, verify.solve_lp
 
-    def counted_eval(*args, **kwargs):
-        evals.append(len(solves))
-        return oracle_eval(*args, **kwargs)
+    def counted_eval(oracle, *args, **kwargs):
+        evals.append((len(solves), oracle))
+        return oracle_eval(oracle, *args, **kwargs)
 
     def counted_solve(*args, **kwargs):
         solves.append((kwargs.get("start"), verify_solve(*args, **kwargs)))
@@ -161,13 +163,13 @@ def test_one_solve_lp_per_oracle_eval_in_compare(monkeypatch, capsys):
     data = json.loads(capsys.readouterr().out)
     assert code == 0 and data["skipped_infeasible"] > 0
     assert len(evals) == len(solves) == data["queries"] + data["skipped_infeasible"]
-    assert evals == list(range(len(evals)))  # each query's one solve happens inside its own call
-    last = None  # each query starts from the basis of the last optimal one
-    for start, res in solves:
-        assert start == last
-        if res.status == "optimal":
-            last = res.basis
-    assert last is not None
+    assert [before for before, _ in evals] == list(range(len(evals)))  # each query's one solve happens inside its own call
+    bases = evals[0][1].bases  # each query starts from the oracle's certified set
+    assert isinstance(bases, CertifiedBases)
+    assert all(oracle.bases is bases for _, oracle in evals) and all(start is bases for start, _ in solves)
+    optima = [set(res.basis) for _, res in solves if res.status == "optimal"]
+    assert optima and bases.last == next(res.basis for _, res in reversed(solves) if res.status == "optimal")
+    assert [set(basis) for basis in bases.entries] == [b for i, b in enumerate(optima) if b not in optima[:i]]
 
 
 def test_compare_output_is_byte_identical_for_one_seed(capsys):
@@ -199,7 +201,8 @@ THIN_BOX_QUERY = np.array([-1e-5, 1.0])
 def test_the_cold_solve_reports_a_full_rank_basis():
     oracle = _thin_box_oracle()
     assert rx.oracle_eval(oracle, THIN_BOX_QUERY) == -1e-5
-    assert np.linalg.matrix_rank(oracle.constraints[:, list(oracle.basis)]) == 3
+    assert oracle.bases.entries == [oracle.bases.last]  # certified, so B is invertible
+    assert np.linalg.matrix_rank(oracle.constraints[:, list(oracle.bases.last)]) == 3
 
 
 @settings(max_examples=30, deadline=None)
@@ -210,17 +213,97 @@ def test_warm_oracle_matches_a_cold_solve_at_every_query(case):
     for x in queries:
         rhs = np.append(x, 1.0)
         cold = solve_lp(oracle.values, oracle.constraints, rhs)
-        warm = solve_lp(oracle.values, oracle.constraints, rhs, start=oracle.basis)
+        warm = solve_lp(oracle.values, oracle.constraints, rhs, start=copy.deepcopy(oracle.bases))
         try:
             value = rx.oracle_eval(oracle, x)
         except InfeasibleLP:
             assert cold.status == warm.status == "infeasible"
             continue
         assert cold.status == warm.status == "optimal"
-        assert value == warm.objective  # oracle_eval is this very solve
+        assert value == warm.objective  # oracle_eval is this very solve, from its certified set
         assert abs(value - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
-        assert oracle.basis == warm.basis
+        assert oracle.bases.last == warm.basis
         basis = list(warm.basis)
         weights = np.zeros(len(oracle.values))
         weights[basis] = np.linalg.lstsq(oracle.constraints[:, basis], rhs, rcond=None)[0]
         assert np.allclose(weights, warm.x, rtol=0.0, atol=1e-9)
+
+
+# -- the certified set: every optimal basis, each checked once ---------------
+
+
+def _certified_run(oracle, queries, bases=None):
+    """solve_lp at each query, in order, all started from one certified set (fresh unless given)."""
+    bases = CertifiedBases() if bases is None else bases
+    return [solve_lp(oracle.values, oracle.constraints, np.append(x, 1.0), start=bases) for x in queries]
+
+
+def _assert_cold_answers(oracle, queries, results):
+    for x, res in zip(queries, results):
+        cold = solve_lp(oracle.values, oracle.constraints, np.append(x, 1.0))
+        assert res.status == cold.status
+        if cold.status == "optimal":
+            assert abs(res.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_query_runs())
+def test_a_certified_set_gives_the_cold_answers_and_the_same_bits_twice(case):
+    oracle, queries = case
+    first = _certified_run(oracle, queries)
+    _assert_cold_answers(oracle, queries, first)
+    for res, again in zip(first, _certified_run(oracle, queries)):
+        _same(again, res)
+
+
+def test_a_certified_basis_answers_with_no_pivot_and_no_tableau(cold_calls, monkeypatch):
+    c, a, b = hull_lp(GRID, GRID_VALUES, NEAR[0][:2])
+    dual_calls = record_calls(monkeypatch, simplex, "_dual_simplex")
+    bases = CertifiedBases()
+    first = solve_lp(c, a, b, start=bases)
+    assert len(cold_calls) == 1 and not dual_calls  # an empty set has no last basis: cold
+    assert bases.entries == [first.basis] and bases.last == first.basis
+    again = solve_lp(c, a, b, start=bases)
+    assert len(cold_calls) == 1 and not dual_calls
+    assert again.pivots == 0 and again.basis == first.basis
+    assert again.objective == pytest.approx(first.objective, rel=1e-12)
+    walked = solve_lp(c, a, NEAR[1], start=bases)  # outside it: dual pivots from the last basis
+    assert len(dual_calls) == 1 and len(cold_calls) == 1 and walked.pivots >= 1
+    assert bases.entries == [first.basis, walked.basis] and bases.last == walked.basis
+    assert solve_lp(c, a, NEAR[0], start=bases).basis == first.basis and bases.last == first.basis
+
+
+CORNERS = (0, 8, 72)  # three box corners of GRID: a feasible basis, not an optimal one
+
+
+def test_a_basis_that_is_not_optimal_is_refused_and_never_returned(monkeypatch):
+    oracle = verify.SampledOracle(GRID, GRID_VALUES)
+    c, a = oracle.values, oracle.constraints
+    query = [0.1, 0.15]
+    assert np.linalg.solve(a[:, list(CORNERS)], np.append(query, 1.0)).min() > 0  # inside its triangle
+    bases = CertifiedBases()
+    assert not bases.offer(c, a, CORNERS) and bases.entries == []
+    results = _certified_run(oracle, [query], bases)
+    assert results[0].basis != CORNERS
+    _assert_cold_answers(oracle, [query], results)
+
+    # the same basis put into the set past its check is returned, and the cold comparison catches it
+    bases = CertifiedBases()
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "FEAS_TOL", np.inf)
+        assert bases.offer(c, a, CORNERS)
+    results = _certified_run(oracle, [query], bases)
+    assert results[0].basis == CORNERS and results[0].pivots == 0
+    with pytest.raises(AssertionError):
+        _assert_cold_answers(oracle, [query], results)
+
+
+def test_a_basis_enters_once_and_only_if_invertible():
+    c, a, b = hull_lp(GRID, GRID_VALUES, NEAR[0][:2])
+    basis = solve_lp(c, a, b).basis
+    bases = CertifiedBases()
+    assert bases.offer(c, a, basis)
+    assert not bases.offer(c, a, basis) and not bases.offer(c, a, basis[::-1])
+    for bad in ((0, 10, 20), (0, 0, 10), (0, 10), (0, 10, len(c))):  # singular, repeated, short, out of range
+        assert not bases.offer(c, a, bad)
+    assert bases.entries == [tuple(basis)]
