@@ -21,11 +21,9 @@ from . import envelope as env
 from .errors import DimensionMismatch, InvalidInput, RayvexError
 from .functions import CATALOG_BUILDERS, CatalogEntry, catalog
 from .geometry import Polytope, enumerate_regions_2d, lattice
-from .verify import DEFAULT_BUDGET, oracle_build, oracle_eval
+from .verify import DEFAULT_BUDGET, MAX_BUDGET, MAX_ORACLE_POINTS, oracle_build, oracle_eval
 
-MAX_BUDGET = 10**6
 MAX_LATTICE_POINTS = 10**6
-MAX_ORACLE_POINTS = 10**5
 _SHORTHANDS = ("lx", "ly", "ux", "uy", "A", "a1", "a2", "a3", "l", "u")
 _PARAM_ALIASES = {"A": "scale", "l": "lower", "u": "upper"}
 

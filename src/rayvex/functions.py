@@ -142,20 +142,25 @@ def _on_floats(formula: Callable[..., float], columns: Callable[..., np.ndarray]
     ``columns`` is the same formula on coordinate columns, its branches
     written as ``np.where``, and is the field's column form: a (k, n) batch
     through ``_eval_rows`` is ``columns(*points.T)``, one numpy pass with
-    numpy's warnings silenced, with the per-point bits.
+    numpy's warnings silenced, with the per-point bits.  Both forms return
+    a NaN as ``math.nan``: float and numpy arithmetic give a NaN of either
+    sign for the same point (bilinear's -x*y at (nan, nan), say).
     """
 
     def field(p) -> float:
         coords = p.tolist() if isinstance(p, np.ndarray) else [float(c) for c in p]
         try:
-            return formula(*coords)
+            value = formula(*coords)
         except ZeroDivisionError:
             with np.errstate(all="ignore"):
-                return float(formula(*map(np.float64, coords)))
+                value = float(formula(*map(np.float64, coords)))
+        return value if value == value else math.nan
 
     def rows(points):
         with np.errstate(all="ignore"):
-            return columns(*points.T)
+            values = columns(*points.T)
+        values[np.isnan(values)] = math.nan
+        return values
 
     field._rows = (field, rows)
     return field

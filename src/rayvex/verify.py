@@ -30,6 +30,8 @@ from .simplex import CertifiedBases, solve_lp
 
 DEFAULT_TOL = 1e-7
 DEFAULT_BUDGET = 10_000
+MAX_BUDGET = 10**6  # certification samples
+MAX_ORACLE_POINTS = 10**5  # oracle lattice points, (grid_density + 1)^dim: the columns of each oracle LP
 _SCALING_FACTORS = (0.25, 0.5, 0.75)
 
 
@@ -391,10 +393,13 @@ def check_corollary_convexity(
 def certify(model, budget: int = DEFAULT_BUDGET, seed: int = 0) -> CertificationReport:
     """Run the three hypothesis checks on a model's working field and domain.
 
-    A budget below 1 draws no homogeneity sample, so it is rejected rather than certified.
+    A budget below 1 draws no homogeneity sample, so it is rejected rather than certified;
+    one above ``MAX_BUDGET`` is rejected before anything is drawn.
     """
     if budget < 1:
         raise InvalidInput(f"certification budget must be at least 1, got {budget}")
+    if budget > MAX_BUDGET:
+        raise InvalidInput(f"certification budget must be at most {MAX_BUDGET}, got {budget}")
     field = model.field
     polytope = model.polytope
     ray = check_ray_concavity(
@@ -420,9 +425,17 @@ def oracle_build(field: ScalarField, polytope: Polytope, grid_density: int = 10)
 
     ``grid_density`` counts lattice intervals per axis, so doubling the
     density refines the sample set (the monotonicity guarantee relies on
-    this).  Density 0 keeps vertices only.  Points where the field is
-    non-finite on the closure are skipped and counted.
+    this).  Density 0 keeps vertices only.  A negative density, or one
+    whose lattice has more than ``MAX_ORACLE_POINTS`` points, is rejected
+    before anything is evaluated.  Points where the field is non-finite on
+    the closure are skipped and counted.
     """
+    if grid_density < 0:
+        raise InvalidInput(f"grid density must be at least 0, got {grid_density}")
+    if (grid_density + 1) ** polytope.dim > MAX_ORACLE_POINTS:
+        raise InvalidInput(
+            f"grid density {grid_density} gives more than {MAX_ORACLE_POINTS} oracle lattice points in {polytope.dim}-D"
+        )
     verts = vertices(polytope)
     pts = [verts]
     if grid_density >= 1:

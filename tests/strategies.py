@@ -6,16 +6,22 @@ domain it draws from.  Row scaling and permutation are one shared step,
 ``_rescaled``.
 """
 
+import dataclasses
+import functools
 import itertools
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
+import reference_evaluators
 from hypothesis import assume
 from hypothesis import strategies as st
 from reference_regions import order_ccw
 
 import rayvex as rx
 from rayvex import envelope as env
+from rayvex.cli import _SHORTHANDS
 from rayvex.errors import GradientUnavailable, PointOutsideDomain, PointOutsidePolytope
 from rayvex.geometry import lattice
 
@@ -25,11 +31,55 @@ SLAB = rx.Polytope.from_inequalities(  # {(x, y) >= 0 : 1 <= x + y <= 2}, origin
     [[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [1.0, 1.0]],
     [0.0, 0.0, -1.0, 2.0],
 )
+# triangle conv{(1,0), (0,1), (1,1)}
+TRIANGLE = rx.Polytope.from_inequalities([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-1.0, 1.0, 1.0])
+KERNEL_POLYTOPES = [*CATALOG.values()] + [
+    rx.Polytope.box([0.0, 0.0], [1.0, 1.0]),
+    SLAB,
+    TRIANGLE,
+    rx.Polytope.box([1.0, 1.0], [2.0, 2.0]),
+    CATALOG["fractional"].translate([1.0, 0.0]),  # fractional, working coordinates: b = 0 facets
+    rx.Polytope.box([1.0, 1.0], [1.0 + 1e-8, 2.0]),  # thin: traces span 1e-8 of alpha at unit scale
+]
+
+
+@functools.cache
+def catalog_models(certified: bool) -> dict:
+    """name -> (entry, model) for the five catalog entries, each built once at its default sense and anchor.
+
+    Certified at budget 10^4, seed 0, or built without certification.
+    """
+    build_args = {"budget": 10_000, "seed": 0} if certified else {"run_certification": False}
+    build = lambda e: env.build(e.field, e.default_polytope, sense=e.build_sense, anchor=e.default_anchor, **build_args)  # noqa: E731
+    return {entry.name: (entry, build(entry)) for entry in rx.catalog()}
 
 
 def bits(x) -> bytes:
     """x as float64 bytes: equal only when every bit is."""
     return np.asarray(x, dtype=float).tobytes()
+
+
+def same(a, b, nan_alike=False) -> bool:
+    """Equal bit for bit: floats and arrays (same dtype and shape) by their bytes; tuples, lists
+    and dataclasses item by item; anything else by type and ==.
+
+    With nan_alike any NaN equals any NaN; the sign of zero and of inf still count.
+    """
+    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(same(x, y, nan_alike) for x, y in zip(a, b))
+    if dataclasses.is_dataclass(a) and not isinstance(a, type):
+        names = [field.name for field in dataclasses.fields(a)]
+        return type(a) is type(b) and same([getattr(a, n) for n in names], [getattr(b, n) for n in names], nan_alike)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape)):
+            return False
+        if nan_alike and a.dtype.kind == "f":
+            nan = np.isnan(a)
+            return bool((nan == np.isnan(b)).all()) and bits(np.where(nan, 0.0, a)) == bits(np.where(nan, 0.0, b))
+        return a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return type(b) is type(a) and ((nan_alike and math.isnan(a) and math.isnan(b)) or bits(a) == bits(b))
+    return type(a) is type(b) and a == b
 
 
 def central_diff_gradient(fn, x, h=6e-6):
@@ -267,6 +317,13 @@ def non_finite_points(draw, dim):
     return x
 
 
+@st.composite
+def near_facet_batches(draw):
+    """(polytope, points): a ``polytopes()`` polytope and 1 to 6 ``near_facet`` points around its centre, as a (k, n) array."""
+    polytope, centre = draw(polytopes())
+    return polytope, np.array(draw(st.lists(near_facet(polytope, centre), min_size=1, max_size=6)))
+
+
 def near_catalog_facet():
     """(entry name, point): ``near_facet`` on a catalog entry's default polytope, moves "on", "ulps" or "row"."""
     at = {name: near_facet(polytope, moves=("on", "ulps", "row")) for name, polytope in CATALOG.items()}
@@ -449,3 +506,228 @@ def oracle_query_runs(draw):
     """An ``oracles()`` draw and a ``query_runs`` draw on it, as one (oracle, queries) pair."""
     oracle = draw(oracles())
     return oracle, draw(query_runs(oracle))
+
+
+# -- cases of the equivalence table ------------------------------------------
+
+
+def _wave(p):
+    return float(np.sin(p).sum() + p[0] * p[-1])
+
+
+def _wave_grad(p):
+    g = np.cos(p)
+    g[0] += p[-1]
+    g[-1] += p[0]
+    return g
+
+
+WAVES = {  # defined on all of R^n: with and without an analytic gradient (finite differences)
+    "wave": lambda n: rx.ScalarField(n, _wave, grad=_wave_grad, name="wave"),
+    "wave-fd": lambda n: rx.ScalarField(n, _wave, name="wave-fd"),
+}
+# the evaluators read only this status, so the models drawn here need no certification run
+HOMOGENEOUS = SimpleNamespace(positively_homogeneous=SimpleNamespace(status="pass"), all_passed=False)
+POINT_KINDS = ("interior", "facet", "vertex", "anchor", "degenerate", "outside")
+
+
+def _degenerate_direction(polytope, vertex, s):
+    """d such that the line through vertex along d meets P only there, and o = vertex - s d.
+
+    For two facets i, j active at the vertex, d = u_i - u_j (unit normals) has u_i.d > 0 and
+    u_j.d < 0, so the line leaves P on both sides of the vertex.
+    """
+    active = np.flatnonzero(np.abs(polytope.matrix @ vertex - polytope.offsets) <= 1e-9)
+    u = polytope.matrix[active[:2]] / np.linalg.norm(polytope.matrix[active[:2]], axis=1)[:, None]
+    d = u[0] - u[1]
+    return vertex - s * d
+
+
+def _model_point(draw, model, kind):
+    """A point of one of POINT_KINDS in the model's original coordinates: "interior" a vertex combination,
+    weights in [0.01, 1]; "facet" a ``near_facet`` with move "on"; "outside" a vertex times [1.01, 3]."""
+    verts = rx.vertices(model.polytope)
+    if kind == "interior":
+        w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(verts), max_size=len(verts))))
+        v = w @ verts / w.sum()
+    elif kind == "facet":
+        v = draw(near_facet(model.polytope, moves=("on",)))
+    elif kind in ("vertex", "degenerate"):  # each vertex ray of cobb-douglas's box but two is degenerate
+        v = verts[draw(st.integers(0, len(verts) - 1))]
+    elif kind == "anchor":
+        v = np.zeros(model.polytope.dim)
+    else:
+        v = verts[draw(st.integers(0, len(verts) - 1))] * draw(st.floats(1.01, 3.0))
+    return model.anchor + v
+
+
+@st.composite
+def catalog_model_points(draw):
+    """(model, x): a certified catalog model, anchored (bilinear, fractional), concave (reliability),
+    origin outside (cubic) or 3-D with degenerate vertex rays (cobb-douglas), and a ``_model_point``."""
+    _, model = catalog_models(True)[draw(st.sampled_from(sorted(CATALOG)))]
+    return model, _model_point(draw, model, draw(st.sampled_from(POINT_KINDS)))
+
+
+@st.composite
+def drawn_model_points(draw):
+    """(model, x): a WAVES field on a ``polytopes()`` polytope, either sense, taken as homogeneous, and a point.
+
+    The anchor is none or the polytope's centre, and x a ``_model_point``; for kind
+    "degenerate" the polytope is first moved so that the origin lies on a line that touches
+    P only at one vertex, and x is that vertex.
+    """
+    polytope, centre = draw(polytopes())
+    kind = draw(st.sampled_from(POINT_KINDS))
+    field = WAVES[draw(st.sampled_from(sorted(WAVES)))](polytope.dim)
+    sense = draw(st.sampled_from(["convex", "concave"]))
+    if kind == "degenerate":
+        verts = rx.vertices(polytope)
+        vertex = verts[draw(st.integers(0, len(verts) - 1))]
+        origin = _degenerate_direction(polytope, vertex, draw(st.floats(0.5, 2.0)))
+        polytope, anchor = polytope.translate(origin), "none"
+    else:
+        anchor = centre if draw(st.sampled_from(["none", "centre"])) == "centre" else "none"
+    model = env.build(field, polytope, sense=sense, anchor=anchor, run_certification=False)
+    model = replace(model, certification=HOMOGENEOUS)
+    if kind == "degenerate":
+        x = vertex - origin
+        try:  # a second facet within 1e-9 of the vertex can leave a sliver
+            assume(reference_evaluators.locate(model.polytope, x).degenerate)
+        except PointOutsidePolytope:
+            pass  # rounding lost the one point: the evaluators must still agree on the error
+        return model, x
+    return model, _model_point(draw, model, kind)
+
+
+ANCHORS = ("none", "origin-shift", "vector", "-0.0")
+SENSES = ("convex", "concave")
+
+
+def _poisoned(draw):
+    """-x*y on [-1, 1] x [-0.5, 2], except nan, inf or -inf within a drawn ball, as float, np.float64 or np.float32."""
+    center = draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-0.5, 2.0)), label="center")
+    radius = draw(st.floats(0.05, 1.0), label="radius")
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="bad")
+    kind = draw(st.sampled_from((float, np.float64, np.float32)), label="returns")
+
+    def ball(p):
+        coords = p.tolist()
+        return kind(bad if math.dist(coords, center) <= radius else -coords[0] * coords[1])
+
+    return rx.ScalarField(2, ball, name="ball"), rx.Polytope.box([-1.0, -0.5], [1.0, 2.0])
+
+
+def _working_model(draw, field, polytope):
+    """field over polytope under a drawn anchor of ANCHORS and sense, uncertified.
+
+    The origin anchors need the origin in P; a P without it is moved so that
+    its vertex mean is the origin.  A "vector" anchor is a vertex combination
+    with integer weights in [0, 4].
+    """
+    kind = draw(st.sampled_from(ANCHORS), label="anchor")
+    corners = rx.vertices(polytope)
+    if kind in ("origin-shift", "-0.0") and not polytope.contains(np.zeros(polytope.dim)):
+        polytope = polytope.translate(corners.mean(axis=0))
+        corners = rx.vertices(polytope)
+    if kind == "vector":
+        weights = np.array(draw(st.lists(st.integers(0, 4), min_size=len(corners), max_size=len(corners))))
+        anchor = corners.mean(axis=0) if weights.sum() == 0 else weights @ corners / weights.sum()
+    elif kind == "-0.0":
+        anchor = np.array([-0.0] + [0.0] * (polytope.dim - 1))
+    else:
+        anchor = kind
+    sense = draw(st.sampled_from(SENSES), label="sense")
+    return env.build(field, polytope, sense=sense, anchor=anchor, run_certification=False)
+
+
+def _special_rows(draw, dim, max_rows):
+    """A (k, dim) array with k in [0, max_rows]: coordinates in [-3, 3], signed zeros, infinities and nan."""
+    coordinate = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+    rows = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim), max_size=max_rows), label="points")
+    return np.array(rows, dtype=float).reshape(-1, dim)
+
+
+@st.composite
+def working_field_rows(draw):
+    """(field, points): the working field, under a ``_working_model`` anchor and sense, of a catalog
+    entry on its default polytope or of a ``_poisoned`` field, and ``_special_rows`` of up to 12 points."""
+    if draw(st.booleans(), label="catalog"):
+        entry = draw(st.sampled_from(rx.catalog()), label="entry")
+        field, polytope = entry.field, entry.default_polytope
+    else:
+        field, polytope = _poisoned(draw)
+    model = _working_model(draw, field, polytope)
+    return model.field, _special_rows(draw, polytope.dim, 12)
+
+
+@st.composite
+def working_field_samples(draw):
+    """(field, points): a ``_poisoned`` working field and a (samples, per_sample, 2) array of
+    ``_special_rows``, per_sample 1 to 3 and at most 4 samples."""
+    model = _working_model(draw, *_poisoned(draw))
+    per_sample = draw(st.integers(1, 3), label="per_sample")
+    flat = _special_rows(draw, 2, 4 * per_sample)
+    return model.field, flat[: len(flat) // per_sample * per_sample].reshape(-1, per_sample, 2)
+
+
+WORKING_ENTRIES = (rx.bilinear_neg(-1.0, -1.0, 2.0, 2.0), rx.reliability())
+WORKING_CASES = [  # (entry, anchor); each polytope contains its vector anchors, and all but fractional's the origin
+    (entry, anchor) for entry in WORKING_ENTRIES for anchor in ("none", "origin-shift", (0.3, 0.2))
+] + [
+    (entry, zero) for entry in WORKING_ENTRIES for zero in ((0.0, 0.0), (-0.0, 0.0))  # no add, as "origin-shift"
+] + [(rx.fractional(), (1.0, 0.0))]  # fractional's default anchor
+
+
+def working_points(entry) -> np.ndarray:
+    """60 points of the entry's bounding box grown by 0.5 a side (seed 3), then five with signed zeros."""
+    box = rx.validate(entry.default_polytope).coordinate_bounds
+    pts = np.random.default_rng(3).uniform(box[:, 0] - 0.5, box[:, 1] + 0.5, size=(60, 2))
+    zeros = np.array([[0.0, 0.0], [-0.0, 0.5], [0.5, -0.0], [-0.0, -0.0], [-0.3, 0.7]])
+    return np.vstack([pts, zeros])
+
+
+# -- command lines ------------------------------------------------------------
+
+_HUGE = str(10**20)
+CAPPED_SIZES = (str(10**6 + 1), "1001", "316", _HUGE)  # past a cap in any dimension: rejected, never run
+_FLAG_VALUES = {  # flag -> (valid values, bad ones: malformed, negative, non-finite or huge)
+    "--budget": (["1", "60", "300"], ["0", "-3", str(10**6 + 1), _HUGE, "1e3", "nan", "x"]),
+    "--resolution": (["2", "3", "6"], ["1", "0", "-4", "1001", _HUGE, "2.5", "x"]),
+    "--density": (["0", "2", "4"], ["-1", "-100000000000", "316", _HUGE, "nan", "x"]),
+    "--point": (["0.5,0.5", "1,1", "5,5", "1.3,1.5,1.7"], ["0.3,0.6,0.2", "a,b", "nan,0.5", "1e400,0", ""]),
+    "--function": (sorted(rx.CATALOG_BUILDERS), ["nope"]),
+    "--format": (["json", "csv"], ["xml"]),
+    "--seed": (["0", "7", _HUGE], ["-1", "1.5", "x"]),
+    "--sense": (["auto", "convex", "concave"], ["sideways"]),
+    "--anchor": (["auto", "none", "origin", "origin-shift", "0.1,0.2"], ["1,x", "nan,0", "1,2,3", "1e400,0"]),
+    "--param": (["ux=0.8", "lx=0.1", "a1=0.5"], ["lx", "lx=abc", "ux=nan", "ux=1e400", "foo=1", "=1"]),
+    "--polytope": (["no-such-polytope.json"], ["no-such-polytope.json"]),
+    **{f"--{flag}": (["0.1", "0.5", "1", "2"], ["0", "-1", "nan", "inf", "-inf", "1e400", "x"]) for flag in _SHORTHANDS},
+}
+_GIVEN = {  # command -> the flags it always gets (--function one draw in six left out)
+    "catalog": (), "certify": ("--function", "--budget"), "eval": ("--function", "--budget", "--point"),
+    "grid": ("--function", "--budget", "--resolution"), "regions": ("--function", "--budget"),
+    "compare": ("--function", "--budget", "--resolution", "--density"),
+}
+_OPTIONAL = sorted(set(_FLAG_VALUES) - {"--budget", "--resolution", "--density", "--point", "--function"})
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv of ``rayvex``: a subcommand with its flags, each value valid or, one draw in six, bad.
+
+    Every command that builds a model gets a --budget, grid and compare a --resolution, compare a
+    --density and eval a --point, so no valid run is slow.  Up to three other flags follow (eval's
+    often another --point), and one draw in ten a --density, which only compare takes.
+    """
+
+    def value(flag):
+        valid, bad = _FLAG_VALUES[flag]
+        return draw(st.sampled_from(bad if draw(st.integers(0, 5)) == 0 else valid))
+
+    command = draw(st.sampled_from(sorted(_GIVEN)))
+    flags = [flag for flag in _GIVEN[command] if flag != "--function" or draw(st.integers(0, 5))]
+    others = ["--format"] if command == "catalog" else _OPTIONAL + ["--point"] * 3 * (command == "eval")
+    flags += draw(st.lists(st.sampled_from(others), max_size=3)) + ["--density"] * (draw(st.integers(0, 9)) == 0)
+    return [command] + [item for flag in flags for item in (flag, value(flag))]

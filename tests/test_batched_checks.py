@@ -1,5 +1,6 @@
-"""Batched certification checks: the reports of per-sample loops, the per-point
-call contract, and non-finite fields that fail a check instead of crashing it."""
+"""Batched certification checks: the per-point call contract, and non-finite fields
+that fail a check instead of crashing it.  ``test_equivalence.py`` holds their
+reports to the per-sample loops."""
 
 import json
 import math
@@ -7,72 +8,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import reference_checks as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import SLAB
+from strategies import SENSES, SLAB
 
 import rayvex as rx
 from rayvex import envelope as env
 from rayvex import verify
 from rayvex.cli import main
-
-BUDGET = 2000
-
-# a box cut by one halfspace, rows rescaled, moved away from the origin:
-# its normalised facet rows give inexact a . v products
-_SCALES = np.array([3.0, 0.7, 11.0, 0.13, 9.0])
-CUT_FAR = rx.Polytope.from_inequalities(
-    np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.6, -1.3]]) * _SCALES[:, None],
-    np.array([1.3, 0.9, 0.7, 1.1, 0.8]) * _SCALES,
-).translate([3.0, 3.0])
-
-
-def _plain_model(fn, polytope, name="anon"):
-    field = rx.ScalarField(polytope.dim, fn, name=name)
-    return env.build(field, polytope, anchor="none", run_certification=False)
-
-
-def _assert_same_reports(model, budget, seed):
-    """certify's three checks against the per-sample loops, at certify's parameters."""
-    report = verify.certify(model, budget=budget, seed=seed)
-    field, poly, tol = model.field, model.polytope, report.tolerance
-    expected = [
-        ref.ray_concavity(field, poly, max(1, budget // 10), 10, tol, seed),
-        ref.facet_convexity(field, poly, max(10, budget // poly.n_facets), tol, seed + 1),
-        ref.positive_homogeneity(model, budget, tol, seed + 2),
-    ]
-    got = [report.ray_concave, report.facet_convex, report.positively_homogeneous]
-    for result, want in zip(got, expected):
-        # json text tells 0.0 from -0.0 and prints every float exactly
-        assert json.dumps(result.to_dict()) == json.dumps(want.to_dict()), result.name
-    # the 3 x budget secant probes that f(0) replaced for origin-inside models agree
-    assert report.positively_homogeneous.status == ref.positive_homogeneity_probes(model, budget, tol, seed + 2).status
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7])
-@pytest.mark.parametrize("name", [entry.name for entry in rx.catalog()])
-def test_checks_match_per_sample_loops_on_catalog(uncertified_models, name, seed):
-    _assert_same_reports(uncertified_models[name], BUDGET, seed)
-
-
-@pytest.mark.parametrize(
-    "fn, polytope",
-    [
-        (lambda p: p[0] ** 2 + p[1] ** 2, rx.Polytope.box([0.0, 0.0], [1.0, 1.0])),  # ray-convex: witness
-        (lambda p: -(p[0] ** 2) - p[1] ** 3, rx.Polytope.box([0.0, 0.0], [1.0, 1.0])),  # facet-concave
-        (lambda p: math.exp(p[0]) - 1.0 + p[1], rx.Polytope.box([-1.0, -0.5], [1.0, 2.0])),  # origin interior
-        (lambda p: 1.0 - p[0] * p[1], rx.Polytope.box([-1.0, -1.0], [1.0, 1.0])),  # f(0) = 1
-        (lambda p: p[0] ** 2 + p[1], SLAB),  # origin outside, not homogeneous
-        (lambda p: p[0] ** 2 + p[1], CUT_FAR),  # origin outside, inexact a . v
-        (lambda p: -(p[0] ** 2) + p[1] * p[2], rx.Polytope.box([1.0, 1.0, 1.0], [2.0, 3.0, 2.0])),
-    ],
-)
-def test_checks_match_per_sample_loops_on_failing_fields(fn, polytope):
-    model = _plain_model(fn, polytope)
-    report = verify.certify(model, budget=600, seed=3)
-    assert not report.all_passed  # so the witnesses are compared too
-    _assert_same_reports(model, 600, 3)
 
 
 # -- the per-point call contract --------------------------------------------
@@ -125,6 +68,34 @@ def test_checks_call_the_field_once_per_point(uncertified_models, name, monkeypa
         assert (calls.field, calls.secants, result.samples) == (1, 0, 1)
     else:  # f(v_minus) and f(v_plus) per sample
         assert (calls.field, calls.secants) == (2 * result.samples, 0)
+
+
+@pytest.mark.parametrize("name", ["bilinear", "fractional", "reliability", "cubic"])
+def test_oracle_build_calls_f_once_per_point_kept_or_skipped(name):
+    # the benchmark's compare completeness: finite oracle field calls = oracle points
+    entry = rx.CATALOG_BUILDERS[name]()
+    field = replace(entry.field)
+    model = env.build(
+        field, entry.default_polytope, sense=entry.build_sense, anchor=entry.default_anchor, run_certification=False
+    )
+    results, evaluate = [], field.eval
+    object.__setattr__(field, "eval", lambda p: results.append(evaluate(p)) or results[-1])
+    oracle = rx.oracle_build(model.field, model.polytope, grid_density=12)
+    finite = sum(map(math.isfinite, results))
+    assert finite == len(oracle.points) and len(results) - finite == oracle.skipped
+
+
+@pytest.mark.parametrize("sense", SENSES)
+def test_corollary_convexity_calls_f_once_per_sampled_point(sense):
+    entry = rx.cobb_douglas()
+    calls = []
+    field = replace(entry.field, eval=lambda p: calls.append(p) or entry.field.eval(p))
+    n_samples = 300
+    result = verify.check_corollary_convexity(field, entry.default_polytope, sense=sense, seed=4, n_samples=n_samples)
+    n_hom = min(n_samples, 2000)
+    facet_samples = result.samples - len(verify._SCALING_FACTORS) * n_hom - n_samples
+    # f(v) and its three scalings per homogeneity point, three per facet and per global sample
+    assert len(calls) == n_hom * (1 + 3) + 3 * (facet_samples + n_samples)
 
 
 # -- non-finite fields ------------------------------------------------------
@@ -207,34 +178,6 @@ def test_nan_face_fails_certify_with_the_origin_inside():
     witnesses = [check.witness or {} for check in (report.ray_concave, report.facet_convex)]
     named = [w["non_finite_point"] for w in witnesses if "non_finite_point" in w]
     assert named and all(point[0] >= 1.0 for point in named)
-
-
-def _inf_left_of(fn, edge):
-    """fn, but +inf where x < edge: outside P here, reached only by the scaled points lambda * v."""
-    return lambda p: math.inf if p[0] < edge else fn(p)
-
-
-@pytest.mark.parametrize(
-    "field, polytope, sense, status",
-    [
-        (rx.cobb_douglas().field, rx.cobb_douglas().default_polytope, "concave", "pass"),
-        (rx.ScalarField(2, lambda p: p[0] ** 2 + p[1], name="bowl"), rx.Polytope.box([0.1, 0.1], [1.0, 1.0]),
-         "convex", "inapplicable"),
-        (rx.ScalarField(2, _inf_left_of(lambda p: p[0] ** 2 + p[1], 0.3), name="inf-strip"),
-         rx.Polytope.box([0.5, 0.1], [1.0, 1.0]), "convex", "inapplicable"),
-        (rx.ScalarField(2, _inf_left_of(lambda p: math.sqrt(p[0] * p[1]), 0.3), name="inf-geomean"),
-         rx.Polytope.box([0.5, 0.5], [1.0, 2.0]), "concave", "pass"),
-    ],
-    ids=["cobb-douglas", "non-homogeneous", "non-finite-scaled", "non-finite-scaled-homogeneous"],
-)
-@pytest.mark.parametrize("seed", [0, 3])
-def test_corollary_check_matches_its_per_point_loop(field, polytope, sense, status, seed):
-    result = verify.check_corollary_convexity(field, polytope, sense=sense, seed=seed, n_samples=300)
-    want = ref.corollary_convexity(field, polytope, sense, verify.DEFAULT_TOL, seed, 300)
-    assert result.status == status
-    if status == "inapplicable":
-        assert set(result.witness) == {"v", "lambda"}
-    assert json.dumps(result.to_dict()) == json.dumps(want.to_dict())
 
 
 def test_non_finite_corollary_homogeneity_counts_the_samples_before_it():

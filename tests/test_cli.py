@@ -1,9 +1,13 @@
 """Command-line behaviors: exit codes, file outputs, determinism, round-trips."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from strategies import CAPPED_SIZES, cli_argv
 
 import rayvex as rx
 from rayvex import cli
@@ -147,6 +151,12 @@ def test_a_size_past_its_cap_is_a_one_line_error_before_anything_is_built(argv, 
     for owner, name in ((env, "build"), (cli, "lattice"), (cli, "oracle_build"), (rx.Polytope, "load")):
         monkeypatch.setattr(owner, name, never)
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_a_negative_density_is_a_one_line_error(capsys):
+    # it ran a vertices-only oracle and echoed "density": -100000000000
+    argv = ["compare", "--function", "bilinear", "--density", "-100000000000", "--resolution", "3", *FAST]
+    assert run(capsys, *argv) == (1, "", "error: grid density must be at least 0, got -100000000000\n")
 
 
 @pytest.mark.parametrize("dim, resolution, density", [(2, 1000, 315), (3, 100, 45)])
@@ -425,3 +435,21 @@ def test_commands_are_looked_up_at_each_call(monkeypatch, capsys):
     assert run(capsys, "catalog")[0] == 0
     monkeypatch.setattr(cli, "cmd_catalog", lambda args: print("patched", args.format) or 0)
     assert run(capsys, "catalog", "--format", "csv") == (0, "patched csv\n", "")
+
+
+# -- any argv: an exit code, and on exit 1 one error line and no output ---------
+
+
+@settings(max_examples=80, deadline=None)
+@given(cli_argv())
+def test_any_argv_exits_0_1_or_2_and_exit_1_prints_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert out.getvalue() == "", argv
+        assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1, (argv, err.getvalue())
+    flags = zip(argv[1::2], argv[2::2])
+    if any(flag in ("--budget", "--resolution", "--density") and value in CAPPED_SIZES for flag, value in flags):
+        assert code == 1, argv  # rejected before anything of that size is built

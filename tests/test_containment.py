@@ -2,7 +2,7 @@
 
 Both take a point (n,) or a batch (k, n).  a . x is summed column by column,
 as the ray kernels sum it, so a point gets the same margins, bit for bit,
-and the same verdict alone and as a row of a batch.  Halfspaces with a
+and the same verdict alone and as a row of a batch (``test_equivalence.py``).  Halfspaces with a
 non-finite entry are rejected when they are built.  A translated polytope's
 offsets are the anchor's margins, and the point-location rule ``locate``
 agrees with ``contains`` outside a stated band around each facet.
@@ -21,37 +21,7 @@ from strategies import band_cases, near_facet, outside, polytopes
 import rayvex as rx
 from rayvex.cli import main
 from rayvex.errors import PointOutsidePolytope
-from rayvex.geometry import GEOM_TOL, INTERIOR_MARGIN, _facet_dots, _facet_products, locate
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_a_batch_gets_the_single_point_margins_and_verdicts(data):
-    polytope, center = data.draw(polytopes())
-    points = data.draw(st.lists(near_facet(polytope, center), min_size=1, max_size=6))
-    batch = np.array(points)
-    margins = polytope.margins(batch)
-    assert margins.shape == (len(points), polytope.n_facets)
-    for row, x in zip(margins, points):
-        assert row.tobytes() == polytope.margins(x).tobytes()
-    for tol in (GEOM_TOL, 0.0, -INTERIOR_MARGIN):
-        mask = polytope.contains(batch, tol=tol)
-        assert mask.dtype == bool and mask.shape == (len(points),)
-        verdicts = [polytope.contains(x, tol=tol) for x in points]
-        assert all(type(verdict) is bool for verdict in verdicts)
-        assert mask.tolist() == verdicts
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_the_shared_products_equal_the_scalar_kernels_bit_for_bit(data):
-    polytope, center = data.draw(polytopes())
-    points = data.draw(st.lists(near_facet(polytope, center), min_size=1, max_size=6))
-    dots = _facet_dots(polytope.matrix, np.array(points))
-    for row, x in zip(dots, points):
-        want = np.array(_facet_products(polytope._rows, x.tolist()))
-        assert row.tobytes() == want.tobytes()
-        assert _facet_dots(polytope.matrix, x).tobytes() == want.tobytes()
+from rayvex.geometry import GEOM_TOL, _facet_dots, locate
 
 
 @settings(max_examples=100, deadline=None)

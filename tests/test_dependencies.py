@@ -1,4 +1,5 @@
-"""numpy is rayvex's only runtime dependency, though scipy may be installed."""
+"""numpy is rayvex's only runtime dependency, though scipy may be installed; and each concept of
+the suite has one home."""
 
 import json
 import os
@@ -64,15 +65,26 @@ def test_every_exported_name_resolves():
     assert [name for name in UNEXPORTED if hasattr(rayvex, name)] == []
 
 
-# tests/strategies.py is the one home of composite strategies and of these helpers
+# tests/strategies.py is the one home of composite strategies, of these helpers and of the bit
+# comparator; tests/test_equivalence.py of the bit-for-bit oracles (reference_regions compares
+# polygons, and stays with test_regions.py)
 ONE_HOME = re.compile(
-    r"^\s*(@(\w+\.)*composite\b|def (near_facet|central_diff_gradient|region_interior_points)\b)", re.M
+    r"^\s*(@(\w+\.)*composite\b|def (near_facet|central_diff_gradient|region_interior_points|_same|_same_bits|_check_batch)\b)",
+    re.M,
+)
+ORACLES = re.compile(
+    r"^(import reference_(evaluators|checks|fields)\b|from reference_(evaluators|checks) import"
+    r"|from reference_fields import .*\b(bilinear|fractional|reliability|cubic|cubic_pow|cobb_douglas|\*))",
+    re.M,
 )
 
 
 def test_strategies_and_shared_helpers_have_one_home():
     tests = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
-    assert [(path.name, m.group(1)) for path in tests for m in ONE_HOME.finditer(path.read_text())] == []
+    found = [(path.name, m.group(1)) for path in tests for m in ONE_HOME.finditer(path.read_text())]
+    found += [(path.name, m.group(1)) for path in tests if path.name != "test_equivalence.py"
+              for m in ORACLES.finditer(path.read_text())]
+    assert found == []
 
 
 # ray_intersect states the trace rules; the batch kernel and locate defer to it

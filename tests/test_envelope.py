@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rayvex as rx
-import reference_fields as ref
-from strategies import near_facet, outside, placed_polygons, record_calls, region_interior
+from strategies import near_facet, outside, placed_polygons, record_calls, region_interior, same, working_points
 from rayvex import envelope as env
-from rayvex.functions import _eval_rows, fd_gradient
+from rayvex.functions import _eval_rows
 from rayvex.errors import (
     DimensionMismatch,
     GradientUnavailable,
@@ -302,51 +301,6 @@ class TestConvexityProperties:
 
 # -- the working field: anchor shift, offset and sign composed once -----------
 
-WORKING_ENTRIES = (rx.bilinear_neg(-1.0, -1.0, 2.0, 2.0), rx.reliability())
-WORKING_CASES = [  # (entry, anchor); each polytope contains its vector anchors, and all but fractional's the origin
-    (entry, anchor) for entry in WORKING_ENTRIES for anchor in ("none", "origin-shift", (0.3, 0.2))
-] + [
-    (entry, zero) for entry in WORKING_ENTRIES for zero in ((0.0, 0.0), (-0.0, 0.0))  # no add, as "origin-shift"
-] + [(rx.fractional(), (1.0, 0.0))]  # fractional's default anchor
-
-
-def _bits(values) -> list:
-    """Values as comparable bit patterns: every NaN alike, the sign of zero kept."""
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
-    return [None if np.isnan(x) else (float(x), bool(np.signbit(x))) for x in arr]
-
-
-def _working_points(entry) -> np.ndarray:
-    box = rx.validate(entry.default_polytope).coordinate_bounds
-    pts = np.random.default_rng(3).uniform(box[:, 0] - 0.5, box[:, 1] + 0.5, size=(60, 2))
-    zeros = np.array([[0.0, 0.0], [-0.0, 0.5], [0.5, -0.0], [-0.0, -0.0], [-0.3, 0.7]])
-    return np.vstack([pts, zeros])
-
-
-@pytest.mark.parametrize("sense", ["convex", "concave"])
-@pytest.mark.parametrize("entry, anchor", WORKING_CASES)
-def test_working_field_matches_the_shift_then_negate_chain(entry, anchor, sense):
-    model = env.build(entry.field, entry.default_polytope, sense=sense, anchor=anchor, run_certification=False)
-    t = np.zeros(2) if isinstance(anchor, str) else np.asarray(anchor, dtype=float)
-    chain = entry.field if anchor == "none" else ref.shift_field(entry.field, t)
-    if sense == "concave":
-        chain = ref.negate_field(chain)
-    base = 0.0 if anchor == "none" else entry.field.eval(t)
-    for p in _working_points(entry):
-        with np.errstate(all="ignore"):  # the chain's numpy grad warns outside the domain
-            got = (model.field.eval(p), model.field.gradient(p))
-            # the definition: f is called once, at p + t (at p itself for a zero t)
-            own = entry.field.eval(p + t if t.any() else p) - base
-            own_grad = entry.field.grad(p + t if t.any() else p)
-            if sense == "concave":
-                own, own_grad = -own, -own_grad
-            want = (chain.eval(p), chain.gradient(p))
-        assert _bits(got[0]) == _bits(own) and _bits(got[1]) == _bits(own_grad)
-        if t.any() or not np.any(np.signbit(p) & (p == 0.0)):
-            # the chain added a zero t, which turns -0.0 into +0.0; elsewhere the bits agree
-            assert _bits(got[0]) == _bits(want[0]), p
-            assert _bits(got[1]) == _bits(want[1]), p
-
 
 @pytest.mark.parametrize("sense", ["convex", "concave"])
 @pytest.mark.parametrize("anchor", ["none", "origin-shift", (0.3, 0.2)])
@@ -378,51 +332,18 @@ def test_build_evaluates_the_anchor_once(anchor, calls, sense):
 
 
 @pytest.mark.parametrize("sense", ["convex", "concave"])
-@pytest.mark.parametrize("entry, anchor", WORKING_CASES)
-def test_working_field_differentiates_a_field_without_grad(entry, anchor, sense):
-    # the finite-difference gradient probes the working field, which calls f once per probe
-    field = replace(entry.field, grad=None)
-    model = env.build(field, entry.default_polytope, sense=sense, anchor=anchor, run_certification=False)
-    assert model.field.grad is None
-    t = np.zeros(2) if isinstance(anchor, str) else np.asarray(anchor, dtype=float)
-    chain = field if anchor == "none" else ref.shift_field(field, t)
-    if sense == "concave":
-        chain = ref.negate_field(chain)
-    seen = []
-    object.__setattr__(field, "eval", lambda p: seen.append(p) or entry.field.eval(p))
-    for p in _working_points(entry):
-        del seen[:]
-        with np.errstate(all="ignore"):  # the chain's numpy forms warn outside the domain
-            try:
-                got = _bits(model.field.gradient(p))
-            except rx.errors.NonFiniteEvaluation:
-                got = None
-            assert len(seen) <= 4 and (got is None or len(seen) == 4)
-            try:
-                want = _bits(fd_gradient(chain, p))
-            except rx.errors.NonFiniteEvaluation:
-                want = None
-        if t.any() or not np.any(np.signbit(p) & (p == 0.0)):
-            assert got == want, p  # the chain adds a zero t, which turns a probe's -0.0 into +0.0
-
-
-@pytest.mark.parametrize("sense", ["convex", "concave"])
 @pytest.mark.parametrize("zero", [(0.0, 0.0), (-0.0, 0.0)])
 def test_a_zero_vector_anchor_shifts_nothing(zero, sense):
-    # f gets the working point itself, so a -0.0 coordinate reaches it as -0.0, as with "origin-shift"
-    entry = rx.reliability()  # f(0, 0) and f(-0, 0) are both +0.0, so the two models subtract the same base
+    # f gets the working point itself, so a -0.0 coordinate reaches it as -0.0, as with "origin-shift";
+    # test_equivalence.py holds both working fields to v -> s * (f(v) - f(0)) bit for bit
+    entry = rx.reliability()
     seen = []
     field = replace(entry.field, eval=lambda p: seen.append(p) or entry.field.eval(p))
     vector = env.build(field, entry.default_polytope, sense=sense, anchor=zero, run_certification=False)
-    shifted = env.build(
-        entry.field, entry.default_polytope, sense=sense, anchor="origin-shift", run_certification=False
-    )
     assert vector.polytope is entry.default_polytope
-    for p in _working_points(entry):
-        assert _bits(vector.field.eval(p)) == _bits(shifted.field.eval(p))
+    for p in working_points(entry):
+        vector.field.eval(p)
         assert seen[-1] is p
-        with np.errstate(all="ignore"):  # the analytic grad divides by zero at the origin
-            assert _bits(vector.field.gradient(p)) == _bits(shifted.field.gradient(p))
 
 
 @pytest.mark.parametrize("sense", ["convex", "concave"])
@@ -432,7 +353,7 @@ def test_working_gradient_accepts_a_list_returning_grad(sense):
     field = rx.ScalarField(2, entry.field.eval, grad=lambda p: entry.field.grad(p).tolist())
     model = env.build(field, entry.default_polytope, sense=sense, anchor=(0.3, 0.2), run_certification=False)
     p = np.array([0.2, 0.4])
-    assert _bits(model.field.gradient(p)) == _bits(model.sign * entry.field.grad(p + model.anchor))
+    assert same(model.field.gradient(p), model.sign * entry.field.grad(p + model.anchor), nan_alike=True)
 
 
 @settings(max_examples=30, deadline=None)  # about 1 example in 3 met the nan before the rule

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from strategies import bits
 
 import rayvex as rx
 from rayvex import envelope as env
 from rayvex.errors import NonFiniteEvaluation
-from rayvex.functions import fd_gradient
+from rayvex.functions import _eval_rows, fd_gradient
 
 
 class TestFdGradient:
@@ -34,25 +35,6 @@ def _shifted(field, polytope, anchor) -> env.EnvelopeModel:
 
 
 class TestShiftField:
-    def test_vanishes_at_zero(self):
-        entry = rx.bilinear_neg(0.25, 0.4, 1.5, 2.0)
-        shifted = _shifted(entry.field, entry.default_polytope, [0.25, 0.4]).field
-        assert shifted.eval(np.zeros(2)) == 0.0
-
-    def test_bilinear_anchor_formula(self):
-        lx, ly = 0.3, -0.2
-        entry = rx.bilinear_neg(-1, -1, 2, 2)
-        shifted = _shifted(entry.field, entry.default_polytope, [lx, ly]).field
-        p = np.array([0.5, 0.7])
-        expect = -(p[0] + lx) * (p[1] + ly) + lx * ly
-        assert shifted.eval(p) == pytest.approx(expect, abs=1e-15)
-
-    def test_fractional_anchor(self):
-        entry = rx.fractional()
-        shifted = _shifted(entry.field, entry.default_polytope, [1.0, 0.0]).field
-        p = np.array([0.4, 1.1])
-        assert shifted.eval(p) == pytest.approx(1.1 / 1.4, abs=1e-15)
-
     def test_round_trip_within_1e12(self):
         # shift(shift(f, a), -a) = f - f(0), so adding f(0) back restores f
         field = rx.ScalarField(2, lambda p: -p[0] * p[1] + 1.0)
@@ -172,3 +154,28 @@ def test_reliability_rejects_bad_bounds():
         rx.cobb_douglas(a1=-0.1)
     with pytest.raises(ValueError):
         rx.bilinear_neg(1, 0, 1, 1)
+
+
+NAN_POINTS = [  # catalog field, point where it is nan
+    *((field, point) for field in (rx.bilinear_neg().field, rx.reliability().field, rx.cubic_rational().field)
+      for point in ((math.nan, math.nan), (math.nan, 1.0), (1.0, math.nan))),
+    *((rx.cobb_douglas(*params).field, point)
+      for params in ((1.0, 1 / 3, 1 / 3, 1 / 3), (2.5, 0.2, 0.5, 0.3), (1.0, 5.0, 0.5, 0.5))
+      for point in ((0.0, -5e-324, math.nan), (math.nan, 1.0, 1.0), (1.0, -1.0, 1.0), (0.0, math.inf, 1.0))),
+]
+
+
+@pytest.mark.parametrize("field, point", NAN_POINTS)
+def test_catalog_fields_give_one_nan(field, point):
+    # numpy's power returned a NaN of either sign for the same input: at (0, -5e-324, nan) both sign
+    # bits over 3,000 calls in one process, and -nan at (1, -1, 1) every time; the planar column forms
+    # gave -x*y at (nan, nan) another sign than the float arithmetic
+    values = [field.eval(np.array(point)) for _ in range(300)]
+    assert {bits(v) for v in values} == {bits(math.nan)}
+    assert {bits(v) for v in _eval_rows(field, np.array([point] * 300))} == {bits(math.nan)}  # the column form
+
+
+def test_cubic_next_to_its_x0_facet_is_inf_without_a_warning():
+    # inside P, where the numpy-scalar form overflowed with a RuntimeWarning
+    # (an error under this suite's warning filters)
+    assert rx.cubic_rational().field.eval(np.array([5e-324, 1.5])) == math.inf

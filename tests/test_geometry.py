@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from strategies import SLAB, bits, cut_boxes, record_calls
+from strategies import KERNEL_POLYTOPES, SLAB, TRIANGLE, bits, cut_boxes, record_calls
 
 import rayvex as rx
 from rayvex.errors import (
@@ -22,11 +22,6 @@ from rayvex.errors import (
 from rayvex.geometry import polygon_area
 
 UNIT_BOX = rx.Polytope.box([0.0, 0.0], [1.0, 1.0])
-# triangle conv{(1,0), (0,1), (1,1)}
-TRIANGLE = rx.Polytope.from_inequalities(
-    [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
-    [-1.0, 1.0, 1.0],
-)
 
 
 class TestValidate:
@@ -382,83 +377,7 @@ def test_polytope_labels_survive_round_trip(tmp_path):
     assert loaded.label(0) == "x1<=1"
 
 
-# -- the batched ray kernel ------------------------------------------------------
-
-
-KERNEL_POLYTOPES = [entry.default_polytope for entry in rx.catalog()] + [
-    UNIT_BOX,
-    SLAB,
-    TRIANGLE,
-    rx.Polytope.box([1.0, 1.0], [2.0, 2.0]),
-    rx.catalog()[1].default_polytope.translate([1.0, 0.0]),  # fractional, working coordinates: b = 0 facets
-    rx.Polytope.box([1.0, 1.0], [1.0 + 1e-8, 2.0]),  # thin: traces span 1e-8 of alpha at unit scale
-]
-
-
-def _ray_candidates(poly, rng):
-    """Interior points, vertices (ties), facet points, near-vertex and random directions."""
-    verts = rx.vertices(poly)
-    near = np.repeat(verts, 3, axis=0)
-    near = near * (1.0 + rng.choice([-1.0, 1.0], size=near.shape) * 10.0 ** rng.uniform(-16, -8, size=near.shape))
-    edges = [
-        w1 + rng.uniform() * (w2 - w1)
-        for w1, w2 in zip(verts, np.roll(verts, 1, axis=0))
-    ]
-    return np.vstack(
-        [
-            rx.sample_interior(poly, int(rng.integers(1000)), 20),
-            verts,
-            np.array(edges),
-            near,
-            rng.dirichlet(np.ones(len(verts)), size=10) @ verts,
-            rng.normal(size=(20, poly.dim)) * 3.0,
-        ]
-    )
-
-
-def _assert_rows_match(poly, rows):
-    batch = rx.ray_intersect_batch(poly, rows)
-    v_minus, v_plus = batch.v_minus, batch.v_plus
-    for r, v in enumerate(rows):
-        trace = rx.ray_intersect(poly, v)
-        assert bits(batch.alpha_minus[r]) == bits(trace.alpha_minus)
-        assert bits(batch.alpha_plus[r]) == bits(trace.alpha_plus)
-        assert bits(batch.alpha_v[r]) == bits(trace.alpha_v)
-        assert batch.in_facet[r] == (-1 if trace.in_facet is None else trace.in_facet)
-        assert batch.out_facet[r] == trace.out_facet
-        assert batch.degenerate[r] == trace.degenerate
-        assert bits(v_minus[r]) == bits(trace.v_minus)
-        assert bits(v_plus[r]) == bits(trace.v_plus)
-
-
-def _scalar_outcome(poly, v):
-    try:
-        rx.ray_intersect(poly, v)
-    except rx.errors.RayvexError as exc:
-        return type(exc)
-    return None
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.one_of(
-        st.sampled_from(KERNEL_POLYTOPES),
-        # two cuts, every row rescaled: rows with inexact a.v sums, in 2-4-D
-        cut_boxes(cuts=2, permute=False).map(lambda case: rx.Polytope.from_inequalities(case[0], case[1])),
-    ),
-    st.integers(0, 2**32 - 1),
-)
-def test_batch_kernel_matches_scalar_bit_for_bit(poly, seed):
-    rng = np.random.default_rng(seed)
-    rows = _ray_candidates(poly, rng)
-    # short rows, whose ratios may overflow: the batch hands those to ray_intersect
-    rows = np.vstack([rows, np.ldexp(rows, rng.integers(-1080, -1019, size=(len(rows), 1)))])
-    outcomes = [_scalar_outcome(poly, v) for v in rows]
-    _assert_rows_match(poly, rows[[o is None for o in outcomes]])
-    for v, outcome in zip(rows, outcomes):
-        if outcome is not None:  # a rejected row makes the batch raise the scalar error
-            with pytest.raises(outcome):
-                rx.ray_intersect_batch(poly, np.vstack([rows[0] if outcomes[0] is None else v, v]))
+# -- the batched ray kernel (its rows against ray_intersect: test_equivalence.py) --
 
 
 def test_batch_kernel_reports_first_failing_row():
@@ -473,14 +392,6 @@ def test_batch_kernel_reports_first_failing_row():
     assert rx.ray_intersect_batch(UNIT_BOX, np.zeros((0, 2))).out_facet.shape == (0,)
 
 
-def test_batch_kernel_overflows_to_inf_without_a_warning():
-    """b / (a.v) and alpha_v may overflow, as the scalar kernel's float division does; numpy warned there."""
-    short = rx.ray_intersect_batch(UNIT_BOX, [[0.0, 2.2e-311]])  # 1 / 2.2e-311 is inf, traced at 2^k v
-    assert (short.alpha_plus[0], short.out_facet[0], short.v_plus[0].tolist()) == (math.inf, 2, [0.0, 1.0])
-    thin = rx.Polytope.box([0.0, -1.1125369292536007e-308], [1.0, 1.0])
-    _assert_rows_match(thin, np.array([[3.883676458323351, -2.2638173737797933]]))  # alpha_v = -1 / 4.9e-309
-
-
 def test_short_direction_is_traced_by_every_entry_point():
     # every exit ratio 1 / (a.v) overflows at v; the ray through 2^k v leaves through y <= 1 at (0, 1)
     v = np.array([0.0, 2.2e-311])
@@ -488,7 +399,6 @@ def test_short_direction_is_traced_by_every_entry_point():
     assert (trace.in_facet, trace.out_facet, trace.alpha_plus) == (None, 2, math.inf)
     assert (trace.v_minus.tolist(), trace.v_plus.tolist(), trace.alpha_v) == ([0.0, 0.0], [0.0, 1.0], 1.0)
     assert bits(trace.v) == bits(v)  # v itself, not 2^k v
-    _assert_rows_match(UNIT_BOX, np.array([[0.5, 0.5], v]))
     seen = []
     field = rx.ScalarField(2, lambda x: seen.append(x.tolist()) or float(x[1]))
     model = rx.build(field, UNIT_BOX, anchor="none", run_certification=False)

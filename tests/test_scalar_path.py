@@ -1,82 +1,25 @@
-"""The lean scalar point path: bit for bit its reference, byte for byte its CLI rows, no warning on
-non-finite points, and the call structure the benchmark's tracer counts."""
+"""The lean scalar point path: its result type, no warning on non-finite points, and the call
+structure the benchmark's tracer counts.  ``test_equivalence.py`` holds it to its reference."""
 
 import importlib.util
 import json
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rayvex as rx
-import reference_evaluators as ref
-from strategies import bits, band_cases, near_facet, non_finite_points, polytopes
+from strategies import non_finite_points, polytopes
 from rayvex import cli
 from rayvex import envelope as env
 from rayvex import geometry
 from rayvex.errors import PointOutsideDomain, PointOutsidePolytope
-from rayvex.geometry import lattice
-
-# the evaluators read only this status, so the models drawn here need no certification run
-HOMOGENEOUS = SimpleNamespace(positively_homogeneous=SimpleNamespace(status="pass"), all_passed=False)
-
-
-def _wave(p):
-    return float(np.sin(p).sum() + p[0] * p[-1])
-
-
-def _wave_grad(p):
-    g = np.cos(p)
-    g[0] += p[-1]
-    g[-1] += p[0]
-    return g
-
-
-FIELDS = {  # defined on all of R^n: with and without an analytic gradient (finite differences)
-    "wave": lambda n: rx.ScalarField(n, _wave, grad=_wave_grad, name="wave"),
-    "wave-fd": lambda n: rx.ScalarField(n, _wave, name="wave-fd"),
-}
-
-
-def _same(a, b) -> bool:
-    """Equal bit for bit: arrays and floats by their bytes, traces and results field by field."""
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return (
-            isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-            and a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-        )
-    if isinstance(a, float) and not isinstance(a, bool):
-        return type(b) is float and bits(a) == bits(b)
-    if isinstance(a, rx.RegionId):
-        return type(b) is rx.RegionId and (a.in_facet, a.out_facet) == (b.in_facet, b.out_facet)
-    return type(a) is type(b) and a == b
-
-
-def _outcome(fn, *args):
-    try:
-        return "value", fn(*args)
-    except Exception as exc:  # noqa: BLE001 - the error itself is compared
-        return "raise", (type(exc), str(exc))
-
 
 RESULT_FIELDS = ("value", "trace", "region", "tight", "f")
-
-
-def _eval_fields(model, x):
-    result = env.eval(model, x)
-    return tuple(getattr(result, name) for name in RESULT_FIELDS)
-
-
-EVALUATORS = [(_eval_fields, ref.eval), (env.value, lambda m, x: ref.eval(m, x)[0]),
-              (env.eval_homogeneous, ref.eval_homogeneous), (env.gradient, ref.gradient)]
 
 
 def test_eval_returns_a_named_tuple_with_shared_region_ids(catalog_models):
@@ -85,102 +28,6 @@ def test_eval_returns_a_named_tuple_with_shared_region_ids(catalog_models):
     assert isinstance(first, tuple) and type(first)._fields == RESULT_FIELDS
     assert first.region == rx.RegionId(None, 2) and first.region is second.region
     assert rx.region_of(model.polytope, np.array([0.2, 0.9])) is first.region
-
-
-def _assert_matches_reference(model, x):
-    for new, old in EVALUATORS:
-        got, want = _outcome(new, model, x), _outcome(old, model, x)
-        assert got[0] == want[0] and _same(got[1], want[1]), (new.__name__, x.tolist(), got, want)
-
-
-def _degenerate_direction(polytope, vertex, s):
-    """d such that the line through vertex along d meets P only there, and o = vertex - s d.
-
-    For two facets i, j active at the vertex, d = u_i - u_j (unit normals) has u_i.d > 0 and
-    u_j.d < 0, so the line leaves P on both sides of the vertex.
-    """
-    active = np.flatnonzero(np.abs(polytope.matrix @ vertex - polytope.offsets) <= 1e-9)
-    u = polytope.matrix[active[:2]] / np.linalg.norm(polytope.matrix[active[:2]], axis=1)[:, None]
-    d = u[0] - u[1]
-    return vertex - s * d
-
-
-POINT_KINDS = ("interior", "facet", "vertex", "anchor", "degenerate", "outside")
-
-
-def _draw_point(data, model, kind):
-    """A point of the given kind in the model's original coordinates."""
-    verts = rx.vertices(model.polytope)
-    if kind == "interior":
-        w = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(verts), max_size=len(verts))))
-        v = w @ verts / w.sum()
-    elif kind == "facet":
-        v = data.draw(near_facet(model.polytope, moves=("on",)))
-    elif kind in ("vertex", "degenerate"):  # each vertex ray of cobb-douglas's box but two is degenerate
-        v = verts[data.draw(st.integers(0, len(verts) - 1))]
-    elif kind == "anchor":
-        v = np.zeros(model.polytope.dim)
-    else:
-        v = verts[data.draw(st.integers(0, len(verts) - 1))] * data.draw(st.floats(1.01, 3.0))
-    return model.anchor + v
-
-
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_catalog_evaluators_match_the_reference_bit_for_bit(catalog_models, data):
-    # anchored (bilinear, fractional), concave (reliability), origin outside (cubic), 3-D with
-    # degenerate vertex rays (cobb-douglas)
-    _, model = catalog_models[data.draw(st.sampled_from(sorted(catalog_models)))]
-    x = _draw_point(data, model, data.draw(st.sampled_from(POINT_KINDS)))
-    _assert_matches_reference(model, x)
-
-
-@settings(max_examples=50, deadline=None)
-@given(data=st.data(), case=polytopes())
-def test_drawn_models_match_the_reference_bit_for_bit(data, case):
-    polytope, centre = case
-    kind = data.draw(st.sampled_from(POINT_KINDS))
-    field = FIELDS[data.draw(st.sampled_from(sorted(FIELDS)))](polytope.dim)
-    sense = data.draw(st.sampled_from(["convex", "concave"]))
-    if kind == "degenerate":
-        # the origin on a line that touches P only at one vertex
-        verts = rx.vertices(polytope)
-        vertex = verts[data.draw(st.integers(0, len(verts) - 1))]
-        origin = _degenerate_direction(polytope, vertex, data.draw(st.floats(0.5, 2.0)))
-        polytope, anchor = polytope.translate(origin), "none"
-    else:
-        anchor = data.draw(st.sampled_from(["none", "centre"]))
-        anchor = centre if anchor == "centre" else anchor
-    model = env.build(field, polytope, sense=sense, anchor=anchor, run_certification=False)
-    model = replace(model, certification=HOMOGENEOUS)
-    if kind == "degenerate":
-        x = vertex - origin
-        assume(ref.locate(model.polytope, x).degenerate)  # a second facet within 1e-9 of the vertex can leave a sliver
-    else:
-        x = _draw_point(data, model, kind)
-    _assert_matches_reference(model, x)
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=band_cases())
-def test_ray_kernel_matches_the_reference_bit_for_bit(case):
-    # points near facets, in the band, along rescaled and subnormal rays
-    polytope, v = case
-    for new, old in ((rx.ray_intersect, ref.ray_intersect), (geometry.locate, ref.locate)):
-        got, want = _outcome(new, polytope, v), _outcome(old, polytope, v)
-        assert got[0] == want[0] and _same(got[1], want[1]), (new.__name__, v.tolist(), got, want)
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_facet_products_match_the_column_sums(data):
-    # 2-D and 3-D are written out per row; the other dimensions take the column loop
-    # generic floats (hypothesis favours round ones, whose sums rarely round differently), rows at 10^[-300, 300]
-    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 8))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    rows = (rng.uniform(-1.0, 1.0, (m, n)) * 10.0 ** rng.uniform(-300.0, 300.0, (m, 1))).tolist()
-    coords = rng.uniform(-10.0, 10.0, n).tolist()
-    assert bits(geometry._facet_products(rows, coords)) == bits(ref._facet_products(rows, coords))
 
 
 # -- non-finite points ------------------------------------------------------------
@@ -235,67 +82,6 @@ def test_cli_eval_omits_a_non_finite_point_silently(point, capsys):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert json.loads(out)["omitted"] == 1
-
-
-# -- CLI rows ------------------------------------------------------------------------
-
-
-def _cubic_polytope_file(tmp_path) -> str:
-    # cubic's domain cut at y <= 1.5: the lattice still meets the x = 0 facet, where f is inf
-    path = tmp_path / "cubic.json"
-    rx.Polytope.from_inequalities(
-        [[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [1.0, 1.0], [0.0, 1.0]], [0.0, 0.0, -1.0, 2.0, 1.5]
-    ).save(path)
-    return str(path)
-
-
-WRITER_CASES = {
-    # interior, anchor (empty region cells), outside (omitted), vertex, facet
-    "eval-2d": ["eval", "--function", "bilinear", "--point", "0.3,0.6", "--point", "0,0", "--point", "2,2",
-                "--point", "1,1", "--point", "1,0.25"],
-    "eval-3d": ["eval", "--function", "cobb-douglas", "--point", "1.3,1.5,1.7", "--point", "1,2,1",
-                "--point", "0.5,1,1", "--point", "2,2,2"],
-    "eval-all-omitted": ["eval", "--function", "reliability", "--point", "5,5", "--point=-1,0.5"],
-    "grid-origin-inside": ["grid", "--function", "reliability", "--resolution", "6"],  # anchor row at (0, 0)
-    "grid-omitted": ["grid", "--function", "fractional", "--resolution", "7"],
-    "grid-inf-nan": ["grid", "--function", "cubic", "--resolution", "5"],
-    "grid-polytope-file": ["grid", "--function", "cubic", "--resolution", "7", "--polytope", None],
-    "grid-3d": ["grid", "--function", "cobb-douglas", "--resolution", "3"],
-}
-
-
-def _reference_output(argv, capsys) -> str:
-    """What the old row writer prints for argv, on the model and points the command builds."""
-    args = cli._build_parser().parse_args(argv)
-    model, entry = cli._model_from_args(args)
-    if args.command == "eval":
-        points = [np.array([float(c) for c in raw.split(",")]) for raw in args.point]
-        payload = {"command": "eval", "function": entry.name}
-    else:
-        points = lattice(model.validation.coordinate_bounds + model.anchor[:, None], args.resolution)
-        payload = {"command": "grid", "function": entry.name, "resolution": args.resolution}
-    rows, omitted = ref.point_rows(model, points)
-    ref.emit_rows(payload, rows, omitted, args)
-    return capsys.readouterr().out
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("case", sorted(WRITER_CASES))
-def test_row_writer_prints_the_reference_bytes(case, fmt, capsys, tmp_path):
-    argv = [_cubic_polytope_file(tmp_path) if arg is None else arg for arg in WRITER_CASES[case]]
-    argv += ["--format", fmt, "--budget", "300"]
-    assert cli.main(argv) == 0
-    out = capsys.readouterr().out
-    assert out == _reference_output(argv, capsys)
-    if fmt == "csv":
-        cells = [line.split(",") for line in out.splitlines()[1:-1]]
-        if case.startswith("grid-inf") or case.startswith("grid-polytope"):
-            g_cells = {row[3] for row in cells}  # x1, x2, f, g, ...
-            assert "inf" in g_cells and "nan" not in g_cells  # x = 0, where f is inf: 0 * inf adds 0
-        if case == "grid-origin-inside":
-            assert ["", ""] in [row[-2:] for row in cells]  # the anchor row
-        if case == "eval-all-omitted":
-            assert out == "# omitted=2\n"
 
 
 # -- the call structure the benchmark traces -----------------------------------------

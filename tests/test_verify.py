@@ -1,5 +1,7 @@
 """Hypothesis certifiers, the sampled-envelope oracle, and determinism."""
 
+import re
+
 import numpy as np
 import pytest
 from reference_fields import negate_field
@@ -7,7 +9,8 @@ from strategies import brute_force_optimum, hull_lp
 
 import rayvex as rx
 from rayvex import envelope as env
-from rayvex.errors import InfeasibleLP
+from rayvex import verify
+from rayvex.errors import InfeasibleLP, InvalidInput
 
 UNIT_BOX = rx.Polytope.box([0.0, 0.0], [1.0, 1.0])
 
@@ -167,6 +170,13 @@ class TestOracle:
         with pytest.raises(InfeasibleLP):
             rx.oracle_eval(oracle, [-1.5, -1.5])
 
+    @pytest.mark.parametrize("density", [-1, -(10**11), 316, 10**20])  # -10^11 ran a vertices-only oracle
+    def test_a_density_out_of_range_is_rejected_before_any_evaluation(self, density):
+        message = (f"grid density must be at least 0, got {density}" if density < 0
+                   else f"grid density {density} gives more than 100000 oracle lattice points in 2-D")
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            rx.oracle_build(_field(lambda p: pytest.fail("evaluated past a size check")), UNIT_BOX, grid_density=density)
+
     def test_bilinear_vertex_oracle_value(self):
         field = _field(lambda p: -p[0] * p[1])
         oracle = rx.oracle_build(field, UNIT_BOX, grid_density=0)
@@ -208,13 +218,15 @@ class TestOracle:
 
 
 class TestCertify:
-    @pytest.mark.parametrize("budget", [0, -3])
-    def test_non_positive_budget_is_rejected(self, budget):
+    @pytest.mark.parametrize("budget, message", [(0, "at least 1"), (-3, "at least 1"), (10**6 + 1, "at most 1000000"),
+                                                 (10**20, "at most 1000000")])  # 10^20: numpy's bare ValueError
+    def test_a_budget_out_of_range_is_rejected_before_anything_is_drawn(self, budget, message, monkeypatch):
         entry = rx.cubic_rational()
         model = env.build(entry.field, entry.default_polytope, anchor="none", run_certification=False)
-        with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+        monkeypatch.setattr(verify, "sample_interior", lambda *args: pytest.fail("drew samples past a budget check"))
+        with pytest.raises(InvalidInput, match=f"^certification budget must be {message}, got {budget}$"):
             rx.certify(model, budget=budget)
-        with pytest.raises(ValueError, match="budget must be at least 1"):
+        with pytest.raises(InvalidInput, match=f"budget must be {message}"):
             env.build(entry.field, entry.default_polytope, anchor="none", budget=budget)
 
     def test_reports_are_bit_identical(self):

@@ -13,20 +13,13 @@ import json
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from strategies import hull_lp, oracle_query_runs, record_calls
+from strategies import hull_lp, oracle_query_runs, record_calls, same
 
 import rayvex as rx
 from rayvex import cli, simplex, verify
 from rayvex.errors import InfeasibleLP, NumericalBreakdown
 from rayvex.geometry import lattice
 from rayvex.simplex import CertifiedBases, solve_lp
-
-
-def _same(res, want):
-    assert res.status == want.status
-    assert res.pivots == want.pivots and res.basis == want.basis
-    assert res.objective == want.objective
-    assert (res.x is None and want.x is None) or res.x.tobytes() == want.x.tobytes()
 
 
 @pytest.fixture
@@ -78,7 +71,7 @@ def test_a_singular_start_goes_cold(cold_calls):
     assert np.linalg.matrix_rank(a[:, on_a_line]) == 2
     for start in (on_a_line, (0, 0, 10), (0, 10), (0, 10, len(c))):
         del cold_calls[:]
-        _same(solve_lp(c, a, b, start=start), solve_lp(c, a, b))
+        assert same(solve_lp(c, a, b, start=start), solve_lp(c, a, b))
         assert len(cold_calls) == 2
 
 
@@ -87,7 +80,7 @@ def test_a_dual_infeasible_start_goes_cold(cold_calls):
     # the strictly convex field puts interior points below its plane
     c, a, _, b = _fallback_case()
     del cold_calls[:]
-    _same(solve_lp(c, a, b, start=(0, 8, 72)), solve_lp(c, a, b))
+    assert same(solve_lp(c, a, b, start=(0, 8, 72)), solve_lp(c, a, b))
     assert len(cold_calls) == 2
 
 
@@ -99,7 +92,7 @@ def test_the_pivot_limit_sends_the_walk_cold(cold_calls, monkeypatch):
     walked = solve_lp(c, a, b_next, start=start)
     assert walked.pivots >= 1 and not cold_calls
     monkeypatch.setattr(simplex, "DUAL_PIVOT_LIMIT", walked.pivots - 1)
-    _same(solve_lp(c, a, b_next, start=start), solve_lp(c, a, b_next))
+    assert same(solve_lp(c, a, b_next, start=start), solve_lp(c, a, b_next))
     assert len(cold_calls) == 2
 
 
@@ -109,7 +102,7 @@ def test_a_start_beyond_the_dual_reach_goes_cold(cold_calls, monkeypatch):
     basics = np.linalg.solve(a[:, list(start)], b)
     assert basics.min() < -simplex.DUAL_REACH
     del cold_calls[:]
-    _same(solve_lp(c, a, b, start=start), solve_lp(c, a, b))
+    assert same(solve_lp(c, a, b, start=start), solve_lp(c, a, b))
     assert len(cold_calls) == 2
 
 
@@ -131,7 +124,7 @@ def test_a_breakdown_sends_the_walk_cold(cold_calls, monkeypatch):
     res = solve_lp(c, a, b_next, start=start)
     assert broken and len(cold_calls) == 1
     monkeypatch.setattr(simplex, "_pivot", pivot)
-    _same(res, solve_lp(c, a, b_next))
+    assert same(res, solve_lp(c, a, b_next))
 
 
 def test_an_infeasible_query_gets_the_cold_status(cold_calls):
@@ -253,7 +246,7 @@ def test_a_certified_set_gives_the_cold_answers_and_the_same_bits_twice(case):
     first = _certified_run(oracle, queries)
     _assert_cold_answers(oracle, queries, first)
     for res, again in zip(first, _certified_run(oracle, queries)):
-        _same(again, res)
+        assert same(again, res)
 
 
 def test_a_certified_basis_answers_with_no_pivot_and_no_tableau(cold_calls, monkeypatch):
