@@ -86,18 +86,22 @@ def _working_field(field: ScalarField, shift, base: float, sign: float) -> Scala
     once, evaluates f through ``_eval_rows`` (f's column form, or one
     ``field.eval`` per row, in row order, looked up when the batch runs) and
     applies sign and base once to the (k,) values, with the scalar closure's
-    bits.
+    bits.  Both return a NaN as ``math.nan``, since float and numpy
+    arithmetic do not give a NaN the same sign.
     """
     if shift is None and sign == 1.0 and base == 0.0 and math.copysign(1.0, base) == 1.0:
         return field  # f - (-0.0) would turn an f of -0.0 into +0.0
 
     def value(p):
-        return sign * (float(field.eval(p if shift is None else p + shift)) - base)
+        out = sign * (float(field.eval(p if shift is None else p + shift)) - base)
+        return out if out == out else math.nan
 
     def rows(points):
         values = _eval_rows(field, points if shift is None else points + shift)
         with np.errstate(all="ignore"):  # inf - inf and overflow, silent as in the float arithmetic above
-            return sign * (values - base)
+            values = sign * (values - base)
+        values[np.isnan(values)] = math.nan
+        return values
 
     def grad(p):
         out = np.asarray(field.grad(p if shift is None else p + shift), dtype=float)
