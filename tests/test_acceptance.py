@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import rayvex as rx
 from rayvex import envelope as env

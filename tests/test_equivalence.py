@@ -1,8 +1,8 @@
 """Every fast path against its reference, in one table.
 
 A ``Row`` names a fast path, the reference it must reproduce, how their
-results compare, a strategy with its example count, and special cases.  A
-case is a tuple of arguments for both.  The comparisons (``strategies.same``):
+results compare, a strategy with its example count, and named special cases.
+A case is a tuple of arguments for both.  The comparisons (``strategies.same``):
 
 - ``bits``: floats and arrays by their bytes, containers item by item, and
   a raised error by its type and message;
@@ -12,9 +12,9 @@ case is a tuple of arguments for both.  The comparisons (``strategies.same``):
   case's last item, each a 1-D float64 row; against a reference that loops
   over the rows, that is one call per row, in order.
 
-One property draws every row's cases and one sweep runs its special cases,
-fast paths with every warning an error and references with numpy's warnings
-silenced.  A new fast path registers by adding a row to ``TABLE``.
+One property draws every row's cases and one sweep runs its special cases, a test
+per name, fast paths with every warning an error and references with numpy's
+warnings silenced.  A new fast path registers by adding a row to ``TABLE``.
 """
 
 import contextlib
@@ -57,7 +57,7 @@ class Row:
     compare: str  # "bits", "nan", "json" or "calls"
     strategy: st.SearchStrategy | None = None  # cases for the property
     max_examples: int = 0
-    specials: Callable[[], Iterable[tuple]] | None = None  # cases for the sweep
+    specials: Callable[[], Iterable[tuple[str, tuple]]] | None = None  # (name, case) pairs for the sweep
 
 
 def _outcome(fn, *args):
@@ -223,8 +223,8 @@ def _batch_traces(poly, rows):
 def _kernel_specials():
     # b / (a.v) and alpha_v overflow, as the scalar kernel's float division does; numpy warned there
     thin = rx.Polytope.box([0.0, -1.1125369292536007e-308], [1.0, 1.0])
-    yield thin, np.array([[3.883676458323351, -2.2638173737797933]])  # alpha_v = -1 / 4.9e-309
-    yield rx.Polytope.box([0.0, 0.0], [1.0, 1.0]), np.array([[0.5, 0.5], [0.0, 2.2e-311]])  # row 1: 1 / (a.v) is inf
+    yield "thin-box", (thin, np.array([[3.883676458323351, -2.2638173737797933]]))  # alpha_v = -1 / 4.9e-309
+    yield "short-ray", (rx.Polytope.box([0.0, 0.0], [1.0, 1.0]), np.array([[0.5, 0.5], [0.0, 2.2e-311]]))  # row 1: 1/(a.v) = inf
 
 
 # -- bulk field evaluation -----------------------------------------------------
@@ -276,14 +276,14 @@ def _numpy_scalar_form(name, coords, container):
 def _forms_on_specials(names, dim, containers):
     """Every name on every dim-tuple of SPECIAL values, in each container."""
     for name, coords, container in itertools.product(names, itertools.product(SPECIAL, repeat=dim), containers):
-        yield name, list(coords), container
+        yield name, (name, list(coords), container)
 
 
 def _column_specials():
     # one batch: nan, infinities, signed zeros, subnormal and huge coordinates in every slot
-    for field in BATCHED.values():
-        yield field, np.array(list(itertools.product(SPECIAL, repeat=field.dim)))
-        yield field, np.empty((0, field.dim))
+    for name, field in BATCHED.items():
+        yield name, (field, np.array(list(itertools.product(SPECIAL, repeat=field.dim))))
+        yield name, (field, np.empty((0, field.dim)))
 
 
 def _recording(evaluate, seen, wraps=False):
@@ -300,25 +300,24 @@ def _call_cases():
     """(field, points, seen) with seen recording the calls of a replaced or wrapped eval."""
     entry = rx.reliability()
     for sense, anchor in itertools.product(SENSES, ["none", "origin-shift", (0.3, 0.2), (-0.0, 0.0)]):
-        # f's eval replaced in place after build, as a tracer does: the row form looks it up per batch
+        # f's eval replaced in place after build, as a tracer does: the row form looks it up per batch; list rows reach f as float64
         field, seen = replace(entry.field), []
         model = env.build(field, entry.default_polytope, sense=sense, anchor=anchor, run_certification=False)
         object.__setattr__(field, "eval", _recording(entry.field.eval, seen))
-        yield model.field, [[0.2, 0.4], [-0.0, 0.5], [0.7, 0.1], [0.2, 0.4]], seen  # a list reaches f as float64 rows
+        yield f"traced-{anchor}-{sense}".replace(" ", ""), (model.field, [[0.2, 0.4], [-0.0, 0.5], [0.7, 0.1], [0.2, 0.4]], seen)
     # a working eval replaced (replace drops the row form) or wrapped (functools.wraps copies it)
     for entry, sense, wraps in ((rx.bilinear_neg(-1.0, -1.0, 2.0, 2.0), "concave", False), (entry, "convex", True)):
-        model = env.build(entry.field, entry.default_polytope, sense=sense, anchor=(0.5, 0.25), run_certification=False)
-        seen = []
+        model, seen = env.build(entry.field, entry.default_polytope, sense=sense, anchor=(0.5, 0.25), run_certification=False), []
         working = replace(model.field, eval=_recording(model.field.eval, seen, wraps))
-        yield working, np.array([[0.1, 0.2], [0.3, -0.4], [1.0, 1.5]]), seen
-        yield working, np.empty((0, 2)), seen
+        for points in (np.array([[0.1, 0.2], [0.3, -0.4], [1.0, 1.5]]), np.empty((0, 2))):
+            yield "working-" + ("wrapped" if wraps else "replaced"), (working, points, seen)
     # a catalog eval wrapped by functools.wraps, put in by replace or in place: the form is not the wrapper's
-    for field in BATCHED.values():
+    for name, field in BATCHED.items():
         seen = []
         wrapped, in_place = _recording(field.eval, seen, wraps=True), replace(field)
         object.__setattr__(in_place, "eval", wrapped)
         for holder in (replace(field, eval=wrapped), in_place):
-            yield holder, np.array(list(itertools.product((0.5, 1.5, 2.0), repeat=field.dim))), seen
+            yield f"wrapped-{name}", (holder, np.array(list(itertools.product((0.5, 1.5, 2.0), repeat=field.dim))), seen)
 
 
 # -- the working field ---------------------------------------------------------
@@ -361,7 +360,7 @@ def _working_cases(reference):
             other.append(_definition(field, t, base, model.sign) if reference == "definition" else _chain(field, t, anchor, sense))
         for p in working_points(entry):
             if reference == "definition" or t.any() or not np.any(np.signbit(p) & (p == 0.0)):
-                yield tuple(working), tuple(other), p
+                yield f"{entry.name}-{anchor}-{sense}".replace(" ", ""), (tuple(working), tuple(other), p)
 
 
 # -- the certification checks --------------------------------------------------
@@ -388,10 +387,10 @@ def _failing_model(fn, polytope):
 
 
 def _certify_cases():
-    for (_, model), seed in itertools.product(catalog_models(False).values(), (0, 1, 7)):
-        yield model, 2000, seed
-    for fn, polytope in FAILING_FIELDS:
-        yield _failing_model(fn, polytope), 600, 3
+    for (name, (_, model)), seed in itertools.product(catalog_models(False).items(), (0, 1, 7)):
+        yield f"{name}-{seed}", (model, 2000, seed)
+    for k, (fn, polytope) in enumerate(FAILING_FIELDS):
+        yield f"failing-{k}", (_failing_model(fn, polytope), 600, 3)
 
 
 def _certify_checks(model, budget, seed):
@@ -430,8 +429,8 @@ COROLLARY_CASES = {  # name -> (field, polytope, sense, the check's status)
 
 
 def _corollary_cases():
-    for (field, polytope, sense, _), seed in itertools.product(COROLLARY_CASES.values(), (0, 3)):
-        yield field, polytope, sense, seed
+    for (name, (field, polytope, sense, _)), seed in itertools.product(COROLLARY_CASES.items(), (0, 3)):
+        yield f"{name}-{seed}", (field, polytope, sense, seed)
 
 
 TABLE = [
@@ -446,7 +445,7 @@ TABLE = [
     Row("batch-membership", _batch_membership, _point_membership, "bits", near_facet_batches(), 150),
     Row("facet-dots", _facet_dot_rows, _facet_product_rows, "bits", near_facet_batches(), 150),
     Row("row-writer", _printed(_cli), _printed(_reference_writer), "bits",
-        specials=lambda: itertools.product(sorted(WRITER_CASES), ("csv", "json"))),
+        specials=lambda: (("-".join(case), case) for case in itertools.product(sorted(WRITER_CASES), ("csv", "json")))),
     # catalog and other polytopes, or two cuts with every row rescaled: inexact a.v sums, in 2-4-D
     Row("batch-kernel", _batch_traces, _scalar_traces, "bits", st.builds(_kernel_case, st.one_of(
         st.sampled_from(KERNEL_POLYTOPES),
@@ -489,9 +488,12 @@ def test_fast_path_matches_its_reference(row):
     holds()
 
 
-@pytest.mark.parametrize("row", [row for row in TABLE if row.specials is not None], ids=lambda row: row.name)
-def test_special_values_match_the_reference(row):
-    for case in row.specials():
+@pytest.mark.parametrize("row, cases", [  # a test per name; each row yields a name's cases in a run
+    pytest.param(row, [case for _, case in named], id=f"{row.name}/{name}")
+    for row in TABLE if row.specials is not None for name, named in itertools.groupby(row.specials(), lambda nc: nc[0])
+])
+def test_special_values_match_the_reference(row, cases):
+    for case in cases:
         _check(row, case)
 
 
