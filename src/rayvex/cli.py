@@ -4,8 +4,9 @@ Machine-readable output goes to --out (or stdout); diagnostics go to stderr.
 Exit codes: 0 success, 1 usage/IO error, 2 hypothesis or sandwich failure.
 Size flags have upper caps, checked before anything of that size is built:
 --budget at most MAX_BUDGET samples, --resolution at most MAX_LATTICE_POINTS
-lattice points (resolution^dim), --density at most MAX_ORACLE_POINTS oracle
-lattice points ((density + 1)^dim, the columns of each oracle LP).
+lattice points (resolution^dim), --density at least 0 and at most
+MAX_ORACLE_POINTS oracle lattice points ((density + 1)^dim, the columns of
+each oracle LP).
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ import numpy as np
 from . import envelope as env
 from .errors import DimensionMismatch, InvalidInput, RayvexError
 from .functions import CATALOG_BUILDERS, CatalogEntry, catalog
-from .geometry import Polytope, enumerate_regions_2d, lattice
+from .geometry import MAX_LATTICE_POINTS, Polytope, enumerate_regions_2d, lattice
 from .verify import DEFAULT_BUDGET, MAX_BUDGET, MAX_ORACLE_POINTS, oracle_build, oracle_eval
 
-MAX_LATTICE_POINTS = 10**6
 _SHORTHANDS = ("lx", "ly", "ux", "uy", "A", "a1", "a2", "a3", "l", "u")
 _PARAM_ALIASES = {"A": "scale", "l": "lower", "u": "upper"}
 
@@ -118,13 +118,18 @@ def _model_from_args(args):
 
 
 def _check_sizes(args, dim: int) -> None:
-    """Reject a size flag past its cap; a lattice has resolution^dim points, the oracle's (density + 1)^dim."""
+    """Reject a negative density or a size flag past its cap.
+
+    A lattice has resolution^dim points, the oracle's (density + 1)^dim.
+    """
     resolution, density = getattr(args, "resolution", None), getattr(args, "density", None)
     if args.budget > MAX_BUDGET:
         raise InvalidInput(f"--budget must be at most {MAX_BUDGET}, got {args.budget}")
     if resolution is not None and resolution**dim > MAX_LATTICE_POINTS:
         raise InvalidInput(f"--resolution {resolution} gives more than {MAX_LATTICE_POINTS} lattice points in {dim}-D")
-    if density is not None and max(density + 1, 1) ** dim > MAX_ORACLE_POINTS:
+    if density is not None and density < 0:
+        raise InvalidInput(f"grid density must be at least 0, got {density}")
+    if density is not None and (density + 1) ** dim > MAX_ORACLE_POINTS:
         raise InvalidInput(f"--density {density} gives more than {MAX_ORACLE_POINTS} oracle lattice points in {dim}-D")
 
 

@@ -38,6 +38,7 @@ GEOM_TOL = 1e-9  # activity / containment decisions
 ALGEBRA_TOL = 1e-12  # algebraic identities
 DEDUP_TOL = 1e-8  # vertex deduplication
 INTERIOR_MARGIN = 1e-10  # strict-containment margin for sampled points
+MAX_LATTICE_POINTS = 10**6  # points of one lattice, points_per_axis^n
 
 
 @dataclass(frozen=True, eq=False)
@@ -706,7 +707,17 @@ def sample_interior(polytope: Polytope, seed: int, count: int) -> np.ndarray:
 
 
 def lattice(bounds: np.ndarray, points_per_axis: int) -> np.ndarray:
-    """(points_per_axis**n, n) evenly spaced points over the (n, 2) box ``bounds``, lexicographic by index."""
+    """(points_per_axis**n, n) evenly spaced points over the (n, 2) box ``bounds``, lexicographic by index.
+
+    A negative ``points_per_axis``, or one giving more than MAX_LATTICE_POINTS
+    points, is rejected before anything is allocated.
+    """
+    if points_per_axis < 0:
+        raise InvalidInput(f"lattice points per axis must be at least 0, got {points_per_axis}")
+    if int(points_per_axis) ** len(bounds) > MAX_LATTICE_POINTS:
+        raise InvalidInput(
+            f"{points_per_axis} lattice points per axis give more than {MAX_LATTICE_POINTS} points in {len(bounds)}-D"
+        )
     axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in bounds]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 

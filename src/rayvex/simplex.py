@@ -7,21 +7,20 @@ smallest-index rule until the objective drops again, which rules out
 cycling.  Sized for desk-scale instances (a handful of equality rows, up to
 ~10^4 columns); everything is a plain numpy tableau.
 
-A caller that re-solves one LP under a changed right-hand side can start
-from earlier optima.  An optimal basis stays dual feasible when only b
-changes (its reduced costs do not depend on b; the parametric right-hand
-side of Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
-ch. 4-5), so it is optimal for every b with B^-1 b >= 0.  ``start`` is
-either the basis of the previous optimum or a ``CertifiedBases``: the
-optimal bases of one (c, A) whose reduced costs were checked once, as they
-entered.  A certified basis that is primal feasible for b is the answer
-with no pivot; otherwise dual simplex pivots from the last optimal basis
-restore primal feasibility.  Where that does not cleanly reach an optimum
--- a singular or dual-infeasible start, a start beyond DUAL_REACH, a
-breakdown, the pivot limit, a row with no dual ratio (the LP may be
-infeasible) -- the cold two-phase solve decides, so statuses never depend
-on ``start``.  A warm optimum may differ from the cold one in the last ulps
-(another optimal basis, another rounding), and is deterministic for a fixed
+A caller that re-solves one LP under a changed right-hand side passes a
+``CertifiedBases`` as ``start``.  An optimal basis stays dual feasible when
+only b changes (its reduced costs do not depend on b; the parametric
+right-hand side of Bertsimas & Tsitsiklis, *Introduction to Linear
+Optimization*, ch. 4-5), so it is optimal for every b with B^-1 b >= 0.
+The set keeps every optimal basis its solves reach, each inverted and
+checked for reduced costs once, as it enters.  A certified basis that is
+primal feasible for b is the answer with no pivot; otherwise dual simplex
+pivots run from the stored B^-1 of the set's last basis.  Where that does
+not cleanly reach an optimum -- a start beyond DUAL_REACH, a breakdown,
+the pivot limit, a row with no dual ratio (the LP may be infeasible) --
+the cold two-phase solve decides, so statuses never depend on ``start``.
+A warm optimum may differ from the cold one in the last ulps (another
+optimal basis, another rounding), and is deterministic for a fixed
 sequence of solves.
 """
 
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalBreakdown
+from .errors import DimensionMismatch, InvalidInput, NumericalBreakdown
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
@@ -56,36 +55,37 @@ class LPResult:
 class CertifiedBases:
     """The optimal bases of one LP's (c, A), kept for re-solving it under other right-hand sides.
 
-    A basis enters through ``offer`` only, at most once, and only when
-    B = A[:, basis] is invertible and its reduced costs c - c_B B^-1 A are
-    all >= -FEAS_TOL: B is then optimal for every b with B^-1 b >= 0.  Each
-    entry keeps its B and B^-1, and the inverses are stacked by rows into
-    one (k*m, m) matrix, so ``solve_lp`` tests every entry against a b with
-    one product.  ``entries`` lists the bases in the order they entered, and
-    ``last`` is the basis of the last optimum ``solve_lp`` reached from this
-    set.  The set is bounded by the number of distinct optimal bases.
+    Only ``solve_lp`` offers it bases, those of the optima it reaches.  One
+    enters at most once, and only when B = A[:, basis] is square (the cold
+    solve may have dropped a redundant row), invertible, and its reduced
+    costs c - c_B B^-1 A are all >= -FEAS_TOL: B is then optimal for every
+    b with B^-1 b >= 0.  Each entry keeps its B and B^-1, and the inverses
+    are stacked by rows into one (k*m, m) matrix, so ``solve_lp`` tests
+    every entry against a b with one product.  ``entries`` lists the bases
+    in the order they entered, and ``last`` is the basis of the last optimum
+    ``solve_lp`` reached from this set.  The set is bounded by the number
+    of distinct optimal bases.
     """
 
     def __init__(self):
         self.entries: list[tuple[int, ...]] = []
         self.last: tuple[int, ...] | None = None
+        self._index: dict[frozenset[int], int] = {}  # position in entries, by column set
         self._matrices: list[np.ndarray] = []  # B of each entry
         self._inverses = np.empty((0, 0))  # B^-1 of each entry, stacked by rows
 
-    def offer(self, objective, eq_matrix, basis) -> bool:
-        """Add ``basis`` if it is new and its reduced costs certify it optimal; return whether it entered."""
-        c = np.asarray(objective, dtype=float).reshape(-1)
-        a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
-        basis = tuple(int(j) for j in basis)
-        if set(basis) in (set(entry) for entry in self.entries):
-            return False
+    def _enter(self, c: np.ndarray, a: np.ndarray, basis: tuple[int, ...]) -> None:
+        """Add ``basis`` unless its columns are an entry already or its certificate fails."""
+        key = frozenset(basis)
+        if key in self._index:
+            return
         b_inv = _inverse(a, basis)
         if b_inv is None or (c - (c[list(basis)] @ b_inv) @ a).min(initial=0.0) < -FEAS_TOL:
-            return False
+            return
+        self._index[key] = len(self.entries)
         self.entries.append(basis)
         self._matrices.append(a[:, list(basis)])
         self._inverses = np.vstack([self._inverses.reshape(-1, len(basis)), b_inv])
-        return True
 
     def _lookup(self, c: np.ndarray, b: np.ndarray) -> LPResult | None:
         """The optimum at b from the first entry whose basics B^-1 b are all >= -PIVOT_TOL, or None.
@@ -103,25 +103,29 @@ class CertifiedBases:
                 return _optimum(c, list(self.entries[k]), basics[k], 0)
         return None
 
+    def _walk(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult | None:
+        """Dual simplex from the entry of ``last`` and its stored B^-1; None, for the cold solve, if it has none."""
+        k = None if self.last is None else self._index.get(frozenset(self.last))
+        if k is None:
+            return None
+        m = b.size
+        return _dual_simplex(c, a, b, list(self.entries[k]), self._inverses[k * m : (k + 1) * m])
 
-def solve_lp(objective, eq_matrix, eq_rhs, start=None) -> LPResult:
+
+def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) -> LPResult:
     """Solve min c.x s.t. A x = b, x >= 0.
 
-    ``start`` is the ``basis`` of an earlier optimum of the same c and A, or
-    a ``CertifiedBases`` of them.
-
-    From a basis, B = A[:, start] is factored once and dual simplex pivots
-    run from it; ``pivots`` then counts them.  A singular or dual-infeasible
-    start, a start beyond DUAL_REACH, a breakdown, DUAL_PIVOT_LIMIT pivots
-    or a row with no dual ratio sends the solve to the cold path, so the
-    status is always the cold one.
-
-    From a certified set, every entry is tested against b at once: the
-    first entry whose basic values are all >= -PIVOT_TOL and that meets
-    A x = b within FEAS_TOL * max(1, |b|) is the optimum, with 0 pivots.
-    Otherwise the solve runs as from the set's ``last`` basis (cold if it
-    has none).  An optimum it reaches is offered to the set and becomes its
-    ``last``.
+    ``start`` is None or the ``CertifiedBases`` of earlier solves of the
+    same c and A; anything else raises InvalidInput.  From a set, every
+    entry is tested against b at once: the first entry whose basic values
+    are all >= -PIVOT_TOL and that meets A x = b within
+    FEAS_TOL * max(1, |b|) is the optimum, with 0 pivots.  Otherwise dual
+    simplex pivots run from the stored B^-1 of the set's ``last`` basis,
+    and ``pivots`` counts them.  A start beyond DUAL_REACH, a breakdown,
+    DUAL_PIVOT_LIMIT pivots or a row with no dual ratio sends the solve to
+    the cold path, as does a ``last`` that is not an entry, so the status
+    is always the cold one.  An optimum reached from a set becomes its
+    ``last`` and is offered to it.
 
     A warm optimum may differ from the cold one in the last ulps, and is
     deterministic for a fixed sequence of solves.  The cold path retries
@@ -135,30 +139,20 @@ def solve_lp(objective, eq_matrix, eq_rhs, start=None) -> LPResult:
     b = np.asarray(eq_rhs, dtype=float).reshape(-1)
     if a.shape != (b.size, c.size):
         raise DimensionMismatch(f"inconsistent LP shapes: A{a.shape}, b({b.size},), c({c.size},)")
-    if not isinstance(start, CertifiedBases):
-        return _solve(c, a, b, start)
-    res = start._lookup(c, b)
+    if start is not None and not isinstance(start, CertifiedBases):
+        raise InvalidInput(f"start must be None or a CertifiedBases, got {type(start).__name__}")
+    res = None if start is None else start._lookup(c, b) or start._walk(c, a, b)
     if res is None:
-        res = _solve(c, a, b, start.last)
-        if res.status == "optimal":
-            start.offer(c, a, res.basis)
-    if res.status == "optimal":
+        try:
+            res = _two_phase(c, a, b)
+        except NumericalBreakdown:
+            scale = np.maximum(np.abs(a).max(axis=1, initial=0.0), np.abs(b))
+            scale[scale < 1e-300] = 1.0
+            res = _two_phase(c, a / scale[:, None], b / scale)
+    if start is not None and res.status == "optimal":
+        start._enter(c, a, res.basis)
         start.last = res.basis
     return res
-
-
-def _solve(c: np.ndarray, a: np.ndarray, b: np.ndarray, start) -> LPResult:
-    """Dual simplex from the basis ``start`` where it cleanly reaches an optimum, else the cold solve."""
-    if start is not None:
-        warm = _dual_simplex(c, a, b, start)
-        if warm is not None:
-            return warm
-    try:
-        return _two_phase(c, a, b)
-    except NumericalBreakdown:
-        scale = np.maximum(np.abs(a).max(axis=1, initial=0.0), np.abs(b))
-        scale[scale < 1e-300] = 1.0
-        return _two_phase(c, a / scale[:, None], b / scale)
 
 
 def solve_inequality_lp(objective, ub_matrix, ub_rhs) -> LPResult:
@@ -225,20 +219,17 @@ def _optimum(c: np.ndarray, basis: list[int], basics: np.ndarray, pivots: int) -
     return LPResult("optimal", x, float(c @ x), pivots, tuple(basis))
 
 
-def _dual_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, start) -> LPResult | None:
-    """Re-solve from the basis ``start`` by dual simplex pivots, or None where the cold solve must.
+def _dual_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: list[int], b_inv: np.ndarray):
+    """Re-solve from ``basis``, with its B^-1, by dual simplex pivots, or None where the cold solve must.
 
     The leaving row holds the most negative basic value; the entering column
     passes the dual ratio test (smallest reduced cost over |pivot|, ties to
     the largest |pivot|), which keeps every reduced cost >= 0.  The answer is
     returned only with its optimality certificate: basics >= -PIVOT_TOL,
-    reduced costs >= -FEAS_TOL and A x = b within FEAS_TOL.
+    reduced costs >= -FEAS_TOL and A x = b within FEAS_TOL; the start is
+    re-priced too, as its tableau can disagree with its certificate in ulps.
     """
     m, n = a.shape
-    basis = [int(j) for j in start]
-    b_inv = _inverse(a, basis)  # m x m: one factorization per solve
-    if b_inv is None:
-        return None
     tab = np.empty((m + 1, n + 1))
     np.matmul(b_inv, a, out=tab[:m, :n])
     np.matmul(b_inv, b, out=tab[:m, -1])
@@ -279,11 +270,8 @@ def _dual_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, start) -> LPResul
     return result
 
 
-def _inverse(a: np.ndarray, basis) -> np.ndarray | None:
-    """B^-1 for B = A[:, basis], or None unless ``basis`` is m distinct columns of A and B is invertible."""
-    m, n = a.shape
-    if len(basis) != m or len(set(basis)) != m or not all(0 <= j < n for j in basis):
-        return None
+def _inverse(a: np.ndarray, basis: tuple[int, ...]) -> np.ndarray | None:
+    """B^-1 for B = A[:, basis], or None unless B is square and invertible."""
     try:
         b_inv = np.linalg.inv(a[:, list(basis)])
     except np.linalg.LinAlgError:
@@ -321,8 +309,12 @@ def _iterate(tab: np.ndarray, basis: list[int], n_cols: int) -> tuple[str, int]:
         eligible = col > PIVOT_TOL
         if not eligible.any():
             return "unbounded", pivots
+        rhs = tab[:m, -1]
         ratios = np.full(m, np.inf)
-        ratios[eligible] = tab[:m, -1][eligible] / col[eligible]
+        ratios[eligible] = rhs[eligible] / col[eligible]
+        if ratios.min() < -FEAS_TOL:  # a basic value rounded below 0 over a tiny pivot: it stands for 0
+            np.maximum(rhs, 0.0, out=rhs)
+            ratios[eligible] = rhs[eligible] / col[eligible]
         ties = np.nonzero(ratios <= ratios.min() + 1e-12)[0]
         # Bland tie-break: row whose basic variable has the smallest index.
         leave = min(ties, key=lambda i: basis[i])

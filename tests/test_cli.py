@@ -159,6 +159,15 @@ def test_a_negative_density_is_a_one_line_error(capsys):
     assert run(capsys, *argv) == (1, "", "error: grid density must be at least 0, got -100000000000\n")
 
 
+def test_a_negative_density_is_rejected_before_the_model_is_certified(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("certified past the density check")
+
+    monkeypatch.setattr(env, "certify", never)
+    argv = ["compare", "--function", "bilinear", "--density", "-5", "--resolution", "3", *FAST]
+    assert run(capsys, *argv) == (1, "", "error: grid density must be at least 0, got -5\n")
+
+
 @pytest.mark.parametrize("dim, resolution, density", [(2, 1000, 315), (3, 100, 45)])
 def test_a_size_at_its_cap_passes(dim, resolution, density):
     args = cli._build_parser().parse_args(["compare", "--function", "bilinear", "--budget", str(cli.MAX_BUDGET)])

@@ -13,13 +13,14 @@ from rayvex.errors import (
     DimensionNotSupported,
     EmptyInterior,
     HyperplaneThroughOrigin,
+    InvalidInput,
     PointOutsidePolytope,
     RayMissesPolytope,
     SamplingBudgetExceeded,
     UnboundedPolytope,
     ZeroDirection,
 )
-from rayvex.geometry import polygon_area
+from rayvex.geometry import MAX_LATTICE_POINTS, lattice, polygon_area
 
 UNIT_BOX = rx.Polytope.box([0.0, 0.0], [1.0, 1.0])
 
@@ -442,3 +443,26 @@ def test_trace_endpoints_invariant_under_scaling(seed, exponent):
             assert (scaled.in_facet, scaled.out_facet) == (base.in_facet, base.out_facet)
             for got, want in ((scaled.v_minus, base.v_minus), (scaled.v_plus, base.v_plus)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "points_per_axis, message",
+    [
+        (10**6, "1000000 lattice points per axis give more than 1000000 points in 2-D"),  # numpy: MemoryError, 7.28 TiB
+        (1001, "1001 lattice points per axis give more than 1000000 points in 2-D"),
+        (-1, "lattice points per axis must be at least 0, got -1"),  # numpy: ValueError
+    ],
+)
+def test_a_lattice_past_its_cap_or_negative_is_invalid_input(points_per_axis, message, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("allocated past the lattice cap")
+
+    monkeypatch.setattr(np, "linspace", never)
+    with pytest.raises(InvalidInput, match=message):
+        lattice(np.array([[0.0, 1.0], [0.0, 1.0]]), points_per_axis)
+
+
+def test_a_lattice_at_its_cap_passes():
+    points = lattice(np.array([[0.0, 1.0], [-1.0, 0.0]]), 1000)
+    assert points.shape == (MAX_LATTICE_POINTS, 2)
+    assert points[0].tolist() == [0.0, -1.0] and points[-1].tolist() == [1.0, 0.0]

@@ -128,6 +128,20 @@ def test_solution_feasibility_contract():
         assert res.objective == pytest.approx(res.x @ c)
 
 
+def test_a_basic_value_rounded_below_zero_is_not_stepped_back_through():
+    # y^2 on a 5 x 5 lattice whose bottom row sits 1.2e-7 below y = 0, queried 5e-13
+    # above it.  The last phase-2 pivot was a rounding 1.4e-10 under a basic value
+    # of -1.85e-17, so the entering weight came out -1.3e-7 and the objective 2e-9.
+    ys = [float.fromhex(h) for h in ("-0x1.00000001c5f68p-23", "0x1.ffffdfffffffcp-4", "0x1.ffffefffffffep-3")]
+    ys += [float.fromhex(h) for h in ("0x1.7ffff7fffffffp-2", "0x1.fffff7fffffffp-2")]
+    points = np.array([(x, y) for x in 0.90625 + 0.5 * np.arange(5) for y in ys])
+    c, a, b = hull_lp(points, points[:, 1] ** 2, [0.90625, float.fromhex("-0x1.ffff7346bfe39p-24")])
+    res = solve_lp(c, a, b)
+    assert res.status == "optimal" and res.x.min() >= 0.0
+    assert np.abs(a @ res.x - b).max() <= 1e-15
+    assert abs(res.objective) <= 1e-12
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_matches_brute_force_on_random_instances(seed):

@@ -1,10 +1,10 @@
-"""Warm-started LPs: ``solve_lp(start=...)`` and the oracle that reuses its certified bases.
+"""Warm-started LPs: ``solve_lp`` from a ``CertifiedBases``, and the oracle that reuses one.
 
 A warm solve answers from a certified basis, or runs dual simplex pivots
-from ``start``, and must agree with the cold two-phase solve: the same
-status everywhere, the same optimum within 1e-9 relative.  Every way out
-of the warm path lands in the cold solve, whose result is then returned
-unchanged.
+from the set's last basis, and must agree with the cold two-phase solve:
+the same status everywhere, the same optimum within 1e-9 relative.  Every
+way out of the warm path lands in the cold solve, whose result is then
+returned unchanged.
 """
 
 import copy
@@ -17,7 +17,7 @@ from strategies import hull_lp, oracle_query_runs, record_calls, same
 
 import rayvex as rx
 from rayvex import cli, simplex, verify
-from rayvex.errors import InfeasibleLP, NumericalBreakdown
+from rayvex.errors import InfeasibleLP, InvalidInput, NumericalBreakdown
 from rayvex.geometry import lattice
 from rayvex.simplex import CertifiedBases, solve_lp
 
@@ -36,22 +36,30 @@ GRID_VALUES = (GRID**2).sum(axis=1) + 0.3 * GRID[:, 0]
 NEAR = ([0.3, 0.6, 1.0], [0.5, 0.4, 1.0])  # a query and one four dual pivots away
 
 
-def test_an_optimal_start_is_kept_with_no_pivot(cold_calls):
+def _set_at(c, a, b):
+    """A certified set after one solve of (c, A) at b: that optimum is its one entry and its last basis."""
+    bases = CertifiedBases()
+    assert solve_lp(c, a, b, start=bases).status == "optimal"
+    return bases
+
+
+def test_a_start_other_than_a_certified_set_is_invalid_input():
     c, a, b = hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
-    cold = solve_lp(c, a, b)
-    warm = solve_lp(c, a, b, start=cold.basis)
-    assert len(cold_calls) == 1  # the first solve only
-    assert warm.pivots == 0 and set(warm.basis) == set(cold.basis)
-    assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-15)
+    basis = solve_lp(c, a, b).basis
+    for start in (basis, list(basis), np.array(basis)):
+        with pytest.raises(InvalidInput, match="start must be None or a CertifiedBases"):
+            solve_lp(c, a, b, start=start)
 
 
-def test_a_neighbouring_start_walks_by_dual_pivots(cold_calls):
+def test_a_neighbouring_entry_walks_by_dual_pivots_from_its_stored_inverse(cold_calls, monkeypatch):
     c, a, _ = hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
-    start = solve_lp(c, a, NEAR[0]).basis
+    bases = _set_at(c, a, NEAR[0])
     b_next = np.array(NEAR[1])
-    warm = solve_lp(c, a, b_next, start=start)
+    inverted = record_calls(monkeypatch, np.linalg, "inv")
+    warm = solve_lp(c, a, b_next, start=bases)
+    assert len(cold_calls) == 1  # the set's first solve, not this one
+    assert [m.tolist() for m, in inverted] == [a[:, list(warm.basis)].tolist()]  # the new entry's only
     cold = solve_lp(c, a, b_next)
-    assert len(cold_calls) == 2  # the two cold solves, not the warm one
     assert 1 <= warm.pivots <= simplex.DUAL_PIVOT_LIMIT
     assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
     weights = np.zeros(len(c))
@@ -60,55 +68,54 @@ def test_a_neighbouring_start_walks_by_dual_pivots(cold_calls):
 
 
 def _fallback_case():
-    """A grid LP, the basis of a query near one corner and a query near the opposite one."""
+    """A grid LP, a set holding the optimum at a query near one corner, and a query near the opposite one."""
     c, a, b = hull_lp(GRID, GRID_VALUES, [0.9, 0.9])
-    return c, a, solve_lp(c, a, b).basis, np.array([0.1, 0.15, 1.0])
+    return c, a, _set_at(c, a, b), np.array([0.1, 0.15, 1.0])
 
 
-def test_a_singular_start_goes_cold(cold_calls):
-    c, a, _, b = _fallback_case()
-    on_a_line = (0, 10, 20)  # (0, 0), (0.125, 0.125), (0.25, 0.25): B is singular
-    assert np.linalg.matrix_rank(a[:, on_a_line]) == 2
-    for start in (on_a_line, (0, 0, 10), (0, 10), (0, 10, len(c))):
-        del cold_calls[:]
-        assert same(solve_lp(c, a, b, start=start), solve_lp(c, a, b))
-        assert len(cold_calls) == 2
+CORNERS = (0, 8, 72)  # three box corners of GRID: a feasible basis, not an optimal one
 
 
-def test_a_dual_infeasible_start_goes_cold(cold_calls):
-    # the basis (0, 8, 72) -- three box corners -- is feasible but not optimal:
-    # the strictly convex field puts interior points below its plane
-    c, a, _, b = _fallback_case()
-    del cold_calls[:]
-    assert same(solve_lp(c, a, b, start=(0, 8, 72)), solve_lp(c, a, b))
-    assert len(cold_calls) == 2
+def test_a_dual_infeasible_entry_goes_cold(cold_calls, monkeypatch):
+    # an entry forced in past its check, with the query outside its triangle:
+    # the walk re-prices it and leaves the solve to the cold path
+    c, a, b = hull_lp(GRID, GRID_VALUES, [0.9, 0.9])
+    bases = CertifiedBases()
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "FEAS_TOL", np.inf)
+        bases._enter(c, a, CORNERS)
+    bases.last = CORNERS
+    walks = record_calls(monkeypatch, simplex, "_dual_simplex")
+    assert same(solve_lp(c, a, b, start=bases), solve_lp(c, a, b))
+    assert len(walks) == 1 and len(cold_calls) == 2
 
 
 def test_the_pivot_limit_sends_the_walk_cold(cold_calls, monkeypatch):
     c, a, _ = hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
-    start = solve_lp(c, a, NEAR[0]).basis
     b_next = np.array(NEAR[1])
     del cold_calls[:]
-    walked = solve_lp(c, a, b_next, start=start)
-    assert walked.pivots >= 1 and not cold_calls
+    walked = solve_lp(c, a, b_next, start=_set_at(c, a, NEAR[0]))
+    assert walked.pivots >= 1 and len(cold_calls) == 1  # the set's first solve only
     monkeypatch.setattr(simplex, "DUAL_PIVOT_LIMIT", walked.pivots - 1)
-    assert same(solve_lp(c, a, b_next, start=start), solve_lp(c, a, b_next))
+    bases = _set_at(c, a, NEAR[0])
+    del cold_calls[:]
+    assert same(solve_lp(c, a, b_next, start=bases), solve_lp(c, a, b_next))
     assert len(cold_calls) == 2
 
 
 def test_a_start_beyond_the_dual_reach_goes_cold(cold_calls, monkeypatch):
-    c, a, start, b = _fallback_case()
+    c, a, bases, b = _fallback_case()
     monkeypatch.setattr(simplex, "DUAL_PIVOT_LIMIT", 10**6)
-    basics = np.linalg.solve(a[:, list(start)], b)
+    basics = np.linalg.solve(a[:, list(bases.last)], b)
     assert basics.min() < -simplex.DUAL_REACH
     del cold_calls[:]
-    assert same(solve_lp(c, a, b, start=start), solve_lp(c, a, b))
+    assert same(solve_lp(c, a, b, start=bases), solve_lp(c, a, b))
     assert len(cold_calls) == 2
 
 
 def test_a_breakdown_sends_the_walk_cold(cold_calls, monkeypatch):
     c, a, _ = hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
-    start = solve_lp(c, a, NEAR[0]).basis
+    bases = _set_at(c, a, NEAR[0])
     b_next = np.array(NEAR[1])
     pivot = simplex._pivot
     broken = []
@@ -121,7 +128,7 @@ def test_a_breakdown_sends_the_walk_cold(cold_calls, monkeypatch):
 
     monkeypatch.setattr(simplex, "_pivot", breaks_once)
     del cold_calls[:]
-    res = solve_lp(c, a, b_next, start=start)
+    res = solve_lp(c, a, b_next, start=bases)
     assert broken and len(cold_calls) == 1
     monkeypatch.setattr(simplex, "_pivot", pivot)
     assert same(res, solve_lp(c, a, b_next))
@@ -129,11 +136,13 @@ def test_a_breakdown_sends_the_walk_cold(cold_calls, monkeypatch):
 
 def test_an_infeasible_query_gets_the_cold_status(cold_calls):
     # outside the hull: the dual ratio test finds no column, and the cold solve says why
-    c, a, start, _ = _fallback_case()
+    c, a, bases, _ = _fallback_case()
+    last = bases.last
     b = np.array([1.02, 0.5, 1.0])
-    res = solve_lp(c, a, b, start=start)
+    res = solve_lp(c, a, b, start=bases)
     assert res.status == "infeasible" and res.basis is None
-    assert len(cold_calls) == 2  # the start's solve, then this one
+    assert len(cold_calls) == 2  # the set's first solve, then this one
+    assert bases.entries == [last] and bases.last == last
 
 
 def test_one_solve_lp_per_oracle_eval_in_compare(monkeypatch, capsys):
@@ -163,6 +172,26 @@ def test_one_solve_lp_per_oracle_eval_in_compare(monkeypatch, capsys):
     optima = [set(res.basis) for _, res in solves if res.status == "optimal"]
     assert optima and bases.last == next(res.basis for _, res in reversed(solves) if res.status == "optimal")
     assert [set(basis) for basis in bases.entries] == [b for i, b in enumerate(optima) if b not in optima[:i]]
+
+
+def test_compare_inverts_each_basis_once_as_it_enters_and_never_for_a_walk(monkeypatch, capsys):
+    solves = []  # (args, kwargs, result) of each oracle LP
+    verify_solve = verify.solve_lp
+
+    def recorded_solve(*args, **kwargs):
+        solves.append((args, kwargs, verify_solve(*args, **kwargs)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(verify, "solve_lp", recorded_solve)
+    walks = record_calls(monkeypatch, simplex, "_dual_simplex")
+    inverted = record_calls(monkeypatch, np.linalg, "inv")
+    assert cli.main(["compare", "--function", "cubic", "--density", "20", "--resolution", "9", "--budget", "400"]) == 0
+    capsys.readouterr()
+    (_, a, _), kwargs, _ = solves[0]
+    bases = kwargs["start"]
+    optima = {frozenset(res.basis): res.basis for *_, res in solves if res.status == "optimal"}
+    assert walks and list(map(frozenset, bases.entries)) == list(optima)  # every basis offered entered
+    assert [m.tolist() for m, in inverted] == [a[:, list(basis)].tolist() for basis in bases.entries]
 
 
 def test_compare_output_is_byte_identical_for_one_seed(capsys):
@@ -266,16 +295,15 @@ def test_a_certified_basis_answers_with_no_pivot_and_no_tableau(cold_calls, monk
     assert solve_lp(c, a, NEAR[0], start=bases).basis == first.basis and bases.last == first.basis
 
 
-CORNERS = (0, 8, 72)  # three box corners of GRID: a feasible basis, not an optimal one
-
-
 def test_a_basis_that_is_not_optimal_is_refused_and_never_returned(monkeypatch):
     oracle = verify.SampledOracle(GRID, GRID_VALUES)
     c, a = oracle.values, oracle.constraints
     query = [0.1, 0.15]
     assert np.linalg.solve(a[:, list(CORNERS)], np.append(query, 1.0)).min() > 0  # inside its triangle
     bases = CertifiedBases()
-    assert not bases.offer(c, a, CORNERS) and bases.entries == []
+    bases._enter(c, a, CORNERS)
+    assert bases.entries == []
+    bases.last = CORNERS  # as after an optimum the set refused: no walk starts from it
     results = _certified_run(oracle, [query], bases)
     assert results[0].basis != CORNERS
     _assert_cold_answers(oracle, [query], results)
@@ -284,19 +312,22 @@ def test_a_basis_that_is_not_optimal_is_refused_and_never_returned(monkeypatch):
     bases = CertifiedBases()
     with monkeypatch.context() as patch:
         patch.setattr(simplex, "FEAS_TOL", np.inf)
-        assert bases.offer(c, a, CORNERS)
+        bases._enter(c, a, CORNERS)
+    assert bases.entries == [CORNERS]
     results = _certified_run(oracle, [query], bases)
     assert results[0].basis == CORNERS and results[0].pivots == 0
     with pytest.raises(AssertionError):
         _assert_cold_answers(oracle, [query], results)
 
 
-def test_a_basis_enters_once_and_only_if_invertible():
+def test_a_basis_enters_once_and_only_if_invertible(monkeypatch):
     c, a, b = hull_lp(GRID, GRID_VALUES, NEAR[0][:2])
     basis = solve_lp(c, a, b).basis
+    inverted = record_calls(monkeypatch, np.linalg, "inv")
     bases = CertifiedBases()
-    assert bases.offer(c, a, basis)
-    assert not bases.offer(c, a, basis) and not bases.offer(c, a, basis[::-1])
-    for bad in ((0, 10, 20), (0, 0, 10), (0, 10), (0, 10, len(c))):  # singular, repeated, short, out of range
-        assert not bases.offer(c, a, bad)
-    assert bases.entries == [tuple(basis)]
+    bases._enter(c, a, basis)
+    bases._enter(c, a, basis[::-1])  # its columns in another order: found by one lookup, not inverted
+    assert bases.entries == [basis] and len(inverted) == 1
+    bases._enter(c, a, (0, 10, 20))  # (0, 0), (0.125, 0.125), (0.25, 0.25): B is singular
+    bases._enter(c, a, basis[:2])  # B is not square, as after the cold solve drops a redundant row
+    assert bases.entries == [basis] and len(inverted) == 3
