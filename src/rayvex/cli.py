@@ -2,11 +2,11 @@
 
 Machine-readable output goes to --out (or stdout); diagnostics go to stderr.
 Exit codes: 0 success, 1 usage/IO error, 2 hypothesis or sandwich failure.
-Size flags have upper caps, checked before anything of that size is built:
---budget at most MAX_BUDGET samples, --resolution at most MAX_LATTICE_POINTS
-lattice points (resolution^dim), --density at least 0 and at most
-MAX_ORACLE_POINTS oracle lattice points ((density + 1)^dim, the columns of
-each oracle LP).
+Size flags are checked before anything of that size is built, by the
+library's own guards: --budget from 1 to MAX_BUDGET samples, --resolution
+at least 2 and at most MAX_LATTICE_POINTS lattice points (resolution^dim),
+--density at least 0 and at most MAX_ORACLE_POINTS oracle lattice points
+((density + 1)^dim, the columns of each oracle LP).
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ import numpy as np
 from . import envelope as env
 from .errors import DimensionMismatch, InvalidInput, RayvexError
 from .functions import CATALOG_BUILDERS, CatalogEntry, catalog
-from .geometry import MAX_LATTICE_POINTS, Polytope, enumerate_regions_2d, lattice
-from .verify import DEFAULT_BUDGET, MAX_BUDGET, MAX_ORACLE_POINTS, oracle_build, oracle_eval
+from .geometry import MAX_LATTICE_POINTS, Polytope, enumerate_regions_2d, guard_lattice, lattice
+from .verify import (
+    DEFAULT_BUDGET, MAX_BUDGET, MAX_ORACLE_POINTS, guard_budget, guard_density, oracle_build, oracle_eval,
+)
 
 _SHORTHANDS = ("lx", "ly", "ux", "uy", "A", "a1", "a2", "a3", "l", "u")
 _PARAM_ALIASES = {"A": "scale", "l": "lower", "u": "upper"}
@@ -118,19 +120,15 @@ def _model_from_args(args):
 
 
 def _check_sizes(args, dim: int) -> None:
-    """Reject a negative density or a size flag past its cap.
-
-    A lattice has resolution^dim points, the oracle's (density + 1)^dim.
-    """
+    """Reject a size flag out of range by the guard of the library call it feeds, and a --resolution below 2."""
+    guard_budget(args.budget)
     resolution, density = getattr(args, "resolution", None), getattr(args, "density", None)
-    if args.budget > MAX_BUDGET:
-        raise InvalidInput(f"--budget must be at most {MAX_BUDGET}, got {args.budget}")
-    if resolution is not None and resolution**dim > MAX_LATTICE_POINTS:
-        raise InvalidInput(f"--resolution {resolution} gives more than {MAX_LATTICE_POINTS} lattice points in {dim}-D")
-    if density is not None and density < 0:
-        raise InvalidInput(f"grid density must be at least 0, got {density}")
-    if density is not None and (density + 1) ** dim > MAX_ORACLE_POINTS:
-        raise InvalidInput(f"--density {density} gives more than {MAX_ORACLE_POINTS} oracle lattice points in {dim}-D")
+    if resolution is not None:
+        if resolution < 2:
+            raise InvalidInput(f"{args.command} needs --resolution >= 2")
+        guard_lattice(resolution, dim)
+    if density is not None:
+        guard_density(density, dim)
 
 
 def _number(flag: str, text: str) -> float:
@@ -240,8 +238,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    if args.resolution < 2:
-        raise InvalidInput("grid needs --resolution >= 2")
     model, entry = _model_from_args(args)
     bounds = model.validation.coordinate_bounds + model.anchor[:, None]
     rows, omitted = _point_rows(model, lattice(bounds, args.resolution))
@@ -282,8 +278,6 @@ def cmd_regions(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.resolution < 2:
-        raise InvalidInput("compare needs --resolution >= 2")
     model, entry = _model_from_args(args)
     if not model.certified:
         _info(f"warning: {entry.name} is uncertified; comparing against the secant interpolant")

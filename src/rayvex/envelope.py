@@ -196,10 +196,15 @@ def _secant_from_trace(field: ScalarField, trace: RayTrace) -> float:
 
 
 def _locate(model: EnvelopeModel, x) -> tuple[np.ndarray, RayTrace | None]:
-    """v = x - anchor and its ``geometry.locate`` trace (None at the anchor), or PointOutsideDomain."""
+    """v = x - anchor and its ``geometry.locate`` trace (None at the anchor), or PointOutsideDomain.
+
+    An x of another dimension than the model's raises DimensionMismatch.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         x = x.reshape(-1)
+    if x.size != model.anchor.size:
+        raise DimensionMismatch(f"point dimension {x.size} != {model.anchor.size}")
     v = x - model.anchor
     try:
         if any(v.tolist()):  # np.any(v != 0.0), but cheaper for a few coordinates

@@ -428,7 +428,9 @@ def ray_intersect(polytope: Polytope, v) -> RayTrace:
     alpha_plus is the smallest exit ratio b_i / (a_i.v) over facets the ray
     crosses outward; alpha_minus the largest entry ratio clamped at 0.  When
     several facets are active at an endpoint the smallest facet index wins.
-    A single-point intersection yields a degenerate trace with alpha_v = 1.
+    A single-point intersection yields a degenerate trace with alpha_v = 1, and so does an
+    interval empty only by entry ratios past alpha_plus whose facets all meet the ray at
+    alpha_plus (``_meets``): a facet nearly parallel to the ray can overshoot in its ratio.
     This is the one statement of the trace rules; ``ray_intersect_batch`` and ``locate`` defer to it.
 
     Next to the origin every exit ratio can overflow, so a v with max |v_j| < 1 whose ray misses P
@@ -488,6 +490,10 @@ def _trace(v: np.ndarray, t: list[float], b: list[float], at: float = 1.0) -> Ra
     if hi_arg < 0:
         raise RayMissesPolytope("ray never exits (polytope unbounded along it?)")
     empty, degenerate = _interval_rules(alpha_lo, alpha_hi)
+    if empty and alpha_hi >= 0.0 and all(
+        _meets(ti, alpha_hi, bi) for ti, bi in zip(t, b) if ti < 0.0 and bi / ti > alpha_hi
+    ):
+        empty, degenerate = False, True  # the ray touches P at alpha_hi only
     if empty:
         raise RayMissesPolytope("empty intersection interval")
     if degenerate:
@@ -706,18 +712,20 @@ def sample_interior(polytope: Polytope, seed: int, count: int) -> np.ndarray:
     return np.concatenate(accepted)[:count]
 
 
+def guard_lattice(points_per_axis: int, dim: int) -> None:
+    """Reject a negative ``points_per_axis``, or one giving more than MAX_LATTICE_POINTS points in dim-D."""
+    if points_per_axis < 0:
+        raise InvalidInput(f"lattice points per axis must be at least 0, got {points_per_axis}")
+    if int(points_per_axis) ** dim > MAX_LATTICE_POINTS:
+        raise InvalidInput(f"{points_per_axis} lattice points per axis give more than {MAX_LATTICE_POINTS} points in {dim}-D")
+
+
 def lattice(bounds: np.ndarray, points_per_axis: int) -> np.ndarray:
     """(points_per_axis**n, n) evenly spaced points over the (n, 2) box ``bounds``, lexicographic by index.
 
-    A negative ``points_per_axis``, or one giving more than MAX_LATTICE_POINTS
-    points, is rejected before anything is allocated.
+    ``guard_lattice`` rejects a size out of range before anything is allocated.
     """
-    if points_per_axis < 0:
-        raise InvalidInput(f"lattice points per axis must be at least 0, got {points_per_axis}")
-    if int(points_per_axis) ** len(bounds) > MAX_LATTICE_POINTS:
-        raise InvalidInput(
-            f"{points_per_axis} lattice points per axis give more than {MAX_LATTICE_POINTS} points in {len(bounds)}-D"
-        )
+    guard_lattice(points_per_axis, len(bounds))
     axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in bounds]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 

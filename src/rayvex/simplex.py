@@ -15,13 +15,13 @@ Optimization*, ch. 4-5), so it is optimal for every b with B^-1 b >= 0.
 The set keeps every optimal basis its solves reach, each inverted and
 checked for reduced costs once, as it enters.  A certified basis that is
 primal feasible for b is the answer with no pivot; otherwise dual simplex
-pivots run from the stored B^-1 of the set's last basis.  Where that does
-not cleanly reach an optimum -- a start beyond DUAL_REACH, a breakdown,
-the pivot limit, a row with no dual ratio (the LP may be infeasible) --
-the cold two-phase solve decides, so statuses never depend on ``start``.
-A warm optimum may differ from the cold one in the last ulps (another
-optimal basis, another rounding), and is deterministic for a fixed
-sequence of solves.
+pivots run from the stored B^-1 of the nearest entry, the one whose most
+negative basic value at b is largest.  Where that does not cleanly reach
+an optimum -- a breakdown, the pivot limit, a row with no dual ratio (the
+LP may be infeasible) -- the cold two-phase solve decides, so statuses
+never depend on ``start``.  A warm optimum may differ from the cold one in
+the last ulps (another optimal basis, another rounding), and is
+deterministic for a fixed sequence of solves.
 """
 
 from __future__ import annotations
@@ -35,11 +35,8 @@ from .errors import DimensionMismatch, InvalidInput, NumericalBreakdown
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
 DEGENERATE_RUN = 50  # pivots without a new objective low before Bland pricing takes over
-# A warm start goes cold when its most negative basic value is below
-# -DUAL_REACH, or after DUAL_PIVOT_LIMIT dual pivots.  On the oracle's LPs the
-# basic values are barycentric weights, and a start that far out takes more
-# dual pivots (each ~1/15 to 1/30 of a cold solve) than the cold solve costs.
-DUAL_REACH = 4.0
+# A warm start goes cold after DUAL_PIVOT_LIMIT dual pivots: each costs ~1/15
+# to 1/30 of a cold solve on the oracle's LPs.
 DUAL_PIVOT_LIMIT = 12
 
 
@@ -62,53 +59,49 @@ class CertifiedBases:
     b with B^-1 b >= 0.  Each entry keeps its B and B^-1, and the inverses
     are stacked by rows into one (k*m, m) matrix, so ``solve_lp`` tests
     every entry against a b with one product.  ``entries`` lists the bases
-    in the order they entered, and ``last`` is the basis of the last optimum
-    ``solve_lp`` reached from this set.  The set is bounded by the number
-    of distinct optimal bases.
+    in the order they entered; the set is bounded by the number of distinct
+    optimal bases.
     """
 
     def __init__(self):
         self.entries: list[tuple[int, ...]] = []
-        self.last: tuple[int, ...] | None = None
-        self._index: dict[frozenset[int], int] = {}  # position in entries, by column set
+        self._keys: set[frozenset[int]] = set()  # the column set of each entry
         self._matrices: list[np.ndarray] = []  # B of each entry
         self._inverses = np.empty((0, 0))  # B^-1 of each entry, stacked by rows
 
     def _enter(self, c: np.ndarray, a: np.ndarray, basis: tuple[int, ...]) -> None:
         """Add ``basis`` unless its columns are an entry already or its certificate fails."""
         key = frozenset(basis)
-        if key in self._index:
+        if key in self._keys:
             return
         b_inv = _inverse(a, basis)
         if b_inv is None or (c - (c[list(basis)] @ b_inv) @ a).min(initial=0.0) < -FEAS_TOL:
             return
-        self._index[key] = len(self.entries)
+        self._keys.add(key)
         self.entries.append(basis)
         self._matrices.append(a[:, list(basis)])
         self._inverses = np.vstack([self._inverses.reshape(-1, len(basis)), b_inv])
 
-    def _lookup(self, c: np.ndarray, b: np.ndarray) -> LPResult | None:
-        """The optimum at b from the first entry whose basics B^-1 b are all >= -PIVOT_TOL, or None.
+    def _lookup(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult | None:
+        """The optimum at b from the entries, or None, for the cold solve, if they give none.
 
-        The entry must also meet A x = b within FEAS_TOL, as a warm optimum
-        must.  No tableau is formed and nothing is re-priced: the entry's
-        reduced costs were checked when it entered.
+        Every entry's basics B^-1 b come from one product.  The first entry
+        whose basics are all >= -PIVOT_TOL and that meets A x = b within
+        FEAS_TOL, as a warm optimum must, is the answer with no pivot: no
+        tableau is formed and nothing is re-priced, as its reduced costs were
+        checked when it entered.  Otherwise dual simplex pivots run from the
+        entry whose most negative basic value is largest, the first on a tie.
         """
         if not self.entries:
             return None
-        basics = (self._inverses @ b).reshape(len(self.entries), b.size)
+        m = b.size
+        basics = (self._inverses @ b).reshape(len(self.entries), m)
+        lows = basics.min(axis=1)
         limit = FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0))
-        for k in (basics.min(axis=1) >= -PIVOT_TOL).nonzero()[0]:
+        for k in (lows >= -PIVOT_TOL).nonzero()[0]:
             if np.abs(self._matrices[k] @ basics[k] - b).max() <= limit:
                 return _optimum(c, list(self.entries[k]), basics[k], 0)
-        return None
-
-    def _walk(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult | None:
-        """Dual simplex from the entry of ``last`` and its stored B^-1; None, for the cold solve, if it has none."""
-        k = None if self.last is None else self._index.get(frozenset(self.last))
-        if k is None:
-            return None
-        m = b.size
+        k = int(lows.argmax())
         return _dual_simplex(c, a, b, list(self.entries[k]), self._inverses[k * m : (k + 1) * m])
 
 
@@ -120,12 +113,11 @@ def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) 
     entry is tested against b at once: the first entry whose basic values
     are all >= -PIVOT_TOL and that meets A x = b within
     FEAS_TOL * max(1, |b|) is the optimum, with 0 pivots.  Otherwise dual
-    simplex pivots run from the stored B^-1 of the set's ``last`` basis,
-    and ``pivots`` counts them.  A start beyond DUAL_REACH, a breakdown,
-    DUAL_PIVOT_LIMIT pivots or a row with no dual ratio sends the solve to
-    the cold path, as does a ``last`` that is not an entry, so the status
-    is always the cold one.  An optimum reached from a set becomes its
-    ``last`` and is offered to it.
+    simplex pivots run from the stored B^-1 of the entry whose most negative
+    basic value is largest (the first on a tie), and ``pivots`` counts them.
+    A breakdown, DUAL_PIVOT_LIMIT pivots or a row with no dual ratio sends
+    the solve to the cold path, so the status is always the cold one.  An
+    optimum reached from a set is offered to it.
 
     A warm optimum may differ from the cold one in the last ulps, and is
     deterministic for a fixed sequence of solves.  The cold path retries
@@ -141,7 +133,7 @@ def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) 
         raise DimensionMismatch(f"inconsistent LP shapes: A{a.shape}, b({b.size},), c({c.size},)")
     if start is not None and not isinstance(start, CertifiedBases):
         raise InvalidInput(f"start must be None or a CertifiedBases, got {type(start).__name__}")
-    res = None if start is None else start._lookup(c, b) or start._walk(c, a, b)
+    res = None if start is None else start._lookup(c, a, b)
     if res is None:
         try:
             res = _two_phase(c, a, b)
@@ -151,7 +143,6 @@ def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) 
             res = _two_phase(c, a / scale[:, None], b / scale)
     if start is not None and res.status == "optimal":
         start._enter(c, a, res.basis)
-        start.last = res.basis
     return res
 
 
@@ -240,7 +231,7 @@ def _dual_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: list[int],
     tab[-1] = -(c[basis] @ tab[:m])  # reduced costs c - c_B B^-1 A, then -c_B x_B
     costs += c
     costs[basis] = 0.0
-    if costs.min() < -FEAS_TOL or basics.min() < -DUAL_REACH:
+    if costs.min() < -FEAS_TOL:
         return None
 
     for pivots in range(DUAL_PIVOT_LIMIT + 1):

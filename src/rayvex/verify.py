@@ -103,8 +103,8 @@ class SampledOracle:
 
     Also holds its LP: the (n + 1, k) constraint matrix, stacked once, and
     the ``simplex.CertifiedBases`` of that LP: every optimal basis a query
-    has reached, each checked once for optimality as it entered.  Every
-    query starts from them.
+    has reached, each checked once for optimality as it entered.  They are
+    the oracle's whole warm state, and every query starts from them.
     """
 
     points: np.ndarray  # (k, n)
@@ -390,16 +390,20 @@ def check_corollary_convexity(
     return CheckResult(name, status, worst, tol, samples, witness, details)
 
 
-def certify(model, budget: int = DEFAULT_BUDGET, seed: int = 0) -> CertificationReport:
-    """Run the three hypothesis checks on a model's working field and domain.
-
-    A budget below 1 draws no homogeneity sample, so it is rejected rather than certified;
-    one above ``MAX_BUDGET`` is rejected before anything is drawn.
-    """
+def guard_budget(budget: int) -> None:
+    """Reject a certification budget below 1, which draws no homogeneity sample, or above ``MAX_BUDGET``."""
     if budget < 1:
         raise InvalidInput(f"certification budget must be at least 1, got {budget}")
     if budget > MAX_BUDGET:
         raise InvalidInput(f"certification budget must be at most {MAX_BUDGET}, got {budget}")
+
+
+def certify(model, budget: int = DEFAULT_BUDGET, seed: int = 0) -> CertificationReport:
+    """Run the three hypothesis checks on a model's working field and domain.
+
+    ``guard_budget`` rejects a budget out of range before anything is drawn.
+    """
+    guard_budget(budget)
     field = model.field
     polytope = model.polytope
     ray = check_ray_concavity(
@@ -420,22 +424,24 @@ def certify(model, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Certification
     )
 
 
+def guard_density(grid_density: int, dim: int) -> None:
+    """Reject a negative oracle grid density, or one whose lattice has more than ``MAX_ORACLE_POINTS`` points in dim-D."""
+    if grid_density < 0:
+        raise InvalidInput(f"grid density must be at least 0, got {grid_density}")
+    if (grid_density + 1) ** dim > MAX_ORACLE_POINTS:
+        raise InvalidInput(f"grid density {grid_density} gives more than {MAX_ORACLE_POINTS} oracle lattice points in {dim}-D")
+
+
 def oracle_build(field: ScalarField, polytope: Polytope, grid_density: int = 10) -> SampledOracle:
     """Sample the field graph at all vertices plus a nested bounding-box lattice.
 
     ``grid_density`` counts lattice intervals per axis, so doubling the
     density refines the sample set (the monotonicity guarantee relies on
-    this).  Density 0 keeps vertices only.  A negative density, or one
-    whose lattice has more than ``MAX_ORACLE_POINTS`` points, is rejected
-    before anything is evaluated.  Points where the field is non-finite on
-    the closure are skipped and counted.
+    this).  Density 0 keeps vertices only.  ``guard_density`` rejects a
+    density out of range before anything is evaluated.  Points where the
+    field is non-finite on the closure are skipped and counted.
     """
-    if grid_density < 0:
-        raise InvalidInput(f"grid density must be at least 0, got {grid_density}")
-    if (grid_density + 1) ** polytope.dim > MAX_ORACLE_POINTS:
-        raise InvalidInput(
-            f"grid density {grid_density} gives more than {MAX_ORACLE_POINTS} oracle lattice points in {polytope.dim}-D"
-        )
+    guard_density(grid_density, polytope.dim)
     verts = vertices(polytope)
     pts = [verts]
     if grid_density >= 1:
@@ -457,10 +463,11 @@ def oracle_eval(oracle: SampledOracle, x) -> float:
     One ``solve_lp`` per query, started from the oracle's certified bases
     (only the right-hand side (x, 1) changes between queries).  A query
     inside the simplex of a certified basis is answered with no pivot;
-    any other runs dual simplex pivots from the last optimal basis, or
-    solves cold, and its optimal basis joins the set.  A warm value may
-    differ from the cold one in the last ulps, so values depend on the
-    query order, deterministically.
+    any other runs dual simplex pivots from the nearest certified basis
+    (the one whose most negative weight is largest), or solves cold, and
+    its optimal basis joins the set.  A warm value may differ from the
+    cold one in the last ulps, so values depend on the query order,
+    deterministically.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     rhs = np.concatenate([x, [1.0]])

@@ -99,6 +99,10 @@ def _trace(v, t, b, at=1.0):
     if hi_arg < 0:
         raise RayMissesPolytope("ray never exits (polytope unbounded along it?)")
     empty, degenerate = _interval_rules(alpha_lo, alpha_hi)
+    if empty and alpha_hi >= 0.0 and all(
+        _meets(ti, alpha_hi, bi) for ti, bi in zip(t, b) if ti < 0.0 and bi / ti > alpha_hi
+    ):
+        empty, degenerate = False, True  # each entry ratio past alpha_hi overshoots a facet the ray meets there
     if empty:
         raise RayMissesPolytope("empty intersection interval")
     if degenerate:

@@ -93,6 +93,20 @@ def central_diff_gradient(fn, x, h=6e-6):
     return out
 
 
+def nearly_parallel_entry():
+    """(polytope, v): a vertex v of a box cut by y + 1e-15 z <= 1 + 4e-16, moved so that v's ray meets P at v only.
+
+    The cut's entry ratio, 1.11, overshoots alpha_plus = 1 while the cut meets the ray at 1
+    (a.v = -1e-15); v is 1.1e-16 outside the cut.
+    """
+    cut_box = rx.Polytope.from_inequalities(
+        [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [0, 1, 1e-15]],
+        [1, 0, 2, 0, 1, 0, 1.0000000000000004],
+    )
+    t = np.array([1.0, 0.9999999999999994, 2.0])
+    return cut_box.translate(t), np.array([0.0, 0.9999999999999994, 1.0]) - t
+
+
 def hull_lp(points, values, x):
     """(c, A, b) of the lower-hull LP at x: convex weights of the points, weighted values minimised."""
     points = np.asarray(points, dtype=float)

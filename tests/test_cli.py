@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from strategies import CAPPED_SIZES, cli_argv
 
 import rayvex as rx
@@ -130,17 +130,20 @@ HUGE = str(10**20)
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["certify", "--function", "cubic", "--budget", HUGE], f"--budget must be at most 1000000, got {HUGE}"),
-        (["certify", "--function", "cubic", "--budget", "1000001"], "--budget must be at most 1000000, got 1000001"),
-        (["eval", "--function", "bilinear", "--point", "0.5,0.5", "--budget", HUGE], f"--budget must be at most 1000000, got {HUGE}"),
-        (["regions", "--function", "bilinear", "--budget", HUGE], f"--budget must be at most 1000000, got {HUGE}"),
-        (["grid", "--function", "bilinear", "--resolution", HUGE], f"--resolution {HUGE} gives more than 1000000 lattice points in 2-D"),
-        (["grid", "--function", "bilinear", "--resolution", "1001"], "--resolution 1001 gives more than 1000000 lattice points in 2-D"),
-        (["grid", "--function", "cobb-douglas", "--resolution", "101"], "--resolution 101 gives more than 1000000 lattice points in 3-D"),
-        (["compare", "--function", "cubic", "--resolution", HUGE], f"--resolution {HUGE} gives more than 1000000 lattice points in 2-D"),
-        (["compare", "--function", "cubic", "--density", HUGE], f"--density {HUGE} gives more than 100000 oracle lattice points in 2-D"),
-        (["compare", "--function", "cubic", "--density", "316"], "--density 316 gives more than 100000 oracle lattice points in 2-D"),
-        (["compare", "--function", "cobb-douglas", "--density", "46"], "--density 46 gives more than 100000 oracle lattice points in 3-D"),
+        (["certify", "--function", "cubic", "--budget", HUGE], f"certification budget must be at most 1000000, got {HUGE}"),
+        (["certify", "--function", "cubic", "--budget", "1000001"], "certification budget must be at most 1000000, got 1000001"),
+        (["eval", "--function", "bilinear", "--point", "0.5,0.5", "--budget", HUGE], f"certification budget must be at most 1000000, got {HUGE}"),
+        (["regions", "--function", "bilinear", "--budget", HUGE], f"certification budget must be at most 1000000, got {HUGE}"),
+        (["grid", "--function", "bilinear", "--resolution", HUGE], f"{HUGE} lattice points per axis give more than 1000000 points in 2-D"),
+        (["grid", "--function", "bilinear", "--resolution", "1001"], "1001 lattice points per axis give more than 1000000 points in 2-D"),
+        (["grid", "--function", "cobb-douglas", "--resolution", "101"], "101 lattice points per axis give more than 1000000 points in 3-D"),
+        (["compare", "--function", "cubic", "--resolution", HUGE], f"{HUGE} lattice points per axis give more than 1000000 points in 2-D"),
+        (["compare", "--function", "cubic", "--density", HUGE], f"grid density {HUGE} gives more than 100000 oracle lattice points in 2-D"),
+        (["compare", "--function", "cubic", "--density", "316"], "grid density 316 gives more than 100000 oracle lattice points in 2-D"),
+        (["compare", "--function", "cobb-douglas", "--density", "46"], "grid density 46 gives more than 100000 oracle lattice points in 3-D"),
+        (["certify", "--function", "cubic", "--budget", "0"], "certification budget must be at least 1, got 0"),
+        (["grid", "--function", "bilinear", "--resolution", "1"], "grid needs --resolution >= 2"),
+        (["compare", "--function", "cubic", "--resolution", "0"], "compare needs --resolution >= 2"),
     ],
 )
 def test_a_size_past_its_cap_is_a_one_line_error_before_anything_is_built(argv, message, monkeypatch, capsys):
@@ -451,6 +454,7 @@ def test_commands_are_looked_up_at_each_call(monkeypatch, capsys):
 
 @settings(max_examples=80, deadline=None)
 @given(cli_argv())
+@example(["compare", "--function", "bilinear", "--budget", "60", "--resolution", "3", "--density", "316", "--density", "0"])
 def test_any_argv_exits_0_1_or_2_and_exit_1_prints_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -459,6 +463,6 @@ def test_any_argv_exits_0_1_or_2_and_exit_1_prints_one_error_line(argv):
     if code == 1:
         assert out.getvalue() == "", argv
         assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1, (argv, err.getvalue())
-    flags = zip(argv[1::2], argv[2::2])
-    if any(flag in ("--budget", "--resolution", "--density") and value in CAPPED_SIZES for flag, value in flags):
+    last = dict(zip(argv[1::2], argv[2::2]))  # argparse keeps a repeated flag's last value
+    if any(last.get(flag) in CAPPED_SIZES for flag in ("--budget", "--resolution", "--density")):
         assert code == 1, argv  # rejected before anything of that size is built

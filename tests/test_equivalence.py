@@ -38,7 +38,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import (
     KERNEL_POLYTOPES, SENSES, SLAB, WORKING_CASES, band_cases, bits, catalog_model_points, catalog_models, cut_boxes,
-    drawn_model_points, near_facet_batches, same, working_field_rows, working_field_samples, working_points,
+    drawn_model_points, near_facet_batches, nearly_parallel_entry, same, working_field_rows, working_field_samples,
+    working_points,
 )
 
 import rayvex as rx
@@ -161,22 +162,15 @@ MEMBERSHIP_TOLS = (GEOM_TOL, 0.0, -INTERIOR_MARGIN)
 
 
 def _batch_membership(poly, points):
-    """The margins and, at each tolerance, the verdicts of a batch, row by row."""
-    return list(poly.margins(points)), [poly.contains(points, tol=tol).tolist() for tol in MEMBERSHIP_TOLS]
+    """A batch's margins and verdicts at each tolerance, row by row; ``_facet_dots`` on it and on each point alone."""
+    dots = list(_facet_dots(poly.matrix, points)), [_facet_dots(poly.matrix, x) for x in points]
+    return list(poly.margins(points)), [poly.contains(points, tol=tol).tolist() for tol in MEMBERSHIP_TOLS], dots
 
 
 def _point_membership(poly, points):
-    return [poly.margins(x) for x in points], [[poly.contains(x, tol=tol) for x in points] for tol in MEMBERSHIP_TOLS]
-
-
-def _facet_dot_rows(poly, points):
-    """``_facet_dots`` on the batch, row by row, and on each point alone."""
-    return list(_facet_dots(poly.matrix, points)), [_facet_dots(poly.matrix, x) for x in points]
-
-
-def _facet_product_rows(poly, points):
     products = [np.array(_facet_products(poly._rows, x.tolist())) for x in points]
-    return products, products
+    verdicts = [[poly.contains(x, tol=tol) for x in points] for tol in MEMBERSHIP_TOLS]
+    return [poly.margins(x) for x in points], verdicts, (products, products)
 
 
 TRACE_FIELDS = ("alpha_minus", "alpha_plus", "alpha_v", "in_facet", "out_facet", "degenerate", "v_minus", "v_plus")
@@ -225,6 +219,8 @@ def _kernel_specials():
     thin = rx.Polytope.box([0.0, -1.1125369292536007e-308], [1.0, 1.0])
     yield "thin-box", (thin, np.array([[3.883676458323351, -2.2638173737797933]]))  # alpha_v = -1 / 4.9e-309
     yield "short-ray", (rx.Polytope.box([0.0, 0.0], [1.0, 1.0]), np.array([[0.5, 0.5], [0.0, 2.2e-311]]))  # row 1: 1/(a.v) = inf
+    polytope, v = nearly_parallel_entry()
+    yield "nearly-parallel-entry", (polytope, v[None])  # an empty row to the scalar kernel, which finds it degenerate
 
 
 # -- bulk field evaluation -----------------------------------------------------
@@ -439,11 +435,10 @@ TABLE = [
     Row("evaluators-drawn", EVALUATORS, REFERENCE_EVALUATORS, "bits", drawn_model_points(), 50),
     # points near facets, in the band, along rescaled and subnormal rays
     Row("ray-kernel", _each(rx.ray_intersect, geometry.locate), _each(ref.ray_intersect, ref.locate), "bits",
-        band_cases(), 60),
+        band_cases(), 60, lambda: [("nearly-parallel-entry", nearly_parallel_entry())]),
     Row("facet-products", geometry._facet_products, ref._facet_products, "bits",
         st.builds(_facet_product_case, st.integers(1, 5), st.integers(1, 8), st.integers(0, 2**32 - 1)), 60),
     Row("batch-membership", _batch_membership, _point_membership, "bits", near_facet_batches(), 150),
-    Row("facet-dots", _facet_dot_rows, _facet_product_rows, "bits", near_facet_batches(), 150),
     Row("row-writer", _printed(_cli), _printed(_reference_writer), "bits",
         specials=lambda: (("-".join(case), case) for case in itertools.product(sorted(WRITER_CASES), ("csv", "json")))),
     # catalog and other polytopes, or two cuts with every row rescaled: inexact a.v sums, in 2-4-D

@@ -68,6 +68,21 @@ def test_a_dimension_mismatch_has_one_type(call):
         call()
 
 
+@pytest.fixture(scope="module")
+def bilinear_model():
+    entry = rx.bilinear_neg()
+    return env.build(entry.field, entry.default_polytope, budget=200)
+
+
+@pytest.mark.parametrize("evaluator", [env.value, env.eval, env.eval_homogeneous, env.gradient])
+@pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5]], ids=["1-D", "3-D"])
+def test_a_point_of_another_dimension_is_a_dimension_mismatch(evaluator, point, bilinear_model):
+    # [0.5] broadcast to (0.5, 0.5) and was evaluated there; a 3-vector raised numpy's broadcast ValueError
+    assert bilinear_model.homogeneity_certified
+    with pytest.raises(DimensionMismatch, match=f"^point dimension {len(point)} != 2$"):
+        evaluator(bilinear_model, point)
+
+
 def test_ints_past_float_range_are_not_numbers():
     # int() and numpy raise OverflowError for them
     halfspace = {"a": [1, 10**400], "b": 1}

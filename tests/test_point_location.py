@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from strategies import facets, near_catalog_facet, on_facet, outside, scaled, ulps
+from strategies import facets, near_catalog_facet, nearly_parallel_entry, on_facet, outside, scaled, ulps
 
 import rayvex as rx
 from rayvex import envelope as env
@@ -129,6 +129,17 @@ def test_subnormal_point_keeps_its_verdict_under_row_scaling():
     for p in (box, scaled(box, [1.0, 1.0, 1.0, 0.1])):
         with pytest.raises(PointOutsidePolytope):
             locate(p, [0.5, -5e-324])
+
+
+def test_a_vertex_reached_past_a_nearly_parallel_entry_facet_is_located():
+    # locate raised "empty intersection interval" where contains accepted
+    polytope, v = nearly_parallel_entry()
+    assert polytope.contains(v) and -1.2e-16 < polytope.margins(v).min() < 0.0
+    trace = locate(polytope, v)
+    assert trace.degenerate and (trace.alpha_minus, trace.alpha_plus, trace.alpha_v) == (1.0, 1.0, 1.0)
+    assert (trace.in_facet, trace.out_facet) == (4, 1)
+    batch = rx.ray_intersect_batch(polytope, v[None])
+    assert batch.degenerate.tolist() == [True] and (batch.in_facet[0], batch.out_facet[0]) == (4, 1)
 
 
 def _off_ties(polytope: rx.Polytope, v: np.ndarray) -> bool:

@@ -1,7 +1,7 @@
 """Warm-started LPs: ``solve_lp`` from a ``CertifiedBases``, and the oracle that reuses one.
 
 A warm solve answers from a certified basis, or runs dual simplex pivots
-from the set's last basis, and must agree with the cold two-phase solve:
+from the nearest entry of the set, and must agree with the cold two-phase solve:
 the same status everywhere, the same optimum within 1e-9 relative.  Every
 way out of the warm path lands in the cold solve, whose result is then
 returned unchanged.
@@ -37,7 +37,7 @@ NEAR = ([0.3, 0.6, 1.0], [0.5, 0.4, 1.0])  # a query and one four dual pivots aw
 
 
 def _set_at(c, a, b):
-    """A certified set after one solve of (c, A) at b: that optimum is its one entry and its last basis."""
+    """A certified set after one solve of (c, A) at b: that optimum is its one entry."""
     bases = CertifiedBases()
     assert solve_lp(c, a, b, start=bases).status == "optimal"
     return bases
@@ -67,10 +67,19 @@ def test_a_neighbouring_entry_walks_by_dual_pivots_from_its_stored_inverse(cold_
     assert np.allclose(weights, warm.x, rtol=0.0, atol=1e-12)
 
 
-def _fallback_case():
-    """A grid LP, a set holding the optimum at a query near one corner, and a query near the opposite one."""
-    c, a, b = hull_lp(GRID, GRID_VALUES, [0.9, 0.9])
-    return c, a, _set_at(c, a, b), np.array([0.1, 0.15, 1.0])
+def test_a_walk_starts_from_the_entry_whose_most_negative_basic_value_is_largest(monkeypatch):
+    c, a, _ = hull_lp(GRID, GRID_VALUES, NEAR[0][:2])
+    bases = CertifiedBases()
+    for b in (NEAR[0], [0.8, 0.2, 1.0]):
+        solve_lp(c, a, b, start=bases)
+    b = np.array([0.35, 0.5, 1.0])  # covered by neither entry, and nearer the first
+    lows = [np.linalg.solve(a[:, list(basis)], b).min() for basis in bases.entries]
+    assert len(lows) == 2 and lows[0] > lows[1]
+    starts, walk = [], simplex._dual_simplex
+    monkeypatch.setattr(simplex, "_dual_simplex", lambda *args: starts.append(tuple(args[3])) or walk(*args))
+    warm = solve_lp(c, a, b, start=bases)
+    assert starts == [bases.entries[0]]  # not the last optimum reached
+    assert warm.pivots >= 1 and warm.objective == pytest.approx(solve_lp(c, a, b).objective, rel=1e-12)
 
 
 CORNERS = (0, 8, 72)  # three box corners of GRID: a feasible basis, not an optimal one
@@ -84,7 +93,6 @@ def test_a_dual_infeasible_entry_goes_cold(cold_calls, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(simplex, "FEAS_TOL", np.inf)
         bases._enter(c, a, CORNERS)
-    bases.last = CORNERS
     walks = record_calls(monkeypatch, simplex, "_dual_simplex")
     assert same(solve_lp(c, a, b, start=bases), solve_lp(c, a, b))
     assert len(walks) == 1 and len(cold_calls) == 2
@@ -100,16 +108,6 @@ def test_the_pivot_limit_sends_the_walk_cold(cold_calls, monkeypatch):
     bases = _set_at(c, a, NEAR[0])
     del cold_calls[:]
     assert same(solve_lp(c, a, b_next, start=bases), solve_lp(c, a, b_next))
-    assert len(cold_calls) == 2
-
-
-def test_a_start_beyond_the_dual_reach_goes_cold(cold_calls, monkeypatch):
-    c, a, bases, b = _fallback_case()
-    monkeypatch.setattr(simplex, "DUAL_PIVOT_LIMIT", 10**6)
-    basics = np.linalg.solve(a[:, list(bases.last)], b)
-    assert basics.min() < -simplex.DUAL_REACH
-    del cold_calls[:]
-    assert same(solve_lp(c, a, b, start=bases), solve_lp(c, a, b))
     assert len(cold_calls) == 2
 
 
@@ -136,13 +134,14 @@ def test_a_breakdown_sends_the_walk_cold(cold_calls, monkeypatch):
 
 def test_an_infeasible_query_gets_the_cold_status(cold_calls):
     # outside the hull: the dual ratio test finds no column, and the cold solve says why
-    c, a, bases, _ = _fallback_case()
-    last = bases.last
+    c, a, b = hull_lp(GRID, GRID_VALUES, [0.9, 0.9])
+    bases = _set_at(c, a, b)
+    entries = list(bases.entries)
     b = np.array([1.02, 0.5, 1.0])
     res = solve_lp(c, a, b, start=bases)
     assert res.status == "infeasible" and res.basis is None
     assert len(cold_calls) == 2  # the set's first solve, then this one
-    assert bases.entries == [last] and bases.last == last
+    assert bases.entries == entries
 
 
 def test_one_solve_lp_per_oracle_eval_in_compare(monkeypatch, capsys):
@@ -170,8 +169,7 @@ def test_one_solve_lp_per_oracle_eval_in_compare(monkeypatch, capsys):
     assert isinstance(bases, CertifiedBases)
     assert all(oracle.bases is bases for _, oracle in evals) and all(start is bases for start, _ in solves)
     optima = [set(res.basis) for _, res in solves if res.status == "optimal"]
-    assert optima and bases.last == next(res.basis for _, res in reversed(solves) if res.status == "optimal")
-    assert [set(basis) for basis in bases.entries] == [b for i, b in enumerate(optima) if b not in optima[:i]]
+    assert optima and [set(basis) for basis in bases.entries] == [b for i, b in enumerate(optima) if b not in optima[:i]]
 
 
 def test_compare_inverts_each_basis_once_as_it_enters_and_never_for_a_walk(monkeypatch, capsys):
@@ -223,8 +221,8 @@ THIN_BOX_QUERY = np.array([-1e-5, 1.0])
 def test_the_cold_solve_reports_a_full_rank_basis():
     oracle = _thin_box_oracle()
     assert rx.oracle_eval(oracle, THIN_BOX_QUERY) == -1e-5
-    assert oracle.bases.entries == [oracle.bases.last]  # certified, so B is invertible
-    assert np.linalg.matrix_rank(oracle.constraints[:, list(oracle.bases.last)]) == 3
+    (basis,) = oracle.bases.entries  # certified, so B is invertible
+    assert np.linalg.matrix_rank(oracle.constraints[:, list(basis)]) == 3
 
 
 @settings(max_examples=30, deadline=None)
@@ -235,7 +233,8 @@ def test_warm_oracle_matches_a_cold_solve_at_every_query(case):
     for x in queries:
         rhs = np.append(x, 1.0)
         cold = solve_lp(oracle.values, oracle.constraints, rhs)
-        warm = solve_lp(oracle.values, oracle.constraints, rhs, start=copy.deepcopy(oracle.bases))
+        bases = copy.deepcopy(oracle.bases)
+        warm = solve_lp(oracle.values, oracle.constraints, rhs, start=bases)
         try:
             value = rx.oracle_eval(oracle, x)
         except InfeasibleLP:
@@ -244,7 +243,7 @@ def test_warm_oracle_matches_a_cold_solve_at_every_query(case):
         assert cold.status == warm.status == "optimal"
         assert value == warm.objective  # oracle_eval is this very solve, from its certified set
         assert abs(value - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
-        assert oracle.bases.last == warm.basis
+        assert oracle.bases.entries == bases.entries
         basis = list(warm.basis)
         weights = np.zeros(len(oracle.values))
         weights[basis] = np.linalg.lstsq(oracle.constraints[:, basis], rhs, rcond=None)[0]
@@ -283,16 +282,17 @@ def test_a_certified_basis_answers_with_no_pivot_and_no_tableau(cold_calls, monk
     dual_calls = record_calls(monkeypatch, simplex, "_dual_simplex")
     bases = CertifiedBases()
     first = solve_lp(c, a, b, start=bases)
-    assert len(cold_calls) == 1 and not dual_calls  # an empty set has no last basis: cold
-    assert bases.entries == [first.basis] and bases.last == first.basis
+    assert len(cold_calls) == 1 and not dual_calls  # an empty set has no entry to walk from: cold
+    assert bases.entries == [first.basis]
     again = solve_lp(c, a, b, start=bases)
     assert len(cold_calls) == 1 and not dual_calls
     assert again.pivots == 0 and again.basis == first.basis
     assert again.objective == pytest.approx(first.objective, rel=1e-12)
-    walked = solve_lp(c, a, NEAR[1], start=bases)  # outside it: dual pivots from the last basis
+    walked = solve_lp(c, a, NEAR[1], start=bases)  # outside it: dual pivots from its one entry
     assert len(dual_calls) == 1 and len(cold_calls) == 1 and walked.pivots >= 1
-    assert bases.entries == [first.basis, walked.basis] and bases.last == walked.basis
-    assert solve_lp(c, a, NEAR[0], start=bases).basis == first.basis and bases.last == first.basis
+    assert bases.entries == [first.basis, walked.basis]
+    back = solve_lp(c, a, NEAR[0], start=bases)
+    assert (back.basis, back.pivots) == (first.basis, 0) and len(dual_calls) == 1
 
 
 def test_a_basis_that_is_not_optimal_is_refused_and_never_returned(monkeypatch):
@@ -302,8 +302,7 @@ def test_a_basis_that_is_not_optimal_is_refused_and_never_returned(monkeypatch):
     assert np.linalg.solve(a[:, list(CORNERS)], np.append(query, 1.0)).min() > 0  # inside its triangle
     bases = CertifiedBases()
     bases._enter(c, a, CORNERS)
-    assert bases.entries == []
-    bases.last = CORNERS  # as after an optimum the set refused: no walk starts from it
+    assert bases.entries == []  # refused: no walk starts from it
     results = _certified_run(oracle, [query], bases)
     assert results[0].basis != CORNERS
     _assert_cold_answers(oracle, [query], results)
