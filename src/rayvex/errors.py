@@ -82,4 +82,4 @@ class InfeasibleLP(RayvexError):
 
 
 class NumericalBreakdown(RayvexError):
-    """Simplex pivot selection fell below the stability threshold."""
+    """The simplex reached its iteration limit, the one breakdown its ratio test leaves."""

@@ -4,8 +4,10 @@ Solves  minimize c.x  subject to  A x = b, x >= 0.  Pivots are priced by the
 most negative reduced cost (Dantzig); after a run of DEGENERATE_RUN pivots
 that do not lower the objective, pricing falls back to Bland's
 smallest-index rule until the objective drops again, which rules out
-cycling.  Sized for desk-scale instances (a handful of equality rows, up to
-~10^4 columns); everything is a plain numpy tableau.
+cycling.  Every pivot, primal or dual, takes one ratio test (``_ratio_test``),
+and NumericalBreakdown means only the iteration limit.  Sized for desk-scale
+instances (a handful of equality rows, up to ~10^4 columns); everything is a
+plain numpy tableau.
 
 A caller that re-solves one LP under a changed right-hand side passes a
 ``CertifiedBases`` as ``start``.  An optimal basis stays dual feasible when
@@ -17,7 +19,7 @@ checked for reduced costs once, as it enters.  A certified basis that is
 primal feasible for b is the answer with no pivot; otherwise dual simplex
 pivots run from the stored B^-1 of the nearest entry, the one whose most
 negative basic value at b is largest.  Where that does not cleanly reach
-an optimum -- a breakdown, the pivot limit, a row with no dual ratio (the
+an optimum -- the pivot limit, a row with no dual ratio (the
 LP may be infeasible) -- the cold two-phase solve decides, so statuses
 never depend on ``start``.  A warm optimum may differ from the cold one in
 the last ulps (another optimal basis, another rounding), and is
@@ -108,39 +110,34 @@ class CertifiedBases:
 def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) -> LPResult:
     """Solve min c.x s.t. A x = b, x >= 0.
 
-    ``start`` is None or the ``CertifiedBases`` of earlier solves of the
-    same c and A; anything else raises InvalidInput.  From a set, every
-    entry is tested against b at once: the first entry whose basic values
-    are all >= -PIVOT_TOL and that meets A x = b within
-    FEAS_TOL * max(1, |b|) is the optimum, with 0 pivots.  Otherwise dual
-    simplex pivots run from the stored B^-1 of the entry whose most negative
-    basic value is largest (the first on a tie), and ``pivots`` counts them.
-    A breakdown, DUAL_PIVOT_LIMIT pivots or a row with no dual ratio sends
-    the solve to the cold path, so the status is always the cold one.  An
-    optimum reached from a set is offered to it.
+    c, A and b must be finite, and ``start`` is None or the
+    ``CertifiedBases`` of earlier solves of the same c and A; anything else
+    raises InvalidInput.  From a set, every entry is tested against b at
+    once: the first entry whose basic values are all >= -PIVOT_TOL and that
+    meets A x = b within FEAS_TOL * max(1, |b|) is the optimum, with 0
+    pivots.  Otherwise dual simplex pivots run from the stored B^-1 of the
+    entry whose most negative basic value is largest (the first on a tie).
+    DUAL_PIVOT_LIMIT pivots or a row with no dual ratio sends the solve to
+    the cold path, so the status is always the cold one.  An optimum
+    reached from a set is offered to it.  A warm optimum may differ from the
+    cold one in the last ulps, and is deterministic for a fixed sequence of
+    solves.  The cold path raises NumericalBreakdown at its iteration limit.
 
-    A warm optimum may differ from the cold one in the last ulps, and is
-    deterministic for a fixed sequence of solves.  The cold path retries
-    once with row rescaling if pivoting breaks down, then raises
-    NumericalBreakdown.  ``pivots`` counts the pivots of the returned
-    attempt.  ``basis`` lists the final basic columns (taken from the
-    tableau, so zero-valued basics of a degenerate optimum too).
+    ``pivots`` counts the pivots of the returned attempt.  ``basis`` lists
+    the final basic columns (from the tableau, so zero-valued basics too).
     """
     c = np.asarray(objective, dtype=float).reshape(-1)
     a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
     b = np.asarray(eq_rhs, dtype=float).reshape(-1)
     if a.shape != (b.size, c.size):
         raise DimensionMismatch(f"inconsistent LP shapes: A{a.shape}, b({b.size},), c({c.size},)")
+    if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidInput("LP data must be finite: c, A or b holds a NaN or an infinity")
     if start is not None and not isinstance(start, CertifiedBases):
         raise InvalidInput(f"start must be None or a CertifiedBases, got {type(start).__name__}")
     res = None if start is None else start._lookup(c, a, b)
     if res is None:
-        try:
-            res = _two_phase(c, a, b)
-        except NumericalBreakdown:
-            scale = np.maximum(np.abs(a).max(axis=1, initial=0.0), np.abs(b))
-            scale[scale < 1e-300] = 1.0
-            res = _two_phase(c, a / scale[:, None], b / scale)
+        res = _two_phase(c, a, b)
     if start is not None and res.status == "optimal":
         start._enter(c, a, res.basis)
     return res
@@ -178,9 +175,7 @@ def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult:
     tab[-1, -1] = -b.sum()
     basis = list(range(n, n + m))
 
-    status, pivots = _iterate(tab, basis, n + m)
-    if status == "unbounded":  # cannot happen: phase-1 objective bounded below by 0
-        raise NumericalBreakdown("phase-1 reported unbounded")
+    _, pivots = _iterate(tab, basis, n + m)  # "unbounded" here is rounding: the artificial sum is >= 0
     if -tab[-1, -1] > FEAS_TOL:
         return LPResult("infeasible", None, None, pivots)
 
@@ -206,7 +201,7 @@ def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult:
 def _optimum(c: np.ndarray, basis: list[int], basics: np.ndarray, pivots: int) -> LPResult:
     x = np.zeros(c.size)
     x[basis] = basics
-    x[np.abs(x) < 1e-15] = 0.0
+    x[np.abs(x) < 1e-15] = 0.0  # else validate bounds a cut box through the origin at -2.2e-16, not 0
     return LPResult("optimal", x, float(c @ x), pivots, tuple(basis))
 
 
@@ -214,8 +209,7 @@ def _dual_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: list[int],
     """Re-solve from ``basis``, with its B^-1, by dual simplex pivots, or None where the cold solve must.
 
     The leaving row holds the most negative basic value; the entering column
-    passes the dual ratio test (smallest reduced cost over |pivot|, ties to
-    the largest |pivot|), which keeps every reduced cost >= 0.  The answer is
+    passes ``_ratio_test`` on the reduced costs over minus that row.  The answer is
     returned only with its optimality certificate: basics >= -PIVOT_TOL,
     reduced costs >= -FEAS_TOL and A x = b within FEAS_TOL; the start is
     re-priced too, as its tableau can disagree with its certificate in ulps.
@@ -240,19 +234,11 @@ def _dual_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: list[int],
             break
         if pivots == DUAL_PIVOT_LIMIT:
             return None
-        row = tab[leave, :n]
-        eligible = (row < -PIVOT_TOL).nonzero()[0]
-        if eligible.size == 0:
+        cols = _ratio_test(costs, -tab[leave, :n])
+        if cols.size == 0:
             return None  # no x >= 0 meets this row: the cold solve reports infeasible
-        steps = row[eligible]  # negative
-        ratios = np.maximum(costs[eligible], 0.0) / steps  # minus the dual step each column allows
-        ties = ratios >= ratios.max() - 1e-12
-        enter = int(eligible[ties][steps[ties].argmin()])
-        try:
-            _pivot(tab, leave, enter)
-        except NumericalBreakdown:
-            return None
-        basis[leave] = enter
+        _pivot(tab, leave, cols[0])
+        basis[leave] = int(cols[0])
 
     result = _optimum(c, basis, tab[:-1, -1], pivots)
     residual = np.abs(a @ result.x - b).max(initial=0.0)
@@ -278,7 +264,8 @@ def _iterate(tab: np.ndarray, basis: list[int], n_cols: int) -> tuple[str, int]:
     lowest value so far, the smallest improving index enters instead (Bland)
     until a pivot reaches a new low.  The objective strictly drops between
     such runs and Bland's rule cannot cycle within one, so no basis repeats.
-    The leaving row is always the Bland tie-break of the ratio test.
+    The leaving row passes ``_ratio_test`` on the basic values over the entering
+    column: its first, or under Bland pricing the smallest basic index.
     """
     m = tab.shape[0] - 1
     max_iter = 1000 + 50 * (m + n_cols)
@@ -286,30 +273,15 @@ def _iterate(tab: np.ndarray, basis: list[int], n_cols: int) -> tuple[str, int]:
     stalled = 0
     for pivots in range(max_iter):
         costs = tab[-1, :n_cols]
-        if stalled < DEGENERATE_RUN:
-            enter = int(np.argmin(costs))
-            if costs[enter] >= -FEAS_TOL:
-                return "optimal", pivots
-        else:
-            improving = np.nonzero(costs < -FEAS_TOL)[0]
-            if improving.size == 0:
-                return "optimal", pivots
-            enter = int(improving[0])
-
-        col = tab[:m, enter]
-        eligible = col > PIVOT_TOL
-        if not eligible.any():
+        improving = costs < -FEAS_TOL
+        if not improving.any():
+            return "optimal", pivots
+        enter = int(np.argmin(costs) if stalled < DEGENERATE_RUN else improving.argmax())
+        rows = _ratio_test(tab[:m, -1], tab[:m, enter])
+        if rows.size == 0:
             return "unbounded", pivots
-        rhs = tab[:m, -1]
-        ratios = np.full(m, np.inf)
-        ratios[eligible] = rhs[eligible] / col[eligible]
-        if ratios.min() < -FEAS_TOL:  # a basic value rounded below 0 over a tiny pivot: it stands for 0
-            np.maximum(rhs, 0.0, out=rhs)
-            ratios[eligible] = rhs[eligible] / col[eligible]
-        ties = np.nonzero(ratios <= ratios.min() + 1e-12)[0]
-        # Bland tie-break: row whose basic variable has the smallest index.
-        leave = min(ties, key=lambda i: basis[i])
-
+        leave = int(rows[0] if stalled < DEGENERATE_RUN else min(rows, key=basis.__getitem__))
+        tab[leave, -1] = max(tab[leave, -1], 0.0)  # no step back: a value rounded below 0 stands for 0
         _pivot(tab, leave, enter)
         basis[leave] = enter
         if tab[-1, -1] > best:
@@ -320,11 +292,21 @@ def _iterate(tab: np.ndarray, basis: list[int], n_cols: int) -> tuple[str, int]:
     raise NumericalBreakdown("simplex iteration limit reached")
 
 
+def _ratio_test(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Harris's two-pass ratio test: the indices a pivot may take, largest step first, or none.
+
+    Pass 1 bounds the ratio by the smallest (value + FEAS_TOL) / step over
+    steps > PIVOT_TOL, so no value with such a step falls below -FEAS_TOL; pass 2
+    keeps each index within that bound (Harris 1973; the dual form: Koberstein 2005).
+    """
+    eligible = (steps > PIVOT_TOL).nonzero()[0]
+    v, s = values[eligible], steps[eligible]
+    within = (v / s <= ((v + FEAS_TOL) / s).min(initial=np.inf)).nonzero()[0]
+    return eligible[within[np.argsort(-s[within], kind="stable")]]
+
+
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
-    piv = tab[row, col]
-    if abs(piv) < PIVOT_TOL:
-        raise NumericalBreakdown(f"pivot {piv:.3e} below stability threshold")
-    tab[row, :] /= piv
+    tab[row, :] /= tab[row, col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
     tab -= np.outer(factors, tab[row, :])

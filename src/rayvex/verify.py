@@ -467,7 +467,8 @@ def oracle_eval(oracle: SampledOracle, x) -> float:
     (the one whose most negative weight is largest), or solves cold, and
     its optimal basis joins the set.  A warm value may differ from the
     cold one in the last ulps, so values depend on the query order,
-    deterministically.
+    deterministically.  An x with a NaN or infinite coordinate raises
+    InvalidInput.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     rhs = np.concatenate([x, [1.0]])

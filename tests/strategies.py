@@ -113,25 +113,26 @@ def hull_lp(points, values, x):
     return np.asarray(values, dtype=float), np.vstack([points.T, np.ones(len(points))]), np.append(x, 1.0)
 
 
-def brute_force_optimum(c, a, b, tol=1e-9):
-    """Minimum of c.x over basic feasible solutions of {A x = b, x >= 0}.
+def brute_force_optimum(c, a, b, tol=1e-9, max_cond=None):
+    """Minimum of c.x over basic feasible solutions of {A x = b, x >= 0}, or None if there are none.
 
     The optimum of a feasible bounded LP is attained at one of these, which
-    makes this an independent oracle for the simplex path.
+    makes this an independent oracle for the simplex path.  Every column set
+    is solved at once; an exactly singular B (det 0, where ``np.linalg.solve``
+    raises) is skipped, and with max_cond so is a B of condition number >= max_cond.
     """
     m, n = a.shape
-    best = None
-    for cols in itertools.combinations(range(n), m):
-        try:
-            xb = np.linalg.solve(a[:, cols], b)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(xb)) or np.any(xb < -tol):
-            continue
-        val = float(c[list(cols)] @ xb)
-        if best is None or val < best:
-            best = val
-    return best
+    cols = np.array(list(itertools.combinations(range(n), m)))
+    mats = a[:, cols].transpose(1, 0, 2)  # B of each column set
+    keep = np.linalg.det(mats) != 0.0
+    cols, mats = cols[keep], mats[keep]
+    xb = np.linalg.solve(mats, np.broadcast_to(b[:, None], (len(mats), m, 1)))[..., 0]
+    feasible = np.isfinite(xb).all(axis=1) & (xb >= -tol).all(axis=1)
+    if max_cond is not None:
+        feasible[feasible] = np.linalg.cond(mats[feasible]) < max_cond
+    if not feasible.any():
+        return None
+    return float(np.einsum("ij,ij->i", c[cols[feasible]], xb[feasible]).min())
 
 
 def record_calls(monkeypatch, owner, name) -> list:
@@ -488,6 +489,39 @@ def oracles(draw):
     a, b, _ = draw(cut_boxes(dims=(2, 2), exponents=None, permute=False))
     field = rx.ScalarField(2, _oracle_field(draw(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))), name="any")
     return rx.oracle_build(field, rx.Polytope.from_inequalities(a, b), grid_density=draw(st.integers(0, 12)))
+
+
+def _moved(draw, x) -> float:
+    """x as it is, moved 1-8 ulps, or moved 10^[-15, -7] either way."""
+    kind = draw(st.sampled_from(["on", "ulps", "off"]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    if kind == "ulps":
+        return float(ulps(x, sign, draw(st.integers(1, 8))))
+    return x + sign * 10.0 ** draw(st.floats(-15.0, -7.0)) if kind == "off" else x
+
+
+@st.composite
+def near_collinear_hull_lps(draw):
+    """(c, A, b) of ``hull_lp`` on a box lattice whose rows are moved off their lines, queried near a sample.
+
+    3-5 ticks per axis, 1/8, 1/2 or 1 apart, from x = 0 or 0.90625 and y = 0;
+    each row of the lattice (one y) is moved by ``_moved``, so the points of a
+    column stay collinear and triples across rows nearly are.  Values y^2,
+    x^2 + y^2 or integers in [-2, 2]; the query is a sample point with its y
+    moved again, so it may lie just outside the hull.
+    """
+    ticks = draw(st.integers(3, 5))
+    step = draw(st.sampled_from([0.125, 0.5, 1.0]))
+    xs = draw(st.sampled_from([0.0, 0.90625])) + step * np.arange(ticks)
+    ys = [_moved(draw, step * i) for i in range(ticks)]
+    points = np.array([(x, y) for x in xs for y in ys])
+    kind = draw(st.sampled_from(["y^2", "x^2 + y^2", "integers"]))
+    if kind == "integers":
+        values = draw(st.lists(st.integers(-2, 2), min_size=len(points), max_size=len(points)))
+    else:
+        values = points[:, 1] ** 2 + (points[:, 0] ** 2 if kind == "x^2 + y^2" else 0.0)
+    i, j = draw(st.integers(0, ticks - 1)), draw(st.integers(0, ticks - 1))
+    return hull_lp(points, values, [xs[i], _moved(draw, ys[j])])
 
 
 @st.composite

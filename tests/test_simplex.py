@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from strategies import brute_force_optimum, hull_lp
+from strategies import brute_force_optimum, hull_lp, near_collinear_hull_lps
 
 import rayvex as rx
-from rayvex.simplex import DEGENERATE_RUN, _iterate, _pivot, solve_inequality_lp, solve_lp
+from rayvex import simplex
+from rayvex.errors import DimensionMismatch, InvalidInput, NumericalBreakdown
+from rayvex.simplex import DEGENERATE_RUN, FEAS_TOL, _iterate, _pivot, solve_inequality_lp, solve_lp
 
 # Beale's degenerate instance: naive most-negative pricing cycles on it.
 BEALE_C = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
@@ -72,10 +74,12 @@ def test_beale_cycling_instance_terminates():
     assert res.objective == pytest.approx(-0.05, abs=1e-10)
 
 
-def test_beale_from_slack_basis_needs_the_bland_fallback():
-    # From the slack basis (columns 4-6) most-negative pricing alone cycles
-    # through degenerate bases until the iteration limit; only the switch to
-    # Bland's rule after DEGENERATE_RUN stalled pivots reaches the optimum.
+@pytest.mark.parametrize("run", [DEGENERATE_RUN, 0])
+def test_beale_from_slack_basis_reaches_the_optimum_under_either_pricing(run, monkeypatch):
+    # From the slack basis (columns 4-6) most-negative pricing with the largest-pivot
+    # leaving row takes two pivots; a degenerate run of 0 prices by Bland's rule
+    # from the first pivot, which must end at the optimum too.
+    monkeypatch.setattr(simplex, "DEGENERATE_RUN", run)
     tab = np.zeros((4, 8))
     tab[:3, :7] = BEALE_A
     tab[:3, -1] = BEALE_B
@@ -84,7 +88,7 @@ def test_beale_from_slack_basis_needs_the_bland_fallback():
     status, pivots = _iterate(tab, basis, 7)
     assert status == "optimal"
     assert -tab[-1, -1] == pytest.approx(-0.05, abs=1e-10)
-    assert pivots > DEGENERATE_RUN
+    assert pivots == (2 if run else 6)
     x = np.zeros(7)
     x[basis] = tab[:3, -1]
     assert np.max(np.abs(BEALE_A @ x - BEALE_B)) <= 1e-12
@@ -128,18 +132,96 @@ def test_solution_feasibility_contract():
         assert res.objective == pytest.approx(res.x @ c)
 
 
+# y^2 on a 5 x 5 lattice whose bottom row sits 1.2e-7 below y = 0, queried 5e-13 above it
+DEFECT_YS = [float.fromhex(h) for h in ("-0x1.00000001c5f68p-23", "0x1.ffffdfffffffcp-4", "0x1.ffffefffffffep-3")]
+DEFECT_YS += [float.fromhex(h) for h in ("0x1.7ffff7fffffffp-2", "0x1.fffff7fffffffp-2")]
+DEFECT_POINTS = np.array([(x, y) for x in 0.90625 + 0.5 * np.arange(5) for y in DEFECT_YS])
+DEFECT_LP = hull_lp(DEFECT_POINTS, DEFECT_POINTS[:, 1] ** 2, [0.90625, float.fromhex("-0x1.ffff7346bfe39p-24")])
+
+
 def test_a_basic_value_rounded_below_zero_is_not_stepped_back_through():
-    # y^2 on a 5 x 5 lattice whose bottom row sits 1.2e-7 below y = 0, queried 5e-13
-    # above it.  The last phase-2 pivot was a rounding 1.4e-10 under a basic value
-    # of -1.85e-17, so the entering weight came out -1.3e-7 and the objective 2e-9.
-    ys = [float.fromhex(h) for h in ("-0x1.00000001c5f68p-23", "0x1.ffffdfffffffcp-4", "0x1.ffffefffffffep-3")]
-    ys += [float.fromhex(h) for h in ("0x1.7ffff7fffffffp-2", "0x1.fffff7fffffffp-2")]
-    points = np.array([(x, y) for x in 0.90625 + 0.5 * np.arange(5) for y in ys])
-    c, a, b = hull_lp(points, points[:, 1] ** 2, [0.90625, float.fromhex("-0x1.ffff7346bfe39p-24")])
+    # Pivoting on a rounding 1.4e-10 entry under a basic value of -1.85e-17 once made the
+    # entering weight -1.3e-7 and the objective 2e-9.
+    c, a, b = DEFECT_LP
     res = solve_lp(c, a, b)
     assert res.status == "optimal" and res.x.min() >= 0.0
     assert np.abs(a @ res.x - b).max() <= 1e-15
     assert abs(res.objective) <= 1e-12
+
+
+# Each ratio-tested pivot keeps the basic values >= -FEAS_TOL and phase 1 accepts an
+# artificial sum up to FEAS_TOL; on these 3-row LPs the two add up to a few FEAS_TOL
+# (worst seen in about 20,000 draws: a residual of 5.0e-9, a weight of -2.0e-9, and a
+# value 5.3e-9 max |c| above the brute force).
+SLACK = 10 * FEAS_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_collinear_hull_lps())
+@example(DEFECT_LP)  # once optimal on the basis (2, 0, 1): three points of one column, cond 1.4e17
+def test_a_cold_optimum_is_a_sound_basis_on_near_collinear_lattices(lp):
+    c, a, b = lp
+    res = solve_lp(c, a, b)
+    assert res.status in ("optimal", "infeasible")
+    if res.status == "infeasible":
+        return
+    basis = a[:, list(res.basis)]
+    assert basis.shape == (3, 3) and np.linalg.cond(basis) < 1e12
+    assert np.abs(a @ res.x - b).max() <= SLACK * max(1.0, np.abs(b).max())
+    assert res.x.min() >= -SLACK
+    # no worse than the best basic solution (weights >= -1e-9) on a basis with cond < 1e12;
+    # a query just outside the hull may have none
+    best = brute_force_optimum(c, a, b, max_cond=1e12)
+    assert best is None or res.objective <= best + SLACK * max(1.0, np.abs(c).max())
+
+
+def test_a_query_just_outside_the_hull_is_infeasible_or_met_within_feas_tol():
+    # y^2 on a 4 x 4 lattice with rows moved by up to 6.7e-8, queried 2.4e-9 above its top row.
+    # Stepping back through a basic value rounded below 0 gave optimal weights down to -2.4e-9.
+    ys = [6.675653505536901e-08, 0.9999999715712518, 2.0000000000000133, 2.9999999999999964]
+    points = np.array([(x, y) for x in range(4) for y in ys], dtype=float)
+    c, a, b = hull_lp(points, points[:, 1] ** 2, [2.0, 3.0000000023990894])
+    res = solve_lp(c, a, b)
+    assert res.status == "infeasible" or (res.x.min() >= -FEAS_TOL and np.abs(a @ res.x - b).max() <= FEAS_TOL * np.abs(b).max())
+
+
+def test_the_chebyshev_lp_of_user_scale_rows_is_solved():
+    # validate's interior-point LP on a cut box's rows as the user gave them, row norms 1e-3 to 1e2:
+    # phase 1 once met a column with no entry above PIVOT_TOL and raised NumericalBreakdown
+    a = np.array([[-0.28546516903645525, 0.0], [-0.0010296106992124358, -0.00013251530226929508], [1.2385328794304349, 0.0],
+                  [0.0, -0.05192204502148773], [0.0, 110.744696892593]])
+    b = np.array([0.0, 0.0, 2.0015839405181604, 0.0, 209.12271242643473])
+    res = solve_inequality_lp([0.0, 0.0, -1.0], np.hstack([a, np.linalg.norm(a, axis=1)[:, None]]), b)
+    assert res.status == "optimal"
+    assert -res.objective == pytest.approx(0.8080463481270802, rel=1e-12)  # validate's margin on the canonical rows
+    assert rx.validate(rx.Polytope.from_inequalities(a, b)).interior_point == pytest.approx(res.x[:2], abs=1e-12)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["c", "A", "b"])
+def test_non_finite_lp_data_is_invalid_input(where, value):
+    data = {"c": [1.0, 0.0], "A": [[1.0, 1.0]], "b": [1.0]}
+    data[where] = np.array(data[where])
+    data[where].reshape(-1)[0] = value
+    with pytest.raises(InvalidInput, match="must be finite"):
+        solve_lp(data["c"], data["A"], data["b"])
+
+
+def test_an_oracle_query_must_be_a_finite_point_of_its_dimension():
+    entry = rx.bilinear_neg()
+    oracle = rx.oracle_build(entry.field, entry.default_polytope, grid_density=10)
+    for x in ([np.nan, 0.5], [np.inf, 0.5]):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            rx.oracle_eval(oracle, x)
+    with pytest.raises(DimensionMismatch, match="inconsistent LP shapes"):
+        rx.oracle_eval(oracle, [0.5, 0.5, 0.5])
+
+
+def test_the_iteration_limit_is_the_one_breakdown(monkeypatch):
+    # a pivot that changes nothing: the same column enters until the limit
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: None)
+    with pytest.raises(NumericalBreakdown, match="iteration limit"):
+        solve_lp([1.0, 0.0], [[1.0, 1.0]], [1.0])
 
 
 @settings(max_examples=40, deadline=None)

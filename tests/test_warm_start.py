@@ -17,7 +17,7 @@ from strategies import hull_lp, oracle_query_runs, record_calls, same
 
 import rayvex as rx
 from rayvex import cli, simplex, verify
-from rayvex.errors import InfeasibleLP, InvalidInput, NumericalBreakdown
+from rayvex.errors import InfeasibleLP, InvalidInput
 from rayvex.geometry import lattice
 from rayvex.simplex import CertifiedBases, solve_lp
 
@@ -111,23 +111,23 @@ def test_the_pivot_limit_sends_the_walk_cold(cold_calls, monkeypatch):
     assert len(cold_calls) == 2
 
 
-def test_a_breakdown_sends_the_walk_cold(cold_calls, monkeypatch):
+def test_a_walk_that_fails_its_certificate_goes_cold(cold_calls, monkeypatch):
+    # the walk's first pivot leaves a basic value 1e-6 off, so A x = b fails by far more than FEAS_TOL
     c, a, _ = hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
     bases = _set_at(c, a, NEAR[0])
     b_next = np.array(NEAR[1])
-    pivot = simplex._pivot
-    broken = []
+    pivot, drifted = simplex._pivot, []
 
-    def breaks_once(*args):
-        if not broken:
-            broken.append(args)
-            raise NumericalBreakdown("forced")
-        return pivot(*args)
+    def drifts_once(tab, row, col):
+        pivot(tab, row, col)
+        if not drifted:
+            drifted.append(row)
+            tab[row, -1] += 1e-6
 
-    monkeypatch.setattr(simplex, "_pivot", breaks_once)
+    monkeypatch.setattr(simplex, "_pivot", drifts_once)
     del cold_calls[:]
     res = solve_lp(c, a, b_next, start=bases)
-    assert broken and len(cold_calls) == 1
+    assert drifted and len(cold_calls) == 1
     monkeypatch.setattr(simplex, "_pivot", pivot)
     assert same(res, solve_lp(c, a, b_next))
 
