@@ -44,7 +44,7 @@ from .geometry import (
 )
 from .verify import DEFAULT_BUDGET, CertificationReport, certify
 
-TIGHT_TOL = 1e-9
+TIGHT_TOL = 1e-9  # EnvelopeValue.tight, |g - f| <= TIGHT_TOL max(1, |f|): a relative value gap
 _SIGNS = {"convex": 1.0, "concave": -1.0}  # the working field's sign per sense
 
 

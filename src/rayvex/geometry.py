@@ -34,10 +34,10 @@ from .errors import (
 )
 from .simplex import solve_inequality_lp
 
-GEOM_TOL = 1e-9  # activity / containment decisions
-ALGEBRA_TOL = 1e-12  # algebraic identities
-DEDUP_TOL = 1e-8  # vertex deduplication
-INTERIOR_MARGIN = 1e-10  # strict-containment margin for sampled points
+GEOM_TOL = 1e-9  # containment and facet activity: a margin on canonical rows, or a ray ratio alpha
+ALGEBRA_TOL = 1e-12  # empty or degenerate trace intervals, parallel rays: relative, dimensionless
+DEDUP_TOL = 1e-8  # when two vertices or cell corners are one: a coordinate distance, max norm
+INTERIOR_MARGIN = 1e-10  # how far inside a sampled interior point lies: a margin on canonical rows
 MAX_LATTICE_POINTS = 10**6  # points of one lattice, points_per_axis^n
 
 
@@ -132,6 +132,8 @@ class Polytope:
 
         Each margin is the distance to the facet's hyperplane times |a_i| in [1, 2 sqrt(n)).
         A x is summed as the ray kernels sum it, so a point's margins are the same alone and in a batch.
+        A batch's margins are a (k, m) view of facet-major storage, as ``_facet_dots`` returns, so a
+        reduction over the facets (``contains``) runs along contiguous rows of k samples.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
@@ -393,12 +395,14 @@ def _facet_dots(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Summed column by column, as ``_facet_products`` sums; BLAS may sum in another order.
     A non-finite x gives nan where float arithmetic does (0 * inf), without a warning.
+    A batch is summed into facet-major (m, k) storage and returned as its (k, m) transpose,
+    a view: a pass over the facets then runs along contiguous k-long rows, not m-wide ones.
     """
     with np.errstate(invalid="ignore"):
-        t = np.multiply.outer(x[..., 0], a[:, 0])
+        t = np.multiply.outer(a[:, 0], x[..., 0])
         for j in range(1, a.shape[1]):
-            t += np.multiply.outer(x[..., j], a[:, j])
-    return t
+            t += np.multiply.outer(a[:, j], x[..., j])
+    return t.T
 
 
 def _interval_rules(alpha_lo, alpha_hi):
@@ -544,6 +548,14 @@ class RayTraceBatch:
     degenerate: np.ndarray  # (k,) bool
 
 
+def _first_row(mask: np.ndarray) -> np.ndarray:
+    """``np.argmax(mask, axis=0)`` of an (m, k) bool array as one pass over its m rows: the first
+    row holding True per column, or 0 where none does.  Row i scores m - i where it holds True."""
+    m = len(mask)
+    scores = mask * np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[:, None]
+    return (m - scores.max(axis=0).astype(np.intp)) % m
+
+
 def ray_intersect_batch(polytope: Polytope, v) -> RayTraceBatch:
     """``ray_intersect`` for every row of the (k, n) array ``v`` at once.
 
@@ -559,40 +571,41 @@ def ray_intersect_batch(polytope: Polytope, v) -> RayTraceBatch:
         raise DimensionMismatch(f"directions must be a (k, {polytope.dim}) array, got shape {v.shape}")
     b = polytope.offsets
     rows = np.arange(len(v))
-    finite = np.isfinite(v).all(axis=1)
+    finite = np.isfinite(v.T.copy()).all(axis=0)  # n passes along a coordinate-major copy
     w = v if finite.all() else np.where(finite[:, None], v, 1.0)  # placeholders: ray_intersect rejects those rows
 
-    t = _facet_dots(polytope.matrix, w)  # (k, m)
+    t = _facet_dots(polytope.matrix, w).T  # (m, k): every pass below runs along the k rows
+    b = b[:, None]
     outward = t > 0.0
     inward = t < 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # b / t overflows to inf, as in float division
         ratio = b / t
     exit_ratio = np.where(outward, ratio, math.inf)
-    hi_arg = np.argmin(exit_ratio, axis=1)  # first occurrence, as the scalar strict <
-    alpha_hi = exit_ratio[rows, hi_arg]
-    del exit_ratio  # (k, m) temporaries go as soon as they are used
+    hi_arg = _first_row(exit_ratio == exit_ratio.min(axis=0))  # the first minimum, as the scalar strict <
+    alpha_hi = exit_ratio[hi_arg, rows]
+    del exit_ratio  # (m, k) temporaries go as soon as they are used
     entry_ratio = ratio
     entry_ratio[~inward] = -math.inf
-    lo_arg = np.argmax(entry_ratio, axis=1)
-    best_entry = entry_ratio[rows, lo_arg]
+    lo_arg = _first_row(entry_ratio == entry_ratio.max(axis=0))
+    best_entry = entry_ratio[lo_arg, rows]
     del ratio, entry_ratio
     entered = best_entry > 0.0  # the scalar loop only moves alpha_lo above 0
     alpha_lo = np.where(entered, best_entry, 0.0)
 
     with np.errstate(invalid="ignore", over="ignore"):  # alpha_hi - alpha_lo may overflow, as floats do
         empty, degenerate = _interval_rules(alpha_lo, alpha_hi)
-    scalar = empty | ~(alpha_hi < math.inf) | np.any(~outward & ~inward & (b < -GEOM_TOL), axis=1) | ~finite
+    scalar = empty | ~(alpha_hi < math.inf) | (~outward & ~inward & (b < -GEOM_TOL)).any(axis=0) | ~finite
     alpha_hi[scalar] = 1.0  # placeholders until ray_intersect fills the row, so the tie-break stays finite
     alpha_lo[scalar] = 0.0
     alpha_lo = np.where(degenerate, alpha_hi, alpha_lo)
 
-    at_exit = outward & _meets(t, alpha_hi[:, None], b)
-    at_exit[rows, hi_arg] = True
-    out_facet = np.argmax(at_exit, axis=1)
+    at_exit = outward & _meets(t, alpha_hi, b)
+    at_exit[hi_arg, rows] = True
+    out_facet = _first_row(at_exit)
     entering = (alpha_lo > 0.0) & entered  # otherwise the scalar in_facet is None
-    at_entry = inward & _meets(t, alpha_lo[:, None], b)
-    at_entry[rows[entering], lo_arg[entering]] = True
-    in_facet = np.where(entering, np.argmax(at_entry, axis=1), -1)
+    at_entry = inward & _meets(t, alpha_lo, b)
+    at_entry[lo_arg[entering], rows[entering]] = True
+    in_facet = np.where(entering, _first_row(at_entry), -1)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha_v = (alpha_hi - 1.0) / (alpha_hi - alpha_lo)

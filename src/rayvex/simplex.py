@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NumericalBreakdown
 
-FEAS_TOL = 1e-9
-PIVOT_TOL = 1e-11
+FEAS_TOL = 1e-9  # LP feasibility and optimality: an LP residual or reduced cost, absolute
+PIVOT_TOL = 1e-11  # the smallest entry a pivot may take: a tableau entry, absolute
 DEGENERATE_RUN = 50  # pivots without a new objective low before Bland pricing takes over
 # A warm start goes cold after DUAL_PIVOT_LIMIT dual pivots: each costs ~1/15
 # to 1/30 of a cold solve on the oracle's LPs.

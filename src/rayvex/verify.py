@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleLP, InvalidInput
+from .errors import HyperplaneThroughOrigin, InfeasibleLP, InvalidInput
 from .functions import ScalarField, _eval_rows, _working_field
 from .geometry import (
     Polytope,
@@ -28,7 +28,7 @@ from .geometry import (
 )
 from .simplex import CertifiedBases, solve_lp
 
-DEFAULT_TOL = 1e-7
+DEFAULT_TOL = 1e-7  # a check passes when its worst violation is <= tol: a field value, absolute
 DEFAULT_BUDGET = 10_000
 MAX_BUDGET = 10**6  # certification samples
 MAX_ORACLE_POINTS = 10**5  # oracle lattice points, (grid_density + 1)^dim: the columns of each oracle LP
@@ -181,13 +181,17 @@ def check_ray_concavity(
     traces = ray_intersect_batch(polytope, points)
     keep = ~traces.degenerate
     rays = points[keep]
-    v_minus = traces.v_minus[keep][:, None, :]
-    chord = traces.v_plus[keep][:, None, :] - v_minus
-    # one draw for all rays reads the generator exactly as one draw per ray did
-    params = np.sort(np.random.default_rng(seed + 1).uniform(0.0, 1.0, size=(len(rays), n_per_ray, 2)), axis=2)
-    s, u = params[..., :1], params[..., 1:]
-    triples = np.stack([v_minus + s * chord, v_minus + u * chord, v_minus + 0.5 * (s + u) * chord], axis=2)
-    triples = triples.reshape(-1, 3, polytope.dim)  # per sample: p, q, midpoint
+    # one draw for all rays reads the generator exactly as one draw per ray did; each pair is put in order
+    draws = np.random.default_rng(seed + 1).uniform(0.0, 1.0, size=(len(rays), n_per_ray, 2))
+    s, u = np.minimum(draws[..., 0], draws[..., 1]), np.maximum(draws[..., 0], draws[..., 1])
+    mid = 0.5 * (s + u)
+    # coordinate-major storage, built one coordinate at a time along the sample axes
+    stored = np.empty((polytope.dim, len(rays), n_per_ray, 3))
+    for j, (lo, hi) in enumerate(zip(traces.v_minus[keep].T, traces.v_plus[keep].T)):
+        lo, chord = lo[:, None], (hi - lo)[:, None]
+        for slot, scale in enumerate((s, u, mid)):
+            stored[j, ..., slot] = lo + scale * chord
+    triples = stored.transpose(1, 2, 3, 0).reshape(-1, 3, polytope.dim)  # per sample: p, q, midpoint
 
     f, bad = _sample_values(field, triples)
     tested = len(f)
@@ -276,7 +280,9 @@ def check_positive_homogeneity(
 
     Otherwise samples the two-sided product identity
     (a_in.v) f(v_minus) = (a_out.v) f(v_plus), a real condition on f over
-    the facets.
+    the facets.  A degenerate ray, one that starts inside, and one whose
+    endpoint the tie-break puts on a facet through the origin (within
+    GEOM_TOL of it, so with no normal a / b) are skipped.
     """
     name = "positively_homogeneous"
     polytope = model.polytope
@@ -295,12 +301,19 @@ def check_positive_homogeneity(
 
     points = sample_interior(polytope, seed, n_samples)
     traces = ray_intersect_batch(polytope, points)
-    keep = ~traces.degenerate & (traces.in_facet >= 0)
+    entered = ~traces.degenerate & (traces.in_facet >= 0)
+    m = polytope.n_facets
+    normals = np.zeros((m, n))  # looked up once per facet the entered rays name, not per sample
+    through_origin = np.zeros(m, dtype=bool)  # no normal a / b: the rays that end on one are skipped
+    named = np.bincount(traces.in_facet[entered], minlength=m) + np.bincount(traces.out_facet[entered], minlength=m)
+    for facet in np.flatnonzero(named).tolist():
+        try:
+            normals[facet] = normalize_facet(polytope, facet)
+        except HyperplaneThroughOrigin:  # the endpoint tie-break may name one, within GEOM_TOL
+            through_origin[facet] = True
+    keep = entered & ~through_origin[traces.in_facet] & ~through_origin[traces.out_facet]
     rays = points[keep]
     in_facet, out_facet = traces.in_facet[keep], traces.out_facet[keep]
-    normals = np.zeros((polytope.n_facets, n))  # looked up once per facet, not per sample
-    for facet in np.unique(np.concatenate([in_facet, out_facet])).tolist():
-        normals[facet] = normalize_facet(polytope, facet)
     pairs = np.stack([traces.v_minus[keep], traces.v_plus[keep]], axis=1)
     f, bad = _sample_values(field, pairs)
     tested = len(f)

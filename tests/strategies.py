@@ -33,7 +33,11 @@ SLAB = rx.Polytope.from_inequalities(  # {(x, y) >= 0 : 1 <= x + y <= 2}, origin
 )
 # triangle conv{(1,0), (0,1), (1,1)}
 TRIANGLE = rx.Polytope.from_inequalities([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-1.0, 1.0, 1.0])
+# a regular 12-gon of apothem 1 centred at (1, 0.25): its first facet, x >= 0, passes through the origin
+_NORMALS = np.round([[math.cos(k * math.pi / 6), math.sin(k * math.pi / 6)] for k in range(6, 18)], 15)
+DODECAGON = rx.Polytope.from_inequalities(_NORMALS, _NORMALS @ [1.0, 0.25] + 1.0)
 KERNEL_POLYTOPES = [*CATALOG.values()] + [
+    DODECAGON,
     rx.Polytope.box([0.0, 0.0], [1.0, 1.0]),
     SLAB,
     TRIANGLE,

@@ -367,6 +367,8 @@ CUT_FAR = rx.Polytope.from_inequalities(
     np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.6, -1.3]]) * _SCALES[:, None],
     np.array([1.3, 0.9, 0.7, 1.1, 0.8]) * _SCALES,
 ).translate([3.0, 3.0])
+# 0 <= x <= 1e-8, 1 <= y <= 2: a ray's endpoint lies within GEOM_TOL of x >= 0, a facet through the origin
+THIN_AT_ORIGIN = rx.Polytope.from_inequalities([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]], [0.0, 1e-8, -1.0, 2.0])
 FAILING_FIELDS = [  # (f, P), each failing certify at budget 600, seed 3, so the witnesses are compared too
     (lambda p: p[0] ** 2 + p[1] ** 2, rx.Polytope.box([0.0, 0.0], [1.0, 1.0])),  # ray-convex: witness
     (lambda p: -(p[0] ** 2) - p[1] ** 3, rx.Polytope.box([0.0, 0.0], [1.0, 1.0])),  # facet-concave
@@ -387,6 +389,7 @@ def _certify_cases():
         yield f"{name}-{seed}", (model, 2000, seed)
     for k, (fn, polytope) in enumerate(FAILING_FIELDS):
         yield f"failing-{k}", (_failing_model(fn, polytope), 600, 3)
+    yield "thin-at-origin", (_failing_model(lambda p: p[0] + p[1], THIN_AT_ORIGIN), 100, 0)
 
 
 def _certify_checks(model, budget, seed):

@@ -115,6 +115,14 @@ class TestPositiveHomogeneity:
         assert lhs == pytest.approx(0.75, abs=1e-12)
         assert rhs == pytest.approx(0.75, abs=1e-12)
 
+    def test_a_ray_whose_endpoint_is_named_on_a_facet_through_the_origin_is_skipped(self):
+        # a sample at this seed has x = 8.0e-10: the endpoint tie-break names x >= 0, whose b = 0
+        entry = rx.cubic_rational()
+        model = env.build(entry.field, entry.default_polytope, sense=entry.build_sense, anchor=entry.default_anchor,
+                          budget=10_000, seed=1198431844)
+        check = model.certification.positively_homogeneous
+        assert model.certified and check.samples < 10_000
+
 
 class TestCorollaryWorkflow:
     def test_cobb_douglas_concave(self):
