@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HyperplaneThroughOrigin, InfeasibleLP, InvalidInput
+from .errors import InfeasibleLP, InvalidInput
 from .functions import ScalarField, _eval_rows, _working_field
 from .geometry import (
     Polytope,
     lattice,
-    normalize_facet,
     ray_intersect_batch,
     sample_interior,
     vertices,
@@ -153,11 +152,6 @@ def _worst(viol: np.ndarray) -> tuple[float, int | None]:
     return 0.0, None
 
 
-def _row_dots(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a[r] @ v[r] for every row, bit for bit: the stacked matmul takes numpy's 1-D dot per row."""
-    return (a[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
 def _non_finite(name: str, tol: float, worst: float, tested: int, where: dict, point: np.ndarray) -> CheckResult:
     """A failed check whose witness names the point where the field was not finite."""
     return CheckResult(name, "fail", worst, tol, tested, {**where, "non_finite_point": point.tolist()})
@@ -280,9 +274,11 @@ def check_positive_homogeneity(
 
     Otherwise samples the two-sided product identity
     (a_in.v) f(v_minus) = (a_out.v) f(v_plus), a real condition on f over
-    the facets.  A degenerate ray, one that starts inside, and one whose
-    endpoint the tie-break puts on a facet through the origin (within
-    GEOM_TOL of it, so with no normal a / b) are skipped.
+    the facets.  With the facets the ray crosses scaled to read a.x = 1,
+    a_in.v = 1 / alpha_minus and a_out.v = 1 / alpha_plus, so the identity
+    is read off the trace as f(v_minus) / alpha_minus = f(v_plus) / alpha_plus,
+    whichever facet the endpoint tie-break names.  A degenerate ray and one
+    that starts inside are skipped.
     """
     name = "positively_homogeneous"
     polytope = model.polytope
@@ -301,24 +297,13 @@ def check_positive_homogeneity(
 
     points = sample_interior(polytope, seed, n_samples)
     traces = ray_intersect_batch(polytope, points)
-    entered = ~traces.degenerate & (traces.in_facet >= 0)
-    m = polytope.n_facets
-    normals = np.zeros((m, n))  # looked up once per facet the entered rays name, not per sample
-    through_origin = np.zeros(m, dtype=bool)  # no normal a / b: the rays that end on one are skipped
-    named = np.bincount(traces.in_facet[entered], minlength=m) + np.bincount(traces.out_facet[entered], minlength=m)
-    for facet in np.flatnonzero(named).tolist():
-        try:
-            normals[facet] = normalize_facet(polytope, facet)
-        except HyperplaneThroughOrigin:  # the endpoint tie-break may name one, within GEOM_TOL
-            through_origin[facet] = True
-    keep = entered & ~through_origin[traces.in_facet] & ~through_origin[traces.out_facet]
+    keep = ~traces.degenerate & (traces.in_facet >= 0)
     rays = points[keep]
-    in_facet, out_facet = traces.in_facet[keep], traces.out_facet[keep]
     pairs = np.stack([traces.v_minus[keep], traces.v_plus[keep]], axis=1)
     f, bad = _sample_values(field, pairs)
     tested = len(f)
-    lhs = _row_dots(normals[in_facet[:tested]], rays[:tested]) * f[:, 0]
-    rhs = _row_dots(normals[out_facet[:tested]], rays[:tested]) * f[:, 1]
+    lhs = f[:, 0] / traces.alpha_minus[keep][:tested]
+    rhs = f[:, 1] / traces.alpha_plus[keep][:tested]
     worst, i = _worst(np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs))))
     witness = None
     if i is not None:

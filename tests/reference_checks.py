@@ -14,8 +14,7 @@ import numpy as np
 from reference_fields import negate_field
 
 from rayvex import envelope as env
-from rayvex.errors import HyperplaneThroughOrigin
-from rayvex.geometry import normalize_facet, ray_intersect, sample_interior
+from rayvex.geometry import ray_intersect, sample_interior
 from rayvex.verify import _SCALING_FACTORS, CheckResult
 
 
@@ -127,13 +126,8 @@ def positive_homogeneity_probes(model, n_samples, tol, seed):
             trace = ray_intersect(polytope, v)
             if trace.degenerate or trace.in_facet is None:
                 continue
-            try:
-                a_in = normalize_facet(polytope, trace.in_facet)
-                a_out = normalize_facet(polytope, trace.out_facet)
-            except HyperplaneThroughOrigin:  # the endpoint tie-break named a facet through the origin
-                continue
-            lhs = float(a_in @ v) * _checked_eval(field, trace.v_minus)
-            rhs = float(a_out @ v) * _checked_eval(field, trace.v_plus)
+            lhs = _checked_eval(field, trace.v_minus) / trace.alpha_minus  # a_in.v = 1 / alpha_minus
+            rhs = _checked_eval(field, trace.v_plus) / trace.alpha_plus
             viol = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
             tested += 1
             if viol > worst:

@@ -115,13 +115,23 @@ class TestPositiveHomogeneity:
         assert lhs == pytest.approx(0.75, abs=1e-12)
         assert rhs == pytest.approx(0.75, abs=1e-12)
 
-    def test_a_ray_whose_endpoint_is_named_on_a_facet_through_the_origin_is_skipped(self):
-        # a sample at this seed has x = 8.0e-10: the endpoint tie-break names x >= 0, whose b = 0
+    def test_a_ray_whose_endpoint_is_named_on_a_facet_through_the_origin_is_tested(self):
+        # a sample at this seed has x = 8.0e-10: the endpoint tie-break names x >= 0, whose b = 0;
+        # the identity reads the trace's alphas, not that facet's normal, so the ray is tested
         entry = rx.cubic_rational()
         model = env.build(entry.field, entry.default_polytope, sense=entry.build_sense, anchor=entry.default_anchor,
                           budget=10_000, seed=1198431844)
         check = model.certification.positively_homogeneous
-        assert model.certified and check.samples < 10_000
+        assert model.certified and check.samples == 10_000
+
+    def test_a_thin_domain_reads_each_product_at_the_facet_the_ray_crosses(self):
+        # x + y is positively homogeneous; at v = (7.9e-9, 1.728) the tie-break names x <= 1e-8,
+        # whose normal is 9% off the crossing, and the identity read from it failed at 0.055
+        thin = rx.Polytope.from_inequalities([[-1, 0], [1, 0], [0, -1], [0, 1]], [0, 1e-8, -1, 2])
+        model = env.build(_field(lambda p: float(p[0] + p[1])), thin, anchor="none", budget=100)
+        check = model.certification.positively_homogeneous
+        assert check.status == "pass" and check.samples == 100
+        assert check.worst_violation <= 1e-15
 
 
 class TestCorollaryWorkflow:
