@@ -32,7 +32,7 @@ from .errors import (
     UnboundedPolytope,
     ZeroDirection,
 )
-from .simplex import solve_inequality_lp
+from .simplex import CertifiedBases, LPResult, solve_lp
 
 GEOM_TOL = 1e-9  # containment and facet activity: a margin on canonical rows, or a ray ratio alpha
 ALGEBRA_TOL = 1e-12  # empty or degenerate trace intervals, parallel rays: relative, dimensionless
@@ -308,13 +308,24 @@ class ValidationReport:
 
 
 def validate(polytope: Polytope) -> ValidationReport:
-    """Check boundedness and interior nonemptiness via per-coordinate LPs.
+    """Check boundedness and interior nonemptiness by one LP at its 2n + 1 right-hand sides.
 
     Raises UnboundedPolytope / EmptyInterior; on success reports coordinate
     bounds, a (Chebyshev-center) interior point and where the origin sits.
-    The LPs and every GEOM_TOL test read the canonical rows, so a row's user
-    scale moves no threshold by a factor 2 or more.  With several Chebyshev
-    optima the interior point is any one of them.
+    The LP minimizes b.y over facet weights y >= 0 and a slack s >= 0
+    subject to A^T y = r_x and |a|.y - s = r_t.  It is the dual of
+    max r_x.x + r_t t s.t. a_i.x + |a_i| t <= b_i, t >= 0 (Bertsimas &
+    Tsitsiklis, *Introduction to Linear Optimization*, ch. 4), so each
+    question is one right-hand side r of one ``solve_lp`` family, with one
+    ``CertifiedBases``.  r = (0, 1) is the Chebyshev LP: it is unbounded
+    exactly when P is empty, so it is asked first, cold.  r = (-e_i, 0) and
+    (e_i, 0), infeasible when x_i is unbounded below or above, give -min x_i
+    and max x_i, each from the bases before it.  Then r = (0, 1) is asked
+    again: its answer from a stored B^-1, where the cold tableau may have
+    drifted, names the basis whose multipliers (x, t) are the interior
+    point and the margin.  The LP and every GEOM_TOL test read the canonical
+    rows, so a row's user scale moves no threshold by a factor 2 or more.
+    With several Chebyshev optima the interior point is any one of them.
     The unusual configuration "origin in the relative interior of a single
     facet" is flagged rather than rejected.  The report of a successful
     validation is kept on the (immutable) polytope, so later calls solve no
@@ -326,35 +337,41 @@ def validate(polytope: Polytope) -> ValidationReport:
 def _validate(polytope: Polytope) -> ValidationReport:
     a = polytope.matrix
     b = polytope.offsets
-    n = polytope.dim
+    m, n = a.shape
+    matrix = np.zeros((n + 1, m + 1))  # columns: the facet weights y, then the slack s
+    matrix[:n, :m] = a.T
+    matrix[n, :m] = np.linalg.norm(a, axis=1)
+    matrix[n, m] = -1.0
+    cost = np.append(b, 0.0)
+    bases = CertifiedBases()
 
+    def solve(rhs: np.ndarray) -> LPResult:
+        res = solve_lp(cost, matrix, rhs, start=bases)
+        if res.status == "unbounded":  # no x meets A x <= b
+            raise EmptyInterior("polytope is empty")
+        return res
+
+    unit = np.eye(n + 1)
+    solve(unit[n])  # the Chebyshev LP, cold: unbounded exactly when P is empty
     bounds = np.zeros((n, 2))
     for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        low = solve_inequality_lp(e, a, b)
+        low = solve(-unit[i])
         if low.status == "infeasible":
-            raise EmptyInterior("polytope is empty")
-        if low.status == "unbounded":
             raise UnboundedPolytope(f"coordinate x{i + 1} is unbounded below")
-        high = solve_inequality_lp(-e, a, b)
-        if high.status == "unbounded":
+        high = solve(unit[i])
+        if high.status == "infeasible":
             raise UnboundedPolytope(f"coordinate x{i + 1} is unbounded above")
-        bounds[i] = (low.objective, -high.objective)
+        bounds[i] = (0.0 - low.objective, high.objective)  # 0 - v, not -v: a zero bound reads 0.0, never -0.0
 
-    # Chebyshev center: max t s.t. a_i.x + |a_i| t <= b_i.
-    norms = np.linalg.norm(a, axis=1)
-    cheb = solve_inequality_lp(
-        np.concatenate([np.zeros(n), [-1.0]]),
-        np.hstack([a, norms[:, None]]),
-        b,
-    )
-    if cheb.status != "optimal":
+    cheb = solve(unit[n])  # again, from the certified bases: B^-1 b from a stored inverse, not a cold tableau
+    if cheb.status != "optimal" or len(cheb.basis) != n + 1:
         raise EmptyInterior("interior-point search failed")
-    margin = -cheb.objective
+    basis = list(cheb.basis)
+    # the multipliers (x, t) of B^T (x, t) = c_B: the centre and the margin, read from the basis, not the tableau
+    center, margin = np.split(np.linalg.solve(matrix[:, basis].T, cost[basis]), [n])
+    margin = float(margin[0])
     if margin <= GEOM_TOL:
         raise EmptyInterior(f"no interior point (best margin {margin:.3e})")
-    center = cheb.x[:n].copy()
     bounds.setflags(write=False)
     center.setflags(write=False)
 

@@ -9,11 +9,14 @@ and NumericalBreakdown means only the iteration limit.  Sized for desk-scale
 instances (a handful of equality rows, up to ~10^4 columns); everything is a
 plain numpy tableau.
 
-A caller that re-solves one LP under a changed right-hand side passes a
-``CertifiedBases`` as ``start``.  An optimal basis stays dual feasible when
-only b changes (its reduced costs do not depend on b; the parametric
-right-hand side of Bertsimas & Tsitsiklis, *Introduction to Linear
-Optimization*, ch. 4-5), so it is optimal for every b with B^-1 b >= 0.
+Every LP of the library is one family of right-hand sides of one (c, A),
+solved through ``solve_lp`` with that family's ``CertifiedBases`` as
+``start``: the oracle's queries change (x, 1), and ``geometry.validate``'s
+2n + 1 questions about a polytope are the right-hand sides of one LP.  An
+optimal basis stays dual feasible when only b changes (its reduced costs do
+not depend on b; the parametric right-hand side of Bertsimas & Tsitsiklis,
+*Introduction to Linear Optimization*, ch. 4-5), so it is optimal for every
+b with B^-1 b >= 0.
 The set keeps every optimal basis its solves reach, each inverted and
 checked for reduced costs once, as it enters.  A certified basis that is
 primal feasible for b is the answer with no pivot; otherwise dual simplex
@@ -108,7 +111,7 @@ class CertifiedBases:
 
 
 def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) -> LPResult:
-    """Solve min c.x s.t. A x = b, x >= 0.
+    """Solve min c.x s.t. A x = b, x >= 0: the one LP entry point of the library.
 
     c, A and b must be finite, and ``start`` is None or the
     ``CertifiedBases`` of earlier solves of the same c and A; anything else
@@ -141,21 +144,6 @@ def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) 
     if start is not None and res.status == "optimal":
         start._enter(c, a, res.basis)
     return res
-
-
-def solve_inequality_lp(objective, ub_matrix, ub_rhs) -> LPResult:
-    """Solve min c.x s.t. A x <= b with x free, via the split x = p - q."""
-    c = np.asarray(objective, dtype=float).reshape(-1)
-    a = np.atleast_2d(np.asarray(ub_matrix, dtype=float))
-    b = np.asarray(ub_rhs, dtype=float).reshape(-1)
-    m, n = a.shape
-    a_std = np.hstack([a, -a, np.eye(m)])
-    c_std = np.concatenate([c, -c, np.zeros(m)])
-    res = solve_lp(c_std, a_std, b)
-    if res.status != "optimal":
-        return LPResult(res.status, None, None, res.pivots)
-    x = res.x[:n] - res.x[n : 2 * n]
-    return LPResult("optimal", x, float(c @ x), res.pivots)
 
 
 def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult:

@@ -140,9 +140,9 @@ def brute_force_optimum(c, a, b, tol=1e-9, max_cond=None):
 
 
 def record_calls(monkeypatch, owner, name) -> list:
-    """The arguments of every later call of owner.name, which still runs."""
+    """The positional arguments of every later call of owner.name, which still runs with its keywords."""
     calls, wrapped = [], getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or wrapped(*args))
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(args) or wrapped(*args, **kwargs))
     return calls
 
 
@@ -242,6 +242,17 @@ def cut_boxes(draw, dims=(2, 4), exponents=(-3.0, 3.0), permute=True, rounded=Fa
         b.append([c @ centre + depth])
     a, b = _rescaled(draw, np.vstack(a), np.concatenate(b), exponents, permute)
     return a, b, centre
+
+
+@st.composite
+def rescaled_polytopes(draw):
+    """A ``cut_boxes()`` polytope, or one of KERNEL_POLYTOPES with its rows scaled by 10^[-3, 3] and permuted."""
+    if draw(st.booleans()):
+        a, b, _ = draw(cut_boxes())
+    else:
+        polytope = draw(st.sampled_from(KERNEL_POLYTOPES))
+        a, b = _rescaled(draw, polytope.matrix, polytope.offsets, (-3.0, 3.0), True)
+    return rx.Polytope.from_inequalities(a, b)
 
 
 def polytopes():

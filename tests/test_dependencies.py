@@ -45,6 +45,7 @@ REMOVED = [
     ("functions", "shift_field"),  # build's working field is the one shifting path
     ("functions", "negate_field"),  # the working field's sign is the one negating path
     ("geometry", "Halfspace"),
+    ("simplex", "solve_inequality_lp"),  # validate's questions are right-hand sides of one solve_lp family
 ]
 UNEXPORTED = ["eval_envelope", "fd_gradient", "polygon_area"]  # still in their modules where used
 

@@ -70,7 +70,7 @@ class TestBuild:
 
     @staticmethod
     def _count_lps(monkeypatch, entry, anchor) -> int:
-        lps = record_calls(monkeypatch, rx.geometry, "solve_inequality_lp")
+        lps = record_calls(monkeypatch, rx.geometry, "solve_lp")
         model = env.build(entry.field, entry.default_polytope, sense=entry.build_sense, anchor=anchor, budget=500)
         assert model.polytope is not entry.default_polytope
         assert model.validation is rx.validate(model.polytope)  # read from the cache, no LP
@@ -78,11 +78,11 @@ class TestBuild:
 
     def test_translated_anchor_validates_each_polytope_once(self, monkeypatch):
         entry = rx.bilinear_neg(0.5, -0.25, 2.0, 1.0)
-        # the working polytope only: 2n = 4 bound LPs + the Chebyshev centre
-        assert self._count_lps(monkeypatch, entry, entry.default_anchor) == 5
+        # the working polytope only: the Chebyshev LP, 2n = 4 bounds, the Chebyshev LP again
+        assert self._count_lps(monkeypatch, entry, entry.default_anchor) == 6
 
-    def test_translated_3d_anchor_solves_2n_plus_1_lps(self, monkeypatch):
-        assert self._count_lps(monkeypatch, rx.cobb_douglas(), [1.25, 1.5, 1.75]) == 7
+    def test_translated_3d_anchor_solves_2n_plus_2_lps(self, monkeypatch):
+        assert self._count_lps(monkeypatch, rx.cobb_douglas(), [1.25, 1.5, 1.75]) == 8
 
     def test_dimension_mismatch(self):
         field = rx.ScalarField(3, lambda p: p[0])
@@ -117,7 +117,7 @@ class TestBuild:
         # a misspelt sense raised UnboundedPolytope or InvalidAnchor, or came after the validation LPs
         entry = rx.bilinear_neg(0, 0, 1, 1)
         quadrant = rx.Polytope.from_inequalities([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
-        lps = record_calls(monkeypatch, rx.geometry, "solve_inequality_lp")
+        lps = record_calls(monkeypatch, rx.geometry, "solve_lp")
         seen = []
         field = replace(entry.field, eval=lambda p: seen.append(p) or entry.field.eval(p))
         away = rx.Polytope.box([2, 2], [3, 3])

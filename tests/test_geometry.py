@@ -1,12 +1,14 @@
 """Geometry: validation, ray traces, regions, vertices and sampling."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from strategies import KERNEL_POLYTOPES, SLAB, TRIANGLE, bits, cut_boxes, record_calls
+from strategies import KERNEL_POLYTOPES, SLAB, TRIANGLE, bits, cut_boxes, record_calls, rescaled_polytopes
 
 import rayvex as rx
 from rayvex.errors import (
@@ -21,6 +23,7 @@ from rayvex.errors import (
     ZeroDirection,
 )
 from rayvex.geometry import MAX_LATTICE_POINTS, lattice, polygon_area
+from rayvex.simplex import FEAS_TOL
 
 UNIT_BOX = rx.Polytope.box([0.0, 0.0], [1.0, 1.0])
 
@@ -59,23 +62,89 @@ class TestValidate:
         assert report.origin_on_facet_interior
 
     def test_report_is_kept_on_the_polytope(self, monkeypatch):
-        lps = record_calls(monkeypatch, rx.geometry, "solve_inequality_lp")
+        lps = record_calls(monkeypatch, rx.geometry, "solve_lp")
         box = rx.Polytope.box([0.0, 0.0], [2.0, 1.0])
         report = rx.validate(box)
-        assert len(lps) == 5  # two bounds per coordinate and the Chebyshev centre
+        assert len(lps) == 6  # the Chebyshev LP, two bounds per coordinate, the Chebyshev LP again
         assert rx.validate(box) is report
         rx.sample_interior(box, 0, 10)
-        assert len(lps) == 5
+        assert len(lps) == 6
         with pytest.raises(ValueError):  # shared by every caller, so read-only
             report.coordinate_bounds[0, 0] = -1.0
 
     def test_failed_validation_is_not_kept(self, monkeypatch):
-        lps = record_calls(monkeypatch, rx.geometry, "solve_inequality_lp")
+        lps = record_calls(monkeypatch, rx.geometry, "solve_lp")
         quadrant = rx.Polytope.from_inequalities([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
         for attempt in (1, 2):
             with pytest.raises(UnboundedPolytope):
                 rx.validate(quadrant)
-            assert len(lps) == 2 * attempt  # solved again: only a success is kept
+            assert len(lps) == 3 * attempt  # the Chebyshev LP, min x1, max x1; solved again: only a success is kept
+
+
+    # (rows, offsets) -> the error validate raises; recorded before validate became one LP family,
+    # except the flat slab, whose margin read -0.000e+00, and the 3-D thin box, whose margin read 1.000e-11
+    ERRORS = {
+        "quadrant": ([[-1, 0], [0, -1]], [0, 0], UnboundedPolytope, "coordinate x1 is unbounded above"),
+        "strip": ([[1, 0], [-1, 0]], [1, 0], UnboundedPolytope, "coordinate x2 is unbounded below"),
+        "empty box": ([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, -1, 1, 0], EmptyInterior, "polytope is empty"),
+        "flat slab": ([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, 1, 0], EmptyInterior,
+                      "no interior point (best margin 0.000e+00)"),
+        "empty and unbounded": ([[1, 0], [-1, 0]], [0, -1], EmptyInterior, "polytope is empty"),
+        "thin and unbounded": ([[1, 0], [-1, 0], [0, -1]], [1e-12, 0, 0], UnboundedPolytope,
+                               "coordinate x2 is unbounded above"),
+        "half-plane": ([[1, 0]], [1], UnboundedPolytope, "coordinate x1 is unbounded below"),
+        "3-D slab": ([[1, 1, 1], [-1, -1, -1]], [1, 0], UnboundedPolytope, "coordinate x1 is unbounded below"),
+        "nearly empty": ([[1, 0], [-1, 0], [0, 1], [0, -1]], [-1e-12, 0, 1, 0], EmptyInterior,
+                         "no interior point (best margin -5.000e-13)"),
+        "3-D thin box": ([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], [1e-11, 0, 1, 0, 1, 0],
+                         EmptyInterior, "no interior point (best margin 5.000e-12)"),
+    }
+
+    @pytest.mark.parametrize("case", ERRORS)
+    def test_each_invalid_domain_keeps_its_error(self, case):
+        a, b, error, message = self.ERRORS[case]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            rx.validate(rx.Polytope.from_inequalities(a, b))
+
+    def test_box_bounds_are_the_box_offsets_bit_for_bit(self):
+        # one bound read 1.6493741039071361 when each was a separate cold LP's objective
+        lower, upper = [0.5935243687248134] * 3, [1.6493741039071363] * 3
+        bounds = rx.validate(rx.Polytope.box(lower, upper)).coordinate_bounds
+        assert bits(bounds) == bits(np.array([lower, upper]).T)
+
+    def test_one_validation_solves_one_lp_cold(self, monkeypatch):
+        for entry in rx.catalog():
+            cold = record_calls(monkeypatch, rx.simplex, "_two_phase")
+            rx.validate(rx.Polytope(entry.default_polytope.matrix, entry.default_polytope.offsets))
+            assert len(cold) == 1, entry.name  # the Chebyshev LP; each bound starts from its certified bases
+
+
+def _meeting_points(rows, b, k):
+    """Every point where k of the rows meet (rows[S] p = b[S], |det| > 1e-12) that meets all of them within 1e-12."""
+    subsets = np.array(list(itertools.combinations(range(len(b)), k)))
+    systems = rows[subsets]
+    with np.errstate(all="ignore"):  # subnormal entries: det and solve may underflow or overflow
+        solvable = np.abs(np.linalg.det(systems)) > 1e-12
+        points = np.linalg.solve(systems[solvable], b[subsets[solvable]][..., None])[..., 0]
+        return points[(points @ rows.T <= b + 1e-12 * np.maximum(1.0, np.abs(b))).all(axis=1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rescaled_polytopes())
+def test_validate_matches_brute_force_vertices_and_margin(polytope):
+    # The references solve no LP.  The bounds are those of the vertices, n facets meeting; not of
+    # ``vertices``, which merges the thin box's corners 1e-8 apart.  The margin is the largest t of the
+    # points (x, t) where n + 1 facets meet a_i.x + |a_i| t = b_i and every facet holds.  Both are met
+    # within the LP's tolerances: an answer's basic values may be PIVOT_TOL below 0 and its reduced costs
+    # FEAS_TOL, so within FEAS_TOL; over 4000 draws the worst was 2e-11 relative (bounds) and 5e-12 (margin).
+    report = rx.validate(polytope)
+    a, b = polytope.matrix, polytope.offsets
+    verts = _meeting_points(a, b, polytope.dim)
+    expect = np.stack([verts.min(axis=0), verts.max(axis=0)], axis=1)
+    np.testing.assert_allclose(report.coordinate_bounds, expect, rtol=FEAS_TOL, atol=FEAS_TOL)
+    best = _meeting_points(np.hstack([a, np.linalg.norm(a, axis=1)[:, None]]), b, polytope.dim + 1)[:, -1].max()
+    assert best - FEAS_TOL <= report.interior_margin <= best * (1.0 + 1e-12)  # the centre's own t: never above
+    _assert_interior_point_clears_margin(polytope)
 
 
 def _assert_interior_point_clears_margin(polytope):

@@ -9,7 +9,7 @@ from strategies import brute_force_optimum, hull_lp, near_collinear_hull_lps
 import rayvex as rx
 from rayvex import simplex
 from rayvex.errors import DimensionMismatch, InvalidInput, NumericalBreakdown
-from rayvex.simplex import DEGENERATE_RUN, FEAS_TOL, _iterate, _pivot, solve_inequality_lp, solve_lp
+from rayvex.simplex import DEGENERATE_RUN, FEAS_TOL, _iterate, _pivot, solve_lp
 
 # Beale's degenerate instance: naive most-negative pricing cycles on it.
 BEALE_C = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
@@ -186,15 +186,20 @@ def test_a_query_just_outside_the_hull_is_infeasible_or_met_within_feas_tol():
 
 
 def test_the_chebyshev_lp_of_user_scale_rows_is_solved():
-    # validate's interior-point LP on a cut box's rows as the user gave them, row norms 1e-3 to 1e2:
-    # phase 1 once met a column with no entry above PIVOT_TOL and raised NumericalBreakdown
+    # validate's Chebyshev LP, in its standard form, on a cut box's rows as the user gave them (row norms
+    # 1e-3 to 1e2): min b.y s.t. A^T y = 0, |a|.y - s = 1, y, s >= 0.  The inequality form of the
+    # same LP once met a column with no entry above PIVOT_TOL in phase 1 and raised NumericalBreakdown
     a = np.array([[-0.28546516903645525, 0.0], [-0.0010296106992124358, -0.00013251530226929508], [1.2385328794304349, 0.0],
                   [0.0, -0.05192204502148773], [0.0, 110.744696892593]])
     b = np.array([0.0, 0.0, 2.0015839405181604, 0.0, 209.12271242643473])
-    res = solve_inequality_lp([0.0, 0.0, -1.0], np.hstack([a, np.linalg.norm(a, axis=1)[:, None]]), b)
+    matrix = np.vstack([np.hstack([a.T, np.zeros((2, 1))]), np.append(np.linalg.norm(a, axis=1), -1.0)])
+    cost = np.append(b, 0.0)
+    res = solve_lp(cost, matrix, [0.0, 0.0, 1.0])
     assert res.status == "optimal"
-    assert -res.objective == pytest.approx(0.8080463481270802, rel=1e-12)  # validate's margin on the canonical rows
-    assert rx.validate(rx.Polytope.from_inequalities(a, b)).interior_point == pytest.approx(res.x[:2], abs=1e-12)
+    assert res.objective == pytest.approx(0.8080463481270802, rel=1e-12)  # validate's margin on the canonical rows
+    basis = list(res.basis)
+    centre = np.linalg.solve(matrix[:, basis].T, cost[basis])[:2]  # the multipliers (x, t)
+    assert rx.validate(rx.Polytope.from_inequalities(a, b)).interior_point == pytest.approx(centre, abs=1e-12)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -264,16 +269,3 @@ def test_degenerate_lattice_lps_match_brute_force(density, step, corner, data):
     assert np.max(np.abs(a @ res.x - b)) <= 1e-9
     assert res.x.min() >= -1e-12
     assert res.objective == pytest.approx(brute_force_optimum(values, a, b), abs=1e-9)
-
-
-def test_inequality_form_with_free_variables():
-    # min x + y over the square [-1, 1]^2 is attained at (-1, -1)
-    a = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    b = np.ones(4)
-    res = solve_inequality_lp([1.0, 1.0], a, b)
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(-2.0, abs=1e-9)
-    c_std = np.array([1.0, 1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
-    assert res.pivots == solve_lp(c_std, np.hstack([a, -a, np.eye(4)]), b).pivots >= 1
-    res = solve_inequality_lp([1.0, 0.0], np.array([[0.0, 1.0]]), [1.0])
-    assert res.status == "unbounded"

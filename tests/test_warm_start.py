@@ -174,15 +174,18 @@ def test_one_solve_lp_per_oracle_eval_in_compare(monkeypatch, capsys):
 
 def test_compare_inverts_each_basis_once_as_it_enters_and_never_for_a_walk(monkeypatch, capsys):
     solves = []  # (args, kwargs, result) of each oracle LP
+    inverted = []  # the matrices inverted within the oracle's LPs, not the validation's
     verify_solve = verify.solve_lp
+    every_inverse = record_calls(monkeypatch, np.linalg, "inv")
 
     def recorded_solve(*args, **kwargs):
+        before = len(every_inverse)
         solves.append((args, kwargs, verify_solve(*args, **kwargs)))
+        inverted.extend(every_inverse[before:])
         return solves[-1][2]
 
     monkeypatch.setattr(verify, "solve_lp", recorded_solve)
     walks = record_calls(monkeypatch, simplex, "_dual_simplex")
-    inverted = record_calls(monkeypatch, np.linalg, "inv")
     assert cli.main(["compare", "--function", "cubic", "--density", "20", "--resolution", "9", "--budget", "400"]) == 0
     capsys.readouterr()
     (_, a, _), kwargs, _ = solves[0]
