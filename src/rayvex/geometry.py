@@ -32,7 +32,7 @@ from .errors import (
     UnboundedPolytope,
     ZeroDirection,
 )
-from .simplex import CertifiedBases, LPResult, solve_lp
+from .simplex import CertifiedBases, solve_lp
 
 GEOM_TOL = 1e-9  # containment and facet activity: a margin on canonical rows, or a ray ratio alpha
 ALGEBRA_TOL = 1e-12  # empty or degenerate trace intervals, parallel rays: relative, dimensionless
@@ -313,19 +313,18 @@ def validate(polytope: Polytope) -> ValidationReport:
     Raises UnboundedPolytope / EmptyInterior; on success reports coordinate
     bounds, a (Chebyshev-center) interior point and where the origin sits.
     The LP minimizes b.y over facet weights y >= 0 and a slack s >= 0
-    subject to A^T y = r_x and |a|.y - s = r_t.  It is the dual of
+    subject to A^T y = r_x and |a|.y - s = r_t, the dual of
     max r_x.x + r_t t s.t. a_i.x + |a_i| t <= b_i, t >= 0 (Bertsimas &
-    Tsitsiklis, *Introduction to Linear Optimization*, ch. 4), so each
-    question is one right-hand side r of one ``solve_lp`` family, with one
-    ``CertifiedBases``.  r = (0, 1) is the Chebyshev LP: it is unbounded
-    exactly when P is empty, so it is asked first, cold.  r = (-e_i, 0) and
-    (e_i, 0), infeasible when x_i is unbounded below or above, give -min x_i
-    and max x_i, each from the bases before it.  Then r = (0, 1) is asked
-    again: its answer from a stored B^-1, where the cold tableau may have
-    drifted, names the basis whose multipliers (x, t) are the interior
-    point and the margin.  The LP and every GEOM_TOL test read the canonical
-    rows, so a row's user scale moves no threshold by a factor 2 or more.
-    With several Chebyshev optima the interior point is any one of them.
+    Tsitsiklis, *Introduction to Linear Optimization*, ch. 4).  Each question
+    is one right-hand side r, solved through ``solve_lp`` with one
+    ``CertifiedBases``.  The Chebyshev LP r = (0, 1) is unbounded exactly
+    when P is empty, so it is asked first, cold; r = (-e_i, 0) and (e_i, 0)
+    give -min x_i and max x_i, or are infeasible when x_i is unbounded.  The
+    Chebyshev LP is asked again last, answered from a stored B^-1 (a cold
+    tableau may drift), and the multipliers (x, t) of its basis are the
+    interior point and the margin.  The LP and every GEOM_TOL test read the
+    canonical rows, so a row's user scale moves no threshold by a factor 2
+    or more.  With several Chebyshev optima the interior point is any one.
     The unusual configuration "origin in the relative interior of a single
     facet" is flagged rather than rejected.  The report of a successful
     validation is kept on the (immutable) polytope, so later calls solve no
@@ -345,7 +344,7 @@ def _validate(polytope: Polytope) -> ValidationReport:
     cost = np.append(b, 0.0)
     bases = CertifiedBases()
 
-    def solve(rhs: np.ndarray) -> LPResult:
+    def solve(rhs):
         res = solve_lp(cost, matrix, rhs, start=bases)
         if res.status == "unbounded":  # no x meets A x <= b
             raise EmptyInterior("polytope is empty")
@@ -367,11 +366,11 @@ def _validate(polytope: Polytope) -> ValidationReport:
     if cheb.status != "optimal" or len(cheb.basis) != n + 1:
         raise EmptyInterior("interior-point search failed")
     basis = list(cheb.basis)
-    # the multipliers (x, t) of B^T (x, t) = c_B: the centre and the margin, read from the basis, not the tableau
-    center, margin = np.split(np.linalg.solve(matrix[:, basis].T, cost[basis]), [n])
-    margin = float(margin[0])
+    multipliers = np.linalg.solve(matrix[:, basis].T, cost[basis])  # (x, t) of B^T (x, t) = c_B
+    margin = float(multipliers[n])
     if margin <= GEOM_TOL:
         raise EmptyInterior(f"no interior point (best margin {margin:.3e})")
+    center = multipliers[:n]
     bounds.setflags(write=False)
     center.setflags(write=False)
 

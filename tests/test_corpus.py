@@ -37,4 +37,11 @@ def test_the_comparison_tolerates_a_last_ulp_float_and_nothing_else():
         assert [within for *_, within in corpus.differences(old, {**old, "stdout": stdout})] == [False]
     assert [within for *_, within in corpus.differences(old, {**old, "exit": 2})] == [False]
     csv = {"exit": 0, "stderr": "", "stdout": "x1,f\n0.5,1\n# omitted=0\n"}
-    assert [within for *_, within in corpus.differences(csv, {**csv, "stdout": "x1,f\n0.5,0.99999999999999989\n# omitted=0\n"})] == [True]
+    for moved in ("0.99999999999999989", "1.0000000000000002"):
+        stdout = f"x1,f\n0.5,{moved}\n# omitted=0\n"
+        assert [within for *_, within in corpus.differences(csv, {**csv, "stdout": stdout})] == [True]
+    # a sign of zero is a moved bit, listed but within the tolerance; nan matches nan
+    zero = {**csv, "stdout": "x1,f\n0,1\n# omitted=0\n"}
+    assert list(corpus.differences(zero, {**zero, "stdout": "x1,f\n-0,1\n# omitted=0\n"})) == [("stdout[1][0]", 0, -0.0, True)]
+    nan = {**old, "stdout": '{"a": NaN, "n": 3, "s": "x"}'}
+    assert list(corpus.differences(nan, nan)) == []

@@ -80,9 +80,8 @@ class TestValidate:
                 rx.validate(quadrant)
             assert len(lps) == 3 * attempt  # the Chebyshev LP, min x1, max x1; solved again: only a success is kept
 
-
-    # (rows, offsets) -> the error validate raises; recorded before validate became one LP family,
-    # except the flat slab, whose margin read -0.000e+00, and the 3-D thin box, whose margin read 1.000e-11
+    # (rows, offsets, error, message) of domains validate rejects.  The messages are those the per-coordinate
+    # LPs gave, but for the flat slab (best margin -0.000e+00) and the 3-D thin box (1.000e-11, twice its margin)
     ERRORS = {
         "quadrant": ([[-1, 0], [0, -1]], [0, 0], UnboundedPolytope, "coordinate x1 is unbounded above"),
         "strip": ([[1, 0], [-1, 0]], [1, 0], UnboundedPolytope, "coordinate x2 is unbounded below"),
@@ -106,17 +105,19 @@ class TestValidate:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             rx.validate(rx.Polytope.from_inequalities(a, b))
 
-    def test_box_bounds_are_the_box_offsets_bit_for_bit(self):
-        # one bound read 1.6493741039071361 when each was a separate cold LP's objective
-        lower, upper = [0.5935243687248134] * 3, [1.6493741039071363] * 3
+    @pytest.mark.parametrize("lower, upper", [
+        ([0.5935243687248134] * 3, [1.6493741039071363] * 3),  # read 1.6493741039071361 from separate cold LPs
+        ([0.0, -1.0], [1.0, 0.0]),  # zero bounds are +0.0, as JSON prints them: 0.0, not -0.0
+    ])
+    def test_box_bounds_are_the_box_offsets_bit_for_bit(self, lower, upper):
         bounds = rx.validate(rx.Polytope.box(lower, upper)).coordinate_bounds
-        assert bits(bounds) == bits(np.array([lower, upper]).T)
+        assert bits(bounds) == bits(np.array([lower, upper], dtype=float).T)
 
     def test_one_validation_solves_one_lp_cold(self, monkeypatch):
-        for entry in rx.catalog():
-            cold = record_calls(monkeypatch, rx.simplex, "_two_phase")
+        cold = record_calls(monkeypatch, rx.simplex, "_two_phase")
+        for count, entry in enumerate(rx.catalog(), start=1):
             rx.validate(rx.Polytope(entry.default_polytope.matrix, entry.default_polytope.offsets))
-            assert len(cold) == 1, entry.name  # the Chebyshev LP; each bound starts from its certified bases
+            assert len(cold) == count, entry.name  # the first Chebyshev LP; the rest start from its certified bases
 
 
 def _meeting_points(rows, b, k):

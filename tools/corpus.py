@@ -24,7 +24,6 @@ import argparse
 import contextlib
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -83,11 +82,14 @@ def parse(stdout: str):
 
 
 def _cell(text: str):
+    """An int where the text is one exactly ("-0" is the float -0.0), else a float, else the text."""
     for kind in (int, float):
         try:
-            return kind(text)
+            value = kind(text)
         except ValueError:
-            pass
+            continue
+        if kind is float or str(value) == text:
+            return value
     return text
 
 
@@ -117,7 +119,7 @@ def _walk(path: str, old, new):
         for i, (a, b) in enumerate(zip(old, new)):
             yield from _walk(f"{path}[{i}]", a, b)
     elif _number(old) and _number(new) and not (isinstance(old, int) and isinstance(new, int)):
-        if old != new and not (math.isnan(old) and math.isnan(new)):
+        if repr(old) != repr(new):  # the shortest round-trip text: equal exactly when the bits are
             yield path, old, new, abs(new - old) <= TOLERANCE * max(1.0, abs(old))
     elif old != new or type(old) is not type(new):
         yield path, old, new, False
