@@ -318,13 +318,14 @@ def validate(polytope: Polytope) -> ValidationReport:
     Tsitsiklis, *Introduction to Linear Optimization*, ch. 4).  Each question
     is one right-hand side r, solved through ``solve_lp`` with one
     ``CertifiedBases``.  The Chebyshev LP r = (0, 1) is unbounded exactly
-    when P is empty, so it is asked first, cold; r = (-e_i, 0) and (e_i, 0)
-    give -min x_i and max x_i, or are infeasible when x_i is unbounded.  The
-    Chebyshev LP is asked again last, answered from a stored B^-1 (a cold
-    tableau may drift), and the multipliers (x, t) of its basis are the
-    interior point and the margin.  The LP and every GEOM_TOL test read the
-    canonical rows, so a row's user scale moves no threshold by a factor 2
-    or more.  With several Chebyshev optima the interior point is any one.
+    when P is empty, so it is asked first, cold, and the multipliers (x, t)
+    of its basis are the interior point and the margin; r = (-e_i, 0) and
+    (e_i, 0) give -min x_i and max x_i, or are infeasible when x_i is
+    unbounded.  Each answer, the cold one too, is read from a certified
+    basis's stored B^-1, not from a tableau that may drift.  The LP and
+    every GEOM_TOL test read the canonical rows, so a row's user scale
+    moves no threshold by a factor 2 or more.  With several Chebyshev
+    optima the interior point is any one.
     The unusual configuration "origin in the relative interior of a single
     facet" is flagged rather than rejected.  The report of a successful
     validation is kept on the (immutable) polytope, so later calls solve no
@@ -351,7 +352,7 @@ def _validate(polytope: Polytope) -> ValidationReport:
         return res
 
     unit = np.eye(n + 1)
-    solve(unit[n])  # the Chebyshev LP, cold: unbounded exactly when P is empty
+    cheb = solve(unit[n])  # the Chebyshev LP, cold: unbounded exactly when P is empty
     bounds = np.zeros((n, 2))
     for i in range(n):
         low = solve(-unit[i])
@@ -362,7 +363,6 @@ def _validate(polytope: Polytope) -> ValidationReport:
             raise UnboundedPolytope(f"coordinate x{i + 1} is unbounded above")
         bounds[i] = (0.0 - low.objective, high.objective)  # 0 - v, not -v: a zero bound reads 0.0, never -0.0
 
-    cheb = solve(unit[n])  # again, from the certified bases: B^-1 b from a stored inverse, not a cold tableau
     if cheb.status != "optimal" or len(cheb.basis) != n + 1:
         raise EmptyInterior("interior-point search failed")
     basis = list(cheb.basis)

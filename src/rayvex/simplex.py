@@ -16,22 +16,24 @@ solved through ``solve_lp`` with that family's ``CertifiedBases`` as
 optimal basis stays dual feasible when only b changes (its reduced costs do
 not depend on b; the parametric right-hand side of Bertsimas & Tsitsiklis,
 *Introduction to Linear Optimization*, ch. 4-5), so it is optimal for every
-b with B^-1 b >= 0.
+b with B^-1 b >= 0, and every optimum is read from such a basis.
 The set keeps every optimal basis its solves reach, each inverted and
 checked for reduced costs once, as it enters.  A certified basis that is
-primal feasible for b is the answer with no pivot; otherwise dual simplex
-pivots run from the stored B^-1 of the nearest entry, the one whose most
-negative basic value at b is largest.  Where that does not cleanly reach
-an optimum -- the pivot limit, a row with no dual ratio (the
-LP may be infeasible) -- the cold two-phase solve decides, so statuses
-never depend on ``start``.  A warm optimum may differ from the cold one in
-the last ulps (another optimal basis, another rounding), and is
+primal feasible for b answers, B^-1 b, with no pivot; otherwise dual
+simplex pivots run from the stored B^-1 of the nearest entry, the one whose
+most negative basic value at b is largest.  Where that does not cleanly
+reach an optimum -- an empty set, the pivot limit, a row with no dual ratio
+(the LP may be infeasible) -- the cold two-phase solve decides, so statuses
+never depend on ``start``, and its basis enters and answers like any other
+(its tableau's own values only where the set refuses the basis or the walk
+from it fails).
+An optimum may differ from another basis's in the last ulps, and is
 deterministic for a fixed sequence of solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,12 +52,12 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float | None
-    pivots: int  # pivots of the attempt that returned: both cold phases, or the warm dual pivots
+    pivots: int  # the cold phases, if they ran, plus the dual pivots of the walk that answered
     basis: tuple[int, ...] | None = None  # optimal basic columns, row by row (None unless optimal)
 
 
 class CertifiedBases:
-    """The optimal bases of one LP's (c, A), kept for re-solving it under other right-hand sides.
+    """The optimal bases of one LP's (c, A), kept for solving it under every right-hand side.
 
     Only ``solve_lp`` offers it bases, those of the optima it reaches.  One
     enters at most once, and only when B = A[:, basis] is square (the cold
@@ -70,64 +72,77 @@ class CertifiedBases:
 
     def __init__(self):
         self.entries: list[tuple[int, ...]] = []
-        self._keys: set[frozenset[int]] = set()  # the column set of each entry
+        self._keys: dict[frozenset[int], int] = {}  # the column set of each entry -> its index
         self._matrices: list[np.ndarray] = []  # B of each entry
         self._inverses = np.empty((0, 0))  # B^-1 of each entry, stacked by rows
 
-    def _enter(self, c: np.ndarray, a: np.ndarray, basis: tuple[int, ...]) -> None:
-        """Add ``basis`` unless its columns are an entry already or its certificate fails."""
+    def _enter(self, c: np.ndarray, a: np.ndarray, basis: tuple[int, ...]) -> int | None:
+        """The index of the entry with the columns of ``basis``, added now if new; None if its certificate fails."""
         key = frozenset(basis)
         if key in self._keys:
-            return
+            return self._keys[key]
         b_inv = _inverse(a, basis)
         if b_inv is None or (c - (c[list(basis)] @ b_inv) @ a).min(initial=0.0) < -FEAS_TOL:
-            return
-        self._keys.add(key)
+            return None
+        self._keys[key] = len(self.entries)
         self.entries.append(basis)
         self._matrices.append(a[:, list(basis)])
         self._inverses = np.vstack([self._inverses.reshape(-1, len(basis)), b_inv])
+        return self._keys[key]
 
     def _lookup(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult | None:
         """The optimum at b from the entries, or None, for the cold solve, if they give none.
 
         Every entry's basics B^-1 b come from one product.  The first entry
-        whose basics are all >= -PIVOT_TOL and that meets A x = b within
-        FEAS_TOL, as a warm optimum must, is the answer with no pivot: no
-        tableau is formed and nothing is re-priced, as its reduced costs were
-        checked when it entered.  Otherwise dual simplex pivots run from the
-        entry whose most negative basic value is largest, the first on a tie.
+        whose basics cover b answers; otherwise the entry whose most negative
+        basic value is largest, the first on a tie, walks.
         """
         if not self.entries:
             return None
-        m = b.size
-        basics = (self._inverses @ b).reshape(len(self.entries), m)
+        basics = (self._inverses @ b).reshape(len(self.entries), b.size)
         lows = basics.min(axis=1)
-        limit = FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0))
         for k in (lows >= -PIVOT_TOL).nonzero()[0]:
-            if np.abs(self._matrices[k] @ basics[k] - b).max() <= limit:
-                return _optimum(c, list(self.entries[k]), basics[k], 0)
-        k = int(lows.argmax())
-        return _dual_simplex(c, a, b, list(self.entries[k]), self._inverses[k * m : (k + 1) * m])
+            res = self._read(k, c, b, basics[k])
+            if res is not None:
+                return res
+        return self._walk(int(lows.argmax()), c, a, b)
+
+    def _read(self, k: int, c: np.ndarray, b: np.ndarray, basics: np.ndarray) -> LPResult | None:
+        """Entry k's optimum at b with no pivot, or None unless its basics B^-1 b cover b.
+
+        They cover b when all are >= -PIVOT_TOL and meet A x = b within
+        FEAS_TOL * max(1, |b|).  Nothing is re-priced: the entry's reduced
+        costs were checked when it entered.
+        """
+        limit = FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0))
+        if basics.min() < -PIVOT_TOL or np.abs(self._matrices[k] @ basics - b).max() > limit:
+            return None
+        return _optimum(c, list(self.entries[k]), basics, 0)
+
+    def _walk(self, k: int, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult | None:
+        """The optimum at b by dual simplex pivots from entry k's stored B^-1, which then enters; or None."""
+        m = b.size
+        res = _dual_simplex(c, a, b, list(self.entries[k]), self._inverses[k * m : (k + 1) * m])
+        if res is not None:
+            self._enter(c, a, res.basis)
+        return res
 
 
 def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) -> LPResult:
     """Solve min c.x s.t. A x = b, x >= 0: the one LP entry point of the library.
 
-    c, A and b must be finite, and ``start`` is None or the
+    c, A and b must be finite, and ``start`` is None, a fresh set, or the
     ``CertifiedBases`` of earlier solves of the same c and A; anything else
-    raises InvalidInput.  From a set, every entry is tested against b at
-    once: the first entry whose basic values are all >= -PIVOT_TOL and that
-    meets A x = b within FEAS_TOL * max(1, |b|) is the optimum, with 0
-    pivots.  Otherwise dual simplex pivots run from the stored B^-1 of the
-    entry whose most negative basic value is largest (the first on a tie).
-    DUAL_PIVOT_LIMIT pivots or a row with no dual ratio sends the solve to
-    the cold path, so the status is always the cold one.  An optimum
-    reached from a set is offered to it.  A warm optimum may differ from the
-    cold one in the last ulps, and is deterministic for a fixed sequence of
-    solves.  The cold path raises NumericalBreakdown at its iteration limit.
+    raises InvalidInput.  The set's entries answer if they can
+    (``CertifiedBases._lookup``).  Otherwise the cold two-phase solve
+    decides the status, and its optimal basis enters the set and answers in
+    the same way: B^-1 b, or a walk from it.  The cold tableau's values are
+    returned only if the set refuses the basis or that walk fails.  The
+    cold path raises NumericalBreakdown at its iteration limit.
 
-    ``pivots`` counts the pivots of the returned attempt.  ``basis`` lists
-    the final basic columns (from the tableau, so zero-valued basics too).
+    ``pivots`` counts the cold phases' pivots, if they ran, plus the dual
+    pivots of the walk that answered.  ``basis`` lists the final basic
+    columns (zero-valued basics too).
     """
     c = np.asarray(objective, dtype=float).reshape(-1)
     a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
@@ -138,12 +153,17 @@ def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) 
         raise InvalidInput("LP data must be finite: c, A or b holds a NaN or an infinity")
     if start is not None and not isinstance(start, CertifiedBases):
         raise InvalidInput(f"start must be None or a CertifiedBases, got {type(start).__name__}")
-    res = None if start is None else start._lookup(c, a, b)
-    if res is None:
-        res = _two_phase(c, a, b)
-    if start is not None and res.status == "optimal":
-        start._enter(c, a, res.basis)
-    return res
+    bases = CertifiedBases() if start is None else start
+    res = bases._lookup(c, a, b)
+    if res is not None:
+        return res
+    cold = _two_phase(c, a, b)
+    k = bases._enter(c, a, cold.basis) if cold.status == "optimal" else None
+    if k is None:
+        return cold
+    m = b.size
+    res = bases._read(k, c, b, bases._inverses[k * m : (k + 1) * m] @ b) or bases._walk(k, c, a, b)
+    return cold if res is None else replace(res, pivots=cold.pivots + res.pivots)
 
 
 def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult:

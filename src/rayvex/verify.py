@@ -463,9 +463,9 @@ def oracle_eval(oracle: SampledOracle, x) -> float:
     inside the simplex of a certified basis is answered with no pivot;
     any other runs dual simplex pivots from the nearest certified basis
     (the one whose most negative weight is largest), or solves cold, and
-    its optimal basis joins the set.  A warm value may differ from the
-    cold one in the last ulps, so values depend on the query order,
-    deterministically.  An x with a NaN or infinite coordinate raises
+    its optimal basis joins the set.  A value read from one basis may
+    differ from another's in the last ulps, so values depend on the query
+    order, deterministically.  An x with a NaN or infinite coordinate raises
     InvalidInput.
     """
     x = np.asarray(x, dtype=float).reshape(-1)

@@ -78,11 +78,11 @@ class TestBuild:
 
     def test_translated_anchor_validates_each_polytope_once(self, monkeypatch):
         entry = rx.bilinear_neg(0.5, -0.25, 2.0, 1.0)
-        # the working polytope only: the Chebyshev LP, 2n = 4 bounds, the Chebyshev LP again
-        assert self._count_lps(monkeypatch, entry, entry.default_anchor) == 6
+        # the working polytope only: the Chebyshev LP, then 2n = 4 bounds
+        assert self._count_lps(monkeypatch, entry, entry.default_anchor) == 5
 
-    def test_translated_3d_anchor_solves_2n_plus_2_lps(self, monkeypatch):
-        assert self._count_lps(monkeypatch, rx.cobb_douglas(), [1.25, 1.5, 1.75]) == 8
+    def test_translated_3d_anchor_solves_2n_plus_1_lps(self, monkeypatch):
+        assert self._count_lps(monkeypatch, rx.cobb_douglas(), [1.25, 1.5, 1.75]) == 7
 
     def test_dimension_mismatch(self):
         field = rx.ScalarField(3, lambda p: p[0])

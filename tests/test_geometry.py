@@ -65,10 +65,10 @@ class TestValidate:
         lps = record_calls(monkeypatch, rx.geometry, "solve_lp")
         box = rx.Polytope.box([0.0, 0.0], [2.0, 1.0])
         report = rx.validate(box)
-        assert len(lps) == 6  # the Chebyshev LP, two bounds per coordinate, the Chebyshev LP again
+        assert len(lps) == 5  # the Chebyshev LP, then two bounds per coordinate
         assert rx.validate(box) is report
         rx.sample_interior(box, 0, 10)
-        assert len(lps) == 6
+        assert len(lps) == 5
         with pytest.raises(ValueError):  # shared by every caller, so read-only
             report.coordinate_bounds[0, 0] = -1.0
 

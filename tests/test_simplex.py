@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from strategies import brute_force_optimum, hull_lp, near_collinear_hull_lps
+from strategies import brute_force_optimum, hull_lp, near_collinear_hull_lps, rescaled_polytopes
 
 import rayvex as rx
 from rayvex import simplex
 from rayvex.errors import DimensionMismatch, InvalidInput, NumericalBreakdown
-from rayvex.simplex import DEGENERATE_RUN, FEAS_TOL, _iterate, _pivot, solve_lp
+from rayvex.simplex import DEGENERATE_RUN, FEAS_TOL, PIVOT_TOL, _iterate, _pivot, solve_lp
 
 # Beale's degenerate instance: naive most-negative pricing cycles on it.
 BEALE_C = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
@@ -149,16 +149,23 @@ def test_a_basic_value_rounded_below_zero_is_not_stepped_back_through():
     assert abs(res.objective) <= 1e-12
 
 
-# Each ratio-tested pivot keeps the basic values >= -FEAS_TOL and phase 1 accepts an
-# artificial sum up to FEAS_TOL; on these 3-row LPs the two add up to a few FEAS_TOL
-# (worst seen in about 20,000 draws: a residual of 5.0e-9, a weight of -2.0e-9, and a
-# value 5.3e-9 max |c| above the brute force).
+# A cold optimum's basis answers with B^-1 b, or by a walk from it, and either meets its rows
+# within FEAS_TOL.  Where B^-1 b has a value below -PIVOT_TOL and no dual pivot can fix it (the
+# query is just outside the hull), the cold tableau answers: each ratio-tested pivot keeps the
+# basic values >= -FEAS_TOL and phase 1 accepts an artificial sum up to FEAS_TOL, which on these
+# 3-row LPs add up to a few FEAS_TOL.  Worst seen in about 20,000 draws: on the 98% whose basis
+# covers b, a residual of 4.3e-15 and a weight of -1.0e-11 (at the tableau read: 5.0e-9 and
+# -2.0e-9); on the rest, 3.2e-9 and -7.9e-10; and a value 5.5e-9 max |c| above the brute force.
 SLACK = 10 * FEAS_TOL
+EDGE_YS = [3.4e-8, 1.0000000000000004, 2.0, 3.0, 3.999999966]
+EDGE_POINTS = np.array([(x, y) for x in range(5) for y in EDGE_YS], dtype=float)
 
 
 @settings(max_examples=60, deadline=None)
 @given(near_collinear_hull_lps())
 @example(DEFECT_LP)  # once optimal on the basis (2, 0, 1): three points of one column, cond 1.4e17
+# phase 1 ends at an artificial sum of -2.5e-9: the tableau read a residual of 2.8e-9, its basis's B^-1 b 0
+@example(hull_lp(EDGE_POINTS, EDGE_POINTS[:, 1] ** 2, [1.0, 1.000000000000024]))
 def test_a_cold_optimum_is_a_sound_basis_on_near_collinear_lattices(lp):
     c, a, b = lp
     res = solve_lp(c, a, b)
@@ -167,8 +174,9 @@ def test_a_cold_optimum_is_a_sound_basis_on_near_collinear_lattices(lp):
         return
     basis = a[:, list(res.basis)]
     assert basis.shape == (3, 3) and np.linalg.cond(basis) < 1e12
-    assert np.abs(a @ res.x - b).max() <= SLACK * max(1.0, np.abs(b).max())
-    assert res.x.min() >= -SLACK
+    tol = FEAS_TOL if np.linalg.solve(basis, b).min() >= -PIVOT_TOL else SLACK
+    assert np.abs(a @ res.x - b).max() <= tol * max(1.0, np.abs(b).max())
+    assert res.x.min() >= -tol
     # no worse than the best basic solution (weights >= -1e-9) on a basis with cond < 1e12;
     # a query just outside the hull may have none
     best = brute_force_optimum(c, a, b, max_cond=1e12)
@@ -185,21 +193,37 @@ def test_a_query_just_outside_the_hull_is_infeasible_or_met_within_feas_tol():
     assert res.status == "infeasible" or (res.x.min() >= -FEAS_TOL and np.abs(a @ res.x - b).max() <= FEAS_TOL * np.abs(b).max())
 
 
+def _chebyshev_lp(a, b):
+    """validate's Chebyshev LP on rows (a, b) in standard form: min b.y s.t. A^T y = 0, |a|.y - s = 1, y, s >= 0."""
+    n = a.shape[1]
+    matrix = np.vstack([np.hstack([a.T, np.zeros((n, 1))]), np.append(np.linalg.norm(a, axis=1), -1.0)])
+    return np.append(b, 0.0), matrix, np.eye(n + 1)[n]
+
+
 def test_the_chebyshev_lp_of_user_scale_rows_is_solved():
-    # validate's Chebyshev LP, in its standard form, on a cut box's rows as the user gave them (row norms
-    # 1e-3 to 1e2): min b.y s.t. A^T y = 0, |a|.y - s = 1, y, s >= 0.  The inequality form of the
+    # on a cut box's rows as the user gave them (row norms 1e-3 to 1e2).  The inequality form of the
     # same LP once met a column with no entry above PIVOT_TOL in phase 1 and raised NumericalBreakdown
     a = np.array([[-0.28546516903645525, 0.0], [-0.0010296106992124358, -0.00013251530226929508], [1.2385328794304349, 0.0],
                   [0.0, -0.05192204502148773], [0.0, 110.744696892593]])
     b = np.array([0.0, 0.0, 2.0015839405181604, 0.0, 209.12271242643473])
-    matrix = np.vstack([np.hstack([a.T, np.zeros((2, 1))]), np.append(np.linalg.norm(a, axis=1), -1.0)])
-    cost = np.append(b, 0.0)
-    res = solve_lp(cost, matrix, [0.0, 0.0, 1.0])
+    cost, matrix, rhs = _chebyshev_lp(a, b)
+    res = solve_lp(cost, matrix, rhs)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(0.8080463481270802, rel=1e-12)  # validate's margin on the canonical rows
     basis = list(res.basis)
     centre = np.linalg.solve(matrix[:, basis].T, cost[basis])[:2]  # the multipliers (x, t)
     assert rx.validate(rx.Polytope.from_inequalities(a, b)).interior_point == pytest.approx(centre, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rescaled_polytopes())
+# the box [0, 0.5] x [0, 1] cut by 1e-8 x + y <= 0.5000000025: its cold tableau once met A y = r only within 5e-9
+@example(rx.Polytope.from_inequalities([[1, 0], [-1, 0], [0, 1], [0, -1], [1e-8, 1]], [0.5, 0, 1, 0, 0.5000000025]))
+def test_the_cold_chebyshev_lp_meets_its_rows_within_feas_tol(polytope):
+    cost, matrix, rhs = _chebyshev_lp(polytope.matrix, polytope.offsets)
+    res = solve_lp(cost, matrix, rhs)
+    assert res.status == "optimal"
+    assert np.abs(matrix @ res.x - rhs).max() <= FEAS_TOL
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -3,8 +3,8 @@
 A warm solve answers from a certified basis, or runs dual simplex pivots
 from the nearest entry of the set, and must agree with the cold two-phase solve:
 the same status everywhere, the same optimum within 1e-9 relative.  Every
-way out of the warm path lands in the cold solve, whose result is then
-returned unchanged.
+way out of the warm path lands in the cold solve, whose optimal basis then
+enters the set and answers like any other.
 """
 
 import copy
@@ -223,7 +223,9 @@ THIN_BOX_QUERY = np.array([-1e-5, 1.0])
 
 def test_the_cold_solve_reports_a_full_rank_basis():
     oracle = _thin_box_oracle()
-    assert rx.oracle_eval(oracle, THIN_BOX_QUERY) == -1e-5
+    # the cold solve's basis answers with B^-1 b, one ulp from -1e-5, and so does the covered query after it
+    for _ in range(2):
+        assert rx.oracle_eval(oracle, THIN_BOX_QUERY) == np.nextafter(-1e-5, 0.0)
     (basis,) = oracle.bases.entries  # certified, so B is invertible
     assert np.linalg.matrix_rank(oracle.constraints[:, list(basis)]) == 3
 
@@ -270,14 +272,36 @@ def _assert_cold_answers(oracle, queries, results):
             assert abs(res.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
 
 
+# a query on the hull's edge x = 1.25, then one 1e-9 inside it: the cold tableau once read -2.5e-9 there,
+# 1.25e-9 below the exact -1.25e-9, with a weight of -1e-9
+EDGE_ORACLE = verify.SampledOracle(np.array([[1.25, 0.0], [1.25, 1.0], [2.5, 0.0], [2.5, 1.0]]),
+                                   np.array([0.0, -1.25, 0.0, -2.5]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(oracle_query_runs())
+@example((EDGE_ORACLE, [np.array([1.25, 0.0]), np.array([1.25, 1e-9])]))
 def test_a_certified_set_gives_the_cold_answers_and_the_same_bits_twice(case):
     oracle, queries = case
     first = _certified_run(oracle, queries)
     _assert_cold_answers(oracle, queries, first)
     for res, again in zip(first, _certified_run(oracle, queries)):
         assert same(again, res)
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_query_runs())
+@example((_thin_box_oracle(), [THIN_BOX_QUERY]))
+def test_no_start_is_a_fresh_certified_set_and_asked_again_gives_the_same_bits(case):
+    oracle, queries = case
+    for x in queries:
+        c, a, b = oracle.values, oracle.constraints, np.append(x, 1.0)
+        cold = solve_lp(c, a, b)
+        bases = CertifiedBases()
+        assert same(cold, solve_lp(c, a, b, start=bases))
+        if cold.status == "optimal" and bases.entries == [cold.basis]:  # read from the one entry, not walked from it
+            again = solve_lp(c, a, b, start=bases)
+            assert same((again.objective, again.x, again.basis), (cold.objective, cold.x, cold.basis))
 
 
 def test_a_certified_basis_answers_with_no_pivot_and_no_tableau(cold_calls, monkeypatch):
@@ -290,7 +314,7 @@ def test_a_certified_basis_answers_with_no_pivot_and_no_tableau(cold_calls, monk
     again = solve_lp(c, a, b, start=bases)
     assert len(cold_calls) == 1 and not dual_calls
     assert again.pivots == 0 and again.basis == first.basis
-    assert again.objective == pytest.approx(first.objective, rel=1e-12)
+    assert again.objective == first.objective  # both read B^-1 b of the one entry
     walked = solve_lp(c, a, NEAR[1], start=bases)  # outside it: dual pivots from its one entry
     assert len(dual_calls) == 1 and len(cold_calls) == 1 and walked.pivots >= 1
     assert bases.entries == [first.basis, walked.basis]
