@@ -321,8 +321,8 @@ def validate(polytope: Polytope) -> ValidationReport:
     when P is empty, so it is asked first, cold, and the multipliers (x, t)
     of its basis are the interior point and the margin; r = (-e_i, 0) and
     (e_i, 0) give -min x_i and max x_i, or are infeasible when x_i is
-    unbounded.  Each answer, the cold one too, is read from a certified
-    basis's stored B^-1, not from a tableau that may drift.  The LP and
+    unbounded.  Each answer, the cold one too, is its basis's B^-1 r,
+    refined once, never a tableau value that may drift.  The LP and
     every GEOM_TOL test read the canonical rows, so a row's user scale
     moves no threshold by a factor 2 or more.  With several Chebyshev
     optima the interior point is any one.

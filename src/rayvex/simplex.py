@@ -4,10 +4,9 @@ Solves  minimize c.x  subject to  A x = b, x >= 0.  Pivots are priced by the
 most negative reduced cost (Dantzig); after a run of DEGENERATE_RUN pivots
 that do not lower the objective, pricing falls back to Bland's
 smallest-index rule until the objective drops again, which rules out
-cycling.  Every pivot, primal or dual, takes one ratio test (``_ratio_test``),
-and NumericalBreakdown means only the iteration limit.  Sized for desk-scale
-instances (a handful of equality rows, up to ~10^4 columns); everything is a
-plain numpy tableau.
+cycling.  Every pivot, primal or dual, takes one ratio test (``_ratio_test``).
+Sized for desk-scale instances (a handful of equality rows, up to ~10^4
+columns); everything is a plain numpy tableau.
 
 Every LP of the library is one family of right-hand sides of one (c, A),
 solved through ``solve_lp`` with that family's ``CertifiedBases`` as
@@ -16,24 +15,22 @@ solved through ``solve_lp`` with that family's ``CertifiedBases`` as
 optimal basis stays dual feasible when only b changes (its reduced costs do
 not depend on b; the parametric right-hand side of Bertsimas & Tsitsiklis,
 *Introduction to Linear Optimization*, ch. 4-5), so it is optimal for every
-b with B^-1 b >= 0, and every optimum is read from such a basis.
-The set keeps every optimal basis its solves reach, each inverted and
-checked for reduced costs once, as it enters.  A certified basis that is
-primal feasible for b answers, B^-1 b, with no pivot; otherwise dual
-simplex pivots run from the stored B^-1 of the nearest entry, the one whose
-most negative basic value at b is largest.  Where that does not cleanly
-reach an optimum -- an empty set, the pivot limit, a row with no dual ratio
-(the LP may be infeasible) -- the cold two-phase solve decides, so statuses
-never depend on ``start``, and its basis enters and answers like any other
-(its tableau's own values only where the set refuses the basis or the walk
-from it fails).
-An optimum may differ from another basis's in the last ulps, and is
+b with B^-1 b >= 0.  The set keeps every optimal basis its solves reach,
+each inverted and checked for reduced costs once, as it enters.  A
+certified basis that covers b answers with no pivot; otherwise dual simplex
+pivots run from the stored B^-1 of the nearest entry, the one whose most
+negative basic value at b is largest, and the basis they end on enters and
+answers in turn.  Where that reaches no optimum -- an empty set, the pivot
+limit, a row with no dual ratio -- the cold two-phase solve decides the
+status, and its basis enters and answers like any other.  Every optimum is
+read in one place, ``_solution``: its basis's B^-1 b, refined once, never a
+tableau value.  It may differ from another basis's in the last ulps, and is
 deterministic for a fixed sequence of solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,15 +56,17 @@ class LPResult:
 class CertifiedBases:
     """The optimal bases of one LP's (c, A), kept for solving it under every right-hand side.
 
-    Only ``solve_lp`` offers it bases, those of the optima it reaches.  One
+    Only ``solve_lp`` offers it bases: a cold solve's and each walk's.  One
     enters at most once, and only when B = A[:, basis] is square (the cold
     solve may have dropped a redundant row), invertible, and its reduced
     costs c - c_B B^-1 A are all >= -FEAS_TOL: B is then optimal for every
     b with B^-1 b >= 0.  Each entry keeps its B and B^-1, and the inverses
     are stacked by rows into one (k*m, m) matrix, so ``solve_lp`` tests
-    every entry against a b with one product.  ``entries`` lists the bases
-    in the order they entered; the set is bounded by the number of distinct
-    optimal bases.
+    every entry against a b with one product.  An entry answers at b only
+    through ``_solution``'s cover test; with the reduced-cost check as it
+    entered, that is the one certificate of every optimum.  ``entries``
+    lists the bases in the order they entered; the set is bounded by the
+    number of distinct optimal bases.
     """
 
     def __init__(self):
@@ -95,37 +94,36 @@ class CertifiedBases:
 
         Every entry's basics B^-1 b come from one product.  The first entry
         whose basics cover b answers; otherwise the entry whose most negative
-        basic value is largest, the first on a tie, walks.
+        basic value is largest, the first on a tie, walks.  A walk that ends
+        without an optimum, an infeasible row too, leaves the status to the
+        cold solve, so statuses do not depend on ``start`` outside the
+        FEAS_TOL band.
         """
         if not self.entries:
             return None
         basics = (self._inverses @ b).reshape(len(self.entries), b.size)
         lows = basics.min(axis=1)
         for k in (lows >= -PIVOT_TOL).nonzero()[0]:
-            res = self._read(k, c, b, basics[k])
+            res = self._read(k, c, b, 0, basics[k])
             if res is not None:
                 return res
-        return self._walk(int(lows.argmax()), c, a, b)
+        res = self._walk(int(lows.argmax()), c, a, b, 0)
+        return res if res is not None and res.status == "optimal" else None
 
-    def _read(self, k: int, c: np.ndarray, b: np.ndarray, basics: np.ndarray) -> LPResult | None:
-        """Entry k's optimum at b with no pivot, or None unless its basics B^-1 b cover b.
-
-        They cover b when all are >= -PIVOT_TOL and meet A x = b within
-        FEAS_TOL * max(1, |b|).  Nothing is re-priced: the entry's reduced
-        costs were checked when it entered.
-        """
-        limit = FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0))
-        if basics.min() < -PIVOT_TOL or np.abs(self._matrices[k] @ basics - b).max() > limit:
-            return None
-        return _optimum(c, list(self.entries[k]), basics, 0)
-
-    def _walk(self, k: int, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult | None:
-        """The optimum at b by dual simplex pivots from entry k's stored B^-1, which then enters; or None."""
+    def _read(self, k: int, c: np.ndarray, b: np.ndarray, pivots: int, basics=None) -> LPResult | None:
+        """Entry k's optimum at b with no pivot (``_solution``), or None unless it covers b."""
         m = b.size
-        res = _dual_simplex(c, a, b, list(self.entries[k]), self._inverses[k * m : (k + 1) * m])
-        if res is not None:
-            self._enter(c, a, res.basis)
-        return res
+        return _solution(c, self.entries[k], self._matrices[k], self._inverses[k * m : (k + 1) * m], b, pivots, basics)
+
+    def _walk(self, k: int, c: np.ndarray, a: np.ndarray, b: np.ndarray, pivots: int) -> LPResult | None:
+        """The answer at b by dual pivots from entry k, or None: "infeasible" at a row no
+        column can take, else the read of the basis the pivots end on, once it enters."""
+        basis = list(self.entries[k])
+        status, steps = _dual_simplex(c, a, b, basis, self._inverses[k * b.size : (k + 1) * b.size])
+        if status == "infeasible":
+            return LPResult(status, None, None, pivots + steps)
+        j = self._enter(c, a, tuple(basis)) if status == "optimal" else None
+        return None if j is None else self._read(j, c, b, pivots + steps)
 
 
 def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) -> LPResult:
@@ -136,9 +134,12 @@ def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) 
     raises InvalidInput.  The set's entries answer if they can
     (``CertifiedBases._lookup``).  Otherwise the cold two-phase solve
     decides the status, and its optimal basis enters the set and answers in
-    the same way: B^-1 b, or a walk from it.  The cold tableau's values are
-    returned only if the set refuses the basis or that walk fails.  The
-    cold path raises NumericalBreakdown at its iteration limit.
+    the same way: B^-1 b, or a walk from it, which may find the LP
+    infeasible.  A basis the set refuses is read the same way, with the
+    pseudo-inverse of B for B^-1.  Every optimum is a basis's refined
+    solution (``_solution``), never a tableau value; a cold optimum with no
+    such read, and the cold path's iteration limit, raise
+    NumericalBreakdown.
 
     ``pivots`` counts the cold phases' pivots, if they ran, plus the dual
     pivots of the walk that answered.  ``basis`` lists the final basic
@@ -157,22 +158,25 @@ def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) 
     res = bases._lookup(c, a, b)
     if res is not None:
         return res
-    cold = _two_phase(c, a, b)
-    k = bases._enter(c, a, cold.basis) if cold.status == "optimal" else None
+    status, basis, pivots = _two_phase(c, a, b)
+    if status != "optimal":
+        return LPResult(status, None, None, pivots)
+    k = bases._enter(c, a, basis)
     if k is None:
-        return cold
-    m = b.size
-    res = bases._read(k, c, b, bases._inverses[k * m : (k + 1) * m] @ b) or bases._walk(k, c, a, b)
-    return cold if res is None else replace(res, pivots=cold.pivots + res.pivots)
+        matrix = a[:, list(basis)]
+        res = _solution(c, basis, matrix, np.linalg.pinv(matrix), b, pivots)
+    else:
+        res = bases._read(k, c, b, pivots) or bases._walk(k, c, a, b, pivots)
+    if res is None:
+        raise NumericalBreakdown(f"no certified read of the cold solve's basis {basis}")
+    return res
 
 
-def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult:
+def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[str, tuple[int, ...] | None, int]:
+    """The cold solve: its status, its basis if optimal (rows dropped as redundant have none), and its pivots."""
     m, n = a.shape
-    a = a.copy()
-    b = b.copy()
     flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
+    a, b = np.where(flip[:, None], -a, a), np.where(flip, -b, b)
 
     # Phase 1: artificial basis, minimize the artificial sum.
     tab = np.zeros((m + 1, n + m + 1))
@@ -185,7 +189,7 @@ def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult:
 
     _, pivots = _iterate(tab, basis, n + m)  # "unbounded" here is rounding: the artificial sum is >= 0
     if -tab[-1, -1] > FEAS_TOL:
-        return LPResult("infeasible", None, None, pivots)
+        return "infeasible", None, pivots
 
     tab, basis, drive_out = _drop_artificials(tab, basis, n)
     pivots += drive_out
@@ -199,60 +203,57 @@ def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult:
             tab[-1, :] -= cj * tab[row, :]
 
     status, phase2 = _iterate(tab, basis, n)
-    pivots += phase2
-    if status == "unbounded":
-        return LPResult("unbounded", None, None, pivots)
-
-    return _optimum(c, basis, tab[:-1, -1], pivots)
+    return status, tuple(basis) if status == "optimal" else None, pivots + phase2
 
 
-def _optimum(c: np.ndarray, basis: list[int], basics: np.ndarray, pivots: int) -> LPResult:
+def _solution(c, basis, matrix, inverse, b, pivots, basics=None) -> LPResult | None:
+    """The optimum of ``basis`` at b: its solution B^-1 b, refined once, or None unless it covers b.
+
+    ``matrix`` is B, ``inverse`` its B^-1 (or pseudo-inverse), and
+    ``basics`` B^-1 b where the caller has it.  They cover b when all are
+    >= -PIVOT_TOL and r = b - B x_B is within FEAS_TOL * max(1, |b|); the
+    answer is then x_B + B^-1 r.  Nothing is re-priced here.
+    """
+    basics = inverse @ b if basics is None else basics
+    residual = b - matrix @ basics
+    limit = FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0))
+    if basics.min(initial=0.0) < -PIVOT_TOL or np.abs(residual).max(initial=0.0) > limit:
+        return None
     x = np.zeros(c.size)
-    x[basis] = basics
+    x[list(basis)] = basics + inverse @ residual
     x[np.abs(x) < 1e-15] = 0.0  # else validate bounds a cut box through the origin at -2.2e-16, not 0
     return LPResult("optimal", x, float(c @ x), pivots, tuple(basis))
 
 
-def _dual_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: list[int], b_inv: np.ndarray):
-    """Re-solve from ``basis``, with its B^-1, by dual simplex pivots, or None where the cold solve must.
+def _dual_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: list[int], b_inv: np.ndarray) -> tuple[str, int]:
+    """Dual simplex pivots from ``basis`` (updated in place), with its B^-1; the status and the pivots made.
 
     The leaving row holds the most negative basic value; the entering column
-    passes ``_ratio_test`` on the reduced costs over minus that row.  The answer is
-    returned only with its optimality certificate: basics >= -PIVOT_TOL,
-    reduced costs >= -FEAS_TOL and A x = b within FEAS_TOL; the start is
-    re-priced too, as its tableau can disagree with its certificate in ulps.
+    passes ``_ratio_test`` on the reduced costs over minus that row.  The
+    status is "optimal" once no basic value is below -PIVOT_TOL, "infeasible"
+    at a row no column can take (a Farkas row: no x >= 0 meets it, up to the
+    tolerances), "pivot limit" after DUAL_PIVOT_LIMIT pivots, or "overflow".
     """
     m, n = a.shape
     tab = np.empty((m + 1, n + 1))
     np.matmul(b_inv, a, out=tab[:m, :n])
     np.matmul(b_inv, b, out=tab[:m, -1])
     if not np.isfinite(tab[:m]).all():
-        return None
+        return "overflow", 0
     basics = tab[:m, -1]  # views: _pivot updates tab in place
     costs = tab[-1, :n]
     tab[-1] = -(c[basis] @ tab[:m])  # reduced costs c - c_B B^-1 A, then -c_B x_B
     costs += c
     costs[basis] = 0.0
-    if costs.min() < -FEAS_TOL:
-        return None
-
     for pivots in range(DUAL_PIVOT_LIMIT + 1):
         leave = int(basics.argmin())
         if basics[leave] >= -PIVOT_TOL:
-            break
-        if pivots == DUAL_PIVOT_LIMIT:
-            return None
+            return "optimal", pivots
         cols = _ratio_test(costs, -tab[leave, :n])
-        if cols.size == 0:
-            return None  # no x >= 0 meets this row: the cold solve reports infeasible
+        if cols.size == 0 or pivots == DUAL_PIVOT_LIMIT:
+            return "pivot limit" if cols.size else "infeasible", pivots
         _pivot(tab, leave, cols[0])
         basis[leave] = int(cols[0])
-
-    result = _optimum(c, basis, tab[:-1, -1], pivots)
-    residual = np.abs(a @ result.x - b).max(initial=0.0)
-    if costs.min() < -FEAS_TOL or residual > FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0)):
-        return None
-    return result
 
 
 def _inverse(a: np.ndarray, basis: tuple[int, ...]) -> np.ndarray | None:
@@ -344,7 +345,5 @@ def _drop_artificials(tab: np.ndarray, basis: list[int], n: int):
         else:
             drop_rows.append(row)
 
-    keep_rows = [i for i in range(m) if i not in drop_rows] + [m]
-    tab = tab[keep_rows][:, list(range(n)) + [tab.shape[1] - 1]]
-    new_basis = [basis[i] for i in range(m) if i not in drop_rows]
-    return tab, new_basis, pivots
+    keep = [i for i in range(m) if i not in drop_rows]
+    return tab[keep + [m]][:, list(range(n)) + [tab.shape[1] - 1]], [basis[i] for i in keep], pivots

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from strategies import brute_force_optimum, hull_lp, near_collinear_hull_lps, rescaled_polytopes
+from reference_simplex import exact_lp
+from strategies import brute_force_optimum, hull_lp, near_collinear_hull_lps, record_calls, rescaled_polytopes
 
 import rayvex as rx
 from rayvex import simplex
 from rayvex.errors import DimensionMismatch, InvalidInput, NumericalBreakdown
-from rayvex.simplex import DEGENERATE_RUN, FEAS_TOL, PIVOT_TOL, _iterate, _pivot, solve_lp
+from rayvex.simplex import DEGENERATE_RUN, FEAS_TOL, CertifiedBases, _iterate, _pivot, solve_lp
 
 # Beale's degenerate instance: naive most-negative pricing cycles on it.
 BEALE_C = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
@@ -108,12 +109,18 @@ def test_dense_oracle_query_needs_few_pivots():
     assert 1 <= res.pivots <= 50
 
 
-def test_redundant_constraint_handled():
+def test_redundant_constraint_handled(monkeypatch):
+    # the cold solve drops the second row, twice the first: its one-column basis cannot enter the
+    # certified set, and is read through the pseudo-inverse of B
     a = np.array([[1.0, 1.0], [2.0, 2.0]])
     b = np.array([1.0, 2.0])
-    res = solve_lp(np.array([1.0, 0.0]), a, b)
+    pseudo = record_calls(monkeypatch, np.linalg, "pinv")
+    bases = CertifiedBases()
+    res = solve_lp(np.array([1.0, 0.0]), a, b, start=bases)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(0.0, abs=1e-12)
+    assert bases.entries == [] and [m.tolist() for m, in pseudo] == [[[1.0], [2.0]]]
+    assert (res.basis, res.x.tolist()) == ((1,), [0.0, 1.0])
 
 
 def test_solution_feasibility_contract():
@@ -149,16 +156,16 @@ def test_a_basic_value_rounded_below_zero_is_not_stepped_back_through():
     assert abs(res.objective) <= 1e-12
 
 
-# A cold optimum's basis answers with B^-1 b, or by a walk from it, and either meets its rows
-# within FEAS_TOL.  Where B^-1 b has a value below -PIVOT_TOL and no dual pivot can fix it (the
-# query is just outside the hull), the cold tableau answers: each ratio-tested pivot keeps the
-# basic values >= -FEAS_TOL and phase 1 accepts an artificial sum up to FEAS_TOL, which on these
-# 3-row LPs add up to a few FEAS_TOL.  Worst seen in about 20,000 draws: on the 98% whose basis
-# covers b, a residual of 4.3e-15 and a weight of -1.0e-11 (at the tableau read: 5.0e-9 and
-# -2.0e-9); on the rest, 3.2e-9 and -7.9e-10; and a value 5.5e-9 max |c| above the brute force.
+# Every optimum is its basis's refined B^-1 b, which covers b: a residual within FEAS_TOL max(1, |b|)
+# and weights >= -PIVOT_TOL before the refinement.  Worst seen over 5 seeds x 4,000 draws: a residual
+# of 4.4e-15 and a weight of -9.6e-12; a value 2.9e-10 max |c| above the exact optimum and 5.2e-11
+# below it.  The brute force takes weights down to -1e-9, so its best can undercut the optimum, by
+# 5.8e-9 max |c| at worst: SLACK is for that bound only.
 SLACK = 10 * FEAS_TOL
 EDGE_YS = [3.4e-8, 1.0000000000000004, 2.0, 3.0, 3.999999966]
 EDGE_POINTS = np.array([(x, y) for x in range(5) for y in EDGE_YS], dtype=float)
+TOP_YS = [float.fromhex(h) for h in ("-0x1.52da6910b246fp-42", "0x1.ffffffffff933p-4", "0x1.0000000000000p-2")]
+TOP_POINTS = np.array([(x, y) for x in (0.0, 0.125, 0.25) for y in TOP_YS])
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,17 +173,23 @@ EDGE_POINTS = np.array([(x, y) for x in range(5) for y in EDGE_YS], dtype=float)
 @example(DEFECT_LP)  # once optimal on the basis (2, 0, 1): three points of one column, cond 1.4e17
 # phase 1 ends at an artificial sum of -2.5e-9: the tableau read a residual of 2.8e-9, its basis's B^-1 b 0
 @example(hull_lp(EDGE_POINTS, EDGE_POINTS[:, 1] ** 2, [1.0, 1.000000000000024]))
+# 2.9e-10 above the top row: the cold tableau answered with a residual of 1.17e-9; the walk from its
+# basis now meets a row that proves the query infeasible
+@example(hull_lp(TOP_POINTS, [0, -2, -2, 0, -2, -1, -2, -2, 2], [0.25, float.fromhex("0x1.000000050477ap-2")]))
 def test_a_cold_optimum_is_a_sound_basis_on_near_collinear_lattices(lp):
     c, a, b = lp
     res = solve_lp(c, a, b)
-    assert res.status in ("optimal", "infeasible")
-    if res.status == "infeasible":
+    exact, value, residual = exact_lp(c, a, b)  # residual: the exact min |A x - b|_1 over x >= 0
+    band = FEAS_TOL * max(1.0, np.abs(b).max())
+    if res.status == "infeasible":  # the LP is infeasible at b, or at a right-hand side within band of it (L1)
+        unit = np.eye(len(b))
+        assert exact == "infeasible" or any(exact_lp(c, a, b + band * e)[0] == "infeasible" for e in np.vstack([unit, -unit]))
         return
+    assert res.status == "optimal" and residual <= band  # feasible at b, or at a right-hand side within band
     basis = a[:, list(res.basis)]
     assert basis.shape == (3, 3) and np.linalg.cond(basis) < 1e12
-    tol = FEAS_TOL if np.linalg.solve(basis, b).min() >= -PIVOT_TOL else SLACK
-    assert np.abs(a @ res.x - b).max() <= tol * max(1.0, np.abs(b).max())
-    assert res.x.min() >= -tol
+    assert np.abs(a @ res.x - b).max() <= band and res.x.min() >= -FEAS_TOL
+    assert exact != "optimal" or abs(res.objective - float(value)) <= FEAS_TOL * max(1.0, np.abs(c).max())
     # no worse than the best basic solution (weights >= -1e-9) on a basis with cond < 1e12;
     # a query just outside the hull may have none
     best = brute_force_optimum(c, a, b, max_cond=1e12)
@@ -246,11 +259,20 @@ def test_an_oracle_query_must_be_a_finite_point_of_its_dimension():
         rx.oracle_eval(oracle, [0.5, 0.5, 0.5])
 
 
-def test_the_iteration_limit_is_the_one_breakdown(monkeypatch):
+def test_the_iteration_limit_is_a_breakdown(monkeypatch):
     # a pivot that changes nothing: the same column enters until the limit
     monkeypatch.setattr(simplex, "_pivot", lambda *args: None)
     with pytest.raises(NumericalBreakdown, match="iteration limit"):
         solve_lp([1.0, 0.0], [[1.0, 1.0]], [1.0])
+
+
+@pytest.mark.parametrize("lp", [([1.0, 0.0], [[1.0, 1.0]], [1.0]), ([1.0, 0.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0])])
+def test_a_cold_optimum_with_no_certified_read_is_a_breakdown(lp, monkeypatch):
+    # no basis covers b: the cold basis's read and the walk from it give no answer, and a basis
+    # the set refuses (the second LP drops a redundant row) has only its own read
+    monkeypatch.setattr(simplex, "_solution", lambda *args: None)
+    with pytest.raises(NumericalBreakdown, match="no certified read"):
+        solve_lp(*lp)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,9 +2,12 @@
 
 A warm solve answers from a certified basis, or runs dual simplex pivots
 from the nearest entry of the set, and must agree with the cold two-phase solve:
-the same status everywhere, the same optimum within 1e-9 relative.  Every
-way out of the warm path lands in the cold solve, whose optimal basis then
-enters the set and answers like any other.
+the same status everywhere, the same optimum within 1e-9 relative.  A warm
+walk that reaches no certified optimum leaves the solve to the cold path,
+whose optimal basis enters the set and answers like any other: read, or
+walked from to an optimum or to a row that proves the LP infeasible.  A
+basis the set refuses is read through its pseudo-inverse, and a cold
+optimum with no certified read is a NumericalBreakdown.
 """
 
 import copy
@@ -86,8 +89,8 @@ CORNERS = (0, 8, 72)  # three box corners of GRID: a feasible basis, not an opti
 
 
 def test_a_dual_infeasible_entry_goes_cold(cold_calls, monkeypatch):
-    # an entry forced in past its check, with the query outside its triangle:
-    # the walk re-prices it and leaves the solve to the cold path
+    # an entry forced in past its check, with the query outside its triangle: the walk from it
+    # is not re-priced, reaches no basis that covers b within the pivot limit, and goes cold
     c, a, b = hull_lp(GRID, GRID_VALUES, [0.9, 0.9])
     bases = CertifiedBases()
     with monkeypatch.context() as patch:
@@ -112,23 +115,26 @@ def test_the_pivot_limit_sends_the_walk_cold(cold_calls, monkeypatch):
 
 
 def test_a_walk_that_fails_its_certificate_goes_cold(cold_calls, monkeypatch):
-    # the walk's first pivot leaves a basic value 1e-6 off, so A x = b fails by far more than FEAS_TOL
+    # the walk ends on the optimal basis, but its B^-1, which the read would use, is inverted 1e-6 off in the
+    # column of the row of ones: its reduced costs fail by about 1e-6, so the set refuses it
     c, a, _ = hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
     bases = _set_at(c, a, NEAR[0])
     b_next = np.array(NEAR[1])
-    pivot, drifted = simplex._pivot, []
+    inverse, drifted = simplex._inverse, []
 
-    def drifts_once(tab, row, col):
-        pivot(tab, row, col)
+    def drifts_once(a, basis):
+        b_inv = inverse(a, basis)
         if not drifted:
-            drifted.append(row)
-            tab[row, -1] += 1e-6
+            drifted.append(basis)
+            b_inv[:, -1] += 1e-6
+        return b_inv
 
-    monkeypatch.setattr(simplex, "_pivot", drifts_once)
+    monkeypatch.setattr(simplex, "_inverse", drifts_once)
     del cold_calls[:]
     res = solve_lp(c, a, b_next, start=bases)
     assert drifted and len(cold_calls) == 1
-    monkeypatch.setattr(simplex, "_pivot", pivot)
+    assert set(drifted[0]) == set(res.basis) and res.basis in bases.entries  # the cold solve's basis entered
+    monkeypatch.setattr(simplex, "_inverse", inverse)
     assert same(res, solve_lp(c, a, b_next))
 
 
@@ -219,13 +225,17 @@ def _thin_box_oracle():
 
 
 THIN_BOX_QUERY = np.array([-1e-5, 1.0])
+# x^2 on {0, 0.5, 1} x {0, 0.25, 0.5}, queried at (0, 0), then 5.94e-10 outside the hull: the walk from the
+# first answer's basis found a row no column can take, and the cold tableau answered with weights 1.19e-9 off
+# its own basis's solution; that row now makes the query infeasible, cold or warm
+STRIP = np.array([(x, y) for x in (0.0, 0.5, 1.0) for y in (0.0, 0.25, 0.5)])
 
 
 def test_the_cold_solve_reports_a_full_rank_basis():
     oracle = _thin_box_oracle()
-    # the cold solve's basis answers with B^-1 b, one ulp from -1e-5, and so does the covered query after it
+    # the cold solve's basis answers with its refined B^-1 b, -1e-5 exactly, and so does the covered query after it
     for _ in range(2):
-        assert rx.oracle_eval(oracle, THIN_BOX_QUERY) == np.nextafter(-1e-5, 0.0)
+        assert rx.oracle_eval(oracle, THIN_BOX_QUERY) == -1e-5
     (basis,) = oracle.bases.entries  # certified, so B is invertible
     assert np.linalg.matrix_rank(oracle.constraints[:, list(basis)]) == 3
 
@@ -233,6 +243,7 @@ def test_the_cold_solve_reports_a_full_rank_basis():
 @settings(max_examples=30, deadline=None)
 @given(oracle_query_runs())
 @example((_thin_box_oracle(), [THIN_BOX_QUERY]))
+@example((verify.SampledOracle(STRIP, STRIP[:, 0] ** 2), [np.array([0.0, 0.0]), np.array([-5.94e-10, 0.0])]))
 def test_warm_oracle_matches_a_cold_solve_at_every_query(case):
     oracle, queries = case
     for x in queries:
