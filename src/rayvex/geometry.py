@@ -343,6 +343,8 @@ def _validate(polytope: Polytope) -> ValidationReport:
     matrix[n, :m] = np.linalg.norm(a, axis=1)
     matrix[n, m] = -1.0
     cost = np.append(b, 0.0)
+    matrix.setflags(write=False)  # frozen, so each solve after the first checks only its r
+    cost.setflags(write=False)
     bases = CertifiedBases()
 
     def solve(rhs):

@@ -11,7 +11,8 @@ columns); everything is a plain numpy tableau.
 Every LP of the library is one family of right-hand sides of one (c, A),
 solved through ``solve_lp`` with that family's ``CertifiedBases`` as
 ``start``: the oracle's queries change (x, 1), and ``geometry.validate``'s
-2n + 1 questions about a polytope are the right-hand sides of one LP.  An
+2n + 1 questions about a polytope are the right-hand sides of one LP.  The
+set checks (c, A) at its first solve and answers that LP only.  An
 optimal basis stays dual feasible when only b changes (its reduced costs do
 not depend on b; the parametric right-hand side of Bertsimas & Tsitsiklis,
 *Introduction to Linear Optimization*, ch. 4-5), so it is optimal for every
@@ -30,6 +31,7 @@ deterministic for a fixed sequence of solves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +58,13 @@ class LPResult:
 class CertifiedBases:
     """The optimal bases of one LP's (c, A), kept for solving it under every right-hand side.
 
-    Only ``solve_lp`` offers it bases: a cold solve's and each walk's.  One
-    enters at most once, and only when B = A[:, basis] is square (the cold
-    solve may have dropped a redundant row), invertible, and its reduced
+    The set belongs to the (c, A) of the first ``solve_lp`` it starts
+    (``_bind``), which checks them once and keeps read-only copies; a later
+    solve with another c or A raises InvalidInput, and one that passes the
+    same read-only arrays again checks only its b.  Only ``solve_lp``
+    offers it bases: a cold solve's and each walk's.  One enters at most
+    once, and only when B = A[:, basis] is square (the cold solve may have
+    dropped a redundant row), invertible, and its reduced
     costs c - c_B B^-1 A are all >= -FEAS_TOL: B is then optimal for every
     b with B^-1 b >= 0.  Each entry keeps its B and B^-1, and the inverses
     are stacked by rows into one (k*m, m) matrix, so ``solve_lp`` tests
@@ -74,6 +80,42 @@ class CertifiedBases:
         self._keys: dict[frozenset[int], int] = {}  # the column set of each entry -> its index
         self._matrices: list[np.ndarray] = []  # B of each entry
         self._inverses = np.empty((0, 0))  # B^-1 of each entry, stacked by rows
+        self._lp = None  # (c, A) of the first solve, checked then: read-only copies
+        self._given = None  # the first solve's own c and A, when both are read-only and own their data
+
+    def _bind(self, objective, eq_matrix, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(c, A) for a solve at b: the set's own LP, which the first solve checks and binds it to.
+
+        A solve that passes the very arrays the first one passed, still read-only and owning
+        their data, reads the copies kept then and checks only b.  Any other objective and
+        matrix, writeable arrays too, which may have changed since, are converted and checked in
+        full, with b, and then compared with the kept pair: a different c or A raises InvalidInput.
+        """
+        given = self._given
+        if given is not None and objective is given[0] and eq_matrix is given[1] and not (
+            objective.flags.writeable or eq_matrix.flags.writeable
+        ):
+            c, a = self._lp
+            if a.shape[0] != b.size:
+                raise DimensionMismatch(_shapes(c, a, b))
+            if not all(map(math.isfinite, b.tolist())):
+                raise InvalidInput(_NON_FINITE)
+            return c, a
+        c = np.asarray(objective, dtype=float).reshape(-1)
+        a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
+        if a.shape != (b.size, c.size):
+            raise DimensionMismatch(_shapes(c, a, b))
+        if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+            raise InvalidInput(_NON_FINITE)
+        if self._lp is None:
+            self._lp = c.copy(), a.copy()
+            for kept in self._lp:
+                kept.setflags(write=False)
+            if all(isinstance(v, np.ndarray) and v.flags.owndata and not v.flags.writeable for v in (objective, eq_matrix)):
+                self._given = objective, eq_matrix  # frozen: nothing writes to them unnoticed
+        elif not (np.array_equal(c, self._lp[0]) and np.array_equal(a, self._lp[1])):
+            raise InvalidInput("start holds the bases of another LP: c or A differs from the first solve's")
+        return c, a
 
     def _enter(self, c: np.ndarray, a: np.ndarray, basis: tuple[int, ...]) -> int | None:
         """The index of the entry with the columns of ``basis``, added now if new; None if its certificate fails."""
@@ -103,10 +145,11 @@ class CertifiedBases:
             return None
         basics = (self._inverses @ b).reshape(len(self.entries), b.size)
         lows = basics.min(axis=1)
-        for k in (lows >= -PIVOT_TOL).nonzero()[0]:
-            res = self._read(k, c, b, 0, basics[k])
-            if res is not None:
-                return res
+        for k, low in enumerate(lows.tolist()):
+            if low >= -PIVOT_TOL:
+                res = self._read(k, c, b, 0, basics[k])
+                if res is not None:
+                    return res
         res = self._walk(int(lows.argmax()), c, a, b, 0)
         return res if res is not None and res.status == "optimal" else None
 
@@ -131,30 +174,28 @@ def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) 
 
     c, A and b must be finite, and ``start`` is None, a fresh set, or the
     ``CertifiedBases`` of earlier solves of the same c and A; anything else
-    raises InvalidInput.  The set's entries answer if they can
-    (``CertifiedBases._lookup``).  Otherwise the cold two-phase solve
-    decides the status, and its optimal basis enters the set and answers in
-    the same way: B^-1 b, or a walk from it, which may find the LP
-    infeasible.  A basis the set refuses is read the same way, with the
-    pseudo-inverse of B for B^-1.  Every optimum is a basis's refined
-    solution (``_solution``), never a tableau value; a cold optimum with no
-    such read, and the cold path's iteration limit, raise
+    raises InvalidInput.  A set checks c and A once, at its first solve, and
+    binds itself to them (``CertifiedBases._bind``): a later solve that passes
+    the same read-only arrays, as the oracle and ``geometry.validate`` do,
+    checks only b, and one with another c or A raises InvalidInput.  The
+    set's entries answer if they can (``CertifiedBases._lookup``).  Otherwise
+    the cold two-phase solve decides the status, and its optimal basis enters
+    the set and answers in the same way: B^-1 b, or a walk from it, which
+    may find the LP infeasible.  A basis the set refuses is read the same
+    way, with the pseudo-inverse of B for B^-1.  Every optimum is a basis's
+    refined solution (``_solution``), never a tableau value; a cold optimum
+    with no such read, and the cold path's iteration limit, raise
     NumericalBreakdown.
 
     ``pivots`` counts the cold phases' pivots, if they ran, plus the dual
     pivots of the walk that answered.  ``basis`` lists the final basic
     columns (zero-valued basics too).
     """
-    c = np.asarray(objective, dtype=float).reshape(-1)
-    a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
-    b = np.asarray(eq_rhs, dtype=float).reshape(-1)
-    if a.shape != (b.size, c.size):
-        raise DimensionMismatch(f"inconsistent LP shapes: A{a.shape}, b({b.size},), c({c.size},)")
-    if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InvalidInput("LP data must be finite: c, A or b holds a NaN or an infinity")
     if start is not None and not isinstance(start, CertifiedBases):
         raise InvalidInput(f"start must be None or a CertifiedBases, got {type(start).__name__}")
     bases = CertifiedBases() if start is None else start
+    b = np.asarray(eq_rhs, dtype=float).reshape(-1)
+    c, a = bases._bind(objective, eq_matrix, b)
     res = bases._lookup(c, a, b)
     if res is not None:
         return res
@@ -170,6 +211,13 @@ def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) 
     if res is None:
         raise NumericalBreakdown(f"no certified read of the cold solve's basis {basis}")
     return res
+
+
+_NON_FINITE = "LP data must be finite: c, A or b holds a NaN or an infinity"
+
+
+def _shapes(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> str:
+    return f"inconsistent LP shapes: A{a.shape}, b({b.size},), c({c.size},)"
 
 
 def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[str, tuple[int, ...] | None, int]:
@@ -212,16 +260,22 @@ def _solution(c, basis, matrix, inverse, b, pivots, basics=None) -> LPResult | N
     ``matrix`` is B, ``inverse`` its B^-1 (or pseudo-inverse), and
     ``basics`` B^-1 b where the caller has it.  They cover b when all are
     >= -PIVOT_TOL and r = b - B x_B is within FEAS_TOL * max(1, |b|); the
-    answer is then x_B + B^-1 r.  Nothing is re-priced here.
+    answer is then x_B + B^-1 r, each basic value below 1e-15 in magnitude
+    read as 0.  The test and the snap run on the m basic values as floats;
+    a NaN fails neither test, as under numpy's min and max.  Nothing is
+    re-priced here.
     """
     basics = inverse @ b if basics is None else basics
     residual = b - matrix @ basics
-    limit = FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0))
-    if basics.min(initial=0.0) < -PIVOT_TOL or np.abs(residual).max(initial=0.0) > limit:
+    values, gaps = basics.tolist(), residual.tolist()
+    limit = FEAS_TOL * max(1.0, max(map(abs, b.tolist()), default=0.0))
+    if (min(values, default=0.0) < -PIVOT_TOL and not any(map(math.isnan, values))) or (
+        max(map(abs, gaps), default=0.0) > limit and not any(map(math.isnan, gaps))
+    ):
         return None
     x = np.zeros(c.size)
-    x[list(basis)] = basics + inverse @ residual
-    x[np.abs(x) < 1e-15] = 0.0  # else validate bounds a cut box through the origin at -2.2e-16, not 0
+    for j, v in zip(basis, (basics + inverse @ residual).tolist()):
+        x[j] = 0.0 if abs(v) < 1e-15 else v  # else validate bounds a cut box through the origin at -2.2e-16, not 0
     return LPResult("optimal", x, float(c @ x), pivots, tuple(basis))
 
 

@@ -100,10 +100,13 @@ class CertificationReport:
 class SampledOracle:
     """Finite graph sample (all polytope vertices plus a nested lattice).
 
-    Also holds its LP: the (n + 1, k) constraint matrix, stacked once, and
-    the ``simplex.CertifiedBases`` of that LP: every optimal basis a query
-    has reached, each checked once for optimality as it entered.  They are
-    the oracle's whole warm state, and every query starts from them.
+    Also holds its LP: read-only copies of the values (its costs) and of
+    the (n + 1, k) constraint matrix, stacked once, and the
+    ``simplex.CertifiedBases`` of that LP: every optimal basis a query has
+    reached, each checked once for optimality as it entered.  They are the
+    oracle's whole warm state, and every query starts from them.  The set
+    checks the costs and the matrix at the first query and binds itself to
+    these very arrays, so a later query checks only its (x, 1).
     """
 
     points: np.ndarray  # (k, n)
@@ -113,7 +116,10 @@ class SampledOracle:
     bases: CertifiedBases = dataclasses.field(default_factory=CertifiedBases, init=False, repr=False)
 
     def __post_init__(self):
+        self.values = np.array(self.values, dtype=float)
         self.constraints = np.vstack([self.points.T, np.ones(len(self.values))])
+        self.values.setflags(write=False)
+        self.constraints.setflags(write=False)
 
 
 def _sample_values(field: ScalarField, points: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
@@ -437,7 +443,10 @@ def oracle_build(field: ScalarField, polytope: Polytope, grid_density: int = 10)
     density refines the sample set (the monotonicity guarantee relies on
     this).  Density 0 keeps vertices only.  ``guard_density`` rejects a
     density out of range before anything is evaluated.  Points where the
-    field is non-finite on the closure are skipped and counted.
+    field is non-finite on the closure are skipped and counted.  The points
+    come in lexicographic order, each once: one stable ``np.lexsort`` and a
+    compare with the previous row, the rows ``np.unique(axis=0)`` keeps,
+    except that of a -0.0 and a 0.0 coordinate the first stacked is kept.
     """
     guard_density(grid_density, polytope.dim)
     verts = vertices(polytope)
@@ -445,7 +454,11 @@ def oracle_build(field: ScalarField, polytope: Polytope, grid_density: int = 10)
     if grid_density >= 1:
         mesh = lattice(np.stack([verts.min(axis=0), verts.max(axis=0)], axis=1), grid_density + 1)
         pts.append(mesh[polytope.contains(mesh)])
-    combined = np.unique(np.vstack(pts), axis=0)
+    stacked = np.vstack(pts)
+    ordered = stacked[np.lexsort(stacked.T[::-1])]  # stable: by the first coordinate, then the next
+    kept = np.ones(len(ordered), dtype=bool)
+    kept[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    combined = ordered[kept]
     values = _eval_rows(field, combined)
     finite = np.isfinite(values)
     return SampledOracle(combined[finite], values[finite], int(np.count_nonzero(~finite)))
@@ -463,7 +476,9 @@ def oracle_eval(oracle: SampledOracle, x) -> float:
     inside the simplex of a certified basis is answered with no pivot;
     any other runs dual simplex pivots from the nearest certified basis
     (the one whose most negative weight is largest), or solves cold, and
-    the optimal basis it reaches joins the set.  Every value is that basis's
+    the optimal basis it reaches joins the set.  The set checks the
+    oracle's LP once, at its first query; a query checks its own (x, 1),
+    built in one ``np.array``.  Every value is that basis's
     weights B^-1 (x, 1), refined once, never a tableau value; a query
     within FEAS_TOL of the hull's boundary may be answered either way, a
     value or InfeasibleLP.  A value read from one basis may differ from
@@ -472,8 +487,7 @@ def oracle_eval(oracle: SampledOracle, x) -> float:
     InvalidInput.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    rhs = np.concatenate([x, [1.0]])
-    res = solve_lp(oracle.values, oracle.constraints, rhs, start=oracle.bases)
+    res = solve_lp(oracle.values, oracle.constraints, np.array([*x.tolist(), 1.0]), start=oracle.bases)
     if res.status != "optimal":
         raise InfeasibleLP(f"{x.tolist()} is outside the sampled hull ({res.status})")
     return float(res.objective)

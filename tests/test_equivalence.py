@@ -34,20 +34,22 @@ import pytest
 import reference_checks
 import reference_evaluators as ref
 import reference_fields
+import reference_lp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import (
     KERNEL_POLYTOPES, SENSES, SLAB, WORKING_CASES, band_cases, bits, catalog_model_points, catalog_models, cut_boxes,
-    drawn_model_points, near_facet_batches, nearly_parallel_entry, same, working_field_rows, working_field_samples,
-    working_points,
+    drawn_model_points, near_collinear_hull_lps, near_facet_batches, nearly_parallel_entry, oracle_query_runs, same,
+    working_field_rows, working_field_samples, working_points,
 )
 
 import rayvex as rx
 from rayvex import cli
 from rayvex import envelope as env
-from rayvex import geometry, verify
+from rayvex import geometry, simplex, verify
 from rayvex.functions import _eval_rows
 from rayvex.geometry import GEOM_TOL, INTERIOR_MARGIN, _facet_dots, _facet_products, lattice
+from rayvex.simplex import CertifiedBases
 
 
 @dataclass(frozen=True)
@@ -432,6 +434,56 @@ def _corollary_cases():
         yield f"{name}-{seed}", (field, polytope, sense, seed)
 
 
+# -- the LP read ---------------------------------------------------------------
+
+
+def _lp_run(lp, arrays):
+    """(calls,): (c, A, b) for each right-hand side of one LP, c and A passed as the same read-only
+    arrays every time ("frozen"), as fresh writeable copies every time, which take the full check
+    ("writeable"), or as the two by turns, read-only first ("mixed")."""
+    c, a, rhss = lp
+    frozen = [np.array(c), np.array(a)]
+    for array in frozen:
+        array.setflags(write=False)
+    shared = [arrays == "frozen" or (arrays == "mixed" and k % 2 == 0) for k in range(len(rhss))]
+    return ([(*frozen, b) if share else (np.array(c), np.array(a), b) for b, share in zip(rhss, shared)],)
+
+
+LP_RUNS = st.builds(_lp_run, st.one_of(
+    oracle_query_runs().map(lambda case: (case[0].values, case[0].constraints, [np.append(x, 1.0) for x in case[1]])),
+    near_collinear_hull_lps().map(lambda lp: (lp[0], lp[1], [lp[2], lp[2]])),  # asked twice: cold, then from its set
+), st.sampled_from(["frozen", "writeable", "mixed"]))
+
+
+def _lp_reads(solve):
+    """solve at each call of a run, all started from one fresh set: each result, or the error it raises."""
+
+    def run(calls):
+        bases = CertifiedBases()
+        return [_outcome(solve, c, a, b, bases) for c, a, b in calls]
+
+    return run
+
+
+def _solution_specials():
+    """``_solution`` with B = I, at basic values of its own or given: covered, refused by a basic value or by
+    the residual, basics snapped to 0, a NaN among the basics or the residuals, and an LP with no row.
+    numpy's min and max propagate a NaN, so it fails neither test, wherever it sits; a NaN in B stands for
+    an overflow, which no finite LP of the library's size reaches without a warning."""
+    c, eye, b = np.array([1.0, -2.0, 0.5, 3.0]), np.eye(3), [0.5, 0.25, 1.0]
+    cases = {  # name -> (B, b, the basic values given, if any)
+        "covered": (eye, b, None), "negative-basic": (eye, [0.5, -2e-11, 1.0], None),
+        "within-pivot-tol": (eye, [0.5, -5e-12, 1.0], None), "snapped": (eye, [1e-16, -0.0, 1.0], None),
+        "residual": (eye, b, [0.5, 0.25 + 2e-9, 1.0]), "within-feas-tol": (eye, b, [0.5, 0.25 + 5e-10, 1.0]),
+        "within-scaled-tol": (eye, [5.0, 0.25, 1.0], [5.0, 0.25 + 2e-9, 1.0]),  # within FEAS_TOL * |b| = 5e-9
+        "nan-first": (eye, b, [np.nan, -1.0, 0.5]), "nan-later": (eye, b, [-1.0, np.nan, 0.5]),
+        "nan-residual": (np.diag([1.0, np.nan, 1.0]), b, [0.5 - 2e-9, 0.25, 1.0]),
+    }
+    for name, (matrix, rhs, basics) in cases.items():
+        yield name, (c, (3, 0, 1), matrix, eye, np.array(rhs), 2, None if basics is None else np.array(basics))
+    yield "no-rows", (c, (), np.empty((0, 0)), np.empty((0, 0)), np.empty(0), 0, None)
+
+
 TABLE = [
     # anchored, concave, origin-outside and 3-D catalog models; drawn polytopes with a wave field
     Row("evaluators-catalog", EVALUATORS, REFERENCE_EVALUATORS, "bits", catalog_model_points(), 80),
@@ -473,6 +525,9 @@ TABLE = [
         lambda f, p, sense, seed: verify.check_corollary_convexity(f, p, sense=sense, seed=seed, n_samples=300).to_dict(),
         lambda f, p, sense, seed: reference_checks.corollary_convexity(f, p, sense, verify.DEFAULT_TOL, seed, 300).to_dict(),
         "json", specials=_corollary_cases),
+    # oracle runs and near-collinear lattices: covered reads, walks and cold solves, from frozen or writeable c and A
+    Row("lp-read", _lp_reads(simplex.solve_lp), _lp_reads(reference_lp.solve_lp), "bits", LP_RUNS, 100),
+    Row("lp-solution", simplex._solution, reference_lp.solution, "nan", specials=_solution_specials),
 ]
 
 

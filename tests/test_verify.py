@@ -5,12 +5,13 @@ import re
 import numpy as np
 import pytest
 from reference_fields import negate_field
-from strategies import brute_force_optimum, hull_lp
+from strategies import bits, brute_force_optimum, hull_lp
 
 import rayvex as rx
 from rayvex import envelope as env
 from rayvex import verify
 from rayvex.errors import InfeasibleLP, InvalidInput
+from rayvex.geometry import lattice
 
 UNIT_BOX = rx.Polytope.box([0.0, 0.0], [1.0, 1.0])
 
@@ -187,6 +188,28 @@ class TestOracle:
         assert oracle.skipped == 25
         with pytest.raises(InfeasibleLP):
             rx.oracle_eval(oracle, [-1.5, -1.5])
+
+    @pytest.mark.parametrize("name", sorted(rx.CATALOG_BUILDERS))
+    @pytest.mark.parametrize("density", [0, 10, 20])
+    def test_the_sample_is_the_rows_np_unique_keeps(self, name, density):
+        """The rows and values of ``np.unique(axis=0)``, up to the sign of a zero coordinate: oracle_build keeps
+        the first row stacked (vertices, then lattice), np.unique either."""
+        entry = rx.CATALOG_BUILDERS[name]()
+        polytope = entry.default_polytope
+        stacked = rx.vertices(polytope)
+        if density:
+            mesh = lattice(np.stack([stacked.min(axis=0), stacked.max(axis=0)], axis=1), density + 1)
+            stacked = np.vstack([stacked, mesh[polytope.contains(mesh)]])
+        unique = np.unique(stacked, axis=0)
+        values = np.array([float(entry.field.eval(p)) for p in unique])
+        finite = np.isfinite(values)
+        oracle = rx.oracle_build(entry.field, polytope, grid_density=density)
+        assert oracle.points.shape == unique[finite].shape  # == below: equal values, a zero of either sign
+        assert (oracle.points == unique[finite]).all() and (oracle.values == values[finite]).all()
+        first = {}
+        for row in stacked:
+            first.setdefault(tuple(row.tolist()), row)
+        assert all(bits(first[tuple(p.tolist())]) == bits(p) for p in oracle.points)
 
     @pytest.mark.parametrize("density", [-1, -(10**11), 316, 10**20])  # -10^11 ran a vertices-only oracle
     def test_a_density_out_of_range_is_rejected_before_any_evaluation(self, density):

@@ -20,7 +20,7 @@ from strategies import hull_lp, oracle_query_runs, record_calls, same
 
 import rayvex as rx
 from rayvex import cli, simplex, verify
-from rayvex.errors import InfeasibleLP, InvalidInput
+from rayvex.errors import DimensionMismatch, InfeasibleLP, InvalidInput
 from rayvex.geometry import lattice
 from rayvex.simplex import CertifiedBases, solve_lp
 
@@ -52,6 +52,63 @@ def test_a_start_other_than_a_certified_set_is_invalid_input():
     for start in (basis, list(basis), np.array(basis)):
         with pytest.raises(InvalidInput, match="start must be None or a CertifiedBases"):
             solve_lp(c, a, b, start=start)
+
+
+# the corners of the unit square, queried at its centre: a set built for one objective once answered another
+SQUARE = verify.SampledOracle(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([0.0, 0.0, 0.0, 1.0]))
+CENTRE = np.array([0.5, 0.5, 1.0])
+
+
+def test_a_set_answers_only_the_lp_it_was_first_solved_for():
+    c, a = np.array(SQUARE.values), np.array(SQUARE.constraints)
+    bases = CertifiedBases()
+    assert solve_lp(c, a, CENTRE, start=bases).objective == 0.0
+    # the set's basis (1, 2, 0) covers b under any objective: the set read 5.0 for c2, whose optimum is 0.5
+    c2 = np.array([0.0, 5.0, 5.0, 1.0])
+    assert solve_lp(c2, a, CENTRE).objective == 0.5
+    for other in ((c2, a), (c, 2.0 * a), (c[:3], a[:, :3])):
+        with pytest.raises(InvalidInput, match="another LP"):
+            solve_lp(*other, CENTRE, start=bases)
+    again = solve_lp(c, a, CENTRE, start=bases)
+    assert same(solve_lp(c.tolist(), a.tolist(), CENTRE, start=bases), again)  # equal values are the same LP
+
+
+def test_a_bound_set_checks_each_right_hand_side(monkeypatch):
+    c, a = SQUARE.values, SQUARE.constraints  # read-only arrays that own their data
+    bases = CertifiedBases()
+    solve_lp(c, a, CENTRE, start=bases)
+    first = solve_lp(c, a, CENTRE, start=bases)
+    finite = record_calls(monkeypatch, np, "isfinite")
+    assert same(solve_lp(c, a, CENTRE, start=bases), first) and not finite  # the same frozen arrays: c and A unchecked
+    for rhs in ([np.nan, 0.5, 1.0], [0.5, np.inf, 1.0]):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            solve_lp(c, a, rhs, start=bases)
+    with pytest.raises(DimensionMismatch, match=r"inconsistent LP shapes: A\(3, 4\), b\(2,\), c\(4,\)"):
+        solve_lp(c, a, [0.5, 1.0], start=bases)
+    assert not finite
+    assert same(solve_lp(c.copy(), a.copy(), CENTRE, start=bases), first) and len(finite) == 3  # copies: checked in full
+
+
+def test_a_bound_lp_that_changes_in_place_is_caught():
+    for frozen in (False, True):
+        c, a = np.array(SQUARE.values), np.array(SQUARE.constraints)
+        c.setflags(write=not frozen)
+        a.setflags(write=not frozen)
+        bases = CertifiedBases()
+        solve_lp(c, a, CENTRE, start=bases)  # the set keeps copies of c and A
+        c.setflags(write=True)  # an array that owns its data can be made writeable again
+        c[1] = 5.0
+        with pytest.raises(InvalidInput, match="another LP"):
+            solve_lp(c, a, CENTRE, start=bases)
+
+
+def test_an_oracle_keeps_read_only_copies_of_its_lp():
+    points, values = np.array(SQUARE.points), np.array(SQUARE.values)
+    oracle = verify.SampledOracle(points, values)
+    values[3] = -1.0
+    assert oracle.values.tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert not (oracle.values.flags.writeable or oracle.constraints.flags.writeable)
+    assert rx.oracle_eval(oracle, [0.5, 0.5]) == 0.0
 
 
 def test_a_neighbouring_entry_walks_by_dual_pivots_from_its_stored_inverse(cold_calls, monkeypatch):
