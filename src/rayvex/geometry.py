@@ -317,8 +317,10 @@ def validate(polytope: Polytope) -> ValidationReport:
     max r_x.x + r_t t s.t. a_i.x + |a_i| t <= b_i, t >= 0 (Bertsimas &
     Tsitsiklis, *Introduction to Linear Optimization*, ch. 4).  Each question
     is one right-hand side r, solved through ``solve_lp`` with one
-    ``CertifiedBases``.  The Chebyshev LP r = (0, 1) is unbounded exactly
-    when P is empty, so it is asked first, cold, and the multipliers (x, t)
+    ``CertifiedBases``, built with the LP's (c, A), which it checks once:
+    each solve passes the set's own arrays and checks only its r.  The
+    Chebyshev LP r = (0, 1) is unbounded exactly when P is empty, so it is
+    asked first, cold, and the multipliers (x, t)
     of its basis are the interior point and the margin; r = (-e_i, 0) and
     (e_i, 0) give -min x_i and max x_i, or are infeasible when x_i is
     unbounded.  Each answer, the cold one too, is its basis's B^-1 r,
@@ -342,10 +344,8 @@ def _validate(polytope: Polytope) -> ValidationReport:
     matrix[:n, :m] = a.T
     matrix[n, :m] = np.linalg.norm(a, axis=1)
     matrix[n, m] = -1.0
-    cost = np.append(b, 0.0)
-    matrix.setflags(write=False)  # frozen, so each solve after the first checks only its r
-    cost.setflags(write=False)
-    bases = CertifiedBases()
+    bases = CertifiedBases(np.append(b, 0.0), matrix)
+    cost, matrix = bases.objective, bases.matrix  # the set's own arrays: each solve checks only its r
 
     def solve(rhs):
         res = solve_lp(cost, matrix, rhs, start=bases)

@@ -11,12 +11,13 @@ columns); everything is a plain numpy tableau.
 Every LP of the library is one family of right-hand sides of one (c, A),
 solved through ``solve_lp`` with that family's ``CertifiedBases`` as
 ``start``: the oracle's queries change (x, 1), and ``geometry.validate``'s
-2n + 1 questions about a polytope are the right-hand sides of one LP.  The
-set checks (c, A) at its first solve and answers that LP only.  An
-optimal basis stays dual feasible when only b changes (its reduced costs do
-not depend on b; the parametric right-hand side of Bertsimas & Tsitsiklis,
-*Introduction to Linear Optimization*, ch. 4-5), so it is optimal for every
-b with B^-1 b >= 0.  The set keeps every optimal basis its solves reach,
+2n + 1 questions about a polytope are the right-hand sides of one LP.  A
+set is built with its (c, A), which it checks once and keeps, and answers
+that LP only; a solve that passes the set's own arrays checks only its b.
+An optimal basis stays dual feasible when only b changes (its reduced
+costs do not depend on b; the parametric right-hand side of Bertsimas &
+Tsitsiklis, *Introduction to Linear Optimization*, ch. 4-5), so it is
+optimal for every b with B^-1 b >= 0.  The set keeps every optimal basis its solves reach,
 each inverted and checked for reduced costs once, as it enters.  A
 certified basis that covers b answers with no pivot; otherwise dual simplex
 pivots run from the stored B^-1 of the nearest entry, the one whose most
@@ -56,72 +57,39 @@ class LPResult:
 
 
 class CertifiedBases:
-    """The optimal bases of one LP's (c, A), kept for solving it under every right-hand side.
+    """One LP's (c, A) and its optimal bases, kept for solving it under every right-hand side.
 
-    The set belongs to the (c, A) of the first ``solve_lp`` it starts
-    (``_bind``), which checks them once and keeps read-only copies; a later
-    solve with another c or A raises InvalidInput, and one that passes the
-    same read-only arrays again checks only its b.  Only ``solve_lp``
-    offers it bases: a cold solve's and each walk's.  One enters at most
-    once, and only when B = A[:, basis] is square (the cold solve may have
-    dropped a redundant row), invertible, and its reduced
-    costs c - c_B B^-1 A are all >= -FEAS_TOL: B is then optimal for every
-    b with B^-1 b >= 0.  Each entry keeps its B and B^-1, and the inverses
-    are stacked by rows into one (k*m, m) matrix, so ``solve_lp`` tests
-    every entry against a b with one product.  An entry answers at b only
-    through ``_solution``'s cover test; with the reduced-cost check as it
-    entered, that is the one certificate of every optimum.  ``entries``
-    lists the bases in the order they entered; the set is bounded by the
-    number of distinct optimal bases.
+    ``CertifiedBases(objective, eq_matrix)`` converts c and A to float
+    arrays, checks that their shapes agree and that they are finite, and
+    keeps read-only copies as ``objective`` and ``matrix``: the set answers
+    that LP only (``solve_lp``).  Only ``solve_lp`` offers it bases: a cold
+    solve's and each walk's.  One enters at most once, and only when
+    B = A[:, basis] is square (the cold solve may have dropped a redundant
+    row), invertible, and its reduced costs c - c_B B^-1 A are all
+    >= -FEAS_TOL: B is then optimal for every b with B^-1 b >= 0.  Each
+    entry keeps its B and B^-1, and the inverses are stacked by rows into
+    one (k*m, m) matrix, so ``solve_lp`` tests every entry against a b with
+    one product.  An entry answers at b only through ``_solution``'s cover
+    test; with the reduced-cost check as it entered, that is the one
+    certificate of every optimum.  ``entries`` lists the bases in the order
+    they entered; the set is bounded by the number of distinct optimal bases.
     """
 
-    def __init__(self):
+    def __init__(self, objective, eq_matrix):
+        self.objective, self.matrix = (v.copy() for v in _checked(objective, eq_matrix))
+        self.objective.setflags(write=False)
+        self.matrix.setflags(write=False)
         self.entries: list[tuple[int, ...]] = []
         self._keys: dict[frozenset[int], int] = {}  # the column set of each entry -> its index
         self._matrices: list[np.ndarray] = []  # B of each entry
         self._inverses = np.empty((0, 0))  # B^-1 of each entry, stacked by rows
-        self._lp = None  # (c, A) of the first solve, checked then: read-only copies
-        self._given = None  # the first solve's own c and A, when both are read-only and own their data
 
-    def _bind(self, objective, eq_matrix, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(c, A) for a solve at b: the set's own LP, which the first solve checks and binds it to.
-
-        A solve that passes the very arrays the first one passed, still read-only and owning
-        their data, reads the copies kept then and checks only b.  Any other objective and
-        matrix, writeable arrays too, which may have changed since, are converted and checked in
-        full, with b, and then compared with the kept pair: a different c or A raises InvalidInput.
-        """
-        given = self._given
-        if given is not None and objective is given[0] and eq_matrix is given[1] and not (
-            objective.flags.writeable or eq_matrix.flags.writeable
-        ):
-            c, a = self._lp
-            if a.shape[0] != b.size:
-                raise DimensionMismatch(_shapes(c, a, b))
-            if not all(map(math.isfinite, b.tolist())):
-                raise InvalidInput(_NON_FINITE)
-            return c, a
-        c = np.asarray(objective, dtype=float).reshape(-1)
-        a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
-        if a.shape != (b.size, c.size):
-            raise DimensionMismatch(_shapes(c, a, b))
-        if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
-            raise InvalidInput(_NON_FINITE)
-        if self._lp is None:
-            self._lp = c.copy(), a.copy()
-            for kept in self._lp:
-                kept.setflags(write=False)
-            if all(isinstance(v, np.ndarray) and v.flags.owndata and not v.flags.writeable for v in (objective, eq_matrix)):
-                self._given = objective, eq_matrix  # frozen: nothing writes to them unnoticed
-        elif not (np.array_equal(c, self._lp[0]) and np.array_equal(a, self._lp[1])):
-            raise InvalidInput("start holds the bases of another LP: c or A differs from the first solve's")
-        return c, a
-
-    def _enter(self, c: np.ndarray, a: np.ndarray, basis: tuple[int, ...]) -> int | None:
+    def _enter(self, basis: tuple[int, ...]) -> int | None:
         """The index of the entry with the columns of ``basis``, added now if new; None if its certificate fails."""
         key = frozenset(basis)
         if key in self._keys:
             return self._keys[key]
+        c, a = self.objective, self.matrix
         b_inv = _inverse(a, basis)
         if b_inv is None or (c - (c[list(basis)] @ b_inv) @ a).min(initial=0.0) < -FEAS_TOL:
             return None
@@ -131,7 +99,7 @@ class CertifiedBases:
         self._inverses = np.vstack([self._inverses.reshape(-1, len(basis)), b_inv])
         return self._keys[key]
 
-    def _lookup(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LPResult | None:
+    def _lookup(self, b: np.ndarray) -> LPResult | None:
         """The optimum at b from the entries, or None, for the cold solve, if they give none.
 
         Every entry's basics B^-1 b come from one product.  The first entry
@@ -147,45 +115,49 @@ class CertifiedBases:
         lows = basics.min(axis=1)
         for k, low in enumerate(lows.tolist()):
             if low >= -PIVOT_TOL:
-                res = self._read(k, c, b, 0, basics[k])
+                res = self._read(k, b, 0, basics[k])
                 if res is not None:
                     return res
-        res = self._walk(int(lows.argmax()), c, a, b, 0)
+        res = self._walk(int(lows.argmax()), b, 0)
         return res if res is not None and res.status == "optimal" else None
 
-    def _read(self, k: int, c: np.ndarray, b: np.ndarray, pivots: int, basics=None) -> LPResult | None:
+    def _read(self, k: int, b: np.ndarray, pivots: int, basics=None) -> LPResult | None:
         """Entry k's optimum at b with no pivot (``_solution``), or None unless it covers b."""
-        m = b.size
-        return _solution(c, self.entries[k], self._matrices[k], self._inverses[k * m : (k + 1) * m], b, pivots, basics)
+        inverse = self._inverses[k * b.size : (k + 1) * b.size]
+        return _solution(self.objective, self.entries[k], self._matrices[k], inverse, b, pivots, basics)
 
-    def _walk(self, k: int, c: np.ndarray, a: np.ndarray, b: np.ndarray, pivots: int) -> LPResult | None:
+    def _walk(self, k: int, b: np.ndarray, pivots: int) -> LPResult | None:
         """The answer at b by dual pivots from entry k, or None: "infeasible" at a row no
         column can take, else the read of the basis the pivots end on, once it enters."""
         basis = list(self.entries[k])
-        status, steps = _dual_simplex(c, a, b, basis, self._inverses[k * b.size : (k + 1) * b.size])
+        inverse = self._inverses[k * b.size : (k + 1) * b.size]
+        status, steps = _dual_simplex(self.objective, self.matrix, b, basis, inverse)
         if status == "infeasible":
             return LPResult(status, None, None, pivots + steps)
-        j = self._enter(c, a, tuple(basis)) if status == "optimal" else None
-        return None if j is None else self._read(j, c, b, pivots + steps)
+        j = self._enter(tuple(basis)) if status == "optimal" else None
+        return None if j is None else self._read(j, b, pivots + steps)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in a refused read or a status, not a warning
 def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) -> LPResult:
     """Solve min c.x s.t. A x = b, x >= 0: the one LP entry point of the library.
 
-    c, A and b must be finite, and ``start`` is None, a fresh set, or the
-    ``CertifiedBases`` of earlier solves of the same c and A; anything else
-    raises InvalidInput.  A set checks c and A once, at its first solve, and
-    binds itself to them (``CertifiedBases._bind``): a later solve that passes
-    the same read-only arrays, as the oracle and ``geometry.validate`` do,
-    checks only b, and one with another c or A raises InvalidInput.  The
-    set's entries answer if they can (``CertifiedBases._lookup``).  Otherwise
-    the cold two-phase solve decides the status, and its optimal basis enters
+    c, A and b must be finite, and ``start`` is None or the
+    ``CertifiedBases`` of the same c and A; anything else raises
+    InvalidInput.  With no ``start`` the solve builds a fresh set.  A call
+    that passes the set's own arrays, ``start.objective`` and
+    ``start.matrix``, as the oracle and ``geometry.validate`` do, checks
+    only b; any other c and A are converted, checked with b, and compared
+    with the set's, and a different LP raises InvalidInput.  The set's
+    entries answer if they can (``CertifiedBases._lookup``).  Otherwise the
+    cold two-phase solve decides the status, and its optimal basis enters
     the set and answers in the same way: B^-1 b, or a walk from it, which
     may find the LP infeasible.  A basis the set refuses is read the same
     way, with the pseudo-inverse of B for B^-1.  Every optimum is a basis's
-    refined solution (``_solution``), never a tableau value; a cold optimum
-    with no such read, and the cold path's iteration limit, raise
-    NumericalBreakdown.
+    refined solution (``_solution``), never a tableau value, and is finite;
+    a cold optimum with no such read, and the cold path's iteration limit,
+    raise NumericalBreakdown.  A b so large that the arithmetic overflows
+    warns of nothing: the overflow refuses each read it reaches.
 
     ``pivots`` counts the cold phases' pivots, if they ran, plus the dual
     pivots of the walk that answered.  ``basis`` lists the final basic
@@ -193,21 +165,31 @@ def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) 
     """
     if start is not None and not isinstance(start, CertifiedBases):
         raise InvalidInput(f"start must be None or a CertifiedBases, got {type(start).__name__}")
-    bases = CertifiedBases() if start is None else start
     b = np.asarray(eq_rhs, dtype=float).reshape(-1)
-    c, a = bases._bind(objective, eq_matrix, b)
-    res = bases._lookup(c, a, b)
+    bases = start
+    if start is None or objective is not start.objective or eq_matrix is not start.matrix:
+        c, a = _checked(objective, eq_matrix, b)
+        if start is None:
+            bases = CertifiedBases(c, a)
+        elif not (np.array_equal(c, start.objective) and np.array_equal(a, start.matrix)):
+            raise InvalidInput("start holds the bases of another LP: c or A differs from the set's")
+    elif start.matrix.shape[0] != b.size:
+        raise DimensionMismatch(_shapes(start.objective, start.matrix, b))
+    elif not all(map(math.isfinite, b.tolist())):
+        raise InvalidInput(_NON_FINITE)
+    res = bases._lookup(b)
     if res is not None:
         return res
+    c, a = bases.objective, bases.matrix
     status, basis, pivots = _two_phase(c, a, b)
     if status != "optimal":
         return LPResult(status, None, None, pivots)
-    k = bases._enter(c, a, basis)
+    k = bases._enter(basis)
     if k is None:
         matrix = a[:, list(basis)]
         res = _solution(c, basis, matrix, np.linalg.pinv(matrix), b, pivots)
     else:
-        res = bases._read(k, c, b, pivots) or bases._walk(k, c, a, b, pivots)
+        res = bases._read(k, b, pivots) or bases._walk(k, b, pivots)
     if res is None:
         raise NumericalBreakdown(f"no certified read of the cold solve's basis {basis}")
     return res
@@ -216,8 +198,20 @@ def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) 
 _NON_FINITE = "LP data must be finite: c, A or b holds a NaN or an infinity"
 
 
-def _shapes(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> str:
-    return f"inconsistent LP shapes: A{a.shape}, b({b.size},), c({c.size},)"
+def _checked(objective, eq_matrix, b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """c and A as float arrays, after checking their shapes and finiteness, and b's too when it is given."""
+    c = np.asarray(objective, dtype=float).reshape(-1)
+    a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
+    if a.shape != (len(a) if b is None else b.size, c.size):
+        raise DimensionMismatch(_shapes(c, a, b))
+    if not (np.isfinite(c).all() and np.isfinite(a).all() and (b is None or np.isfinite(b).all())):
+        raise InvalidInput(_NON_FINITE)
+    return c, a
+
+
+def _shapes(c: np.ndarray, a: np.ndarray, b: np.ndarray | None) -> str:
+    rhs = "" if b is None else f" b({b.size},),"
+    return f"inconsistent LP shapes: A{a.shape},{rhs} c({c.size},)"
 
 
 def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[str, tuple[int, ...] | None, int]:
@@ -261,22 +255,21 @@ def _solution(c, basis, matrix, inverse, b, pivots, basics=None) -> LPResult | N
     ``basics`` B^-1 b where the caller has it.  They cover b when all are
     >= -PIVOT_TOL and r = b - B x_B is within FEAS_TOL * max(1, |b|); the
     answer is then x_B + B^-1 r, each basic value below 1e-15 in magnitude
-    read as 0.  The test and the snap run on the m basic values as floats;
-    a NaN fails neither test, as under numpy's min and max.  Nothing is
-    re-priced here.
+    read as 0, if its objective is finite.  The test and the snap run on the
+    m basic values as floats.  A NaN or an infinity among them or in r,
+    which only an overflow at a huge b makes, leaves x and the objective
+    non-finite, and the read is refused.  Nothing is re-priced here.
     """
     basics = inverse @ b if basics is None else basics
     residual = b - matrix @ basics
-    values, gaps = basics.tolist(), residual.tolist()
     limit = FEAS_TOL * max(1.0, max(map(abs, b.tolist()), default=0.0))
-    if (min(values, default=0.0) < -PIVOT_TOL and not any(map(math.isnan, values))) or (
-        max(map(abs, gaps), default=0.0) > limit and not any(map(math.isnan, gaps))
-    ):
+    if min(basics.tolist(), default=0.0) < -PIVOT_TOL or max(map(abs, residual.tolist()), default=0.0) > limit:
         return None
     x = np.zeros(c.size)
     for j, v in zip(basis, (basics + inverse @ residual).tolist()):
         x[j] = 0.0 if abs(v) < 1e-15 else v  # else validate bounds a cut box through the origin at -2.2e-16, not 0
-    return LPResult("optimal", x, float(c @ x), pivots, tuple(basis))
+    objective = float(c @ x)
+    return LPResult("optimal", x, objective, pivots, tuple(basis)) if math.isfinite(objective) else None
 
 
 def _dual_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: list[int], b_inv: np.ndarray) -> tuple[str, int]:

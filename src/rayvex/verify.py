@@ -100,26 +100,23 @@ class CertificationReport:
 class SampledOracle:
     """Finite graph sample (all polytope vertices plus a nested lattice).
 
-    Also holds its LP: read-only copies of the values (its costs) and of
-    the (n + 1, k) constraint matrix, stacked once, and the
-    ``simplex.CertifiedBases`` of that LP: every optimal basis a query has
-    reached, each checked once for optimality as it entered.  They are the
-    oracle's whole warm state, and every query starts from them.  The set
-    checks the costs and the matrix at the first query and binds itself to
-    these very arrays, so a later query checks only its (x, 1).
+    Also holds its LP, the ``simplex.CertifiedBases`` built with the values
+    (its costs) and the (n + 1, k) constraint matrix, stacked once: every
+    optimal basis a query has reached, each checked once for optimality as
+    it entered.  ``values`` and ``constraints`` are the set's own read-only
+    arrays, so a query checks only its (x, 1).  They are the oracle's whole
+    warm state, and every query starts from them.
     """
 
     points: np.ndarray  # (k, n)
     values: np.ndarray  # (k,)
     skipped: int = 0  # closure points where the field was non-finite
     constraints: np.ndarray = dataclasses.field(init=False, repr=False)  # the points' coordinates over a row of ones
-    bases: CertifiedBases = dataclasses.field(default_factory=CertifiedBases, init=False, repr=False)
+    bases: CertifiedBases = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        self.values = np.array(self.values, dtype=float)
-        self.constraints = np.vstack([self.points.T, np.ones(len(self.values))])
-        self.values.setflags(write=False)
-        self.constraints.setflags(write=False)
+        self.bases = CertifiedBases(self.values, np.vstack([self.points.T, np.ones(len(self.values))]))
+        self.values, self.constraints = self.bases.objective, self.bases.matrix
 
 
 def _sample_values(field: ScalarField, points: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
@@ -476,9 +473,9 @@ def oracle_eval(oracle: SampledOracle, x) -> float:
     inside the simplex of a certified basis is answered with no pivot;
     any other runs dual simplex pivots from the nearest certified basis
     (the one whose most negative weight is largest), or solves cold, and
-    the optimal basis it reaches joins the set.  The set checks the
-    oracle's LP once, at its first query; a query checks its own (x, 1),
-    built in one ``np.array``.  Every value is that basis's
+    the optimal basis it reaches joins the set.  The set checked the
+    oracle's LP once, as the oracle was built; a query checks its own
+    (x, 1), built in one ``np.array``.  Every value is that basis's
     weights B^-1 (x, 1), refined once, never a tableau value; a query
     within FEAS_TOL of the hull's boundary may be answered either way, a
     value or InfeasibleLP.  A value read from one basis may differ from

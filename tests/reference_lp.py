@@ -1,13 +1,12 @@
-"""Reference for ``rayvex.simplex.solve_lp``'s preamble and read: the forms the bound set and the float read replaced.
+"""Reference for ``rayvex.simplex.solve_lp``'s preamble and read: the forms the set's own arrays and the float read replaced.
 
-``solve_lp`` here converts and checks c, A and b on every call, picks the
-entries that may cover b with a numpy mask, and reads an optimum
-(``solution``) with numpy reductions over the basic values and a snap over
-the whole of x.  Everything else -- the cold solve, the dual walk, the
-entries and their certificates -- is the library's own, so on every LP the
-library accepts the two give the same status, x, objective, pivots and basis,
-bit for bit.  A set passed here is used as a plain store of entries: nothing
-binds it to its (c, A).
+``solve_lp`` here converts and checks c, A and b on every call and compares
+c and A with the set's, picks the entries that may cover b with a numpy
+mask, and reads an optimum (``solution``) with numpy reductions over the
+basic values and a snap over the whole of x.  Everything else -- the cold
+solve, the dual walk, the entries and their certificates -- is the
+library's own, so on every LP the library accepts the two give the same
+status, x, objective, pivots and basis, bit for bit.
 """
 
 import numpy as np
@@ -18,6 +17,8 @@ from rayvex.simplex import FEAS_TOL, PIVOT_TOL, CertifiedBases, LPResult
 
 
 def solve_lp(objective, eq_matrix, eq_rhs, start=None):
+    if start is not None and not isinstance(start, CertifiedBases):
+        raise InvalidInput(f"start must be None or a CertifiedBases, got {type(start).__name__}")
     c = np.asarray(objective, dtype=float).reshape(-1)
     a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
     b = np.asarray(eq_rhs, dtype=float).reshape(-1)
@@ -25,16 +26,17 @@ def solve_lp(objective, eq_matrix, eq_rhs, start=None):
         raise DimensionMismatch(f"inconsistent LP shapes: A{a.shape}, b({b.size},), c({c.size},)")
     if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidInput("LP data must be finite: c, A or b holds a NaN or an infinity")
-    if start is not None and not isinstance(start, CertifiedBases):
-        raise InvalidInput(f"start must be None or a CertifiedBases, got {type(start).__name__}")
-    bases = CertifiedBases() if start is None else start
+    bases = CertifiedBases(c, a) if start is None else start
+    if not (np.array_equal(c, bases.objective) and np.array_equal(a, bases.matrix)):
+        raise InvalidInput("start holds the bases of another LP: c or A differs from the set's")
+    c, a = bases.objective, bases.matrix
     res = _lookup(bases, c, a, b)
     if res is not None:
         return res
     status, basis, pivots = simplex._two_phase(c, a, b)
     if status != "optimal":
         return LPResult(status, None, None, pivots)
-    k = bases._enter(c, a, basis)
+    k = bases._enter(basis)
     if k is None:
         matrix = a[:, list(basis)]
         res = solution(c, basis, matrix, np.linalg.pinv(matrix), b, pivots)
@@ -68,7 +70,7 @@ def _walk(bases, k, c, a, b, pivots):
     status, steps = simplex._dual_simplex(c, a, b, basis, bases._inverses[k * b.size : (k + 1) * b.size])
     if status == "infeasible":
         return LPResult(status, None, None, pivots + steps)
-    j = bases._enter(c, a, tuple(basis)) if status == "optimal" else None
+    j = bases._enter(tuple(basis)) if status == "optimal" else None
     return None if j is None else _read(bases, j, c, b, pivots + steps)
 
 
@@ -81,4 +83,5 @@ def solution(c, basis, matrix, inverse, b, pivots, basics=None):
     x = np.zeros(c.size)
     x[list(basis)] = basics + inverse @ residual
     x[np.abs(x) < 1e-15] = 0.0
-    return LPResult("optimal", x, float(c @ x), pivots, tuple(basis))
+    objective = float(c @ x)
+    return LPResult("optimal", x, objective, pivots, tuple(basis)) if np.isfinite(objective) else None

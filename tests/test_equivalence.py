@@ -5,7 +5,8 @@ results compare, a strategy with its example count, and named special cases.
 A case is a tuple of arguments for both.  The comparisons (``strategies.same``):
 
 - ``bits``: floats and arrays by their bytes, containers item by item, and
-  a raised error by its type and message;
+  a raised ``RayvexError`` by its type and message (any other error fails
+  the row, so two sides that crash alike do not pass);
 - ``nan``: ``bits``, with any NaN equal to any NaN;
 - ``json``: the ``json.dumps`` text, which tells 0.0 from -0.0;
 - ``calls``: ``bits`` on the result and on the calls the user's f saw, the
@@ -47,6 +48,7 @@ import rayvex as rx
 from rayvex import cli
 from rayvex import envelope as env
 from rayvex import geometry, simplex, verify
+from rayvex.errors import RayvexError
 from rayvex.functions import _eval_rows
 from rayvex.geometry import GEOM_TOL, INTERIOR_MARGIN, _facet_dots, _facet_products, lattice
 from rayvex.simplex import CertifiedBases
@@ -66,7 +68,7 @@ class Row:
 def _outcome(fn, *args):
     try:
         return "value", fn(*args)
-    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+    except RayvexError as exc:  # the library's own errors are compared; any other fails the row
         return "raise", (type(exc), str(exc))
 
 
@@ -438,38 +440,37 @@ def _corollary_cases():
 
 
 def _lp_run(lp, arrays):
-    """(calls,): (c, A, b) for each right-hand side of one LP, c and A passed as the same read-only
-    arrays every time ("frozen"), as fresh writeable copies every time, which take the full check
-    ("writeable"), or as the two by turns, read-only first ("mixed")."""
+    """(c, A, the right-hand sides, which arrays each solve passes): the set's own ("own"), fresh
+    copies of c and A, which take the full check and the compare ("copies"), or the two by turns,
+    the set's first ("mixed")."""
     c, a, rhss = lp
-    frozen = [np.array(c), np.array(a)]
-    for array in frozen:
-        array.setflags(write=False)
-    shared = [arrays == "frozen" or (arrays == "mixed" and k % 2 == 0) for k in range(len(rhss))]
-    return ([(*frozen, b) if share else (np.array(c), np.array(a), b) for b, share in zip(rhss, shared)],)
+    return ((c, a, rhss, [arrays == "own" or (arrays == "mixed" and k % 2 == 0) for k in range(len(rhss))]),)
 
 
 LP_RUNS = st.builds(_lp_run, st.one_of(
     oracle_query_runs().map(lambda case: (case[0].values, case[0].constraints, [np.append(x, 1.0) for x in case[1]])),
     near_collinear_hull_lps().map(lambda lp: (lp[0], lp[1], [lp[2], lp[2]])),  # asked twice: cold, then from its set
-), st.sampled_from(["frozen", "writeable", "mixed"]))
+), st.sampled_from(["own", "copies", "mixed"]))
 
 
 def _lp_reads(solve):
-    """solve at each call of a run, all started from one fresh set: each result, or the error it raises."""
+    """solve at each right-hand side of a run, all started from one set built with its c and A: each
+    result, or the error it raises."""
 
-    def run(calls):
-        bases = CertifiedBases()
-        return [_outcome(solve, c, a, b, bases) for c, a, b in calls]
+    def run(lp):
+        c, a, rhss, own = lp
+        bases = CertifiedBases(c, a)
+        arrays = [(bases.objective, bases.matrix) if mine else (np.array(c), np.array(a)) for mine in own]
+        return [_outcome(solve, *ca, b, bases) for ca, b in zip(arrays, rhss)]
 
     return run
 
 
 def _solution_specials():
     """``_solution`` with B = I, at basic values of its own or given: covered, refused by a basic value or by
-    the residual, basics snapped to 0, a NaN among the basics or the residuals, and an LP with no row.
-    numpy's min and max propagate a NaN, so it fails neither test, wherever it sits; a NaN in B stands for
-    an overflow, which no finite LP of the library's size reaches without a warning."""
+    the residual, basics snapped to 0, a NaN or an infinity among the basics or the residuals, and an LP with
+    no row.  Whether a NaN fails a test depends on where it sits, under Python's min and max as under numpy's,
+    but it makes x and the objective NaN, so the read is refused; a NaN in B stands for an overflow at a huge b."""
     c, eye, b = np.array([1.0, -2.0, 0.5, 3.0]), np.eye(3), [0.5, 0.25, 1.0]
     cases = {  # name -> (B, b, the basic values given, if any)
         "covered": (eye, b, None), "negative-basic": (eye, [0.5, -2e-11, 1.0], None),
@@ -478,6 +479,7 @@ def _solution_specials():
         "within-scaled-tol": (eye, [5.0, 0.25, 1.0], [5.0, 0.25 + 2e-9, 1.0]),  # within FEAS_TOL * |b| = 5e-9
         "nan-first": (eye, b, [np.nan, -1.0, 0.5]), "nan-later": (eye, b, [-1.0, np.nan, 0.5]),
         "nan-residual": (np.diag([1.0, np.nan, 1.0]), b, [0.5 - 2e-9, 0.25, 1.0]),
+        "inf-basic": (np.ones((3, 3)), b, [0.5, np.inf, 1.0]), "inf-residual": (np.diag([1.0, np.inf, 1.0]), b, None),
     }
     for name, (matrix, rhs, basics) in cases.items():
         yield name, (c, (3, 0, 1), matrix, eye, np.array(rhs), 2, None if basics is None else np.array(basics))
@@ -525,7 +527,7 @@ TABLE = [
         lambda f, p, sense, seed: verify.check_corollary_convexity(f, p, sense=sense, seed=seed, n_samples=300).to_dict(),
         lambda f, p, sense, seed: reference_checks.corollary_convexity(f, p, sense, verify.DEFAULT_TOL, seed, 300).to_dict(),
         "json", specials=_corollary_cases),
-    # oracle runs and near-collinear lattices: covered reads, walks and cold solves, from frozen or writeable c and A
+    # oracle runs and near-collinear lattices: covered reads, walks and cold solves, from the set's c and A or copies
     Row("lp-read", _lp_reads(simplex.solve_lp), _lp_reads(reference_lp.solve_lp), "bits", LP_RUNS, 100),
     Row("lp-solution", simplex._solution, reference_lp.solution, "nan", specials=_solution_specials),
 ]

@@ -115,8 +115,9 @@ def test_redundant_constraint_handled(monkeypatch):
     a = np.array([[1.0, 1.0], [2.0, 2.0]])
     b = np.array([1.0, 2.0])
     pseudo = record_calls(monkeypatch, np.linalg, "pinv")
-    bases = CertifiedBases()
-    res = solve_lp(np.array([1.0, 0.0]), a, b, start=bases)
+    c = np.array([1.0, 0.0])
+    bases = CertifiedBases(c, a)
+    res = solve_lp(c, a, b, start=bases)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(0.0, abs=1e-12)
     assert bases.entries == [] and [m.tolist() for m, in pseudo] == [[[1.0], [2.0]]]
@@ -257,6 +258,38 @@ def test_an_oracle_query_must_be_a_finite_point_of_its_dimension():
             rx.oracle_eval(oracle, x)
     with pytest.raises(DimensionMismatch, match="inconsistent LP shapes"):
         rx.oracle_eval(oracle, [0.5, 0.5, 0.5])
+
+
+# right-hand sides near the largest float, whose cold solves overflow: each was once answered "optimal"
+# with a NaN objective and NaN weights, and warned of the overflow on the way
+OVERFLOWING_LPS = [
+    ([0.6, 1.3, 1.0], [[1.4, 0.3, -1.2], [-0.2, -0.3, -0.2]], [4e307, -1e308]),
+    ([0.8, 0.3, 1.2], [[-0.4, 0.3, 0.6], [-1.0, 0.8, 0.3]], [-1.7e308, 6e307]),
+    ([0.1, 0.3, 0.0], [[0.3, -1.0, 0.8], [0.9, -2.0, -1.3]], [-9e307, 4e307]),
+]
+
+
+@pytest.mark.parametrize("lp", OVERFLOWING_LPS)
+def test_an_lp_whose_arithmetic_overflows_has_no_optimum_to_read(lp):
+    with pytest.raises(NumericalBreakdown, match="no certified read"):
+        solve_lp(*lp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(3, 6), st.integers(0, 2**32 - 1))
+def test_a_huge_right_hand_side_ends_in_a_status_a_finite_optimum_or_a_breakdown(m, n, seed):
+    # cold and warm: every numpy warning is an error here, and an optimum must be finite
+    rng = np.random.default_rng(seed)
+    a, c = np.round(rng.normal(size=(m, n)), 1), np.round(np.abs(rng.normal(size=n)), 1)
+    bases = CertifiedBases(c, a)
+    rhss = [a @ rng.uniform(0.5, 1.5, n)] + [rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.uniform(290, 308) for _ in range(4)]
+    for b in rhss:
+        for start in (None, bases):
+            try:
+                res = solve_lp(c, a, b, start=start)
+            except NumericalBreakdown:
+                continue
+            assert res.status != "optimal" or (np.isfinite(res.x).all() and np.isfinite(res.objective))
 
 
 def test_the_iteration_limit_is_a_breakdown(monkeypatch):

@@ -41,7 +41,7 @@ NEAR = ([0.3, 0.6, 1.0], [0.5, 0.4, 1.0])  # a query and one four dual pivots aw
 
 def _set_at(c, a, b):
     """A certified set after one solve of (c, A) at b: that optimum is its one entry."""
-    bases = CertifiedBases()
+    bases = CertifiedBases(c, a)
     assert solve_lp(c, a, b, start=bases).status == "optimal"
     return bases
 
@@ -59,9 +59,9 @@ SQUARE = verify.SampledOracle(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0
 CENTRE = np.array([0.5, 0.5, 1.0])
 
 
-def test_a_set_answers_only_the_lp_it_was_first_solved_for():
+def test_a_set_answers_only_the_lp_it_was_built_for():
     c, a = np.array(SQUARE.values), np.array(SQUARE.constraints)
-    bases = CertifiedBases()
+    bases = CertifiedBases(c, a)
     assert solve_lp(c, a, CENTRE, start=bases).objective == 0.0
     # the set's basis (1, 2, 0) covers b under any objective: the set read 5.0 for c2, whose optimum is 0.5
     c2 = np.array([0.0, 5.0, 5.0, 1.0])
@@ -73,42 +73,68 @@ def test_a_set_answers_only_the_lp_it_was_first_solved_for():
     assert same(solve_lp(c.tolist(), a.tolist(), CENTRE, start=bases), again)  # equal values are the same LP
 
 
-def test_a_bound_set_checks_each_right_hand_side(monkeypatch):
-    c, a = SQUARE.values, SQUARE.constraints  # read-only arrays that own their data
-    bases = CertifiedBases()
-    solve_lp(c, a, CENTRE, start=bases)
-    first = solve_lp(c, a, CENTRE, start=bases)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_set_is_built_from_a_finite_lp_whose_shapes_agree(value):
+    c, a = np.array(SQUARE.values), np.array(SQUARE.constraints)
+    bad_c, bad_a = c.copy(), a.copy()
+    bad_c[1], bad_a[0, 2] = value, value
+    for lp in ((bad_c, a), (c, bad_a)):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            CertifiedBases(*lp)
+    with pytest.raises(DimensionMismatch, match=r"inconsistent LP shapes: A\(3, 4\), c\(3,\)"):
+        CertifiedBases(c[:3], a)
+    bases = CertifiedBases(c.tolist(), a.tolist())
+    assert not (bases.objective.flags.writeable or bases.matrix.flags.writeable)
+    bases = CertifiedBases(c, a)
+    c[1], a[0, 2] = value, value  # the set keeps copies
+    assert bases.objective.tolist() == SQUARE.values.tolist() and bases.matrix.tolist() == SQUARE.constraints.tolist()
+
+
+def test_the_sets_own_arrays_check_only_b_and_any_other_c_and_a_are_compared(monkeypatch):
+    c, a = np.array(SQUARE.values), np.array(SQUARE.constraints)
+    bases = CertifiedBases(c, a)
+    solve_lp(bases.objective, bases.matrix, CENTRE, start=bases)  # cold: its basis enters
+    first = solve_lp(bases.objective, bases.matrix, CENTRE, start=bases)
     finite = record_calls(monkeypatch, np, "isfinite")
-    assert same(solve_lp(c, a, CENTRE, start=bases), first) and not finite  # the same frozen arrays: c and A unchecked
+    assert same(solve_lp(bases.objective, bases.matrix, CENTRE, start=bases), first) and not finite  # c and A unchecked
     for rhs in ([np.nan, 0.5, 1.0], [0.5, np.inf, 1.0]):
         with pytest.raises(InvalidInput, match="must be finite"):
-            solve_lp(c, a, rhs, start=bases)
+            solve_lp(bases.objective, bases.matrix, rhs, start=bases)
     with pytest.raises(DimensionMismatch, match=r"inconsistent LP shapes: A\(3, 4\), b\(2,\), c\(4,\)"):
-        solve_lp(c, a, [0.5, 1.0], start=bases)
+        solve_lp(bases.objective, bases.matrix, [0.5, 1.0], start=bases)
     assert not finite
-    assert same(solve_lp(c.copy(), a.copy(), CENTRE, start=bases), first) and len(finite) == 3  # copies: checked in full
-
-
-def test_a_bound_lp_that_changes_in_place_is_caught():
+    assert same(solve_lp(c, a, CENTRE, start=bases), first) and len(finite) == 3  # the caller's arrays: checked in full
     for frozen in (False, True):
-        c, a = np.array(SQUARE.values), np.array(SQUARE.constraints)
-        c.setflags(write=not frozen)
-        a.setflags(write=not frozen)
-        bases = CertifiedBases()
-        solve_lp(c, a, CENTRE, start=bases)  # the set keeps copies of c and A
         c.setflags(write=True)  # an array that owns its data can be made writeable again
-        c[1] = 5.0
+        c[1] = 5.0 - c[1]  # changed in place since the set was built
+        c.setflags(write=not frozen)
         with pytest.raises(InvalidInput, match="another LP"):
             solve_lp(c, a, CENTRE, start=bases)
+        c.setflags(write=True)
+        c[1] = 5.0 - c[1]
+        assert same(solve_lp(c, a, CENTRE, start=bases), first)
 
 
-def test_an_oracle_keeps_read_only_copies_of_its_lp():
+def test_an_oracle_keeps_one_read_only_copy_of_its_lp():
     points, values = np.array(SQUARE.points), np.array(SQUARE.values)
     oracle = verify.SampledOracle(points, values)
     values[3] = -1.0
     assert oracle.values.tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert oracle.values is oracle.bases.objective and oracle.constraints is oracle.bases.matrix  # the set's own
     assert not (oracle.values.flags.writeable or oracle.constraints.flags.writeable)
     assert rx.oracle_eval(oracle, [0.5, 0.5]) == 0.0
+
+
+def test_a_huge_query_is_outside_the_hull_and_warns_of_nothing():
+    # (1e308, 1e308) overflowed phase 1's sum of b as the oracle's first query, and the entries' product
+    # B^-1 b after one; numpy warned of each, which this suite makes an error
+    oracle = verify.SampledOracle(SQUARE.points, SQUARE.values)
+    for x in ([1e308, 1e308], [0.5, 0.5], [1e308, 1e308], [1e308, -1e308], [-1.7e308, 0.5]):
+        if x == [0.5, 0.5]:
+            assert rx.oracle_eval(oracle, x) == 0.0
+            continue
+        with pytest.raises(InfeasibleLP, match="outside the sampled hull"):
+            rx.oracle_eval(oracle, x)
 
 
 def test_a_neighbouring_entry_walks_by_dual_pivots_from_its_stored_inverse(cold_calls, monkeypatch):
@@ -129,7 +155,7 @@ def test_a_neighbouring_entry_walks_by_dual_pivots_from_its_stored_inverse(cold_
 
 def test_a_walk_starts_from_the_entry_whose_most_negative_basic_value_is_largest(monkeypatch):
     c, a, _ = hull_lp(GRID, GRID_VALUES, NEAR[0][:2])
-    bases = CertifiedBases()
+    bases = CertifiedBases(c, a)
     for b in (NEAR[0], [0.8, 0.2, 1.0]):
         solve_lp(c, a, b, start=bases)
     b = np.array([0.35, 0.5, 1.0])  # covered by neither entry, and nearer the first
@@ -149,10 +175,10 @@ def test_a_dual_infeasible_entry_goes_cold(cold_calls, monkeypatch):
     # an entry forced in past its check, with the query outside its triangle: the walk from it
     # is not re-priced, reaches no basis that covers b within the pivot limit, and goes cold
     c, a, b = hull_lp(GRID, GRID_VALUES, [0.9, 0.9])
-    bases = CertifiedBases()
+    bases = CertifiedBases(c, a)
     with monkeypatch.context() as patch:
         patch.setattr(simplex, "FEAS_TOL", np.inf)
-        bases._enter(c, a, CORNERS)
+        bases._enter(CORNERS)
     walks = record_calls(monkeypatch, simplex, "_dual_simplex")
     assert same(solve_lp(c, a, b, start=bases), solve_lp(c, a, b))
     assert len(walks) == 1 and len(cold_calls) == 2
@@ -328,7 +354,7 @@ def test_warm_oracle_matches_a_cold_solve_at_every_query(case):
 
 def _certified_run(oracle, queries, bases=None):
     """solve_lp at each query, in order, all started from one certified set (fresh unless given)."""
-    bases = CertifiedBases() if bases is None else bases
+    bases = CertifiedBases(oracle.values, oracle.constraints) if bases is None else bases
     return [solve_lp(oracle.values, oracle.constraints, np.append(x, 1.0), start=bases) for x in queries]
 
 
@@ -365,7 +391,7 @@ def test_no_start_is_a_fresh_certified_set_and_asked_again_gives_the_same_bits(c
     for x in queries:
         c, a, b = oracle.values, oracle.constraints, np.append(x, 1.0)
         cold = solve_lp(c, a, b)
-        bases = CertifiedBases()
+        bases = CertifiedBases(c, a)
         assert same(cold, solve_lp(c, a, b, start=bases))
         if cold.status == "optimal" and bases.entries == [cold.basis]:  # read from the one entry, not walked from it
             again = solve_lp(c, a, b, start=bases)
@@ -375,7 +401,7 @@ def test_no_start_is_a_fresh_certified_set_and_asked_again_gives_the_same_bits(c
 def test_a_certified_basis_answers_with_no_pivot_and_no_tableau(cold_calls, monkeypatch):
     c, a, b = hull_lp(GRID, GRID_VALUES, NEAR[0][:2])
     dual_calls = record_calls(monkeypatch, simplex, "_dual_simplex")
-    bases = CertifiedBases()
+    bases = CertifiedBases(c, a)
     first = solve_lp(c, a, b, start=bases)
     assert len(cold_calls) == 1 and not dual_calls  # an empty set has no entry to walk from: cold
     assert bases.entries == [first.basis]
@@ -395,18 +421,18 @@ def test_a_basis_that_is_not_optimal_is_refused_and_never_returned(monkeypatch):
     c, a = oracle.values, oracle.constraints
     query = [0.1, 0.15]
     assert np.linalg.solve(a[:, list(CORNERS)], np.append(query, 1.0)).min() > 0  # inside its triangle
-    bases = CertifiedBases()
-    bases._enter(c, a, CORNERS)
+    bases = CertifiedBases(c, a)
+    bases._enter(CORNERS)
     assert bases.entries == []  # refused: no walk starts from it
     results = _certified_run(oracle, [query], bases)
     assert results[0].basis != CORNERS
     _assert_cold_answers(oracle, [query], results)
 
     # the same basis put into the set past its check is returned, and the cold comparison catches it
-    bases = CertifiedBases()
+    bases = CertifiedBases(c, a)
     with monkeypatch.context() as patch:
         patch.setattr(simplex, "FEAS_TOL", np.inf)
-        bases._enter(c, a, CORNERS)
+        bases._enter(CORNERS)
     assert bases.entries == [CORNERS]
     results = _certified_run(oracle, [query], bases)
     assert results[0].basis == CORNERS and results[0].pivots == 0
@@ -418,10 +444,10 @@ def test_a_basis_enters_once_and_only_if_invertible(monkeypatch):
     c, a, b = hull_lp(GRID, GRID_VALUES, NEAR[0][:2])
     basis = solve_lp(c, a, b).basis
     inverted = record_calls(monkeypatch, np.linalg, "inv")
-    bases = CertifiedBases()
-    bases._enter(c, a, basis)
-    bases._enter(c, a, basis[::-1])  # its columns in another order: found by one lookup, not inverted
+    bases = CertifiedBases(c, a)
+    bases._enter(basis)
+    bases._enter(basis[::-1])  # its columns in another order: found by one lookup, not inverted
     assert bases.entries == [basis] and len(inverted) == 1
-    bases._enter(c, a, (0, 10, 20))  # (0, 0), (0.125, 0.125), (0.25, 0.25): B is singular
-    bases._enter(c, a, basis[:2])  # B is not square, as after the cold solve drops a redundant row
+    bases._enter((0, 10, 20))  # (0, 0), (0.125, 0.125), (0.25, 0.25): B is singular
+    bases._enter(basis[:2])  # B is not square, as after the cold solve drops a redundant row
     assert bases.entries == [basis] and len(inverted) == 3
