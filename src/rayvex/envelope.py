@@ -217,19 +217,30 @@ def _locate(model: EnvelopeModel, x) -> tuple[np.ndarray, RayTrace | None]:
 
 
 def eval(model: EnvelopeModel, x) -> EnvelopeValue:  # noqa: A001 - deliberate builtin shadow
-    """Envelope value at x, with the trace, region, tightness flag and f(x)."""
+    """Envelope value at x, with the trace, region, tightness flag and f(x).
+
+    Three field calls on a ray through P (f(x), f(v_minus), f(v_plus)), one
+    on a degenerate ray and at the anchor, where g is f(x).
+    """
     v, trace = _locate(model, x)
     sign = model.sign
     f_at_x = sign * float(model.field.eval(v)) + model.offset
     if trace is None:
         return EnvelopeValue(f_at_x, None, None, True, f_at_x)
-    value = sign * _secant_from_trace(model.field, trace) + model.offset
+    value = f_at_x if trace.degenerate else sign * _secant_from_trace(model.field, trace) + model.offset
     tight = abs(value - f_at_x) <= TIGHT_TOL * max(1.0, abs(f_at_x)) or value == f_at_x
     return EnvelopeValue(value, trace, _region_id(trace.in_facet, trace.out_facet), tight, f_at_x)
 
 
 def value(model: EnvelopeModel, x) -> float:
-    return eval(model, x).value
+    """``eval(model, x).value``, bit for bit, without f(x), ``tight`` or the region.
+
+    Two field calls on a ray through P (f(v_minus), f(v_plus)), one on a
+    degenerate ray and at the anchor.
+    """
+    v, trace = _locate(model, x)
+    raw = float(model.field.eval(v)) if trace is None else _secant_from_trace(model.field, trace)
+    return model.sign * raw + model.offset
 
 
 def eval_homogeneous(model: EnvelopeModel, x) -> float:
@@ -237,6 +248,7 @@ def eval_homogeneous(model: EnvelopeModel, x) -> float:
 
     Requires the homogeneity check to have passed.  Defined where ``eval``
     is, the anchor aside (ZeroDirection), and agrees with it within 1e-10.
+    One field call, f(v_plus), or f(x) on a degenerate ray.
     """
     if not model.homogeneity_certified:
         raise NotCertifiedHomogeneous(f"model status: {model.status}")
@@ -256,7 +268,8 @@ def gradient(model: EnvelopeModel, x) -> np.ndarray:
     Differentiates the homogeneous representation g(v) = (a.v) f(v_plus):
     grad g = f(v_plus) a + grad_f(v_plus) - (grad_f(v_plus) . v_plus) a.
     On region boundaries this returns the tie-broken region's gradient,
-    which is a valid subgradient.
+    which is a valid subgradient.  One field call and one ``grad`` call, both
+    at v_plus.
     """
     if not model.homogeneity_certified:
         raise NotCertifiedHomogeneous(f"model status: {model.status}")

@@ -32,9 +32,10 @@ class ScalarField:
     field's too once it has been replaced or wrapped, is called once per
     point, in sample order, each with a 1-D float64 row.  It must be
     finite at every strictly interior point of the intended domain and
-    pure/re-entrant.  The planar catalog fields compute on plain Python
-    floats; where float arithmetic would raise (``ZeroDivisionError``) they
-    return numpy's inf or nan for that point instead, without a warning.
+    pure/re-entrant.  The planar catalog fields compute their values and
+    gradients on plain Python floats; where float arithmetic would raise
+    (``ZeroDivisionError``, or ``OverflowError`` from ``**``) they return
+    numpy's inf or nan for that point instead, without a warning.
     """
 
     dim: int
@@ -136,12 +137,25 @@ def _eval_rows(field: ScalarField, points) -> np.ndarray:
     return np.fromiter(map(float, map(evaluate, points)), dtype=float, count=len(points))
 
 
-def _on_floats(formula: Callable[..., float], columns: Callable[..., np.ndarray]) -> Callable[[object], float]:
-    """A catalog field computing ``formula(*coordinates)`` on plain floats.
+_FLOAT_ERRORS = (ZeroDivisionError, OverflowError)  # float arithmetic raises these where numpy returns inf or nan
 
-    Float ``+ - * /`` give numpy float64's bits, but a division by zero
-    raises where numpy returns inf or nan; there the formula runs again on
-    numpy scalars, with numpy's warnings silenced, and that value is returned.
+
+def _on_numpy_scalars(formula: Callable, coords: list):
+    """``formula(*coords)`` on numpy float64 scalars, with numpy's warnings silenced.
+
+    The fallback of the planar catalog's float rule.  Its fields and
+    gradients compute ``formula(*coordinates)`` on plain Python floats:
+    float ``+ - * /`` give numpy float64's bits, and float ``**`` calls
+    libm's pow as numpy's scalar power does.  Where numpy returns inf or nan
+    float arithmetic raises one of ``_FLOAT_ERRORS`` (a division by zero, a
+    ``**`` that overflows); there they return this result instead.
+    """
+    with np.errstate(all="ignore"):
+        return formula(*map(np.float64, coords))
+
+
+def _on_floats(formula: Callable[..., float], columns: Callable[..., np.ndarray]) -> Callable[[object], float]:
+    """A catalog field computing ``formula(*coordinates)`` on plain floats, by the rule of ``_on_numpy_scalars``.
 
     ``columns`` is the same formula on coordinate columns, its branches
     written as ``np.where``, and is the field's column form: a (k, n) batch
@@ -155,9 +169,8 @@ def _on_floats(formula: Callable[..., float], columns: Callable[..., np.ndarray]
         coords = p.tolist() if isinstance(p, np.ndarray) else [float(c) for c in p]
         try:
             value = formula(*coords)
-        except ZeroDivisionError:
-            with np.errstate(all="ignore"):
-                value = float(formula(*map(np.float64, coords)))
+        except _FLOAT_ERRORS:
+            value = float(_on_numpy_scalars(formula, coords))
         return value if value == value else math.nan
 
     def rows(points):
@@ -168,6 +181,19 @@ def _on_floats(formula: Callable[..., float], columns: Callable[..., np.ndarray]
 
     field._rows = (field, rows)
     return field
+
+
+def _gradient_on_floats(formula: Callable[..., tuple]) -> Callable[[object], np.ndarray]:
+    """A catalog gradient: the partial derivatives ``formula(*coordinates)`` as an array, by the rule of ``_on_numpy_scalars``."""
+
+    def grad(p) -> np.ndarray:
+        coords = p.tolist() if isinstance(p, np.ndarray) else [float(c) for c in p]
+        try:
+            return np.array(formula(*coords))
+        except _FLOAT_ERRORS:
+            return np.array(_on_numpy_scalars(formula, coords))
+
+    return grad
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,12 +221,7 @@ def bilinear_neg(lx: float = 0.0, ly: float = 0.0, ux: float = 1.0, uy: float = 
     def f(x, y):  # floats or columns
         return -x * y
 
-    field = ScalarField(
-        2,
-        _on_floats(f, f),
-        grad=lambda p: np.array([-p[1], -p[0]]),
-        name="bilinear_neg",
-    )
+    field = ScalarField(2, _on_floats(f, f), grad=_gradient_on_floats(lambda x, y: (-y, -x)), name="bilinear_neg")
 
     def env(p):
         x, y = p
@@ -229,7 +250,7 @@ def fractional() -> CatalogEntry:
     field = ScalarField(
         2,
         _on_floats(f, f),
-        grad=lambda p: np.array([-p[1] / p[0] ** 2, 1.0 / p[0]]),
+        grad=_gradient_on_floats(lambda x, y: (-y / x**2, 1.0 / x)),
         name="fractional",
     )
     poly = Polytope.from_inequalities(
@@ -282,12 +303,11 @@ def reliability(ux: float = 1.0, uy: float = 1.0) -> CatalogEntry:
         num, den = ratio(x, y)
         return np.where(den <= 0.0, np.where((x == 0.0) & (y == 0.0), 0.0, np.inf), num / den)
 
-    def grad(p):
-        x, y = p
+    def grad(x, y):
         den = x + y - x * y
-        return np.array([y * y / den**2, x * x / den**2])
+        return y * y / den**2, x * x / den**2
 
-    field = ScalarField(2, _on_floats(f, columns), grad=grad, name="reliability")
+    field = ScalarField(2, _on_floats(f, columns), grad=_gradient_on_floats(grad), name="reliability")
 
     def env(p):
         x, y = p
@@ -333,8 +353,7 @@ def cubic_rational() -> CatalogEntry:
     def columns(x, y):
         return np.where(x <= 0.0, np.where(y == 0.0, 0.0, np.inf), core(x, y))
 
-    def grad(p):
-        x, y = p
+    def grad(x, y):  # ** as in the numpy-scalar form: floats and numpy scalars both call libm's pow
         gx = (
             y
             * (
@@ -365,9 +384,9 @@ def cubic_rational() -> CatalogEntry:
             + 6.0 * x * y**3
             + 2.0 * y**4
         ) / (x * (x + y) ** 3)
-        return np.array([gx, gy])
+        return gx, gy
 
-    field = ScalarField(2, _on_floats(f, columns), grad=grad, name="cubic_rational")
+    field = ScalarField(2, _on_floats(f, columns), grad=_gradient_on_floats(grad), name="cubic_rational")
     poly = Polytope.from_inequalities(
         [[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [1.0, 1.0]],
         [0.0, 0.0, -1.0, 2.0],

@@ -155,9 +155,10 @@ def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) 
     may find the LP infeasible.  A basis the set refuses is read the same
     way, with the pseudo-inverse of B for B^-1.  Every optimum is a basis's
     refined solution (``_solution``), never a tableau value, and is finite;
-    a cold optimum with no such read, and the cold path's iteration limit,
-    raise NumericalBreakdown.  A b so large that the arithmetic overflows
-    warns of nothing: the overflow refuses each read it reaches.
+    a cold optimum with no such read, an "unbounded" read off a tableau that
+    overflowed, and the cold path's iteration limit raise NumericalBreakdown.
+    A b so large that the arithmetic overflows warns of nothing: the
+    overflow refuses each read it reaches.
 
     ``pivots`` counts the cold phases' pivots, if they ran, plus the dual
     pivots of the walk that answered.  ``basis`` lists the final basic
@@ -215,7 +216,11 @@ def _shapes(c: np.ndarray, a: np.ndarray, b: np.ndarray | None) -> str:
 
 
 def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[str, tuple[int, ...] | None, int]:
-    """The cold solve: its status, its basis if optimal (rows dropped as redundant have none), and its pivots."""
+    """The cold solve: its status, its basis if optimal (rows dropped as redundant have none), and its pivots.
+
+    An infinite artificial sum, which a huge b makes, still reads "infeasible" after phase 1, but
+    phase 2's "unbounded" on a tableau that overflowed raises NumericalBreakdown.
+    """
     m, n = a.shape
     flip = b < 0
     a, b = np.where(flip[:, None], -a, a), np.where(flip, -b, b)
@@ -245,6 +250,8 @@ def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[str, tuple[
             tab[-1, :] -= cj * tab[row, :]
 
     status, phase2 = _iterate(tab, basis, n)
+    if status == "unbounded" and not np.isfinite(tab).all():  # a ray read off overflowed entries proves nothing
+        raise NumericalBreakdown("phase 2 found the LP unbounded on a tableau holding a NaN or an infinity")
     return status, tuple(basis) if status == "optimal" else None, pivots + phase2
 
 

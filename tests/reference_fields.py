@@ -1,9 +1,11 @@
-"""The numpy-scalar forms of the catalog fields and of the working-field chain.
+"""The numpy-scalar forms of the catalog fields, their gradients, and the working-field chain.
 
-The catalog fields in ``rayvex.functions`` compute on plain Python floats,
-and ``envelope.build`` applies anchor shift, offset and sign by one private
-transform, v -> s * (f(v + t) - f(t)).  These are the forms they replaced:
-each field unpacks its point into numpy float64 scalars, and the working
+The catalog fields in ``rayvex.functions`` compute their values and planar
+gradients on plain Python floats, and ``envelope.build`` applies anchor
+shift, offset and sign by one private transform, v -> s * (f(v + t) - f(t)).
+These are the forms they replaced: each field and gradient unpacks its
+point into numpy float64 scalars (the ``*_grad`` functions keep ``**``, as
+the float gradients do), and the working
 field is ``shift_field`` followed by ``negate_field``, one lambda layer
 each.  Tests require the same bits from both, except that ``shift_field``
 adds a zero t, which turns a -0.0 coordinate into +0.0.  ``cubic`` forms
@@ -62,6 +64,55 @@ def cubic_pow(p):
         - x**5
     )
     return y * n / (x * (x + y) ** 2)
+
+
+def bilinear_grad(p):
+    return np.array([-p[1], -p[0]])
+
+
+def fractional_grad(p):
+    return np.array([-p[1] / p[0] ** 2, 1.0 / p[0]])
+
+
+def reliability_grad(p):
+    x, y = p
+    den = x + y - x * y
+    return np.array([y * y / den**2, x * x / den**2])
+
+
+def cubic_grad(p):
+    x, y = p
+    gx = (
+        y
+        * (
+            -2.0 * x**6
+            - 6.0 * x**5 * y
+            + 3.0 * x**5
+            - 6.0 * x**4 * y**2
+            + 9.0 * x**4 * y
+            - 2.0 * x**3 * y**3
+            + 6.0 * x**3 * y**2
+            - 5.0 * x**3 * y
+            - 3.0 * x**2 * y**2
+            - 3.0 * x * y**3
+            - y**4
+        )
+        / (x**2 * (x + y) ** 3)
+    )
+    gy = (
+        -(x**6)
+        - 3.0 * x**5 * y
+        + 3.0 * x**5
+        - 3.0 * x**4 * y**2
+        + 3.0 * x**4 * y
+        - 2.0 * x**4
+        - x**3 * y**3
+        + 4.0 * x**3 * y
+        + 6.0 * x**2 * y**2
+        + 6.0 * x * y**3
+        + 2.0 * y**4
+    ) / (x * (x + y) ** 3)
+    return np.array([gx, gy])
 
 
 def cobb_douglas(scale, a1, a2, a3):

@@ -102,6 +102,24 @@ def _each(*fns):
 
 EVALUATORS = _each(lambda m, x: tuple(env.eval(m, x)), env.value, env.eval_homogeneous, env.gradient)
 REFERENCE_EVALUATORS = _each(ref.eval, lambda m, x: ref.eval(m, x)[0], ref.eval_homogeneous, ref.gradient)
+# per catalog model, named points in original coordinates: inside, a degenerate vertex ray, the
+# anchor (outside the domain for cubic, whose origin lies outside P), outside and non-finite
+VALUE_POINTS = {
+    "bilinear": {"interior": [0.3, 0.6], "vertex": [1.0, 1.0], "anchor": [0.0, 0.0], "outside": [2.0, 2.0]},
+    "fractional": {"interior": [1.5, 0.5], "facet": [2.0, 1.0], "anchor": [1.0, 0.0], "outside": [0.5, 0.5]},
+    "reliability": {"interior": [0.4, 0.7], "facet": [1.0, 0.5], "anchor": [0.0, 0.0], "outside": [-1.0, 0.5]},
+    "cubic": {"interior": [0.7, 0.8], "x0-facet": [0.0, 1.5], "anchor": [0.0, 0.0], "outside": [3.0, 3.0]},
+    "cobb-douglas": {"interior": [1.3, 1.5, 1.7], "degenerate": [1.0, 2.0, 1.0], "vertex": [2.0, 2.0, 2.0],
+                     "anchor": [0.0, 0.0, 0.0], "outside": [0.5, 1.0, 1.0]},
+}
+
+
+def _value_specials():
+    for name, points in VALUE_POINTS.items():
+        model = catalog_models(True)[name][1]
+        dim = model.polytope.dim
+        for kind, x in [*points.items(), ("inf", [math.inf] + [1.0] * (dim - 1)), ("nan", [1.0] * (dim - 1) + [math.nan])]:
+            yield f"{name}-{kind}", (model, np.array(x))
 
 
 def _facet_product_case(n, m, seed):
@@ -265,12 +283,24 @@ FORMS = {**PLANAR, **COBB_DOUGLAS}
 BATCHED = {name: field for name, (field, _) in FORMS.items()}
 
 
+# planar catalog gradient -> its numpy-scalar form
+GRADIENTS = {name: (field.grad, getattr(reference_fields, f"{name}_grad")) for name, (field, _) in PLANAR.items()}
+
+
 def _float_form(name, coords, container):
     return float(FORMS[name][0].eval(container(coords)))
 
 
 def _numpy_scalar_form(name, coords, container):
     return float(FORMS[name][1](np.array(coords, dtype=float)))
+
+
+def _float_gradient(name, coords, container):
+    return GRADIENTS[name][0](container(coords))
+
+
+def _numpy_scalar_gradient(name, coords, container):
+    return GRADIENTS[name][1](np.array(coords, dtype=float))
 
 
 def _forms_on_specials(names, dim, containers):
@@ -490,6 +520,9 @@ TABLE = [
     # anchored, concave, origin-outside and 3-D catalog models; drawn polytopes with a wave field
     Row("evaluators-catalog", EVALUATORS, REFERENCE_EVALUATORS, "bits", catalog_model_points(), 80),
     Row("evaluators-drawn", EVALUATORS, REFERENCE_EVALUATORS, "bits", drawn_model_points(), 50),
+    # value leaves out eval's f(x): the same value, or the same error (outside, the anchor outside P, non-finite)
+    Row("value", env.value, lambda m, x: env.eval(m, x).value, "bits",
+        st.one_of(catalog_model_points(), drawn_model_points()), 100, _value_specials),
     # points near facets, in the band, along rescaled and subnormal rays
     Row("ray-kernel", _each(rx.ray_intersect, geometry.locate), _each(ref.ray_intersect, ref.locate), "bits",
         band_cases(), 60, lambda: [("nearly-parallel-entry", nearly_parallel_entry())]),
@@ -518,6 +551,10 @@ TABLE = [
     Row("cobb-douglas-floats", _float_form, _numpy_scalar_form, "nan", st.tuples(
         st.sampled_from(sorted(COBB_DOUGLAS)), st.lists(coordinate, min_size=3, max_size=3), st.sampled_from(CONTAINERS),
     ), 300, lambda: _forms_on_specials(sorted(COBB_DOUGLAS), 3, (list,))),
+    # the same coordinates through the planar gradients: x = 0, den = 0, and ** overflowing at 1e200
+    Row("planar-gradients", _float_gradient, _numpy_scalar_gradient, "nan", st.tuples(
+        st.sampled_from(sorted(GRADIENTS)), st.lists(coordinate, min_size=2, max_size=2), st.sampled_from(CONTAINERS),
+    ), 300, lambda: _forms_on_specials(sorted(GRADIENTS), 2, CONTAINERS)),
     Row("column-forms", _column_form, _per_row, "bits", st.sampled_from(sorted(BATCHED)).flatmap(
         lambda name: st.lists(st.lists(coordinate, min_size=BATCHED[name].dim, max_size=BATCHED[name].dim), max_size=12)
         .map(lambda rows: (BATCHED[name], np.array(rows, dtype=float).reshape(-1, BATCHED[name].dim)))
@@ -559,6 +596,10 @@ def test_the_special_cases_reach_what_they_stand_for():
         g_cells = {line.split(",")[3] for line in csv[case][1:-1]}
         assert "inf" in g_cells and "nan" not in g_cells
     assert any(line.endswith(",,") for line in csv["grid-origin-inside"]) and csv["eval-all-omitted"] == ["# omitted=2"]
+    values = {name: _outcome(env.eval, *case) for name, case in _value_specials()}
+    assert {name for name, (kind, _) in values.items() if kind == "raise"} == {
+        f"{name}-{kind}" for name in VALUE_POINTS for kind in ("outside", "inf", "nan")} | {"cubic-anchor", "cobb-douglas-anchor"}
+    assert values["cobb-douglas-degenerate"][1].trace.degenerate and values["cubic-x0-facet"][1].value == math.inf
     for fn, polytope in FAILING_FIELDS:
         assert not verify.certify(_failing_model(fn, polytope), budget=600, seed=3).all_passed
     for (field, polytope, sense, status), seed in itertools.product(COROLLARY_CASES.values(), (0, 3)):

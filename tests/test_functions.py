@@ -1,6 +1,7 @@
 """Scalar fields: finite differences, the catalog, and published closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,3 +180,21 @@ def test_cubic_next_to_its_x0_facet_is_inf_without_a_warning():
     # inside P, where the numpy-scalar form overflowed with a RuntimeWarning
     # (an error under this suite's warning filters)
     assert rx.cubic_rational().field.eval(np.array([5e-324, 1.5])) == math.inf
+
+
+SINGULAR_GRADIENTS = [  # catalog field, a point where its gradient divides by zero, numpy's gradient there
+    (rx.reliability().field, [0, 0], [math.nan, math.nan]),
+    (rx.fractional().field, [0, 1], [-math.inf, math.inf]),
+    (rx.cubic_rational().field, [0, 1], [-math.inf, math.inf]),
+]
+
+
+@pytest.mark.parametrize("field, point, gradient", SINGULAR_GRADIENTS)
+def test_catalog_gradients_at_their_singular_points_are_numpys_without_a_warning(field, point, gradient):
+    # the numpy-scalar gradients warned "divide by zero" or "invalid value" here, where eval was already silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = field.gradient(point)
+        field.eval(np.array(point, dtype=float))
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, gradient)

@@ -275,6 +275,26 @@ def test_an_lp_whose_arithmetic_overflows_has_no_optimum_to_read(lp):
         solve_lp(*lp)
 
 
+# nonnegative costs, so c.x >= 0 on every x >= 0, and a right-hand side near the largest float: phase 2
+# pivoted on NaN and infinite entries and answered "unbounded" (the first LP after 3 pivots)
+OVERFLOWED_PHASE_2_LPS = [
+    ([0.1, 1.3, 0.5], [[0.0, 0.3, -0.3], [-0.9, -0.5, -1.0]], [7e307, -1.3e308]),
+    ([0.5, 0.2, 0.8], [[-0.6, 1.1, -0.8], [-0.9, 1.0, -1.1]], [8.5e307, 7e305]),
+    ([0.9, 1.4, 0.5], [[1.0, -1.5, 0.5], [0.9, 1.1, 0.3]], [9.7e307, -3e305]),
+    ([0.1, 0.2, 0.5], [[0.1, 0.4, -0.7], [0.2, 1.0, -0.1]], [8.3e307, 4.6e307]),
+]
+
+
+@pytest.mark.parametrize("lp", OVERFLOWED_PHASE_2_LPS)
+def test_an_unbounded_read_off_an_overflowed_tableau_is_a_breakdown(lp):
+    with pytest.raises(NumericalBreakdown, match="phase 2 found the LP unbounded on a tableau holding a NaN"):
+        solve_lp(*lp)
+    bases = CertifiedBases(lp[0], lp[1])
+    assert solve_lp(lp[0], lp[1], np.array(lp[1]) @ [1.0, 1.0, 1.0], start=bases).status == "optimal"
+    with pytest.raises(NumericalBreakdown):  # from a set that holds an optimal basis, too
+        solve_lp(lp[0], lp[1], lp[2], start=bases)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 3), st.integers(3, 6), st.integers(0, 2**32 - 1))
 def test_a_huge_right_hand_side_ends_in_a_status_a_finite_optimum_or_a_breakdown(m, n, seed):

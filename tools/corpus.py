@@ -1,12 +1,14 @@
 """A checked-in corpus of ``rayvex`` command outputs, and the comparison that guards it.
 
-The corpus holds the outputs of 40 fixed commands, each run in process:
+The corpus holds the outputs of 45 fixed commands, each run in process:
 ``certify``, ``grid --resolution 21 --format csv`` and ``compare --density 20
---resolution 9`` on the four planar catalog entries at seeds 0, 7 and 11, and
-``regions`` once per planar entry.  ``tests/corpus/<name>.out`` is a command's
-stdout byte for byte, and ``tests/corpus/index.json`` its argv, exit code and
-stderr.  A change that moves an output regenerates the corpus, so the move is a
-diff of these files.
+--resolution 9`` on the four planar catalog entries at seeds 0, 7 and 11,
+``regions`` once per planar entry, and ``eval`` once per catalog entry, at an
+interior, a facet, a vertex, the anchor and an outside point (cobb-douglas
+also at a vertex whose ray is degenerate).  ``tests/corpus/<name>.out`` is a
+command's stdout byte for byte, and ``tests/corpus/index.json`` its argv, exit
+code and stderr.  A change that moves an output regenerates the corpus, so the
+move is a diff of these files.
 
 A new output matches the corpus when the exit codes, stderr, JSON keys,
 integers and strings are equal and every other number is within
@@ -32,6 +34,13 @@ CORPUS = ROOT / "tests" / "corpus"
 TOLERANCE = 1e-12
 ENTRIES = ("bilinear", "fractional", "reliability", "cubic")
 SEEDS = (0, 7, 11)
+EVAL_POINTS = {  # entry -> interior, facet, vertex, anchor, outside (the anchors of cubic and cobb-douglas lie outside P)
+    "bilinear": ("0.3,0.6", "1,0.25", "1,1", "0,0", "2,2"),
+    "fractional": ("1.5,0.5", "2,1", "2,2", "1,0", "0.5,0.5"),
+    "reliability": ("0.4,0.7", "1,0.5", "1,1", "0,0", "1.5,0.5"),
+    "cubic": ("0.7,0.8", "0,1.5", "1,0", "0,0", "3,3"),  # the facet is x = 0, where f and g are inf
+    "cobb-douglas": ("1.3,1.5,1.7", "1,1.5,1.5", "2,2,2", "0,0,0", "0.5,1,1", "1,2,1"),
+}
 COMMANDS = {
     **{
         f"{command}-{entry}-seed{seed}": [command, "--function", entry, "--seed", str(seed), *flags]
@@ -44,6 +53,10 @@ COMMANDS = {
         for seed in SEEDS
     },
     **{f"regions-{entry}": ["regions", "--function", entry] for entry in ENTRIES},
+    **{
+        f"eval-{entry}": ["eval", "--function", entry, *(arg for point in points for arg in ("--point", point))]
+        for entry, points in EVAL_POINTS.items()
+    },
 }
 
 
