@@ -1,8 +1,9 @@
 """A checked-in corpus of ``rayvex`` command outputs, and the comparison that guards it.
 
-The corpus holds the outputs of 45 fixed commands, each run in process:
+The corpus holds the outputs of 46 fixed commands, each run in process:
 ``certify``, ``grid --resolution 21 --format csv`` and ``compare --density 20
 --resolution 9`` on the four planar catalog entries at seeds 0, 7 and 11,
+``compare --density 10 --resolution 5`` on cobb-douglas (the 3-D oracle),
 ``regions`` once per planar entry, and ``eval`` once per catalog entry, at an
 interior, a facet, a vertex, the anchor and an outside point (cobb-douglas
 also at a vertex whose ray is degenerate).  ``tests/corpus/<name>.out`` is a
@@ -52,6 +53,7 @@ COMMANDS = {
         for entry in ENTRIES
         for seed in SEEDS
     },
+    "compare-cobb-douglas": ["compare", "--function", "cobb-douglas", "--density", "10", "--resolution", "5"],
     **{f"regions-{entry}": ["regions", "--function", entry] for entry in ENTRIES},
     **{
         f"eval-{entry}": ["eval", "--function", entry, *(arg for point in points for arg in ("--point", point))]
