@@ -82,4 +82,9 @@ class InfeasibleLP(RayvexError):
 
 
 class NumericalBreakdown(RayvexError):
-    """The simplex reached its iteration limit, the one breakdown its ratio test leaves."""
+    """The simplex could not certify an answer.
+
+    Raised when a pivot loop reaches its iteration bound, when a cold optimum
+    has no certified read, and when phase 2 finds the LP unbounded on a
+    tableau that overflowed to a NaN or an infinity.
+    """

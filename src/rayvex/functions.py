@@ -183,11 +183,17 @@ def _on_floats(formula: Callable[..., float], columns: Callable[..., np.ndarray]
     return field
 
 
-def _gradient_on_floats(formula: Callable[..., tuple]) -> Callable[[object], np.ndarray]:
-    """A catalog gradient: the partial derivatives ``formula(*coordinates)`` as an array, by the rule of ``_on_numpy_scalars``."""
+def _gradient_on_floats(formula: Callable[..., tuple], value: Callable | None = None) -> Callable[[object], np.ndarray]:
+    """A catalog gradient: the partial derivatives ``formula(*coordinates)`` as an array, by the rule of ``_on_numpy_scalars``.
+
+    With ``value``, the formula takes ``value(p)``, computed on the point as
+    given, before the coordinates.
+    """
 
     def grad(p) -> np.ndarray:
         coords = p.tolist() if isinstance(p, np.ndarray) else [float(c) for c in p]
+        if value is not None:
+            coords.insert(0, value(p))
         try:
             return np.array(formula(*coords))
         except _FLOAT_ERRORS:
@@ -459,11 +465,8 @@ def cobb_douglas(
         return values
 
     f._rows = (f, rows)
-
-    def grad(p):
-        p = np.asarray(p, dtype=float)
-        return f(p) * exps / p
-
+    # the partials f * a_i / x_i, with f on the point as given: numpy's power, as above
+    grad = _gradient_on_floats(lambda v, x1, x2, x3: (v * a1 / x1, v * a2 / x2, v * a3 / x3), value=f)
     field = ScalarField(3, f, grad=grad, name="cobb_douglas")
     return CatalogEntry(
         name="cobb-douglas",

@@ -22,12 +22,13 @@ each inverted and checked for reduced costs once, as it enters.  A
 certified basis that covers b answers with no pivot; otherwise dual simplex
 pivots run from the stored B^-1 of the nearest entry, the one whose most
 negative basic value at b is largest, and the basis they end on enters and
-answers in turn.  Where that reaches no optimum -- an empty set, the pivot
-limit, a row with no dual ratio -- the cold two-phase solve decides the
-status, and its basis enters and answers like any other.  Every optimum is
-read in one place, ``_solution``: its basis's B^-1 b, refined once, never a
-tableau value.  It may differ from another basis's in the last ulps, and is
-deterministic for a fixed sequence of solves.
+answers in turn.  A walk is never cut short: its answer passes the same
+certificate as any other.  Where it reaches no optimum -- an empty set, a
+row with no dual ratio, the iteration bound -- the cold two-phase solve
+decides the status, and its basis enters and answers like any other.
+Every optimum is read in one place, ``_solution``: its basis's B^-1 b,
+refined once, never a tableau value.  It may differ from another basis's in
+the last ulps, and is deterministic for a fixed sequence of solves.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ from .errors import DimensionMismatch, InvalidInput, NumericalBreakdown
 FEAS_TOL = 1e-9  # LP feasibility and optimality: an LP residual or reduced cost, absolute
 PIVOT_TOL = 1e-11  # the smallest entry a pivot may take: a tableau entry, absolute
 DEGENERATE_RUN = 50  # pivots without a new objective low before Bland pricing takes over
-# A warm start goes cold after DUAL_PIVOT_LIMIT dual pivots: each costs ~1/15
-# to 1/30 of a cold solve on the oracle's LPs.
-DUAL_PIVOT_LIMIT = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +154,7 @@ def solve_lp(objective, eq_matrix, eq_rhs, start: CertifiedBases | None = None) 
     way, with the pseudo-inverse of B for B^-1.  Every optimum is a basis's
     refined solution (``_solution``), never a tableau value, and is finite;
     a cold optimum with no such read, an "unbounded" read off a tableau that
-    overflowed, and the cold path's iteration limit raise NumericalBreakdown.
+    overflowed, and the cold path's iteration bound raise NumericalBreakdown.
     A b so large that the arithmetic overflows warns of nothing: the
     overflow refuses each read it reaches.
 
@@ -286,7 +284,7 @@ def _dual_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: list[int],
     passes ``_ratio_test`` on the reduced costs over minus that row.  The
     status is "optimal" once no basic value is below -PIVOT_TOL, "infeasible"
     at a row no column can take (a Farkas row: no x >= 0 meets it, up to the
-    tolerances), "pivot limit" after DUAL_PIVOT_LIMIT pivots, or "overflow".
+    tolerances), "iteration bound" after ``_max_pivots`` pivots, or "overflow".
     """
     m, n = a.shape
     tab = np.empty((m + 1, n + 1))
@@ -299,15 +297,21 @@ def _dual_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: list[int],
     tab[-1] = -(c[basis] @ tab[:m])  # reduced costs c - c_B B^-1 A, then -c_B x_B
     costs += c
     costs[basis] = 0.0
-    for pivots in range(DUAL_PIVOT_LIMIT + 1):
+    for pivots in range(_max_pivots(m, n)):
         leave = int(basics.argmin())
         if basics[leave] >= -PIVOT_TOL:
             return "optimal", pivots
         cols = _ratio_test(costs, -tab[leave, :n])
-        if cols.size == 0 or pivots == DUAL_PIVOT_LIMIT:
-            return "pivot limit" if cols.size else "infeasible", pivots
+        if cols.size == 0:
+            return "infeasible", pivots
         _pivot(tab, leave, cols[0])
         basis[leave] = int(cols[0])
+    return "iteration bound", pivots + 1
+
+
+def _max_pivots(m: int, n: int) -> int:
+    """The iteration bound of every pivot loop on m rows and n columns, the walk's and the cold phases'."""
+    return 1000 + 50 * (m + n)
 
 
 def _inverse(a: np.ndarray, basis: tuple[int, ...]) -> np.ndarray | None:
@@ -331,10 +335,9 @@ def _iterate(tab: np.ndarray, basis: list[int], n_cols: int) -> tuple[str, int]:
     column: its first, or under Bland pricing the smallest basic index.
     """
     m = tab.shape[0] - 1
-    max_iter = 1000 + 50 * (m + n_cols)
     best = tab[-1, -1]  # minus the objective: grows as the objective drops
     stalled = 0
-    for pivots in range(max_iter):
+    for pivots in range(_max_pivots(m, n_cols)):
         costs = tab[-1, :n_cols]
         improving = costs < -FEAS_TOL
         if not improving.any():
@@ -347,11 +350,8 @@ def _iterate(tab: np.ndarray, basis: list[int], n_cols: int) -> tuple[str, int]:
         tab[leave, -1] = max(tab[leave, -1], 0.0)  # no step back: a value rounded below 0 stands for 0
         _pivot(tab, leave, enter)
         basis[leave] = enter
-        if tab[-1, -1] > best:
-            best = tab[-1, -1]
-            stalled = 0
-        else:
-            stalled += 1
+        stalled = 0 if tab[-1, -1] > best else stalled + 1
+        best = max(best, tab[-1, -1])
     raise NumericalBreakdown("simplex iteration limit reached")
 
 

@@ -1,7 +1,7 @@
 """The numpy-scalar forms of the catalog fields, their gradients, and the working-field chain.
 
 The catalog fields in ``rayvex.functions`` compute their values and planar
-gradients on plain Python floats, and ``envelope.build`` applies anchor
+gradients on plain Python floats, cobb-douglas its gradient's quotients, and ``envelope.build`` applies anchor
 shift, offset and sign by one private transform, v -> s * (f(v + t) - f(t)).
 These are the forms they replaced: each field and gradient unpacks its
 point into numpy float64 scalars (the ``*_grad`` functions keep ``**``, as
@@ -11,6 +11,8 @@ each.  Tests require the same bits from both, except that ``shift_field``
 adds a zero t, which turns a -0.0 coordinate into +0.0.  ``cubic`` forms
 its powers as products, as the catalog field does; ``cubic_pow`` keeps the
 ``**`` form, which libm's pow rounds differently in the last place.
+``cobb_douglas_grad`` is the array formula f(p) * exps / p that cobb-douglas's
+gradient computed before its quotients moved to floats.
 ``negate_field`` is also the reference for the concave working field of the
 checks, with the bits of the transform at t = 0 and f(t) = 0.  Numpy warns
 where these return inf or nan; call them under ``np.errstate(all="ignore")``.
@@ -20,6 +22,7 @@ import math
 
 import numpy as np
 
+import rayvex as rx
 from rayvex.functions import ScalarField
 
 
@@ -118,6 +121,17 @@ def cubic_grad(p):
 def cobb_douglas(scale, a1, a2, a3):
     exps = np.array([a1, a2, a3])
     return lambda p: scale * float(np.prod(np.asarray(p) ** exps))
+
+
+def cobb_douglas_grad(scale, a1, a2, a3):
+    """The array formula, with the catalog field's own f."""
+    f, exps = rx.cobb_douglas(scale, a1, a2, a3).field.eval, np.array([a1, a2, a3])
+
+    def grad(p):
+        p = np.asarray(p, dtype=float)
+        return f(p) * exps / p
+
+    return grad
 
 
 def shift_field(field: ScalarField, anchor) -> ScalarField:

@@ -117,28 +117,6 @@ def hull_lp(points, values, x):
     return np.asarray(values, dtype=float), np.vstack([points.T, np.ones(len(points))]), np.append(x, 1.0)
 
 
-def brute_force_optimum(c, a, b, tol=1e-9, max_cond=None):
-    """Minimum of c.x over basic feasible solutions of {A x = b, x >= 0}, or None if there are none.
-
-    The optimum of a feasible bounded LP is attained at one of these, which
-    makes this an independent oracle for the simplex path.  Every column set
-    is solved at once; an exactly singular B (det 0, where ``np.linalg.solve``
-    raises) is skipped, and with max_cond so is a B of condition number >= max_cond.
-    """
-    m, n = a.shape
-    cols = np.array(list(itertools.combinations(range(n), m)))
-    mats = a[:, cols].transpose(1, 0, 2)  # B of each column set
-    keep = np.linalg.det(mats) != 0.0
-    cols, mats = cols[keep], mats[keep]
-    xb = np.linalg.solve(mats, np.broadcast_to(b[:, None], (len(mats), m, 1)))[..., 0]
-    feasible = np.isfinite(xb).all(axis=1) & (xb >= -tol).all(axis=1)
-    if max_cond is not None:
-        feasible[feasible] = np.linalg.cond(mats[feasible]) < max_cond
-    if not feasible.any():
-        return None
-    return float(np.einsum("ij,ij->i", c[cols[feasible]], xb[feasible]).min())
-
-
 def record_calls(monkeypatch, owner, name) -> list:
     """The positional arguments of every later call of owner.name, which still runs with its keywords."""
     calls, wrapped = [], getattr(owner, name)

@@ -423,6 +423,8 @@ def test_repeated_main_calls_print_identical_bytes(capsys):
         (["eval", "--point", "a,b"], "--point: 'a' is not a number"),
         (["eval", "--point", "0.5,0.5", "--anchor", "1,x"], "--anchor: 'x' is not a number"),
         (["certify", "--param", "lx=abc"], "--param lx: 'abc' is not a number"),
+        (["certify", "--param", "lx"], "--param expects KEY=VALUE, got 'lx'"),
+        (["eval", "--point", "0.5,0.5,0.5"], "point [0.5, 0.5, 0.5] has wrong dimension"),
         (["certify", "--seed", "-1"], "seed must be non-negative, got -1"),
     ],
 )

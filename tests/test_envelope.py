@@ -225,8 +225,9 @@ class TestHomogeneousForm:
         field = rx.ScalarField(2, lambda p: -p[0] * p[1] + 1.0)
         model = env.build(field, rx.Polytope.box([0, 0], [1, 1]), anchor="none", budget=500)
         assert not model.homogeneity_certified
-        with pytest.raises(NotCertifiedHomogeneous):
-            env.eval_homogeneous(model, [0.5, 0.5])
+        for evaluate in (env.eval_homogeneous, env.gradient):
+            with pytest.raises(NotCertifiedHomogeneous):
+                evaluate(model, [0.5, 0.5])
 
 
 class TestGradient:
@@ -252,6 +253,14 @@ class TestGradient:
         with pytest.raises(GradientUnavailable, match="non-finite boundary data"):
             env.gradient(replace(model, field=field), [0.0, 1.5])  # v_plus on x = 0, where f = inf
         assert probed == []
+
+    def test_no_derivative_where_a_finite_difference_probe_is_not_finite(self, cubic):
+        # a field without grad: v_plus lies 1.3e-7 from x = 0, inside the central-difference step,
+        # and f is inf across x = 0
+        _, model = cubic
+        field = replace(model.field, grad=None)
+        with pytest.raises(GradientUnavailable, match="non-finite probe near"):
+            env.gradient(replace(model, field=field), [1e-7, 1.5])
 
 
 class TestConvexityProperties:

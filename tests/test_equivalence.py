@@ -277,14 +277,18 @@ CONTAINERS = (np.array, list, tuple)
 # catalog field -> its numpy-scalar form; cobb-douglas at three parameter sets, the last overflowing at 1e200
 PLANAR = {name: (rx.CATALOG_BUILDERS[name]().field, getattr(reference_fields, name))
           for name in ("bilinear", "fractional", "reliability", "cubic")}
+COBB_DOUGLAS_PARAMS = [(1.0, 1 / 3, 1 / 3, 1 / 3), (2.5, 0.2, 0.5, 0.3), (1.0, 5.0, 0.5, 0.5)]
 COBB_DOUGLAS = {f"cobb-douglas-{k}": (rx.cobb_douglas(*params).field, reference_fields.cobb_douglas(*params))
-                for k, params in enumerate([(1.0, 1 / 3, 1 / 3, 1 / 3), (2.5, 0.2, 0.5, 0.3), (1.0, 5.0, 0.5, 0.5)])}
+                for k, params in enumerate(COBB_DOUGLAS_PARAMS)}
 FORMS = {**PLANAR, **COBB_DOUGLAS}
 BATCHED = {name: field for name, (field, _) in FORMS.items()}
 
 
-# planar catalog gradient -> its numpy-scalar form
+# catalog gradient -> its numpy-scalar form (planar) or its array form (cobb-douglas)
 GRADIENTS = {name: (field.grad, getattr(reference_fields, f"{name}_grad")) for name, (field, _) in PLANAR.items()}
+COBB_DOUGLAS_GRADIENTS = {name: (COBB_DOUGLAS[name][0].grad, reference_fields.cobb_douglas_grad(*params))
+                          for name, params in zip(COBB_DOUGLAS, COBB_DOUGLAS_PARAMS)}
+GRADIENTS.update(COBB_DOUGLAS_GRADIENTS)
 
 
 def _float_form(name, coords, container):
@@ -553,8 +557,13 @@ TABLE = [
     ), 300, lambda: _forms_on_specials(sorted(COBB_DOUGLAS), 3, (list,))),
     # the same coordinates through the planar gradients: x = 0, den = 0, and ** overflowing at 1e200
     Row("planar-gradients", _float_gradient, _numpy_scalar_gradient, "nan", st.tuples(
-        st.sampled_from(sorted(GRADIENTS)), st.lists(coordinate, min_size=2, max_size=2), st.sampled_from(CONTAINERS),
-    ), 300, lambda: _forms_on_specials(sorted(GRADIENTS), 2, CONTAINERS)),
+        st.sampled_from(sorted(PLANAR)), st.lists(coordinate, min_size=2, max_size=2), st.sampled_from(CONTAINERS),
+    ), 300, lambda: _forms_on_specials(sorted(PLANAR), 2, CONTAINERS)),
+    # cobb-douglas's quotients on floats against its array formula: a zero coordinate divides by zero
+    Row("cobb-douglas-gradients", _float_gradient, _numpy_scalar_gradient, "nan", st.tuples(
+        st.sampled_from(sorted(COBB_DOUGLAS_GRADIENTS)), st.lists(coordinate, min_size=3, max_size=3),
+        st.sampled_from(CONTAINERS),
+    ), 300, lambda: _forms_on_specials(sorted(COBB_DOUGLAS_GRADIENTS), 3, (list,))),
     Row("column-forms", _column_form, _per_row, "bits", st.sampled_from(sorted(BATCHED)).flatmap(
         lambda name: st.lists(st.lists(coordinate, min_size=BATCHED[name].dim, max_size=BATCHED[name].dim), max_size=12)
         .map(lambda rows: (BATCHED[name], np.array(rows, dtype=float).reshape(-1, BATCHED[name].dim)))

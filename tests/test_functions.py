@@ -186,6 +186,7 @@ SINGULAR_GRADIENTS = [  # catalog field, a point where its gradient divides by z
     (rx.reliability().field, [0, 0], [math.nan, math.nan]),
     (rx.fractional().field, [0, 1], [-math.inf, math.inf]),
     (rx.cubic_rational().field, [0, 1], [-math.inf, math.inf]),
+    (rx.cobb_douglas().field, [0, 1, 1], [math.nan, 0.0, 0.0]),
 ]
 
 

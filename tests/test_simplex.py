@@ -1,11 +1,11 @@
-"""Solver checks against golden instances and a brute-force basic-solution oracle."""
+"""Solver checks against golden instances and an exact rational LP reference (``reference_simplex.exact_lp``)."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_simplex import exact_lp
-from strategies import brute_force_optimum, hull_lp, near_collinear_hull_lps, record_calls, rescaled_polytopes
+from strategies import hull_lp, near_collinear_hull_lps, record_calls, rescaled_polytopes
 
 import rayvex as rx
 from rayvex import simplex
@@ -64,7 +64,7 @@ def test_bilinear_vertex_oracle_instance():
     values, a, b = hull_lp(points, [0.0, 0.0, 0.0, -1.0], [0.5, 0.5])
     res = solve_lp(values, a, b)
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(brute_force_optimum(values, a, b))
+    assert res.objective == pytest.approx(float(exact_lp(values, a, b)[1]))
     assert res.objective == pytest.approx(-0.5, abs=1e-12)
 
 
@@ -160,9 +160,7 @@ def test_a_basic_value_rounded_below_zero_is_not_stepped_back_through():
 # Every optimum is its basis's refined B^-1 b, which covers b: a residual within FEAS_TOL max(1, |b|)
 # and weights >= -PIVOT_TOL before the refinement.  Worst seen over 5 seeds x 4,000 draws: a residual
 # of 4.4e-15 and a weight of -9.6e-12; a value 2.9e-10 max |c| above the exact optimum and 5.2e-11
-# below it.  The brute force takes weights down to -1e-9, so its best can undercut the optimum, by
-# 5.8e-9 max |c| at worst: SLACK is for that bound only.
-SLACK = 10 * FEAS_TOL
+# below it.
 EDGE_YS = [3.4e-8, 1.0000000000000004, 2.0, 3.0, 3.999999966]
 EDGE_POINTS = np.array([(x, y) for x in range(5) for y in EDGE_YS], dtype=float)
 TOP_YS = [float.fromhex(h) for h in ("-0x1.52da6910b246fp-42", "0x1.ffffffffff933p-4", "0x1.0000000000000p-2")]
@@ -191,10 +189,6 @@ def test_a_cold_optimum_is_a_sound_basis_on_near_collinear_lattices(lp):
     assert basis.shape == (3, 3) and np.linalg.cond(basis) < 1e12
     assert np.abs(a @ res.x - b).max() <= band and res.x.min() >= -FEAS_TOL
     assert exact != "optimal" or abs(res.objective - float(value)) <= FEAS_TOL * max(1.0, np.abs(c).max())
-    # no worse than the best basic solution (weights >= -1e-9) on a basis with cond < 1e12;
-    # a query just outside the hull may have none
-    best = brute_force_optimum(c, a, b, max_cond=1e12)
-    assert best is None or res.objective <= best + SLACK * max(1.0, np.abs(c).max())
 
 
 def test_a_query_just_outside_the_hull_is_infeasible_or_met_within_feas_tol():
@@ -330,7 +324,7 @@ def test_a_cold_optimum_with_no_certified_read_is_a_breakdown(lp, monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
-def test_matches_brute_force_on_random_instances(seed):
+def test_matches_the_exact_lp_on_random_instances(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 4))
     n = int(rng.integers(m + 1, 8))
@@ -340,9 +334,9 @@ def test_matches_brute_force_on_random_instances(seed):
     c = np.abs(rng.normal(size=n))
     res = solve_lp(c, a, b)
     assert res.status == "optimal"
-    expect = brute_force_optimum(c, a, b)
-    assert expect is not None
-    assert res.objective == pytest.approx(expect, abs=1e-7)
+    status, expect, _ = exact_lp(c, a, b)
+    assert status == "optimal"
+    assert res.objective == pytest.approx(float(expect), abs=1e-7)
 
 
 @settings(max_examples=40, deadline=None)
@@ -352,7 +346,7 @@ def test_matches_brute_force_on_random_instances(seed):
     corner=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
     data=st.data(),
 )
-def test_degenerate_lattice_lps_match_brute_force(density, step, corner, data):
+def test_degenerate_lattice_lps_match_the_exact_lp(density, step, corner, data):
     # The oracle's own LP shape: convex combinations of a box lattice.  Tied
     # integer values and queries on quarter-lattice lines make most bases
     # degenerate.
@@ -367,4 +361,4 @@ def test_degenerate_lattice_lps_match_brute_force(density, step, corner, data):
     assert res.status == "optimal"
     assert np.max(np.abs(a @ res.x - b)) <= 1e-9
     assert res.x.min() >= -1e-12
-    assert res.objective == pytest.approx(brute_force_optimum(values, a, b), abs=1e-9)
+    assert res.objective == pytest.approx(float(exact_lp(values, a, b)[1]), abs=1e-9)

@@ -1,11 +1,13 @@
 """Hypothesis certifiers, the sampled-envelope oracle, and determinism."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 from reference_fields import negate_field
-from strategies import bits, brute_force_optimum, hull_lp
+from reference_simplex import exact_lp
+from strategies import bits, hull_lp
 
 import rayvex as rx
 from rayvex import envelope as env
@@ -156,6 +158,25 @@ class TestCorollaryWorkflow:
         assert result.status == "inapplicable"
         assert result.details["homogeneity_violation"] > 1e-3
 
+    def test_a_non_finite_global_sample_fails_with_its_triple(self):
+        # x + y, but inf at the midpoint of the first global pair (seed + 2), which no other phase samples
+        pairs = rx.sample_interior(UNIT_BOX, 2, 2 * 500)
+        midpoint = 0.5 * (pairs[0] + pairs[1])
+        field = _field(lambda p: math.inf if bits(p) == bits(midpoint) else p[0] + p[1])
+        result = rx.check_corollary_convexity(field, UNIT_BOX, sense="convex", seed=0, n_samples=500)
+        assert result.status == "fail"
+        assert result.witness["non_finite_point"] == midpoint.tolist()
+
+    def test_a_non_finite_facet_witness_fails_even_an_inapplicable_check(self):
+        # x^2 + y is not homogeneous, and inf on the facet x = 2, which is not through the origin: the
+        # facet phase names a point there, which fails the check rather than leaving it inapplicable
+        box = rx.Polytope.box([1.0, 1.0], [2.0, 2.0])
+        field = _field(lambda p: math.inf if p[0] >= 2.0 - 1e-12 else p[0] ** 2 + p[1])
+        result = rx.check_corollary_convexity(field, box, sense="convex", seed=0, n_samples=500)
+        assert result.status == "fail"
+        assert result.details["homogeneity_violation"] > 1e-3
+        assert result.witness["non_finite_point"][0] >= 2.0 - 1e-12
+
 
 class TestOracle:
     def test_vertices_only_build(self):
@@ -223,7 +244,7 @@ class TestOracle:
         oracle = rx.oracle_build(field, UNIT_BOX, grid_density=0)
         value = rx.oracle_eval(oracle, [0.5, 0.5])
         assert value == pytest.approx(-0.5, abs=1e-12)
-        assert value == pytest.approx(brute_force_optimum(*hull_lp(oracle.points, oracle.values, [0.5, 0.5])), abs=1e-9)
+        assert value == pytest.approx(float(exact_lp(*hull_lp(oracle.points, oracle.values, [0.5, 0.5]))[1]), abs=1e-9)
 
     def test_sample_point_upper_bound(self):
         field = _field(lambda p: (p[0] - 0.3) ** 2 + p[1])

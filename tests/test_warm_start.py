@@ -146,7 +146,7 @@ def test_a_neighbouring_entry_walks_by_dual_pivots_from_its_stored_inverse(cold_
     assert len(cold_calls) == 1  # the set's first solve, not this one
     assert [m.tolist() for m, in inverted] == [a[:, list(warm.basis)].tolist()]  # the new entry's only
     cold = solve_lp(c, a, b_next)
-    assert 1 <= warm.pivots <= simplex.DUAL_PIVOT_LIMIT
+    assert warm.pivots >= 1
     assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
     weights = np.zeros(len(c))
     weights[list(warm.basis)] = np.linalg.solve(a[:, list(warm.basis)], b_next)
@@ -171,30 +171,50 @@ def test_a_walk_starts_from_the_entry_whose_most_negative_basic_value_is_largest
 CORNERS = (0, 8, 72)  # three box corners of GRID: a feasible basis, not an optimal one
 
 
-def test_a_dual_infeasible_entry_goes_cold(cold_calls, monkeypatch):
-    # an entry forced in past its check, with the query outside its triangle: the walk from it
-    # is not re-priced, reaches no basis that covers b within the pivot limit, and goes cold
-    c, a, b = hull_lp(GRID, GRID_VALUES, [0.9, 0.9])
+def _forced_corners(c, a, monkeypatch):
+    """A set whose one entry is CORNERS, forced in past its reduced-cost check."""
     bases = CertifiedBases(c, a)
     with monkeypatch.context() as patch:
         patch.setattr(simplex, "FEAS_TOL", np.inf)
         bases._enter(CORNERS)
+    return bases
+
+
+def test_a_dual_infeasible_entry_walks_to_a_certified_optimum(cold_calls, monkeypatch):
+    # the query (0.9, 0.9) lies outside the forced entry's triangle and on the diagonal edge of the
+    # hull's top corner: the walk, not re-priced, ends 17 pivots on, on a basis that passes the
+    # certificate as it enters, with the cold objective; the cold solve ends on the edge's other triangle
+    c, a, b = hull_lp(GRID, GRID_VALUES, [0.9, 0.9])
+    bases = _forced_corners(c, a, monkeypatch)
     walks = record_calls(monkeypatch, simplex, "_dual_simplex")
-    assert same(solve_lp(c, a, b, start=bases), solve_lp(c, a, b))
-    assert len(walks) == 1 and len(cold_calls) == 2
+    warm = solve_lp(c, a, b, start=bases)
+    assert len(walks) == 1 and not cold_calls
+    assert (warm.status, warm.basis, warm.pivots, warm.objective) == ("optimal", (79, 71, 70), 17, 1.895)
+    assert bases.entries == [CORNERS, warm.basis]
+    cold = solve_lp(c, a, b)
+    assert (cold.basis, cold.objective) == ((80, 71, 70), 1.895)
+
+    # with the iteration bound lowered below the walk, the walk gives up and the cold solve answers
+    monkeypatch.setattr(simplex, "_max_pivots", lambda m, n: 16)
+    del cold_calls[:]
+    assert same(solve_lp(c, a, b, start=_forced_corners(c, a, monkeypatch)), cold)
+    assert len(walks) == 2 and len(cold_calls) == 1
 
 
-def test_the_pivot_limit_sends_the_walk_cold(cold_calls, monkeypatch):
+def test_the_iteration_bound_sends_the_walk_cold(cold_calls, monkeypatch):
+    # a walk of 8 pivots, where each cold phase takes fewer: the bound cuts the walk and not the cold solve
     c, a, _ = hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
-    b_next = np.array(NEAR[1])
+    b_far = np.array([0.1, 0.1, 1.0])
+    cold = solve_lp(c, a, b_far)
     del cold_calls[:]
-    walked = solve_lp(c, a, b_next, start=_set_at(c, a, NEAR[0]))
-    assert walked.pivots >= 1 and len(cold_calls) == 1  # the set's first solve only
-    monkeypatch.setattr(simplex, "DUAL_PIVOT_LIMIT", walked.pivots - 1)
-    bases = _set_at(c, a, NEAR[0])
-    del cold_calls[:]
-    assert same(solve_lp(c, a, b_next, start=bases), solve_lp(c, a, b_next))
-    assert len(cold_calls) == 2
+    walked = solve_lp(c, a, b_far, start=_set_at(c, a, NEAR[0]))
+    assert walked.pivots == 8 and len(cold_calls) == 1  # the set's first solve only
+    for bound, went_cold in ((walked.pivots + 1, False), (walked.pivots, True)):
+        monkeypatch.setattr(simplex, "_max_pivots", lambda m, n: bound)
+        bases = _set_at(c, a, NEAR[0])
+        del cold_calls[:]
+        assert same(solve_lp(c, a, b_far, start=bases), cold if went_cold else walked)
+        assert len(cold_calls) == went_cold
 
 
 def test_a_walk_that_fails_its_certificate_goes_cold(cold_calls, monkeypatch):
