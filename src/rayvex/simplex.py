@@ -17,13 +17,18 @@ that LP only; a solve that passes the set's own arrays checks only its b.
 An optimal basis stays dual feasible when only b changes (its reduced
 costs do not depend on b; the parametric right-hand side of Bertsimas &
 Tsitsiklis, *Introduction to Linear Optimization*, ch. 4-5), so it is
-optimal for every b with B^-1 b >= 0.  The set keeps every optimal basis its solves reach,
-each inverted and checked for reduced costs once, as it enters.  A
-certified basis that covers b answers with no pivot; otherwise dual simplex
-pivots run from the stored B^-1 of the nearest entry, the one whose most
-negative basic value at b is largest, and the basis they end on enters and
-answers in turn.  A walk is never cut short: its answer passes the same
-certificate as any other.  Where it reaches no optimum -- an empty set, a
+optimal for every b with B^-1 b >= 0.  The set is offered every basis its
+solves reach: each cold optimum, and every basis a walk from an entry
+passes through, which is dual feasible up to rounding (Bertsimas &
+Tsitsiklis ch. 4.5).  A
+basis enters only by its certificate, inverted afresh and checked for
+reduced costs once, as it enters.  A certified basis that covers b answers
+with no pivot, so a query on ground an earlier walk crossed needs no walk;
+otherwise dual simplex pivots, on a B^-1 kept by rank-1 updates, run from
+the stored B^-1 of the nearest entry, the one whose most negative basic
+value at b is largest, and the basis they end on enters and answers in
+turn.  A walk is never cut short: its answer passes the same certificate
+as any other.  Where it reaches no optimum -- an empty set, a
 row with no dual ratio, the iteration bound -- the cold two-phase solve
 decides the status, and its basis enters and answers like any other.
 Every optimum is read in one place, ``_solution``: its basis's B^-1 b,
@@ -61,16 +66,18 @@ class CertifiedBases:
     arrays, checks that their shapes agree and that they are finite, and
     keeps read-only copies as ``objective`` and ``matrix``: the set answers
     that LP only (``solve_lp``).  Only ``solve_lp`` offers it bases: a cold
-    solve's and each walk's.  One enters at most once, and only when
-    B = A[:, basis] is square (the cold solve may have dropped a redundant
-    row), invertible, and its reduced costs c - c_B B^-1 A are all
-    >= -FEAS_TOL: B is then optimal for every b with B^-1 b >= 0.  Each
-    entry keeps its B and B^-1, and the inverses are stacked by rows into
-    one (k*m, m) matrix, so ``solve_lp`` tests every entry against a b with
-    one product.  An entry answers at b only through ``_solution``'s cover
-    test; with the reduced-cost check as it entered, that is the one
-    certificate of every optimum.  ``entries`` lists the bases in the order
-    they entered; the set is bounded by the number of distinct optimal bases.
+    solve's, and every basis a walk passes through, in the order the walk
+    reaches them.  One enters at most once, and only when B = A[:, basis]
+    is square (the cold solve may have dropped a redundant row), invertible,
+    and its reduced costs c - c_B B^-1 A are all >= -FEAS_TOL: B is then
+    optimal for every b with B^-1 b >= 0.  Each entry keeps its B and
+    B^-1, and the inverses are stacked by rows into one (k*m, m) matrix
+    (``_inverses``, a view of a buffer that doubles when full), so
+    ``solve_lp`` tests every entry against a b with one product.  An entry
+    answers at b only through ``_solution``'s cover test; with the
+    reduced-cost check as it entered, that is the one certificate of every
+    optimum.  ``entries`` lists the bases in the order they entered; the
+    set is bounded by the number of distinct optimal bases.
     """
 
     def __init__(self, objective, eq_matrix):
@@ -80,42 +87,49 @@ class CertifiedBases:
         self.entries: list[tuple[int, ...]] = []
         self._keys: dict[frozenset[int], int] = {}  # the column set of each entry -> its index
         self._matrices: list[np.ndarray] = []  # B of each entry
-        self._inverses = np.empty((0, 0))  # B^-1 of each entry, stacked by rows
+        m = len(self.matrix)
+        self._buffer = np.empty((m, m))  # room for the stacked inverses
+        self._inverses = self._buffer[:0]  # B^-1 of each entry, stacked by rows
 
     def _enter(self, basis: tuple[int, ...]) -> int | None:
         """The index of the entry with the columns of ``basis``, added now if new; None if its certificate fails."""
         key = frozenset(basis)
-        if key in self._keys:
-            return self._keys[key]
-        c, a = self.objective, self.matrix
-        b_inv = _inverse(a, basis)
-        if b_inv is None or (c - (c[list(basis)] @ b_inv) @ a).min(initial=0.0) < -FEAS_TOL:
+        k = self._keys.get(key)
+        if k is not None:
+            return k
+        c, a, cols = self.objective, self.matrix, list(basis)
+        matrix = a[:, cols]
+        b_inv = _inverse(matrix)
+        if b_inv is None or np.minimum.reduce(c - (c[cols] @ b_inv) @ a, initial=0.0) < -FEAS_TOL:
             return None
-        self._keys[key] = len(self.entries)
+        k = self._keys[key] = len(self.entries)
         self.entries.append(basis)
-        self._matrices.append(a[:, list(basis)])
-        self._inverses = np.vstack([self._inverses.reshape(-1, len(basis)), b_inv])
-        return self._keys[key]
+        self._matrices.append(matrix)
+        m = len(cols)
+        if len(self._buffer) < (k + 1) * m:
+            self._buffer = np.concatenate([self._buffer, np.empty_like(self._buffer)])
+        self._buffer[k * m : (k + 1) * m] = b_inv
+        self._inverses = self._buffer[: (k + 1) * m]
+        return k
 
     def _lookup(self, b: np.ndarray) -> LPResult | None:
         """The optimum at b from the entries, or None, for the cold solve, if they give none.
 
-        Every entry's basics B^-1 b come from one product.  The first entry
-        whose basics cover b answers; otherwise the entry whose most negative
-        basic value is largest, the first on a tie, walks.  A walk that ends
-        without an optimum, an infeasible row too, leaves the status to the
-        cold solve, so statuses do not depend on ``start`` outside the
-        FEAS_TOL band.
+        Every entry's basics B^-1 b come from one product, and one mask
+        picks the entries that may cover b.  The first of them whose basics
+        cover b answers; otherwise the entry whose most negative basic value
+        is largest, the first on a tie, walks.  A walk that ends without an
+        optimum, an infeasible row too, leaves the status to the cold solve,
+        so statuses do not depend on ``start`` outside the FEAS_TOL band.
         """
         if not self.entries:
             return None
         basics = (self._inverses @ b).reshape(len(self.entries), b.size)
         lows = basics.min(axis=1)
-        for k, low in enumerate(lows.tolist()):
-            if low >= -PIVOT_TOL:
-                res = self._read(k, b, 0, basics[k])
-                if res is not None:
-                    return res
+        for k in (lows >= -PIVOT_TOL).nonzero()[0].tolist():
+            res = self._read(k, b, 0, basics[k])
+            if res is not None:
+                return res
         res = self._walk(int(lows.argmax()), b, 0)
         return res if res is not None and res.status == "optimal" else None
 
@@ -126,14 +140,15 @@ class CertifiedBases:
 
     def _walk(self, k: int, b: np.ndarray, pivots: int) -> LPResult | None:
         """The answer at b by dual pivots from entry k, or None: "infeasible" at a row no
-        column can take, else the read of the basis the pivots end on, once it enters."""
-        basis = list(self.entries[k])
+        column can take, else the read of the basis the pivots end on, once it enters.
+        Every basis the pivots pass through is offered to the set first, in order."""
         inverse = self._inverses[k * b.size : (k + 1) * b.size]
-        status, steps = _dual_simplex(self.objective, self.matrix, b, basis, inverse)
+        status, path = _dual_simplex(self.objective, self.matrix, b, self.entries[k], inverse)
+        entered = [self._enter(basis) for basis in path]
         if status == "infeasible":
-            return LPResult(status, None, None, pivots + steps)
-        j = self._enter(tuple(basis)) if status == "optimal" else None
-        return None if j is None else self._read(j, b, pivots + steps)
+            return LPResult(status, None, None, pivots + len(path))
+        j = (entered[-1] if path else k) if status == "optimal" else None
+        return None if j is None else self._read(j, b, pivots + len(path))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends in a refused read or a status, not a warning
@@ -277,36 +292,50 @@ def _solution(c, basis, matrix, inverse, b, pivots, basics=None) -> LPResult | N
     return LPResult("optimal", x, objective, pivots, tuple(basis)) if math.isfinite(objective) else None
 
 
-def _dual_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: list[int], b_inv: np.ndarray) -> tuple[str, int]:
-    """Dual simplex pivots from ``basis`` (updated in place), with its B^-1; the status and the pivots made.
+def _dual_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: tuple[int, ...], b_inv: np.ndarray):
+    """Dual simplex pivots from ``basis``, with its B^-1: the status and each basis passed, in order.
 
-    The leaving row holds the most negative basic value; the entering column
-    passes ``_ratio_test`` on the reduced costs over minus that row.  The
-    status is "optimal" once no basic value is below -PIVOT_TOL, "infeasible"
-    at a row no column can take (a Farkas row: no x >= 0 meets it, up to the
-    tolerances), "iteration bound" after ``_max_pivots`` pivots, or "overflow".
+    The walk keeps B^-1, the basic values B^-1 b and the reduced costs
+    c - c_B B^-1 A, and forms only the leaving row's e_r^T B^-1 A and the
+    entering column's B^-1 a_q: a pivot is a rank-1 update of B^-1 and one
+    axpy on the reduced costs.  The leaving row holds the most negative
+    basic value; the entering column passes ``_ratio_test`` on the reduced
+    costs over minus that row.  The status is "optimal" once no basic value
+    is below -PIVOT_TOL, "infeasible" at a row no column can take (a Farkas
+    row: no x >= 0 meets it, up to the tolerances), "iteration bound" after
+    ``_max_pivots`` pivots, or "overflow".  The path lists the basis after
+    each pivot, so it ends on the walk's last: each is dual feasible up to
+    rounding when the start is, and ``_enter`` checks which are.
     """
     m, n = a.shape
-    tab = np.empty((m + 1, n + 1))
-    np.matmul(b_inv, a, out=tab[:m, :n])
-    np.matmul(b_inv, b, out=tab[:m, -1])
-    if not np.isfinite(tab[:m]).all():
-        return "overflow", 0
-    basics = tab[:m, -1]  # views: _pivot updates tab in place
-    costs = tab[-1, :n]
-    tab[-1] = -(c[basis] @ tab[:m])  # reduced costs c - c_B B^-1 A, then -c_B x_B
-    costs += c
+    basis = list(basis)
+    rows = np.empty((m, m + 1))  # [B^-1 | B^-1 b]: one rank-1 update moves both
+    rows[:, :m] = b_inv
+    np.matmul(b_inv, b, out=rows[:, m])
+    basics = rows[:, m]
+    costs = c - (c[basis] @ b_inv) @ a
+    if not (np.isfinite(basics).all() and np.isfinite(costs).all()):
+        return "overflow", []
     costs[basis] = 0.0
-    for pivots in range(_max_pivots(m, n)):
+    path: list[tuple[int, ...]] = []
+    for _ in range(_max_pivots(m, n)):
         leave = int(basics.argmin())
         if basics[leave] >= -PIVOT_TOL:
-            return "optimal", pivots
-        cols = _ratio_test(costs, -tab[leave, :n])
+            return "optimal", path
+        row = rows[leave, :m] @ a  # e_r^T B^-1 A
+        cols = _ratio_test(costs, -row)
         if cols.size == 0:
-            return "infeasible", pivots
-        _pivot(tab, leave, cols[0])
-        basis[leave] = int(cols[0])
-    return "iteration bound", pivots + 1
+            return "infeasible", path
+        enter = int(cols[0])
+        column = rows[:, :m] @ a[:, enter]  # B^-1 a_q
+        column[leave] = 0.0
+        rows[leave] /= row[enter]
+        rows -= column[:, None] * rows[leave]
+        costs -= (costs[enter] / row[enter]) * row
+        costs[enter] = 0.0
+        basis[leave] = enter
+        path.append(tuple(basis))
+    return "iteration bound", path
 
 
 def _max_pivots(m: int, n: int) -> int:
@@ -314,10 +343,10 @@ def _max_pivots(m: int, n: int) -> int:
     return 1000 + 50 * (m + n)
 
 
-def _inverse(a: np.ndarray, basis: tuple[int, ...]) -> np.ndarray | None:
-    """B^-1 for B = A[:, basis], or None unless B is square and invertible."""
+def _inverse(matrix: np.ndarray) -> np.ndarray | None:
+    """B^-1, or None unless B is square and invertible."""
     try:
-        b_inv = np.linalg.inv(a[:, list(basis)])
+        b_inv = np.linalg.inv(matrix)
     except np.linalg.LinAlgError:
         return None
     return b_inv if np.isfinite(b_inv).all() else None
@@ -364,8 +393,10 @@ def _ratio_test(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """
     eligible = (steps > PIVOT_TOL).nonzero()[0]
     v, s = values[eligible], steps[eligible]
-    within = (v / s <= ((v + FEAS_TOL) / s).min(initial=np.inf)).nonzero()[0]
-    return eligible[within[np.argsort(-s[within], kind="stable")]]
+    within = (v / s <= np.minimum.reduce((v + FEAS_TOL) / s, initial=np.inf)).nonzero()[0]
+    if within.size > 1:
+        within = within[(-s[within]).argsort(kind="stable")]
+    return eligible[within]
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:

@@ -472,8 +472,11 @@ def oracle_eval(oracle: SampledOracle, x) -> float:
     (only the right-hand side (x, 1) changes between queries).  A query
     inside the simplex of a certified basis is answered with no pivot;
     any other runs dual simplex pivots from the nearest certified basis
-    (the one whose most negative weight is largest), or solves cold, and
-    the optimal basis it reaches joins the set.  The set checked the
+    (the one whose most negative weight is largest), or solves cold.  Every
+    basis a walk passes through is offered to the set, and so is the
+    optimal basis the query reaches; each joins only if it passes the
+    set's certificate, so a later query inside a simplex an earlier walk
+    crossed is answered with no pivot.  The set checked the
     oracle's LP once, as the oracle was built; a query checks its own
     (x, 1), built in one ``np.array``.  Every value is that basis's
     weights B^-1 (x, 1), refined once, never a tableau value; a query

@@ -1,12 +1,14 @@
 """Reference for ``rayvex.simplex.solve_lp``'s preamble and read: the forms the set's own arrays and the float read replaced.
 
 ``solve_lp`` here converts and checks c, A and b on every call and compares
-c and A with the set's, picks the entries that may cover b with a numpy
-mask, and reads an optimum (``solution``) with numpy reductions over the
-basic values and a snap over the whole of x.  Everything else -- the cold
-solve, the dual walk, the entries and their certificates -- is the
-library's own, so on every LP the library accepts the two give the same
-status, x, objective, pivots and basis, bit for bit.
+c and A with the set's, tries every entry's lowest basic value in a Python
+loop to find the entries that may cover b, and reads an optimum
+(``solution``) with numpy reductions over the basic values and a snap over
+the whole of x.  A walk offers the set every basis it passes through, in
+order, before its answer is read.  Everything else -- the cold solve, the
+dual walk, the entries and their certificates -- is the library's own, so
+on every LP the library accepts the two give the same status, x, objective,
+pivots and basis, bit for bit.
 """
 
 import numpy as np
@@ -52,10 +54,11 @@ def _lookup(bases, c, a, b):
         return None
     basics = (bases._inverses @ b).reshape(len(bases.entries), b.size)
     lows = basics.min(axis=1)
-    for k in (lows >= -PIVOT_TOL).nonzero()[0]:
-        res = _read(bases, k, c, b, 0, basics[k])
-        if res is not None:
-            return res
+    for k, low in enumerate(lows.tolist()):
+        if low >= -PIVOT_TOL:
+            res = _read(bases, k, c, b, 0, basics[k])
+            if res is not None:
+                return res
     res = _walk(bases, int(lows.argmax()), c, a, b, 0)
     return res if res is not None and res.status == "optimal" else None
 
@@ -66,12 +69,14 @@ def _read(bases, k, c, b, pivots, basics=None):
 
 
 def _walk(bases, k, c, a, b, pivots):
-    basis = list(bases.entries[k])
-    status, steps = simplex._dual_simplex(c, a, b, basis, bases._inverses[k * b.size : (k + 1) * b.size])
+    start = bases.entries[k]
+    status, path = simplex._dual_simplex(c, a, b, start, bases._inverses[k * b.size : (k + 1) * b.size])
+    for basis in path:
+        bases._enter(basis)
     if status == "infeasible":
-        return LPResult(status, None, None, pivots + steps)
-    j = bases._enter(tuple(basis)) if status == "optimal" else None
-    return None if j is None else _read(bases, j, c, b, pivots + steps)
+        return LPResult(status, None, None, pivots + len(path))
+    j = bases._enter(path[-1] if path else start) if status == "optimal" else None
+    return None if j is None else _read(bases, j, c, b, pivots + len(path))
 
 
 def solution(c, basis, matrix, inverse, b, pivots, basics=None):

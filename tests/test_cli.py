@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,13 @@ def test_catalog_lists_five(capsys):
     assert [e["name"] for e in data["entries"]] == [
         "bilinear", "fractional", "reliability", "cubic", "cobb-douglas",
     ]
+
+
+def test_the_module_runs_as_a_program_and_exits_with_mains_code(capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv, code in ((["catalog"], 0), (["certify", "--function", "cubic", "--budget", "0"], 1)):
+        done = subprocess.run([sys.executable, "-m", "rayvex.cli", *argv], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv) and done.returncode == code
 
 
 def test_certify_bilinear_exit_zero(tmp_path, capsys):

@@ -9,7 +9,7 @@ from strategies import bits
 
 import rayvex as rx
 from rayvex import envelope as env
-from rayvex.errors import NonFiniteEvaluation
+from rayvex.errors import InvalidInput, NonFiniteEvaluation
 from rayvex.functions import _eval_rows, fd_gradient
 
 
@@ -155,6 +155,12 @@ def test_reliability_rejects_bad_bounds():
         rx.cobb_douglas(a1=-0.1)
     with pytest.raises(ValueError):
         rx.bilinear_neg(1, 0, 1, 1)
+
+
+@pytest.mark.parametrize("lower, upper", [(0.0, 2.0), (2.0, 2.0), (2.0, 1.0)])
+def test_cobb_douglas_needs_a_positive_box_with_lower_below_upper(lower, upper):
+    with pytest.raises(InvalidInput, match="^cobb-douglas box must be positive with lower < upper$"):
+        rx.cobb_douglas(lower=lower, upper=upper)
 
 
 NAN_POINTS = [  # catalog field, point where it is nan

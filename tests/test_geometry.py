@@ -516,6 +516,20 @@ def test_trace_endpoints_invariant_under_scaling(seed, exponent):
 
 
 @pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: rx.Polytope(np.zeros((2, 0)), [1.0, 1.0]), "dimension must be positive"),
+        (lambda: rx.Polytope(np.eye(2), [1.0, 1.0], facet_labels=("x",)), "facet_labels length must match halfspace count"),
+        (lambda: rx.Polytope.box([0.0, 1.0], [1.0, 1.0]), "box needs lower < upper per coordinate"),
+        (lambda: rx.Polytope.box([0.0], [1.0, 1.0]), "box needs lower < upper per coordinate"),
+    ],
+)
+def test_a_malformed_polytope_is_invalid_input_that_says_why(build, message):
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize(
     "points_per_axis, message",
     [
         (10**6, "1000000 lattice points per axis give more than 1000000 points in 2-D"),  # numpy: MemoryError, 7.28 TiB

@@ -144,7 +144,10 @@ def test_a_neighbouring_entry_walks_by_dual_pivots_from_its_stored_inverse(cold_
     inverted = record_calls(monkeypatch, np.linalg, "inv")
     warm = solve_lp(c, a, b_next, start=bases)
     assert len(cold_calls) == 1  # the set's first solve, not this one
-    assert [m.tolist() for m, in inverted] == [a[:, list(warm.basis)].tolist()]  # the new entry's only
+    # each basis the walk passes through enters, the last one its answer: each is inverted once, as it
+    # enters, and the walk itself inverts nothing
+    assert len(bases.entries) == 1 + warm.pivots and bases.entries[-1] == warm.basis
+    assert [m.tolist() for m, in inverted] == [a[:, list(basis)].tolist() for basis in bases.entries[1:]]
     cold = solve_lp(c, a, b_next)
     assert warm.pivots >= 1
     assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
@@ -153,16 +156,34 @@ def test_a_neighbouring_entry_walks_by_dual_pivots_from_its_stored_inverse(cold_
     assert np.allclose(weights, warm.x, rtol=0.0, atol=1e-12)
 
 
+def test_a_query_on_a_triangle_an_earlier_walk_crossed_is_read_with_no_walk(cold_calls, monkeypatch):
+    # the walk from NEAR[0] to NEAR[1] crosses the hull's triangles; the first it passes through, not the
+    # one it ends on, covers its own centroid, which is then one read of a kept entry
+    c, a, _ = hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
+    bases = _set_at(c, a, NEAR[0])
+    walked = solve_lp(c, a, NEAR[1], start=bases)
+    crossed = (32, 31, 22)  # (0.375, 0.625), (0.375, 0.5), (0.25, 0.5)
+    assert crossed in bases.entries[1:-1] and walked.basis == bases.entries[-1]
+    centroid = np.append(GRID[list(crossed)].mean(axis=0), 1.0)
+    walks = record_calls(monkeypatch, simplex, "_dual_simplex")
+    res = solve_lp(c, a, centroid, start=bases)
+    assert not walks and len(cold_calls) == 1 and (res.basis, res.pivots) == (crossed, 0)
+    assert res.objective == pytest.approx(solve_lp(c, a, centroid).objective, rel=1e-12)
+    for basis in bases.entries:  # each entry holds a fresh inverse and the reduced-cost certificate
+        b_inv = simplex._inverse(a[:, list(basis)])
+        assert b_inv is not None and (c - (c[list(basis)] @ b_inv) @ a).min() >= -simplex.FEAS_TOL
+
+
 def test_a_walk_starts_from_the_entry_whose_most_negative_basic_value_is_largest(monkeypatch):
     c, a, _ = hull_lp(GRID, GRID_VALUES, NEAR[0][:2])
     bases = CertifiedBases(c, a)
-    for b in (NEAR[0], [0.8, 0.2, 1.0]):
-        solve_lp(c, a, b, start=bases)
+    for b in (NEAR[0], [0.8, 0.2, 1.0]):  # two optima, entered with no walk between them
+        bases._enter(solve_lp(c, a, b).basis)
     b = np.array([0.35, 0.5, 1.0])  # covered by neither entry, and nearer the first
     lows = [np.linalg.solve(a[:, list(basis)], b).min() for basis in bases.entries]
     assert len(lows) == 2 and lows[0] > lows[1]
     starts, walk = [], simplex._dual_simplex
-    monkeypatch.setattr(simplex, "_dual_simplex", lambda *args: starts.append(tuple(args[3])) or walk(*args))
+    monkeypatch.setattr(simplex, "_dual_simplex", lambda *args: starts.append(args[3]) or walk(*args))
     warm = solve_lp(c, a, b, start=bases)
     assert starts == [bases.entries[0]]  # not the last optimum reached
     assert warm.pivots >= 1 and warm.objective == pytest.approx(solve_lp(c, a, b).objective, rel=1e-12)
@@ -183,14 +204,18 @@ def _forced_corners(c, a, monkeypatch):
 def test_a_dual_infeasible_entry_walks_to_a_certified_optimum(cold_calls, monkeypatch):
     # the query (0.9, 0.9) lies outside the forced entry's triangle and on the diagonal edge of the
     # hull's top corner: the walk, not re-priced, ends 17 pivots on, on a basis that passes the
-    # certificate as it enters, with the cold objective; the cold solve ends on the edge's other triangle
+    # certificate as it enters, with the cold objective; the cold solve ends on the edge's other triangle.
+    # The walk's first 5 bases fail the certificate and stay out; its last 12 enter
     c, a, b = hull_lp(GRID, GRID_VALUES, [0.9, 0.9])
     bases = _forced_corners(c, a, monkeypatch)
     walks = record_calls(monkeypatch, simplex, "_dual_simplex")
+    offered = record_calls(monkeypatch, CertifiedBases, "_enter")
     warm = solve_lp(c, a, b, start=bases)
     assert len(walks) == 1 and not cold_calls
     assert (warm.status, warm.basis, warm.pivots) == ("optimal", (79, 71, 70), 17)
-    assert bases.entries == [CORNERS, warm.basis]
+    passed = [basis for _, basis in offered]
+    assert len(passed) == 17 and passed[-1] == warm.basis
+    assert bases.entries == [CORNERS, *passed[5:]]
     cold = solve_lp(c, a, b)
     assert cold.basis == (80, 71, 70)
     assert warm.objective == pytest.approx(1.895, rel=1e-12) and cold.objective == pytest.approx(1.895, rel=1e-12)
@@ -223,14 +248,15 @@ def test_a_walk_that_fails_its_certificate_goes_cold(cold_calls, monkeypatch):
     # the walk ends on the optimal basis, but its B^-1, which the read would use, is inverted 1e-6 off in the
     # column of the row of ones: its reduced costs fail by about 1e-6, so the set refuses it
     c, a, _ = hull_lp(GRID, GRID_VALUES, [0.3, 0.6])
-    bases = _set_at(c, a, NEAR[0])
     b_next = np.array(NEAR[1])
+    last = a[:, list(solve_lp(c, a, b_next, start=_set_at(c, a, NEAR[0])).basis)]  # B of the basis the walk ends on
+    bases = _set_at(c, a, NEAR[0])
     inverse, drifted = simplex._inverse, []
 
-    def drifts_once(a, basis):
-        b_inv = inverse(a, basis)
-        if not drifted:
-            drifted.append(basis)
+    def drifts_once(matrix):
+        b_inv = inverse(matrix)
+        if not drifted and np.array_equal(matrix, last):
+            drifted.append(matrix)
             b_inv[:, -1] += 1e-6
         return b_inv
 
@@ -238,21 +264,25 @@ def test_a_walk_that_fails_its_certificate_goes_cold(cold_calls, monkeypatch):
     del cold_calls[:]
     res = solve_lp(c, a, b_next, start=bases)
     assert drifted and len(cold_calls) == 1
-    assert set(drifted[0]) == set(res.basis) and res.basis in bases.entries  # the cold solve's basis entered
+    # the cold solve's basis, the walk's last columns, entered after the bases the walk passed on the way
+    assert sorted(map(tuple, drifted[0].T.tolist())) == sorted(map(tuple, a[:, list(res.basis)].T.tolist()))
+    assert bases.entries[-1] == res.basis and len(bases.entries) == 5  # the first, 3 passed, the cold one
     monkeypatch.setattr(simplex, "_inverse", inverse)
     assert same(res, solve_lp(c, a, b_next))
 
 
-def test_an_infeasible_query_gets_the_cold_status(cold_calls):
-    # outside the hull: the dual ratio test finds no column, and the cold solve says why
+def test_an_infeasible_query_gets_the_cold_status(cold_calls, monkeypatch):
+    # outside the hull: the dual ratio test finds no column, and the cold solve says why.  The 7 bases
+    # the walk passed on the way to that row are dual feasible, and enter
     c, a, b = hull_lp(GRID, GRID_VALUES, [0.9, 0.9])
     bases = _set_at(c, a, b)
     entries = list(bases.entries)
+    offered = record_calls(monkeypatch, CertifiedBases, "_enter")
     b = np.array([1.02, 0.5, 1.0])
     res = solve_lp(c, a, b, start=bases)
     assert res.status == "infeasible" and res.basis is None
     assert len(cold_calls) == 2  # the set's first solve, then this one
-    assert bases.entries == entries
+    assert bases.entries == entries + [basis for _, basis in offered] and len(offered) == 7
 
 
 def test_one_solve_lp_per_oracle_eval_in_compare(monkeypatch, capsys):
@@ -279,8 +309,9 @@ def test_one_solve_lp_per_oracle_eval_in_compare(monkeypatch, capsys):
     bases = evals[0][1].bases  # each query starts from the oracle's certified set
     assert isinstance(bases, CertifiedBases)
     assert all(oracle.bases is bases for _, oracle in evals) and all(start is bases for start, _ in solves)
-    optima = [set(res.basis) for _, res in solves if res.status == "optimal"]
-    assert optima and [set(basis) for basis in bases.entries] == [b for i, b in enumerate(optima) if b not in optima[:i]]
+    # every optimum is an entry's; the other entries are bases that walks passed through
+    optima = {frozenset(res.basis) for _, res in solves if res.status == "optimal"}
+    assert optima and optima < set(map(frozenset, bases.entries))
 
 
 def test_compare_inverts_each_basis_once_as_it_enters_and_never_for_a_walk(monkeypatch, capsys):
@@ -301,8 +332,8 @@ def test_compare_inverts_each_basis_once_as_it_enters_and_never_for_a_walk(monke
     capsys.readouterr()
     (_, a, _), kwargs, _ = solves[0]
     bases = kwargs["start"]
-    optima = {frozenset(res.basis): res.basis for *_, res in solves if res.status == "optimal"}
-    assert walks and list(map(frozenset, bases.entries)) == list(optima)  # every basis offered entered
+    optima = {frozenset(res.basis) for *_, res in solves if res.status == "optimal"}
+    assert walks and optima < set(map(frozenset, bases.entries))  # the answers' bases and the walks' passed ones
     assert [m.tolist() for m, in inverted] == [a[:, list(basis)].tolist() for basis in bases.entries]
 
 
@@ -433,7 +464,7 @@ def test_a_certified_basis_answers_with_no_pivot_and_no_tableau(cold_calls, monk
     assert again.objective == first.objective  # both read B^-1 b of the one entry
     walked = solve_lp(c, a, NEAR[1], start=bases)  # outside it: dual pivots from its one entry
     assert len(dual_calls) == 1 and len(cold_calls) == 1 and walked.pivots >= 1
-    assert bases.entries == [first.basis, walked.basis]
+    assert bases.entries[0] == first.basis and bases.entries[-1] == walked.basis  # with the bases passed between
     back = solve_lp(c, a, NEAR[0], start=bases)
     assert (back.basis, back.pivots) == (first.basis, 0) and len(dual_calls) == 1
 

@@ -9,6 +9,11 @@ tree.  The parent checkout is the commit's files exported by ``git archive``
 into a temporary directory, removed at the end, so it holds only what the
 commit holds, and the working tree's own git state is not touched.
 
+With ``--parent HEAD`` on a clean working tree both sides hold the same
+files, so the run is an A/A run: the spread of its medians and the pairs
+either side wins are the floor under any A/B claim.  Run it on the same
+workload and seeds in the same sitting as the A/B pairs it stands beside.
+
 The output is one JSON object: the command and pairing rules, the machine
 facts of the first run, and a ``workloads`` block as in the ``BENCH_*.json``
 files.  Per workload it gives the seeds, the attempted and failed
