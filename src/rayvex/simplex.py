@@ -20,17 +20,17 @@ Tsitsiklis, *Introduction to Linear Optimization*, ch. 4-5), so it is
 optimal for every b with B^-1 b >= 0.  The set is offered every basis its
 solves reach: each cold optimum, and every basis a walk from an entry
 passes through, which is dual feasible up to rounding (Bertsimas &
-Tsitsiklis ch. 4.5).  A
-basis enters only by its certificate, inverted afresh and checked for
-reduced costs once, as it enters.  A certified basis that covers b answers
-with no pivot, so a query on ground an earlier walk crossed needs no walk;
-otherwise dual simplex pivots, on a B^-1 kept by rank-1 updates, run from
-the stored B^-1 of the nearest entry, the one whose most negative basic
-value at b is largest, and the basis they end on enters and answers in
-turn.  A walk is never cut short: its answer passes the same certificate
-as any other.  Where it reaches no optimum -- an empty set, a
-row with no dual ratio, the iteration bound -- the cold two-phase solve
-decides the status, and its basis enters and answers like any other.
+Tsitsiklis ch. 4.5).  A basis enters only by its certificate, inverted
+afresh and checked for reduced costs once, as it enters.  A certified
+basis that covers b answers with no pivot, so a query on ground an earlier
+walk crossed needs no walk; otherwise dual simplex pivots, on a B^-1 kept
+by rank-1 updates, run from the stored B^-1 of the nearest entry, the one
+whose most negative basic value at b is largest, and the basis they end on
+enters and answers in turn.  A walk is never cut short: its answer passes
+the same certificate as any other.  Where it reaches no optimum -- an
+empty set, a row with no dual ratio, the iteration bound -- the cold
+two-phase solve decides the status, and its basis enters and answers like
+any other.
 Every optimum is read in one place, ``_solution``: its basis's B^-1 b,
 refined once, never a tableau value.  It may differ from another basis's in
 the last ulps, and is deterministic for a fixed sequence of solves.
