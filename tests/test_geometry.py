@@ -519,7 +519,8 @@ def test_trace_endpoints_invariant_under_scaling(seed, exponent):
     "build, message",
     [
         (lambda: rx.Polytope(np.zeros((2, 0)), [1.0, 1.0]), "dimension must be positive"),
-        (lambda: rx.Polytope(np.eye(2), [1.0, 1.0], facet_labels=("x",)), "facet_labels length must match halfspace count"),
+        (lambda: rx.Polytope(np.eye(2), [1.0, 1.0], facet_labels=("x",)),
+         "facet_labels length must match halfspace count"),
         (lambda: rx.Polytope.box([0.0, 1.0], [1.0, 1.0]), "box needs lower < upper per coordinate"),
         (lambda: rx.Polytope.box([0.0], [1.0, 1.0]), "box needs lower < upper per coordinate"),
     ],
